@@ -184,9 +184,18 @@ def _star_series_dump(rep, series):
         rep.add_coefficients(f"hbar^{k}", _jet_table(series.coefficient(k)))
 
 
+def _hbar_order(args, default):
+    """The --order of star and quantize: a nonnegative hbar power."""
+    if args.order is None:
+        return default
+    if args.order < 0:
+        raise InputError(f"--order must be >= 0, got {args.order}")
+    return args.order
+
+
 def cmd_star(args):
+    n = _hbar_order(args, 2)
     geom = load_geometry(args.geometry)
-    n = args.order if args.order is not None else 2
     try:
         f = jet_of(args.f, geom.chart, geom.order)
         g = jet_of(args.g, geom.chart, geom.order)
@@ -217,7 +226,10 @@ def cmd_check(args):
         geom = load_geometry(args.geometry)
         if args.suite in ("associativity", "correspondence"):
             n_hbar = 3 if args.suite == "associativity" else 1
-            kwargs["state"] = solve_r(geom, n_hbar)
+            try:
+                kwargs["state"] = solve_r(geom, n_hbar)
+            except FedosovError as exc:
+                raise InputError(f"{args.geometry}: {exc}") from None
             kwargs.pop("order", None)
         else:
             raise InputError(
@@ -233,6 +245,7 @@ def cmd_check(args):
 
 
 def cmd_quantize(args):
+    n = _hbar_order(args, 3)
     geom = load_geometry(args.geometry)
     rep = Report(f"quantize {args.geometry} f={args.f!r}",
                  _digest(args.geometry))
@@ -247,7 +260,6 @@ def cmd_quantize(args):
         if geom.kind == "kaehler":
             op = gq_kaehler(f, geom)
         else:
-            n = args.order if args.order is not None else 3
             state = solve_r(geom, n)
             op = rho_extend(f, state)
     except (ParseError, JetError, FedosovError, QuantizationError) as exc:

@@ -83,6 +83,34 @@ class FedosovState:
         self.section_cap = degree_cap - 2
         self._section_cache = {}
         self._r_parts = None
+        self._rows = {}
+
+    @property
+    def r_parts(self):
+        """Nonzero weight components of r, keyed by doubled weight."""
+        if self._r_parts is None:
+            parts = {w: pi_weight(self.r, w)
+                     for w in range(3, self.degree_cap + 1)}
+            self._r_parts = {w: p for w, p in parts.items()
+                             if not p.is_zero()}
+        return self._r_parts
+
+    def _commutator_row(self, w, key):
+        """(i/hbar)[r_w, t] for the unit-coefficient term t at ``key``.
+
+        r is fixed, so the commutator with its weight-w part is a linear
+        map over jets; each row is filled once and returned as a tuple of
+        (output key, jet) pairs.
+        """
+        row = self._rows.get((w, key))
+        if row is None:
+            geom = self.geometry
+            unit = WeylForm(geom, self.degree_cap,
+                            {key: Jet.constant(geom.chart, 1, geom.order)})
+            row = tuple(mul_i_divide_hbar(
+                graded_commutator(self.r_parts[w], unit)).terms.items())
+            self._rows[(w, key)] = row
+        return row
 
     def __repr__(self):
         return (f"FedosovState(N={self.n_hbar}, cap={self.degree_cap}, "
@@ -178,10 +206,6 @@ def flat_section(f, state, max_weight=None):
     top = state.section_cap if max_weight is None \
         else min(max_weight, state.section_cap)
     cap = state.degree_cap
-    if state._r_parts is None:
-        parts = {w: pi_weight(state.r, w) for w in range(3, cap + 1)}
-        state._r_parts = {w: p for w, p in parts.items() if not p.is_zero()}
-    r_parts = state._r_parts
     cached = state._section_cache.get(f)
     if cached is None:
         cached = [0, {0: WeylForm.from_jet(geom, cap, f)}]
@@ -192,15 +216,14 @@ def flat_section(f, state, max_weight=None):
             update = nabla(parts[s], geom)
         else:
             update = WeylForm.zero(geom, cap)
-        comm = None
-        for w, rp in r_parts.items():
+        comm = {}
+        for w in state.r_parts:
             s2 = s + 2 - w
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
-                c = graded_commutator(rp, parts[s2])
-                comm = c if comm is None else comm + c
-        if comm is not None:
-            update = update + mul_i_divide_hbar(comm)
+                add_commutator(state, w, parts[s2], comm)
+        if comm:
+            update = update + WeylForm(geom, cap, comm)
         nxt = pi_weight(op_delta_inv(update), s + 1)
         if not nxt.is_zero():
             parts[s + 1] = nxt
@@ -210,6 +233,17 @@ def flat_section(f, state, max_weight=None):
         if s in parts:
             out = out + parts[s]
     return out
+
+
+def add_commutator(state, w, part, acc):
+    """Accumulate (i/hbar)[r_w, part] into ``acc`` from the state's rows."""
+    for key, jet in part.terms.items():
+        for out_key, row_jet in state._commutator_row(w, key):
+            t = jet * row_jet
+            if t.is_zero():
+                continue
+            prev = acc.get(out_key)
+            acc[out_key] = t if prev is None else prev + t
 
 
 def section_defect(section, state):

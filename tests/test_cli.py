@@ -93,3 +93,25 @@ def test_check_suite_runs_and_json_deterministic(tmp_path, capsys):
 def test_quiet_suppresses_table(flat_file, capsys):
     assert main(["validate", flat_file, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("suite,order", [("associativity", 6),
+                                         ("correspondence", 4)])
+def test_check_geometry_too_short_is_input_error(tmp_path, capsys, suite,
+                                                 order):
+    # hbar^3 (associativity) needs valid_order 9, hbar^1 needs 5
+    path = tmp_path / "short.json"
+    path.write_text(f'{{"kind": "flat", "n": 1, "order": {order}}}')
+    assert main(["check", suite, "--geometry", str(path), "--quiet"]) == 2
+    assert "valid_order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["-1", "-3"])
+def test_negative_hbar_order_is_input_error(flat_file, capsys, order):
+    assert main(["star", flat_file, "--f", "q1", "--g", "p1",
+                 "--order", order]) == 2
+    assert main(["quantize", flat_file, "--f", "p1^2",
+                 "--order", order]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert "--order must be >= 0" in captured.err

@@ -6,11 +6,14 @@ import pytest
 
 from fedquant.jets import Jet
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import pi_weight
-from fedquant.geometry import (build_darboux, build_flat, hamiltonian_vf,
-                               omega_pair, poisson)
-from fedquant.fedosov import (FedosovError, check_flatness, flat_section,
-                              moyal_reference, section_defect, solve_r, star)
+from fedquant.weyl import (WeylForm, graded_commutator, mul_i_divide_hbar,
+                           pi_weight)
+from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
+                               hamiltonian_vf, lift_cotangent, omega_pair,
+                               poisson)
+from fedquant.fedosov import (FedosovError, FedosovState, add_commutator,
+                              check_flatness, flat_section, moyal_reference,
+                              section_defect, solve_r, star)
 from fedquant import sampling
 from fedquant.suites import _r3_oracle, _r4_oracle
 
@@ -81,13 +84,75 @@ def test_r_series_leading_terms():
     assert pi_weight(st.r, 4).agrees_with(_r4_oracle(geom, st.degree_cap))
 
 
-def test_section_is_flat():
-    st = darboux_state("section")
+KINDS = ("flat", "darboux", "cotangent", "kaehler")
+
+
+@pytest.fixture(scope="module", params=KINDS)
+def kind_state(request):
+    """A solved state of each geometry kind.
+
+    The cotangent lift uses n=2: a one-dimensional base is flat, so the
+    n=1 lift has r = 0 and would not reach the commutator.
+    """
+    kind = request.param
+    if kind == "darboux":
+        return darboux_state("section")
+    rng = sampling.make_rng(("fedosov-test", kind))
+    if kind == "flat":
+        geom = build_flat(1, 9)
+    elif kind == "cotangent":
+        geom = lift_cotangent(sampling.random_metric(rng, 2, 9), 9)
+    else:
+        geom = build_kaehler(sampling.random_kaehler_potential(rng, 1, 12),
+                             12)
+    return solve_r(geom, 2)
+
+
+def fresh_copy(st):
+    """The same solution of the flatness equation with empty caches."""
+    return FedosovState(st.geometry, st.n_hbar, st.degree_cap, st.r,
+                        st.residual, st.converged, st.iterations_used)
+
+
+def observables(st):
     chart = st.geometry.chart
-    f = Jet.variable(chart, 0, st.geometry.order) ** 2 \
-        + Jet.variable(chart, 1, st.geometry.order)
-    sec = flat_section(f, st)
+    x = Jet.variable(chart, 0, st.geometry.order)
+    y = Jet.variable(chart, chart.dim - 1, st.geometry.order)
+    return [x ** 2 + y, x * y * y - y * 3, x ** 3 - x * y + 2]
+
+
+def test_section_is_flat(kind_state):
+    st = fresh_copy(kind_state)
+    sec = flat_section(observables(st)[0], st)
     assert section_defect(sec, st) == {}
+
+
+def test_section_independent_of_filled_rows(kind_state):
+    f, g, h = observables(kind_state)
+    expected = flat_section(f, fresh_copy(kind_state))
+    warm = fresh_copy(kind_state)
+    flat_section(g, warm)
+    flat_section(h, warm)
+    assert bool(warm._rows) == bool(warm.r_parts)
+    assert flat_section(f, warm) == expected
+
+
+def test_commutator_rows_match_graded_commutator(kind_state):
+    st = fresh_copy(kind_state)
+    geom = st.geometry
+    sec = flat_section(observables(st)[0], st)
+    checked = 0
+    for w, rp in st.r_parts.items():
+        for s2 in range(1, st.section_cap + 3 - w):
+            part = pi_weight(sec, s2)
+            if part.is_zero():
+                continue
+            acc = {}
+            add_commutator(st, w, part, acc)
+            assert WeylForm(geom, st.degree_cap, acc) \
+                == mul_i_divide_hbar(graded_commutator(rp, part))
+            checked += 1
+    assert checked or st.r.is_zero()
 
 
 def test_low_order_star_coefficients():
