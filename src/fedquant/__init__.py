@@ -11,19 +11,19 @@ from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError,
 from .exprparse import ParseError, jet_of, parse
 from .weyl import (GradingError, WeylForm, graded_commutator, op_delta,
                    op_delta_inv, op_delta_star, symbol, weyl_mul)
-from .geometry import (ChartGeometry, GeometryError, ValidationFailure,
-                       build_darboux, build_flat, build_kaehler,
-                       complex_chart, lift_cotangent, nabla, phase_chart,
-                       poisson, validate_connection)
+from .geometry import (ChartGeometry, CheckReport, GeometryError,
+                       ValidationFailure, build_darboux, build_flat,
+                       build_kaehler, complex_chart, lift_cotangent, nabla,
+                       phase_chart, poisson, validate_connection)
 from .fedosov import (FedosovError, FedosovState, StarSeries, check_flatness,
                       flat_section, moyal_reference, section_defect, solve_r,
                       star)
-from .quantization import (CompatReport, DiffOp, HbarSeries, QuantizationError,
+from .quantization import (DiffOp, HbarSeries, QuantizationError,
                            check_homogeneity, check_kaehler_orders,
                            check_kompi, diffop_apply, diffop_compose,
                            flat_reps, gq_cotangent, gq_kaehler,
                            kinetic_alpha, kinetic_energy_observable,
                            laplace_beltrami, rho_extend, scalar_curvature)
-from .suites import SUITES, run_suite
+from .suites import SUITES
 
 __version__ = "0.1.0"

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from . import __version__
 from .exprparse import ParseError, jet_of
-from .jets import Chart, Jet, JetError
-from .geometry import (GeometryError, ValidationFailure, build_darboux,
-                       build_flat, build_kaehler, complex_chart,
+from .jets import Chart, JetError
+from .geometry import (CheckReport, GeometryError, ValidationFailure,
+                       build_darboux, build_flat, build_kaehler, complex_chart,
                        lift_cotangent, phase_chart, validate_connection)
 from .fedosov import FedosovError, solve_r, star
 from .quantization import (QuantizationError, gq_kaehler,
@@ -44,15 +44,12 @@ def _rational(text):
         raise InputError(f"bad rational {text!r}: {exc}") from None
 
 
-def _fmt_rat(c):
-    """CRat as 'p/q' or 'p/q+r/s*i'; deterministic and float-free."""
-    return str(c)
-
-
 def _jet_table(jet):
+    """Coefficients keyed 'e1,e2,...'; values are CRat strings 'p/q' or
+    'p/q+r/s*i', deterministic and float-free."""
     out = {}
     for key in sorted(jet.coeffs):
-        out[",".join(str(e) for e in key)] = _fmt_rat(jet.coeffs[key])
+        out[",".join(str(e) for e in key)] = str(jet.coeffs[key])
     return out
 
 
@@ -126,66 +123,47 @@ def _digest(path):
         return ""
 
 
-class Report:
-    """Ordered check verdicts plus coefficient dumps, JSON-serializable."""
+def _emit(args, command, report, geometry="", coefficients=None):
+    """Print the check table and write the JSON report; return the exit code.
 
-    def __init__(self, command, geometry_digest=""):
-        self.doc = {"command": command, "engine": f"fedquant {__version__}",
-                    "geometry": geometry_digest, "checks": [],
-                    "coefficients": {}}
-
-    def add_check(self, name, passed, location=""):
-        self.doc["checks"].append(
-            {"name": name, "passed": bool(passed), "location": location})
-
-    def add_coefficients(self, label, table):
-        self.doc["coefficients"][label] = table
-
-    @property
-    def passed(self):
-        return all(c["passed"] for c in self.doc["checks"])
-
-    def table(self):
-        lines = [self.doc["engine"] + "  " + self.doc["command"]]
-        if self.doc["geometry"]:
-            lines.append(f"geometry {self.doc['geometry']}")
-        width = max((len(c["name"]) for c in self.doc["checks"]), default=0)
-        for c in self.doc["checks"]:
+    The JSON document has the keys command, engine, geometry, checks (name,
+    passed, location per entry) and coefficients.
+    """
+    coefficients = coefficients or {}
+    engine = f"fedquant {__version__}"
+    if not args.quiet:
+        lines = [engine + "  " + command]
+        if geometry:
+            lines.append(f"geometry {geometry}")
+        width = max((len(c["name"]) for c in report.checks), default=0)
+        for c in report.checks:
             mark = "ok  " if c["passed"] else "FAIL"
             loc = f"  {c['location']}" if c["location"] else ""
             lines.append(f"  {mark} {c['name']:<{width}}{loc}")
-        for label, tab in self.doc["coefficients"].items():
+        for label, tab in coefficients.items():
             lines.append(label)
             for key in tab:
                 lines.append(f"  [{key}] {tab[key]}")
-        return "\n".join(lines)
-
-    def emit(self, args):
-        if not args.quiet:
-            print(self.table())
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(self.doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        print("\n".join(lines))
+    if args.json:
+        doc = {"command": command, "engine": engine, "geometry": geometry,
+               "checks": [{k: c[k] for k in ("name", "passed", "location")}
+                          for c in report.checks],
+               "coefficients": coefficients}
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return 0 if report.passed else 1
 
 
 def cmd_validate(args):
     geom = load_geometry(args.geometry)
-    rep = Report(f"validate {args.geometry}", _digest(args.geometry))
-    vrep = validate_connection(geom)
-    for entry in vrep.checks:
-        rep.add_check(entry.name, entry.passed, entry.detail)
-    rep.emit(args)
-    return 0 if vrep.passed else 1
+    return _emit(args, f"validate {args.geometry}", validate_connection(geom),
+                 _digest(args.geometry))
 
 
-def _star_series_dump(rep, series):
-    for k in range(series.valid_hbar_order + 1):
-        rep.add_coefficients(f"hbar^{k}", _jet_table(series.coefficient(k)))
-
-
-def _hbar_order(args, default):
-    """The --order of star and quantize: a nonnegative hbar power."""
+def _order(args, default):
+    """--order: an hbar power (star, quantize) or a jet order (check), >= 0."""
     if args.order is None:
         return default
     if args.order < 0:
@@ -194,7 +172,7 @@ def _hbar_order(args, default):
 
 
 def cmd_star(args):
-    n = _hbar_order(args, 2)
+    n = _order(args, 2)
     geom = load_geometry(args.geometry)
     try:
         f = jet_of(args.f, geom.chart, geom.order)
@@ -206,12 +184,12 @@ def cmd_star(args):
     except FedosovError as exc:
         raise InputError(str(exc)) from None
     series = star(f, g, state)
-    rep = Report(f"star {args.geometry} f={args.f!r} g={args.g!r} N={n}",
-                 _digest(args.geometry))
-    rep.add_check("star series computed", True)
-    _star_series_dump(rep, series)
-    rep.emit(args)
-    return 0
+    report = CheckReport()
+    report.add("star series computed", True)
+    coefficients = {f"hbar^{k}": _jet_table(series.coefficient(k))
+                    for k in range(series.valid_hbar_order + 1)}
+    return _emit(args, f"star {args.geometry} f={args.f!r} g={args.g!r} N={n}",
+                 report, _digest(args.geometry), coefficients)
 
 
 def cmd_check(args):
@@ -220,8 +198,9 @@ def cmd_check(args):
         raise InputError(f"unknown suite {args.suite!r}; choose from "
                          + ", ".join(sorted(SUITES)))
     kwargs = {"seed": args.seed}
-    if args.order is not None:
-        kwargs["order"] = args.order
+    order = _order(args, None)
+    if order is not None:
+        kwargs["order"] = order
     if args.geometry:
         geom = load_geometry(args.geometry)
         if args.suite in ("associativity", "correspondence"):
@@ -235,20 +214,21 @@ def cmd_check(args):
             raise InputError(
                 f"suite {args.suite!r} builds its own seeded geometries; "
                 "omit the geometry file")
-    result = fn(**kwargs)
-    rep = Report(f"check {args.suite} seed={args.seed}",
+    try:
+        report = fn(**kwargs)
+    except JetError as exc:
+        # at the suite's default order a JetError is a library fault
+        if "order" not in kwargs:
+            raise
+        raise InputError(f"suite {args.suite!r} cannot run at --order "
+                         f"{order}: {exc}") from None
+    return _emit(args, f"check {args.suite} seed={args.seed}", report,
                  _digest(args.geometry) if args.geometry else "")
-    for entry in result.entries:
-        rep.add_check(entry.name, entry.passed, entry.location)
-    rep.emit(args)
-    return 0 if rep.passed else 1
 
 
 def cmd_quantize(args):
-    n = _hbar_order(args, 3)
+    n = _order(args, 3)
     geom = load_geometry(args.geometry)
-    rep = Report(f"quantize {args.geometry} f={args.f!r}",
-                 _digest(args.geometry))
     try:
         if args.f.strip() == "kinetic":
             if geom.kind not in ("flat", "cotangent"):
@@ -264,16 +244,16 @@ def cmd_quantize(args):
             op = rho_extend(f, state)
     except (ParseError, JetError, FedosovError, QuantizationError) as exc:
         raise InputError(str(exc)) from None
-    rep.add_check("operator computed", True)
+    report = CheckReport()
+    report.add("operator computed", True)
+    coefficients = {}
     for idx in sorted(op.terms):
         label = "d^(" + ",".join(str(e) for e in idx) + ")"
         series = op.terms[idx]
-        tab = {}
-        for k in sorted(series.coeffs):
-            tab[f"hbar^{k}"] = _jet_table(series.coeffs[k])
-        rep.add_coefficients(label, tab)
-    rep.emit(args)
-    return 0
+        coefficients[label] = {f"hbar^{k}": _jet_table(series.coeffs[k])
+                               for k in sorted(series.coeffs)}
+    return _emit(args, f"quantize {args.geometry} f={args.f!r}", report,
+                 _digest(args.geometry), coefficients)
 
 
 def build_parser():

@@ -37,30 +37,32 @@ class ValidationFailure(GeometryError):
         self.report = report
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-    fatal: bool = True
+class CheckReport:
+    """Ordered check verdicts from validation, checkers and suites.
 
+    Each entry in ``checks`` is a dict with ``name``, ``passed``,
+    ``location`` and ``fatal``; a failing non-fatal entry is a recorded
+    mismatch that does not fail the report.
+    """
 
-class ValidationReport:
-    def __init__(self, checks):
-        self.checks = list(checks)
+    def __init__(self):
+        self.checks = []
+
+    def add(self, name, passed, location="", fatal=True):
+        self.checks.append({"name": name, "passed": bool(passed),
+                            "location": location, "fatal": fatal})
 
     @property
     def passed(self):
-        return all(c.passed for c in self.checks if c.fatal)
+        return all(c["passed"] for c in self.checks if c["fatal"])
 
     def __str__(self):
         lines = []
         for c in self.checks:
-            status = "ok" if c.passed else ("FAIL" if c.fatal else "mismatch")
-            line = f"  [{status}] {c.name}"
-            if c.detail and not c.passed:
-                line += f": {c.detail}"
-            lines.append(line)
+            status = "ok" if c["passed"] else \
+                ("FAIL" if c["fatal"] else "mismatch")
+            loc = f": {c['location']}" if c["location"] else ""
+            lines.append(f"  [{status}] {c['name']}{loc}")
         return "\n".join(lines)
 
 
@@ -106,12 +108,6 @@ class ChartGeometry:
 
     def zero_jet(self):
         return Jet.zero(self.chart, self.order)
-
-    def const_jet(self, value):
-        return Jet.constant(self.chart, value, self.order)
-
-    def var_jet(self, i):
-        return Jet.variable(self.chart, i, self.order)
 
     def __eq__(self, other):
         if self is other:
@@ -616,12 +612,11 @@ def _require_valid(geom):
     report = validate_connection(geom)
     if not report.passed:
         raise ValidationFailure(report)
-    geom._cache["validation"] = report
 
 
 def validate_connection(geom):
     """Run every structural identity; failures become report entries."""
-    checks = []
+    rep = CheckReport()
     dim = geom.dim
     omega, omega_inv = geom.omega, geom.omega_inv
     zero = geom.zero_jet()
@@ -634,7 +629,7 @@ def validate_connection(geom):
                 break
         if not ok:
             break
-    checks.append(Check("omega antisymmetric", ok, where))
+    rep.add("omega antisymmetric", ok, where)
 
     ok, where = True, ""
     for a in range(dim):
@@ -647,14 +642,14 @@ def validate_connection(geom):
                                 acc.valid_order)
             if not acc.agrees_with(want):
                 ok, where = False, f"(a,c)=({a},{c})"
-    checks.append(Check("omega * omega_inv = identity", ok, where))
+    rep.add("omega * omega_inv = identity", ok, where)
 
     ok, where = True, ""
     for (u, a, b), g in geom.gamma.items():
         if not g.agrees_with(geom.gamma_at(u, b, a)):
             ok, where = False, f"Gamma^{u}_({a},{b})"
             break
-    checks.append(Check("connection torsion-free", ok, where))
+    rep.add("connection torsion-free", ok, where)
 
     ok, where = True, ""
     for c in range(dim):
@@ -670,7 +665,7 @@ def validate_connection(geom):
                         acc = acc - omega[a][d] * g
                 if not acc.is_zero():
                     ok, where = False, f"(c,a,b)=({c},{a},{b})"
-    checks.append(Check("connection symplectic (nabla omega = 0)", ok, where))
+    rep.add("connection symplectic (nabla omega = 0)", ok, where)
 
     constant_omega = all(
         all(sum(a_idx) == 0 for a_idx in omega[a][b].coeffs)
@@ -689,7 +684,7 @@ def validate_connection(geom):
                     break
             if not ok:
                 break
-        checks.append(Check("lowered Gamma totally symmetric", ok, where))
+        rep.add("lowered Gamma totally symmetric", ok, where)
 
     curv = geom.curvature()
     ok, where = True, ""
@@ -698,20 +693,18 @@ def validate_connection(geom):
         if not jet.agrees_with(other):
             ok, where = False, f"indices {(i, j, k, l)}"
             break
-    checks.append(Check("lowered curvature symmetric in first pair",
-                        ok, where))
+    rep.add("lowered curvature symmetric in first pair", ok, where)
 
     if geom.kind == "kaehler":
-        checks.extend(_kaehler_checks(geom, curv))
+        _kaehler_checks(geom, curv, rep)
     if geom.kind == "cotangent":
-        checks.extend(_cotangent_checks(geom, curv))
-    return ValidationReport(checks)
+        _cotangent_checks(geom, curv, rep)
+    return rep
 
 
-def _kaehler_checks(geom, curv):
+def _kaehler_checks(geom, curv, rep):
     n = geom.n
     zero = geom.zero_jet()
-    checks = []
 
     ok, where = True, ""
     for (i, j, k, l) in curv.r_low:
@@ -720,7 +713,7 @@ def _kaehler_checks(geom, curv):
         if not (mixed_first and mixed_last):
             ok, where = False, f"non-mixed component {(i, j, k, l)}"
             break
-    checks.append(Check("curvature components mixed-index only", ok, where))
+    rep.add("curvature components mixed-index only", ok, where)
 
     a_mat = geom.source["A"]
     a_inv = geom.source["A_inv"]
@@ -741,8 +734,7 @@ def _kaehler_checks(geom, curv):
                     if not got.agrees_with(want):
                         ok = False
                         where = f"(k,l,i,j)=({k},{l},{i},{j})"
-    checks.append(Check("curvature matches potential Hessian formula",
-                        ok, where))
+    rep.add("curvature matches potential Hessian formula", ok, where)
 
     ok, where = True, ""
     for k in range(n):
@@ -757,16 +749,14 @@ def _kaehler_checks(geom, curv):
                     d = curv.low(n + k, j, n + i, l, zero)
                     if not c.agrees_with(d):
                         ok, where = False, f"barred (k,l,i,j)"
-    checks.append(Check("curvature exchange symmetries", ok, where))
-    return checks
+    rep.add("curvature exchange symmetries", ok, where)
 
 
-def _cotangent_checks(geom, curv):
+def _cotangent_checks(geom, curv, rep):
     n = geom.n
     zero = geom.zero_jet()
     rt = geom.source["curvature_base"]
     gt = geom.source["gamma_base"]
-    checks = []
     third = Fraction(1, 3)
 
     ok, where = True, ""
@@ -778,7 +768,7 @@ def _cotangent_checks(geom, curv):
                     want = rt.get((l, k, i, j), zero)
                     if not got.agrees_with(want):
                         ok, where = False, f"(l,k,i,j)=({l},{k},{i},{j})"
-    checks.append(Check("lifted curvature restricts to the base", ok, where))
+    rep.add("lifted curvature restricts to the base", ok, where)
 
     ok, where = True, ""
     for l in range(n):
@@ -790,7 +780,7 @@ def _cotangent_checks(geom, curv):
                             + rt.get((j, k, l, i), zero)) * third
                     if not got.agrees_with(want):
                         ok, where = False, f"(l,k,i,j)=({l},{k},{i},{j})"
-    checks.append(Check("mixed lifted curvature identity", ok, where))
+    rep.add("mixed lifted curvature identity", ok, where)
 
     # the p-linear curvature block of the published display is recorded as a
     # cross-check only; a mismatch is reported, not fatal
@@ -835,6 +825,5 @@ def _cotangent_checks(geom, curv):
                     got = curv.up(n + ii, j, k, l, zero)
                     if not got.agrees_with(acc):
                         ok, where = False, f"(i,j,k,l)=({ii},{j},{k},{l})"
-    checks.append(Check("p-linear curvature display cross-check", ok, where,
-                        fatal=False))
-    return checks
+    rep.add("p-linear curvature display cross-check", ok, where,
+            fatal=False)

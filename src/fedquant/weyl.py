@@ -128,9 +128,6 @@ class WeylForm:
         return WeylForm(self.geometry, self.degree_cap,
                         {key: fn(jet) for key, jet in self.terms.items()})
 
-    def form_degrees(self):
-        return sorted({len(beta) for (_, _, beta) in self.terms})
-
     def agrees_with(self, other, jet_order=None):
         """Exact equality of retained terms, jets compared to shared order."""
         self._check(other)
@@ -443,32 +440,11 @@ def symbol(a):
     return out
 
 
-def pi_tensor(a, k):
-    """Project onto fiber degree k."""
-    return WeylForm(a.geometry, a.degree_cap,
-                    {key: jet for key, jet in a.terms.items()
-                     if sum(key[1]) == k})
-
-
 def pi_weight(a, doubled_degree):
     """Project onto doubled grading weight 2k + |alpha|."""
     return WeylForm(a.geometry, a.degree_cap,
                     {key: jet for key, jet in a.terms.items()
                      if 2 * key[0] + sum(key[1]) == doubled_degree})
-
-
-def project(a, selector, index=0):
-    """Named projections: 'hbar2' (doubled weight), 'tensor', 'scalar',
-    'symbol'."""
-    if selector == "hbar2":
-        return pi_weight(a, index)
-    if selector == "tensor":
-        return pi_tensor(a, index)
-    if selector == "scalar":
-        return scalar_part(a)
-    if selector == "symbol":
-        return symbol(a)
-    raise GradingError(f"unknown projection {selector!r}")
 
 
 def divide_hbar(a):

@@ -26,7 +26,7 @@ def _run(fn, budget=None, **kw):
 def test_flat_star_equals_direct_product():
     """50 random polynomial pairs on flat charts, exact through hbar^4."""
     rep = _run(suites.moyal_flat_suite, budget=30, samples=50, n_hbar=4)
-    assert len(rep.entries) == 50
+    assert len(rep.checks) == 50
 
 
 def test_second_order_star_coefficients():

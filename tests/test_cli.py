@@ -78,6 +78,49 @@ def test_check_unknown_suite(capsys):
     assert main(["check", "no-such-suite"]) == 2
 
 
+# the r-terms --seed 5 report, byte for byte
+R_TERMS_SEED5_JSON = """\
+{
+  "checks": [
+    {
+      "location": "sample 0",
+      "name": "r_(3) = -(1/8) R y^3 dx",
+      "passed": true
+    },
+    {
+      "location": "sample 0",
+      "name": "r_(4) = -(1/40) nabla R y^4 dx",
+      "passed": true
+    },
+    {
+      "location": "sample 1",
+      "name": "r_(3) = -(1/8) R y^3 dx",
+      "passed": true
+    },
+    {
+      "location": "sample 1",
+      "name": "r_(4) = -(1/40) nabla R y^4 dx",
+      "passed": true
+    },
+    {
+      "location": "sample 2",
+      "name": "r_(3) = -(1/8) R y^3 dx",
+      "passed": true
+    },
+    {
+      "location": "sample 2",
+      "name": "r_(4) = -(1/40) nabla R y^4 dx",
+      "passed": true
+    }
+  ],
+  "coefficients": {},
+  "command": "check r-terms seed=5",
+  "engine": "fedquant 0.1.0",
+  "geometry": ""
+}
+"""
+
+
 def test_check_suite_runs_and_json_deterministic(tmp_path, capsys):
     j1 = tmp_path / "a.json"
     j2 = tmp_path / "b.json"
@@ -88,6 +131,7 @@ def test_check_suite_runs_and_json_deterministic(tmp_path, capsys):
     assert j1.read_bytes() == j2.read_bytes()
     doc = json.loads(j1.read_text())
     assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+    assert j1.read_bytes() == R_TERMS_SEED5_JSON.encode()
 
 
 def test_quiet_suppresses_table(flat_file, capsys):
@@ -115,3 +159,10 @@ def test_negative_hbar_order_is_input_error(flat_file, capsys, order):
     captured = capsys.readouterr()
     assert "ok" not in captured.out
     assert "--order must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("suite,order", [("moyal-flat", "-1"),
+                                         ("r-terms", "2")])
+def test_check_unusable_order_is_input_error(capsys, suite, order):
+    assert main(["check", suite, "--order", order, "--quiet"]) == 2
+    assert "--order" in capsys.readouterr().err

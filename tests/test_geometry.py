@@ -7,11 +7,11 @@ import pytest
 from fedquant.jets import Chart, Jet
 from fedquant.rational import CRat, I
 from fedquant.weyl import WeylForm, graded_commutator, mul_i_divide_hbar
-from fedquant.geometry import (ValidationFailure, build_darboux, build_flat,
-                               build_kaehler, complex_chart, hamiltonian_vf,
-                               invert_jet_matrix, lift_cotangent, nabla,
-                               omega_pair, phase_chart, poisson,
-                               validate_connection)
+from fedquant.geometry import (CheckReport, ValidationFailure, build_darboux,
+                               build_flat, build_kaehler, complex_chart,
+                               hamiltonian_vf, invert_jet_matrix,
+                               lift_cotangent, nabla, omega_pair, phase_chart,
+                               poisson, validate_connection)
 from fedquant import sampling
 
 
@@ -87,6 +87,19 @@ def test_validation_report_names_offender():
         assert "symmetric" in str(exc)
     else:
         pytest.fail("expected a validation failure")
+
+
+def test_report_non_fatal_mismatch_does_not_fail():
+    rep = CheckReport()
+    rep.add("identity", True)
+    rep.add("cross-check", False, "(i,j)=(0,1)", fatal=False)
+    assert rep.passed
+    assert [c["name"] for c in rep.checks] == ["identity", "cross-check"]
+    assert str(rep) == ("  [ok] identity\n"
+                        "  [mismatch] cross-check: (i,j)=(0,1)")
+    rep.add("identity 2", False, "sample 3")
+    assert not rep.passed
+    assert str(rep).endswith("  [FAIL] identity 2: sample 3")
 
 
 def test_cotangent_lift_base_block():
