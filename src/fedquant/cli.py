@@ -26,7 +26,7 @@ from .exprparse import ParseError, jet_of
 from .jets import Chart, JetError
 from .geometry import (CheckReport, GeometryError, ValidationFailure,
                        build_darboux, build_flat, build_kaehler, complex_chart,
-                       lift_cotangent, phase_chart, validate_connection)
+                       lift_cotangent, phase_chart)
 from .fedosov import FedosovError, solve_r, star
 from .quantization import (QuantizationError, gq_kaehler,
                            kinetic_energy_observable, rho_extend)
@@ -157,8 +157,10 @@ def _emit(args, command, report, geometry="", coefficients=None):
 
 
 def cmd_validate(args):
+    # the builders inside load_geometry have validated already; print the
+    # report they computed
     geom = load_geometry(args.geometry)
-    return _emit(args, f"validate {args.geometry}", validate_connection(geom),
+    return _emit(args, f"validate {args.geometry}", geom.validation(),
                  _digest(args.geometry))
 
 
@@ -202,18 +204,20 @@ def cmd_check(args):
     if order is not None:
         kwargs["order"] = order
     if args.geometry:
-        geom = load_geometry(args.geometry)
-        if args.suite in ("associativity", "correspondence"):
-            n_hbar = 3 if args.suite == "associativity" else 1
-            try:
-                kwargs["state"] = solve_r(geom, n_hbar)
-            except FedosovError as exc:
-                raise InputError(f"{args.geometry}: {exc}") from None
-            kwargs.pop("order", None)
-        else:
+        if args.suite not in ("associativity", "correspondence"):
             raise InputError(
                 f"suite {args.suite!r} builds its own seeded geometries; "
                 "omit the geometry file")
+        if order is not None:
+            raise InputError(
+                f"--order {order} conflicts with --geometry "
+                f"{args.geometry}: the geometry file sets the jet order")
+        geom = load_geometry(args.geometry)
+        n_hbar = 3 if args.suite == "associativity" else 1
+        try:
+            kwargs["state"] = solve_r(geom, n_hbar)
+        except FedosovError as exc:
+            raise InputError(f"{args.geometry}: {exc}") from None
     try:
         report = fn(**kwargs)
     except JetError as exc:

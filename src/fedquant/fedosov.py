@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import ChartMismatch, Jet, JetError
+from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
 from .rational import CRat
 from .weyl import (WeylForm, graded_commutator, mul_i_divide_hbar, op_delta,
                    op_delta_inv, pi_weight, symbol_mul, weight_truncate,
@@ -144,14 +144,12 @@ def solve_r(geom, n_hbar, degree_cap=None):
         update = nabla(parts[w], geom)
         # the hbar^0 layers of the quadratic term only cancel summed over
         # ordered pairs, so divide the whole sum at once
-        quad = None
+        quad = WeylForm.zero(geom, cap)
         for w1 in range(3, w):
             w2 = w + 2 - w1
             if w2 in parts:
-                prod = weyl_mul(parts[w1], parts[w2])
-                quad = prod if quad is None else quad + prod
-        if quad is not None:
-            update = update + mul_i_divide_hbar(quad)
+                quad = quad + weyl_mul(parts[w1], parts[w2])
+        update = update + mul_i_divide_hbar(quad)
         parts[w + 1] = pi_weight(op_delta_inv(update), w + 1)
         iterations += 1
     r = WeylForm.zero(geom, cap)
@@ -223,7 +221,7 @@ def flat_section(f, state, max_weight=None):
             if s2 and s2 in parts:
                 add_commutator(state, w, parts[s2], comm)
         if comm:
-            update = update + WeylForm(geom, cap, comm)
+            update = update + WeylForm.from_sums(geom, cap, comm)
         nxt = pi_weight(op_delta_inv(update), s + 1)
         if not nxt.is_zero():
             parts[s + 1] = nxt
@@ -236,14 +234,16 @@ def flat_section(f, state, max_weight=None):
 
 
 def add_commutator(state, w, part, acc):
-    """Accumulate (i/hbar)[r_w, part] into ``acc`` from the state's rows."""
+    """Accumulate (i/hbar)[r_w, part] from the state's rows into ``acc``,
+    a map from term key to JetSum; products that vanish are skipped."""
     for key, jet in part.terms.items():
         for out_key, row_jet in state._commutator_row(w, key):
-            t = jet * row_jet
-            if t.is_zero():
+            if product_vanishes(jet, row_jet):
                 continue
-            prev = acc.get(out_key)
-            acc[out_key] = t if prev is None else prev + t
+            sums = acc.get(out_key)
+            if sums is None:
+                acc[out_key] = sums = JetSum()
+            sums.add(jet, row_jet)
 
 
 def section_defect(section, state):

@@ -16,11 +16,12 @@ Index conventions, fixed once and verified by the validation suite:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .jets import Chart, ChartMismatch, Jet, JetError
+from .jets import Chart, ChartMismatch, Jet, JetError, JetSum
 from .rational import CRat, I
 from .weyl import WeylForm, _insert_left
 
@@ -85,6 +86,11 @@ class ChartGeometry:
         self.gamma = {k: v for k, v in gamma.items() if not v.is_zero()}
         self.source = dict(source or {})
         self.gamma_low = self._lower_gamma()
+        # Gamma^u_{xb} grouped by its upper index: u -> ((x, b, jet), ...)
+        by_upper = {}
+        for (u, x, b), g in self.gamma.items():
+            by_upper.setdefault(u, []).append((x, b, g))
+        self.gamma_up = {u: tuple(v) for u, v in by_upper.items()}
         self._cache = {}
 
     @property
@@ -92,16 +98,13 @@ class ChartGeometry:
         return 2 * self.n
 
     def _lower_gamma(self):
-        low = {}
+        low = defaultdict(JetSum)
         for (u, a, b), G in self.gamma.items():
             for i in range(self.dim):
                 om = self.omega[i][u]
-                if om.is_zero():
-                    continue
-                key = (i, a, b)
-                contrib = om * G
-                low[key] = low[key] + contrib if key in low else contrib
-        return {k: v for k, v in low.items() if not v.is_zero()}
+                if not om.is_zero():
+                    low[i, a, b].add(om, G)
+        return _nonzero(low)
 
     def gamma_at(self, u, a, b):
         return self.gamma.get((u, a, b), self.zero_jet())
@@ -128,6 +131,12 @@ class ChartGeometry:
             self._cache["curvature"] = curvature(self)
         return self._cache["curvature"]
 
+    def validation(self):
+        """The ``validate_connection`` report, computed once."""
+        if "validation" not in self._cache:
+            self._cache["validation"] = validate_connection(self)
+        return self._cache["validation"]
+
     def rhat(self, degree_cap):
         key = ("rhat", degree_cap)
         if key not in self._cache:
@@ -148,6 +157,12 @@ class CurvatureData:
 
 
 # -- helpers ---------------------------------------------------------------
+
+def _nonzero(sums):
+    """The nonzero finished jets of a ``{key: JetSum}`` map."""
+    out = {key: acc.jet() for key, acc in sums.items()}
+    return {key: jet for key, jet in out.items() if not jet.is_zero()}
+
 
 def invert_jet_matrix(m):
     """Inverse of a square matrix of jets by Gaussian elimination."""
@@ -223,15 +238,13 @@ def build_darboux(n, gamma_low, order, base_q=None, validate=True):
     for (i, j, k), jet in gamma_low.items():
         if not jet.is_zero():
             gl[(i, j, k)] = jet
-    gamma = {}
+    gamma = defaultdict(JetSum)
     for (i, j, k), jet in gl.items():
         for u in range(dim):
             om = omega_inv[u][i]
-            if om.is_zero():
-                continue
-            key = (u, j, k)
-            contrib = om * jet
-            gamma[key] = gamma[key] + contrib if key in gamma else contrib
+            if not om.is_zero():
+                gamma[u, j, k].add(om, jet)
+    gamma = {key: acc.jet() for key, acc in gamma.items()}
     geom = ChartGeometry("darboux", n, chart, order, omega, omega_inv, gamma)
     if validate:
         _require_valid(geom)
@@ -247,13 +260,13 @@ def christoffels(metric, metric_inv, chart_indices=None):
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                acc = None
+                acc = JetSum()
                 for l in range(n):
-                    term = (metric[l][i].partial(idx[j])
-                            + metric[l][j].partial(idx[i])
-                            - metric[i][j].partial(idx[l])) * metric_inv[k][l]
-                    acc = term if acc is None else acc + term
-                acc = acc * half
+                    g = metric_inv[k][l]
+                    acc.add(metric[l][i].partial(idx[j]), g, half)
+                    acc.add(metric[l][j].partial(idx[i]), g, half)
+                    acc.add(metric[i][j].partial(idx[l]), g, -half)
+                acc = acc.jet()
                 if not acc.is_zero():
                     out[(k, i, j)] = acc
                     if i != j:
@@ -268,26 +281,23 @@ def _curvature_of(gamma, dim, partial_idx):
         for j in range(dim):
             for k in range(dim):
                 for l in range(k + 1, dim):
-                    acc = None
-
-                    def addto(acc, term):
-                        return term if acc is None else acc + term
-
+                    acc = JetSum()
                     g = gamma.get((i, l, j))
                     if g is not None:
-                        acc = addto(acc, g.partial(partial_idx[k]))
+                        acc.add(g.partial(partial_idx[k]))
                     g = gamma.get((i, k, j))
                     if g is not None:
-                        acc = addto(acc, -g.partial(partial_idx[l]))
+                        acc.add(g.partial(partial_idx[l]), s=-1)
                     for m in range(dim):
                         g1 = gamma.get((i, k, m))
                         g2 = gamma.get((m, l, j))
                         if g1 is not None and g2 is not None:
-                            acc = addto(acc, g1 * g2)
+                            acc.add(g1, g2)
                         g1 = gamma.get((i, l, m))
                         g2 = gamma.get((m, k, j))
                         if g1 is not None and g2 is not None:
-                            acc = addto(acc, -(g1 * g2))
+                            acc.add(g1, g2, -1)
+                    acc = acc.jet()
                     if acc is not None and not acc.is_zero():
                         out[(i, j, k, l)] = acc
                         out[(i, j, l, k)] = -acc
@@ -346,29 +356,24 @@ def lift_cotangent(metric, order, validate=True):
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                acc = None
+                acc = JetSum()
                 for a in range(n):
                     pa = Jet.variable(chart, n + a, order)
-                    inner = None
+                    inner = JetSum()
                     for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        t = None
                         for l in range(n):
-                            prod = gt_at(a, y, l) * gt_at(l, z, x)
-                            t = prod if t is None else t + prod
-                        t = (t * 2) if t is not None else zero
+                            inner.add(gt_at(a, y, l), gt_at(l, z, x), 2)
                         d = gt.get((a, z, x))
                         if d is not None:
-                            t = t - d.partial(y)
-                        inner = t if inner is None else inner + t
-                    if inner is not None and not inner.is_zero():
-                        contrib = pa * inner
-                        acc = contrib if acc is None else acc + contrib
-                if acc is not None:
-                    acc = acc * third
-                    if not acc.is_zero():
-                        gamma[(n + k, i, j)] = acc
-                        if i != j:
-                            gamma[(n + k, j, i)] = acc
+                            inner.add(d.partial(y), s=-1)
+                    inner = inner.jet()
+                    if not inner.is_zero():
+                        acc.add(pa, inner, third)
+                acc = acc.jet()
+                if acc is not None and not acc.is_zero():
+                    gamma[(n + k, i, j)] = acc
+                    if i != j:
+                        gamma[(n + k, j, i)] = acc
     source = {"metric": tuple(tuple(r) for r in g_full),
               "metric_inv": tuple(tuple(r) for r in ginv_full),
               "gamma_base": gt,
@@ -416,16 +421,16 @@ def build_kaehler(potential, order, validate=True):
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                acc = None
+                acc = JetSum()
                 for l in range(n):
-                    term = a_inv[l][k] * a_mat[i][l].partial(j)
-                    acc = term if acc is None else acc + term
-                if acc is not None and not acc.is_zero():
+                    acc.add(a_inv[l][k], a_mat[i][l].partial(j))
+                acc = acc.jet()
+                if not acc.is_zero():
                     gamma[(k, i, j)] = acc
                     if i != j:
                         gamma[(k, j, i)] = acc
-                conj = acc.conjugate() if acc is not None else None
-                if conj is not None and not conj.is_zero():
+                conj = acc.conjugate()
+                if not conj.is_zero():
                     gamma[(n + k, n + i, n + j)] = conj
                     if i != j:
                         gamma[(n + k, n + j, n + i)] = conj
@@ -455,17 +460,13 @@ def complex_chart(n, base_z=None):
 def curvature(geom):
     dim = geom.dim
     r_up = _curvature_of(geom.gamma, dim, list(range(dim)))
-    r_low = {}
+    r_low = defaultdict(JetSum)
     for (m, j, k, l), jet in r_up.items():
         for i in range(dim):
             om = geom.omega[i][m]
-            if om.is_zero():
-                continue
-            key = (i, j, k, l)
-            contrib = om * jet
-            r_low[key] = r_low[key] + contrib if key in r_low else contrib
-    r_low = {k: v for k, v in r_low.items() if not v.is_zero()}
-    return CurvatureData(r_up, r_low)
+            if not om.is_zero():
+                r_low[i, j, k, l].add(om, jet)
+    return CurvatureData(r_up, _nonzero(r_low))
 
 
 def build_rhat(geom, degree_cap):
@@ -473,17 +474,15 @@ def build_rhat(geom, degree_cap):
     curv = geom.curvature()
     dim = geom.dim
     quarter = Fraction(-1, 4)
-    terms = {}
+    terms = defaultdict(JetSum)
     for (i, j, k, l), jet in curv.r_low.items():
         if k >= l:
             continue  # antisymmetric pair counted once, doubled below
         alpha = [0] * dim
         alpha[i] += 1
         alpha[j] += 1
-        key = (0, tuple(alpha), (k, l))
-        contrib = jet * (quarter * 2)
-        terms[key] = terms[key] + contrib if key in terms else contrib
-    return WeylForm(geom, degree_cap, terms)
+        terms[0, tuple(alpha), (k, l)].add(jet, s=quarter * 2)
+    return WeylForm.from_sums(geom, degree_cap, terms)
 
 
 # -- scalar calculus -------------------------------------------------------
@@ -495,20 +494,18 @@ def hamiltonian_vf(f, geom):
     dim = geom.dim
     out = []
     for a in range(dim):
-        acc = None
+        acc = JetSum()
         for b in range(dim):
             om = geom.omega_inv[a][b]
-            if om.is_zero():
-                continue
-            term = om * f.partial(b)
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else geom.zero_jet())
+            if not om.is_zero():
+                acc.add(om, f.partial(b))
+        out.append(acc.jet(geom.zero_jet()))
     return tuple(out)
 
 
 def omega_pair(x_vec, y_vec, geom):
     """omega(X, Y) for component tuples of jets."""
-    acc = None
+    acc = JetSum()
     dim = geom.dim
     for a in range(dim):
         if x_vec[a].is_zero():
@@ -517,16 +514,15 @@ def omega_pair(x_vec, y_vec, geom):
             om = geom.omega[a][b]
             if om.is_zero() or y_vec[b].is_zero():
                 continue
-            term = om * x_vec[a] * y_vec[b]
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else geom.zero_jet()
+            acc.add(om * x_vec[a], y_vec[b])
+    return acc.jet(geom.zero_jet())
 
 
 def poisson(f, g, geom):
     """omega^{ab} d_a f d_b g."""
     if f.chart != geom.chart or g.chart != geom.chart:
         raise ChartMismatch("operands live on a different chart")
-    acc = None
+    acc = JetSum()
     dim = geom.dim
     for a in range(dim):
         fa = f.partial(a)
@@ -534,14 +530,10 @@ def poisson(f, g, geom):
             continue
         for b in range(dim):
             om = geom.omega_inv[a][b]
-            if om.is_zero():
-                continue
-            term = om * fa * g.partial(b)
-            acc = term if acc is None else acc + term
-    if acc is None:
-        v = min(f.valid_order, g.valid_order) - 1
-        return Jet.zero(geom.chart, max(v, 0))
-    return acc
+            if not om.is_zero():
+                acc.add(om * fa, g.partial(b))
+    v = min(f.valid_order, g.valid_order) - 1
+    return acc.jet(Jet.zero(geom.chart, max(v, 0)))
 
 
 def covariant_dv(vec, geom):
@@ -550,11 +542,13 @@ def covariant_dv(vec, geom):
     out = {}
     for a in range(dim):
         for b in range(dim):
-            acc = vec[a].partial(b)
+            acc = JetSum()
+            acc.add(vec[a].partial(b))
             for m in range(dim):
                 g = geom.gamma.get((a, b, m))
                 if g is not None and not vec[m].is_zero():
-                    acc = acc + g * vec[m]
+                    acc.add(g, vec[m])
+            acc = acc.jet()
             if not acc.is_zero():
                 out[(a, b)] = acc
     return out
@@ -572,12 +566,7 @@ def nabla(a, geom):
     if a.geometry != geom:
         raise ChartMismatch("form does not live on this geometry")
     dim = geom.dim
-    out = {}
-
-    def add(key, jet):
-        prev = out.get(key)
-        out[key] = jet if prev is None else prev + jet
-
+    out = defaultdict(JetSum)
     for (k, alpha, beta), jet in a.terms.items():
         for b in range(dim):
             dj = jet.partial(b)
@@ -587,13 +576,11 @@ def nabla(a, geom):
             if ins is None:
                 continue
             sign, beta2 = ins
-            add((k, alpha, beta2), dj if sign > 0 else -dj)
+            out[k, alpha, beta2].add(dj, s=sign)
         for i, e in enumerate(alpha):
             if not e:
                 continue
-            for (u, x, b), g in geom.gamma.items():
-                if u != i:
-                    continue
+            for x, b, g in geom.gamma_up.get(i, ()):
                 ins = _insert_left(b, beta)
                 if ins is None:
                     continue
@@ -601,15 +588,14 @@ def nabla(a, geom):
                 alpha2 = list(alpha)
                 alpha2[i] -= 1
                 alpha2[x] += 1
-                contrib = (g * jet) * (-e * sign)
-                add((k, tuple(alpha2), beta2), contrib)
-    return WeylForm(geom, a.degree_cap, out)
+                out[k, tuple(alpha2), beta2].add(g, jet, -e * sign)
+    return WeylForm.from_sums(geom, a.degree_cap, out)
 
 
 # -- validation ------------------------------------------------------------
 
 def _require_valid(geom):
-    report = validate_connection(geom)
+    report = geom.validation()
     if not report.passed:
         raise ValidationFailure(report)
 
@@ -634,10 +620,10 @@ def validate_connection(geom):
     ok, where = True, ""
     for a in range(dim):
         for c in range(dim):
-            acc = None
+            acc = JetSum()
             for b in range(dim):
-                t = omega[a][b] * omega_inv[b][c]
-                acc = t if acc is None else acc + t
+                acc.add(omega[a][b], omega_inv[b][c])
+            acc = acc.jet()
             want = Jet.constant(geom.chart, 1 if a == c else 0,
                                 acc.valid_order)
             if not acc.agrees_with(want):
@@ -655,15 +641,16 @@ def validate_connection(geom):
     for c in range(dim):
         for a in range(dim):
             for b in range(a + 1, dim):
-                acc = omega[a][b].partial(c)
+                acc = JetSum()
+                acc.add(omega[a][b].partial(c))
                 for d in range(dim):
                     g = geom.gamma.get((d, c, a))
                     if g is not None:
-                        acc = acc - g * omega[d][b]
+                        acc.add(g, omega[d][b], -1)
                     g = geom.gamma.get((d, c, b))
                     if g is not None:
-                        acc = acc - omega[a][d] * g
-                if not acc.is_zero():
+                        acc.add(omega[a][d], g, -1)
+                if not acc.jet().is_zero():
                     ok, where = False, f"(c,a,b)=({c},{a},{b})"
     rep.add("connection symplectic (nabla omega = 0)", ok, where)
 
@@ -724,12 +711,13 @@ def _kaehler_checks(geom, curv, rep):
                 for j in range(n):
                     # i d_i d_lbar A_{k jbar} - i A^{nbar m} d_i A_{k nbar}
                     #   d_lbar A_{m jbar}
-                    want = a_mat[k][j].partial(i).partial(n + l) * I
+                    want = JetSum()
+                    want.add(a_mat[k][j].partial(i).partial(n + l), s=I)
                     for m in range(n):
                         for nn in range(n):
-                            want = want - (a_inv[nn][m]
-                                           * a_mat[k][nn].partial(i)
-                                           * a_mat[m][j].partial(n + l)) * I
+                            want.add(a_inv[nn][m] * a_mat[k][nn].partial(i),
+                                     a_mat[m][j].partial(n + l), -I)
+                    want = want.jet()
                     got = curv.low(k, n + l, i, n + j, zero)
                     if not got.agrees_with(want):
                         ok = False
@@ -784,46 +772,44 @@ def _cotangent_checks(geom, curv, rep):
 
     # the p-linear curvature block of the published display is recorded as a
     # cross-check only; a mismatch is reported, not fatal
-    def cov_rt(i, a, j, l, k):
-        acc = rt.get((a, j, l, k), zero).partial(i)
+    def cov_rt(acc, i, a, j, l, k):
+        """Add the covariant derivative nabla_i R^a_{jlk} into ``acc``."""
+        acc.add(rt.get((a, j, l, k), zero).partial(i))
         g = gt
         for m in range(n):
             if (a, i, m) in g:
-                acc = acc + g[(a, i, m)] * rt.get((m, j, l, k), zero)
+                acc.add(g[(a, i, m)], rt.get((m, j, l, k), zero))
             if (m, i, j) in g:
-                acc = acc - g[(m, i, j)] * rt.get((a, m, l, k), zero)
+                acc.add(g[(m, i, j)], rt.get((a, m, l, k), zero), -1)
             if (m, i, l) in g:
-                acc = acc - g[(m, i, l)] * rt.get((a, j, m, k), zero)
+                acc.add(g[(m, i, l)], rt.get((a, j, m, k), zero), -1)
             if (m, i, k) in g:
-                acc = acc - g[(m, i, k)] * rt.get((a, j, l, m), zero)
-        return acc
+                acc.add(g[(m, i, k)], rt.get((a, j, l, m), zero), -1)
 
     ok, where = True, ""
     for ii in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    acc = None
+                    acc = JetSum()
                     for a in range(n):
                         pa = Jet.variable(geom.chart, n + a, geom.order)
-                        inner = None
+                        inner = JetSum()
                         for (x, y) in ((ii, j), (j, ii)):
-                            t = cov_rt(x, a, y, l, k)
+                            cov_rt(inner, x, a, y, l, k)
                             for m in range(n):
                                 if (a, x, m) in gt:
-                                    t = t - gt[(a, x, m)] \
-                                        * rt.get((m, y, l, k), zero) * 3
+                                    inner.add(gt[(a, x, m)],
+                                              rt.get((m, y, l, k), zero), -3)
                                 if (a, l, m) in gt:
-                                    t = t - gt[(a, l, m)] \
-                                        * rt.get((m, x, y, k), zero)
+                                    inner.add(gt[(a, l, m)],
+                                              rt.get((m, x, y, k), zero), -1)
                                 if (a, k, m) in gt:
-                                    t = t + gt[(a, k, m)] \
-                                        * rt.get((m, x, y, l), zero)
-                            inner = t if inner is None else inner + t
-                        contrib = pa * inner * third
-                        acc = contrib if acc is None else acc + contrib
+                                    inner.add(gt[(a, k, m)],
+                                              rt.get((m, x, y, l), zero))
+                        acc.add(pa, inner.jet(), third)
                     got = curv.up(n + ii, j, k, l, zero)
-                    if not got.agrees_with(acc):
+                    if not got.agrees_with(acc.jet()):
                         ok, where = False, f"(i,j,k,l)=({ii},{j},{k},{l})"
     rep.add("p-linear curvature display cross-check", ok, where,
             fatal=False)

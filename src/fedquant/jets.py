@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import add as _add
 
 from .rational import CRat, ONE, ZERO, rational_sqrt
 
@@ -124,6 +126,19 @@ class Jet:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_scaled", None)
 
+    @classmethod
+    def _make(cls, chart, max_order, valid_order, coeffs, scaled=None):
+        """Internal fast path: ``coeffs`` must already be clean, i.e.
+        nonzero CRat values at multi-indices of degree <= valid_order;
+        ``scaled``, if given, is their integer form (see ``_int_rep``)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "max_order", max_order)
+        object.__setattr__(self, "valid_order", valid_order)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_scaled", scaled)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
@@ -232,62 +247,15 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Jet):
+            acc = JetSum()
+            acc.add(self, other)
+            return acc.jet()
         if isinstance(other, (int, Fraction, CRat)):
-            s = _as_crat(other)
-            if not s:
-                return Jet(self.chart, self.max_order, self.valid_order, {})
-            d, terms, _ = self._int_rep()
-            sd = lcm(s.re.denominator, s.im.denominator)
-            sr = s.re.numerator * (sd // s.re.denominator)
-            si = s.im.numerator * (sd // s.im.denominator)
-            den = d * sd
-            return Jet(self.chart, self.max_order, self.valid_order,
-                       {a: CRat._make(Fraction(ar * sr - ai * si, den),
-                                      Fraction(ar * si + ai * sr, den))
-                        for _, a, ar, ai in terms})
-        if not isinstance(other, Jet):
-            return NotImplemented
-        self._check_chart(other)
-        v = min(self.valid_order, other.valid_order)
-        # scale each operand to a common denominator and convolve in pure
-        # integer arithmetic: one rational normalization per output
-        # coefficient instead of one per coefficient pair
-        d1, left, cplx1 = self._int_rep()
-        d2, right, cplx2 = other._int_rep()
-        acc = {}
-        if cplx1 or cplx2:
-            for da, a, ar, ai in left:
-                if da > v:
-                    break
-                rem = v - da
-                for db, b, br, bi in right:
-                    if db > rem:
-                        break
-                    key = tuple(x + y for x, y in zip(a, b))
-                    prev = acc.get(key)
-                    if prev is None:
-                        acc[key] = [ar * br - ai * bi, ar * bi + ai * br]
-                    else:
-                        prev[0] += ar * br - ai * bi
-                        prev[1] += ar * bi + ai * br
-        else:
-            for da, a, ar, _ in left:
-                if da > v:
-                    break
-                rem = v - da
-                for db, b, br, _ in right:
-                    if db > rem:
-                        break
-                    key = tuple(x + y for x, y in zip(a, b))
-                    prev = acc.get(key)
-                    if prev is None:
-                        acc[key] = [ar * br, 0]
-                    else:
-                        prev[0] += ar * br
-        den = d1 * d2
-        out = {key: CRat._make(Fraction(re, den), Fraction(im, den))
-               for key, (re, im) in acc.items()}
-        return Jet(self.chart, min(self.max_order, other.max_order), v, out)
+            acc = JetSum()
+            acc.add(self, s=other)
+            return acc.jet()
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -326,12 +294,14 @@ class Jet:
         i = self.chart.index(var) if isinstance(var, str) else var
         out = {}
         for a, c in self.coeffs.items():
-            if a[i] == 0:
+            e = a[i]
+            if e == 0:
                 continue
             b = list(a)
-            b[i] -= 1
-            out[tuple(b)] = c * a[i]
-        return Jet(self.chart, self.max_order, self.valid_order - 1, out)
+            b[i] = e - 1
+            out[tuple(b)] = CRat._make(c.re * e, c.im * e)
+        return Jet._make(self.chart, self.max_order, self.valid_order - 1,
+                         out)
 
     def mul_variable(self, var):
         """Multiply by a displacement variable; gains one order of validity.
@@ -354,15 +324,17 @@ class Jet:
         if not c0:
             raise DomainError("cannot invert a jet with zero constant term")
         v = self.valid_order
-        u = (self - c0) * (ONE / c0)      # u has no constant term
-        acc = Jet.constant(self.chart, 1, self.max_order).truncate(v)
-        t = acc
+        inv = ONE / c0
+        u = (self - c0) * inv      # u has no constant term
+        t = Jet.constant(self.chart, 1, self.max_order).truncate(v)
+        acc = JetSum()
+        acc.add(t, s=inv)
         for _ in range(v):
             t = -(t * u)
             if t.is_zero():
                 break
-            acc = acc + t
-        return acc * (ONE / c0)
+            acc.add(t, s=inv)
+        return acc.jet()
 
     def conjugate(self):
         """Formal conjugation: swap paired variables, conjugate coefficients."""
@@ -408,12 +380,178 @@ class Jet:
         return Jet(chart, self.max_order, self.valid_order, out)
 
 
+# -- exact accumulation ----------------------------------------------------
+
+_FRAC_ZERO = Fraction(0)
+
+
+def _scalar_ints(s):
+    """(re, im, den) integers with s == (re + im*i) / den."""
+    if type(s) is int:
+        return s, 0, 1
+    s = _as_crat(s)
+    re, im = s.re, s.im
+    den = lcm(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator), den)
+
+
+class JetSum:
+    """Exact sum of terms s*a*b (or s*a) of jets on one chart.
+
+    Each product is convolved in Python ints from the operands' cached
+    integer forms and added into one map of [re, im] numerators over a
+    common denominator; the denominator is raised to an lcm only when a
+    term's own does not divide it.  ``jet()`` normalizes each output
+    coefficient once.  ``valid_order`` and ``max_order`` are the minimum
+    over all terms, exactly as a left fold of ``*`` and ``+`` gives them,
+    and a term is convolved only up to the running minimum.
+    """
+
+    __slots__ = ("chart", "max_order", "valid_order", "den", "acc")
+
+    def __init__(self):
+        self.chart = None
+        self.max_order = self.valid_order = None
+        self.den = 1
+        self.acc = {}
+
+    def add(self, a, b=None, s=1):
+        """Add s*a*b, or s*a when ``b`` is None; s is int, Fraction or CRat."""
+        v, m = a.valid_order, a.max_order
+        if b is not None:
+            if a.chart is not b.chart and a.chart != b.chart:
+                raise ChartMismatch("jets live on different charts")
+            v, m = min(v, b.valid_order), min(m, b.max_order)
+        acc = self.acc
+        if self.chart is None:
+            self.chart, self.max_order, self.valid_order = a.chart, m, v
+        else:
+            if a.chart is not self.chart and a.chart != self.chart:
+                raise ChartMismatch("jets live on different charts")
+            if m < self.max_order:
+                self.max_order = m
+            if v < self.valid_order:
+                self.valid_order = v
+                for key in [k for k in acc if sum(k) > v]:
+                    del acc[key]
+            else:
+                v = self.valid_order
+        sr, si, sd = _scalar_ints(s)
+        if not (sr or si):
+            return
+        d1, left, cplx = a._int_rep()
+        if b is None:
+            right, d2 = None, 1
+        else:
+            d2, right, cplx2 = b._int_rep()
+            cplx = cplx or cplx2
+        # bring the term and the sum to one denominator, folding the
+        # rescaling into the scalar so each pair costs integer products only
+        tden = d1 * d2 * sd
+        den = self.den
+        if den % tden:
+            new = lcm(den, tden)
+            up = new // den
+            for num in acc.values():
+                num[0] *= up
+                num[1] *= up
+            self.den = den = new
+        f = den // tden
+        sr *= f
+        si *= f
+        if si:
+            cplx = True
+        if right is None:
+            for da, ka, ar, ai in left:
+                if da > v:
+                    break
+                re, im = ar * sr - ai * si, ar * si + ai * sr
+                prev = acc.get(ka)
+                if prev is None:
+                    acc[ka] = [re, im]
+                else:
+                    prev[0] += re
+                    prev[1] += im
+        elif cplx:
+            for da, ka, ar, ai in left:
+                if da > v:
+                    break
+                rem = v - da
+                ar, ai = ar * sr - ai * si, ar * si + ai * sr
+                for db, kb, br, bi in right:
+                    if db > rem:
+                        break
+                    key = tuple(map(_add, ka, kb))
+                    prev = acc.get(key)
+                    if prev is None:
+                        acc[key] = [ar * br - ai * bi, ar * bi + ai * br]
+                    else:
+                        prev[0] += ar * br - ai * bi
+                        prev[1] += ar * bi + ai * br
+        else:
+            for da, ka, ar, _ in left:
+                if da > v:
+                    break
+                rem = v - da
+                ar *= sr
+                for db, kb, br, _ in right:
+                    if db > rem:
+                        break
+                    key = tuple(map(_add, ka, kb))
+                    prev = acc.get(key)
+                    if prev is None:
+                        acc[key] = [ar * br, 0]
+                    else:
+                        prev[0] += ar * br
+
+    def jet(self, empty=None):
+        """The normalized sum; ``empty`` when no term was added."""
+        if self.chart is None:
+            return empty
+        # one gcd pass reduces the common denominator to the lcm of the
+        # output denominators, which is the cached integer form's
+        acc = self.acc
+        g = gcd(self.den, *chain.from_iterable(acc.values()))
+        den = self.den // g
+        out = {}
+        terms = []
+        cplx = False
+        for key, (re, im) in acc.items():
+            if re or im:
+                re //= g
+                im //= g
+                out[key] = CRat._make(
+                    Fraction(re, den) if re else _FRAC_ZERO,
+                    Fraction(im, den) if im else _FRAC_ZERO)
+                terms.append((sum(key), key, re, im))
+                if im:
+                    cplx = True
+        terms.sort()
+        return Jet._make(self.chart, self.max_order, self.valid_order, out,
+                         (den, terms, cplx))
+
+
+def product_vanishes(a, b):
+    """Whether the truncated product a*b is exactly zero, without forming it.
+
+    Jets are polynomials over a field, so the lowest homogeneous part of a
+    product is the product of the lowest parts: a*b vanishes exactly when
+    a factor does or their lowest degrees add up past the shared validity.
+    """
+    if not a.coeffs or not b.coeffs:
+        return True
+    return a._int_rep()[1][0][0] + b._int_rep()[1][0][0] \
+        > min(a.valid_order, b.valid_order)
+
+
 # -- elementary functions --------------------------------------------------
 
 def _compose_series(a, series_coeffs):
     """sum_k c_k * a^k truncated; a must have zero constant term."""
     v = a.valid_order
-    acc = Jet.constant(a.chart, series_coeffs[0], a.max_order).truncate(v)
+    acc = JetSum()
+    acc.add(Jet.constant(a.chart, series_coeffs[0], a.max_order).truncate(v))
     p = Jet.constant(a.chart, 1, a.max_order).truncate(v)
     for k in range(1, min(v, len(series_coeffs) - 1) + 1):
         p = p * a
@@ -421,8 +559,8 @@ def _compose_series(a, series_coeffs):
             break
         ck = series_coeffs[k]
         if ck:
-            acc = acc + p * ck
-    return acc
+            acc.add(p, s=ck)
+    return acc.jet()
 
 
 def jet_exp(a):

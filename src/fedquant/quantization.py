@@ -9,10 +9,11 @@ hbar with jet coefficients; the half-form correction appears as the familiar
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
-from .jets import Chart, ChartMismatch, DomainError, Jet, JetError
+from .jets import Chart, ChartMismatch, DomainError, Jet, JetError, JetSum
 from .rational import CRat, I
 from .weyl import pi_weight, symbol_mul
 from .geometry import CheckReport, christoffels, _curvature_of, poisson
@@ -56,17 +57,9 @@ class HbarSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, HbarSeries):
-            out = {}
-            for k1, j1 in self.coeffs.items():
-                for k2, j2 in other.coeffs.items():
-                    k = k1 + k2
-                    t = j1 * j2
-                    out[k] = out[k] + t if k in out else t
-            return HbarSeries(self.chart, out)
+    def __mul__(self, scalar):
         return HbarSeries(self.chart,
-                          {k: j * other for k, j in self.coeffs.items()})
+                          {k: j * scalar for k, j in self.coeffs.items()})
 
     def shift(self, delta):
         return HbarSeries(self.chart,
@@ -104,10 +97,6 @@ class DiffOp:
             if not series.is_zero():
                 clean[tuple(idx)] = series
         self.terms = clean
-
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart, {})
 
     @classmethod
     def mult(cls, jet, hbar_power=0):
@@ -175,6 +164,27 @@ class DiffOp:
         return f"DiffOp(order {self.order()}, {len(self.terms)} terms)"
 
 
+def _diffop_of(chart, sums):
+    """The operator of finished ``{(derivative index, hbar power): JetSum}``
+    sums."""
+    terms = {}
+    for (idx, k), acc in sums.items():
+        terms.setdefault(idx, {})[k] = acc.jet()
+    return DiffOp(chart, {idx: HbarSeries(chart, coeffs)
+                          for idx, coeffs in terms.items()})
+
+
+def _diffop_sum(chart, parts):
+    """Sum of s * hbar^shift * op over (op, s, shift) triples, with one
+    JetSum per coefficient."""
+    sums = defaultdict(JetSum)
+    for op, s, shift in parts:
+        for idx, series in op.terms.items():
+            for k, jet in series.coeffs.items():
+                sums[idx, k + shift].add(jet, s=s)
+    return _diffop_of(chart, sums)
+
+
 def _iter_partial(jet, idx):
     out = jet
     for i, e in enumerate(idx):
@@ -187,13 +197,14 @@ def diffop_apply(op, psi):
     """Apply to a configuration jet; returns an hbar series of jets."""
     if psi.chart != op.chart:
         raise ChartMismatch("wave function lives on a different chart")
-    acc = HbarSeries(op.chart, {})
+    sums = defaultdict(JetSum)
     for idx, series in op.terms.items():
         d = _iter_partial(psi, idx)
         if d.is_zero():
             continue
-        acc = acc + series * HbarSeries.of(d)
-    return acc
+        for k, jet in series.coeffs.items():
+            sums[k].add(jet, d)
+    return HbarSeries(op.chart, {k: acc.jet() for k, acc in sums.items()})
 
 
 def diffop_compose(a, b):
@@ -201,29 +212,23 @@ def diffop_compose(a, b):
     if a.chart != b.chart:
         raise ChartMismatch("operators on different charts")
     dim = a.chart.dim
-    terms = {}
-
-    def add(idx, series):
-        idx = tuple(idx)
-        terms[idx] = terms[idx] + series if idx in terms else series
-
+    sums = defaultdict(JetSum)
     for ia, sa in a.terms.items():
         for ib, sb in b.terms.items():
             # d^{ia} (c_b d^{ib} psi): distribute each of the ia derivatives
             # between c_b and psi
-            for split in _splits(ia):
-                onto_coeff, onto_psi = split
+            for onto_coeff, onto_psi in _splits(ia):
                 mult = 1
                 for k in range(dim):
                     mult *= comb(ia[k], onto_coeff[k])
-                coeff = {k: _iter_partial(j, onto_coeff)
-                         for k, j in sb.coeffs.items()}
-                coeff = HbarSeries(a.chart, coeff)
-                if coeff.is_zero():
-                    continue
                 idx = tuple(x + y for x, y in zip(onto_psi, ib))
-                add(idx, sa * coeff * Fraction(mult))
-    return DiffOp(a.chart, terms)
+                for kb, jb in sb.coeffs.items():
+                    d = _iter_partial(jb, onto_coeff)
+                    if d.is_zero():
+                        continue
+                    for ka, ja in sa.coeffs.items():
+                        sums[idx, ka + kb].add(ja, d, mult)
+    return _diffop_of(a.chart, sums)
 
 
 def _splits(idx):
@@ -303,12 +308,11 @@ def base_metric(geom):
 def _log_vol_gradient(g, ginv, a):
     """(1/2) g^{bc} d_a g_{bc}, the exact gradient of log sqrt(det g)."""
     n = len(g)
-    acc = None
+    acc = JetSum()
     for b in range(n):
         for c in range(n):
-            t = ginv[b][c] * g[b][c].partial(a)
-            acc = t if acc is None else acc + t
-    return acc * Fraction(1, 2)
+            acc.add(ginv[b][c], g[b][c].partial(a), Fraction(1, 2))
+    return acc.jet()
 
 
 def gq_cotangent(f, geom):
@@ -338,14 +342,14 @@ def gq_cotangent(f, geom):
         g, ginv = base_metric(geom)
     else:
         g = ginv = None
-    div = None
+    div = JetSum()
     for j in range(n):
         if a_vec[j].is_zero():
             continue
-        t = a_vec[j].partial(j)
+        div.add(a_vec[j].partial(j))
         if g is not None:
-            t = t + a_vec[j] * _log_vol_gradient(g, ginv, j)
-        div = t if div is None else div + t
+            div.add(a_vec[j], _log_vol_gradient(g, ginv, j))
+    div = div.jet()
 
     terms = {}
     zero_idx = (0,) * n
@@ -381,11 +385,10 @@ def gq_kaehler(f, geom):
     # u^a = (d_bbar f) A^{bbar a}
     u = []
     for a in range(n):
-        acc = None
+        acc = JetSum()
         for b in range(n):
-            t = f.partial(n + b) * a_inv[b][a]
-            acc = t if acc is None else acc + t
-        u.append(acc if acc is not None else Jet.zero(geom.chart, f.valid_order))
+            acc.add(f.partial(n + b), a_inv[b][a])
+        u.append(acc.jet(Jet.zero(geom.chart, f.valid_order)))
     v = f
     for a in range(n):
         if not u[a].is_zero():
@@ -443,11 +446,9 @@ def rho_extend(f, state, geom=None, split="first"):
         raise FedosovError(
             f"momentum degree {deg} needs a state certified through "
             f"hbar^{deg}")
-    sub = config_chart(geom)
-    out = DiffOp.zero(sub)
-    for fib, c in pieces.items():
-        out = out + _rho_monomial(c, fib, state, geom, split)
-    return out
+    return _diffop_sum(config_chart(geom),
+                      ((_rho_monomial(c, fib, state, geom, split), 1, 0)
+                       for fib, c in pieces.items()))
 
 
 def _rho_monomial(c, fib, state, geom, split):
@@ -468,9 +469,10 @@ def _rho_monomial(c, fib, state, geom, split):
     u = full_c.mul_variable(n + i1)
     w = _attach_fiber(Jet.constant(geom.chart, 1, order), geom, rest)
     s = star(u, w, state, n_hbar=d)
-    op = diffop_compose(gq_cotangent(u, geom),
-                        _rho_monomial(Jet.constant(sub, 1, order), rest,
-                                      state, geom, split))
+    # rho(u) rho(w) minus the quantized hbar^j corrections
+    parts = [(diffop_compose(gq_cotangent(u, geom),
+                             _rho_monomial(Jet.constant(sub, 1, order), rest,
+                                           state, geom, split)), 1, 0)]
     for j in range(1, d + 1):
         sj = s.coefficient(j)
         if sj.is_zero():
@@ -480,11 +482,9 @@ def _rho_monomial(c, fib, state, geom, split):
             raise QuantizationError(
                 "star correction does not lower the momentum degree; the "
                 "connection is not homogeneous")
-        corr = DiffOp.zero(sub)
-        for fb, cc in sub_pieces.items():
-            corr = corr + _rho_monomial(cc, fb, state, geom, split)
-        op = op - corr.shift_hbar(j)
-    return op
+        parts.extend((_rho_monomial(cc, fb, state, geom, split), -1, j)
+                     for fb, cc in sub_pieces.items())
+    return _diffop_sum(sub, parts)
 
 
 # -- independent oracles for the kinetic operator --------------------------
@@ -544,13 +544,12 @@ def scalar_curvature(geom):
 def kinetic_energy_observable(geom):
     """g^{ab} p_a p_b as a jet on the phase-space chart."""
     n = geom.n
-    acc = None
+    acc = JetSum()
     for a in range(n):
         for b in range(n):
             gab = geom.source["metric_inv"][a][b]
-            t = gab.mul_variable(n + a).mul_variable(n + b)
-            acc = t if acc is None else acc + t
-    return acc
+            acc.add(gab.mul_variable(n + a).mul_variable(n + b))
+    return acc.jet()
 
 
 def kinetic_alpha(geom, state):
@@ -631,16 +630,12 @@ def check_kompi(state, samples, rep):
 def p_euler(f, geom):
     """p_i df/dp_i, the fiber-scaling derivation on a phase-space jet."""
     n = geom.n
-    acc = None
+    acc = JetSum()
     for i in range(n):
         d = f.partial(n + i)
-        if d.is_zero():
-            continue
-        t = d.mul_variable(n + i)
-        acc = t if acc is None else acc + t
-    if acc is None:
-        return Jet.zero(geom.chart, max(f.valid_order - 1, 0))
-    return acc
+        if not d.is_zero():
+            acc.add(d.mul_variable(n + i))
+    return acc.jet(Jet.zero(geom.chart, max(f.valid_order - 1, 0)))
 
 
 def check_homogeneity(state, samples, rep):
@@ -672,7 +667,7 @@ def kaehler_third_order_jet(geom, a, m):
     curv = geom.curvature()
     a_inv = geom.source["A_inv"]
     zero = geom.zero_jet()
-    acc = None
+    acc = JetSum()
     for b in range(n):
         for c in range(n):
             for d in range(n):
@@ -685,12 +680,9 @@ def kaehler_third_order_jet(geom, a, m):
                             r2 = curv.low(m, n + nn, k, n + l, zero)
                             if r2.is_zero():
                                 continue
-                            t = (r1 * r2 * a_inv[d][k] * a_inv[nn][b]
-                                 * a_inv[l][c])
-                            acc = t if acc is None else acc + t
-    if acc is None:
-        return zero
-    return acc * Fraction(1, 64)
+                            acc.add(r1 * r2 * a_inv[d][k] * a_inv[nn][b],
+                                    a_inv[l][c], Fraction(1, 64))
+    return acc.jet(zero)
 
 
 def check_kaehler_orders(state, samples, rep):
@@ -761,13 +753,10 @@ def _mccoy(chart, order, var, m, k, base_op):
     opk = DiffOp.identity(chart, order)
     for _ in range(k):
         opk = diffop_compose(base_op, opk)
-    acc = None
-    for j in range(m + 1):
-        t = diffop_compose(powers[j],
-                           diffop_compose(opk, powers[m - j]))
-        t = t.scale(Fraction(comb(m, j), 2 ** m))
-        acc = t if acc is None else acc + t
-    return acc
+    return _diffop_sum(chart, (
+        (diffop_compose(powers[j], diffop_compose(opk, powers[m - j])),
+         Fraction(comb(m, j), 2 ** m), 0)
+        for j in range(m + 1)))
 
 
 def weyl_quantize(geom, fib_coeffs, base_ops):
@@ -780,7 +769,7 @@ def weyl_quantize(geom, fib_coeffs, base_ops):
     n = geom.n
     sub = base_ops[0].chart
     order = geom.order
-    out = None
+    terms = []
     for (beta, fib), coeff in fib_coeffs.items():
         term = DiffOp.mult(Jet.constant(sub, coeff, order))
         for i in range(n):
@@ -788,8 +777,8 @@ def weyl_quantize(geom, fib_coeffs, base_ops):
                 term = diffop_compose(
                     term, _mccoy(sub, order, i, beta[i], fib[i],
                                  base_ops[i]))
-        out = term if out is None else out + term
-    return out if out is not None else DiffOp.zero(sub)
+        terms.append((term, 1, 0))
+    return _diffop_sum(sub, terms)
 
 
 def flat_reps(n, n_hbar, samples, geom_real, geom_fock):
@@ -811,16 +800,9 @@ def flat_reps(n, n_hbar, samples, geom_real, geom_fock):
             og = weyl_quantize(geom, {mono2: CRat(1)}, base_ops)
             lhs = diffop_compose(of, og)
             s = moyal_reference(f, g, geom, n_hbar)
-            rhs = None
-            for k in range(n_hbar + 1):
-                ck = s.coefficient(k)
-                if ck.is_zero():
-                    continue
-                t = weyl_quantize(geom, _as_monomials(ck, geom), base_ops)
-                t = t.shift_hbar(k)
-                rhs = t if rhs is None else rhs + t
-            if rhs is None:
-                rhs = DiffOp.zero(sub)
+            rhs = _diffop_sum(sub, (
+                (weyl_quantize(geom, _as_monomials(ck, geom), base_ops), 1, k)
+                for k, ck in enumerate(s.coefficients) if not ck.is_zero()))
             ok = lhs.truncate_hbar(n_hbar).agrees_with(
                 rhs.truncate_hbar(n_hbar))
             rep.add(f"{tag} homomorphism on monomials", ok,

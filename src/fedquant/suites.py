@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import Jet
+from .jets import Jet, JetSum
 from .rational import I, HALF_I
 from .weyl import (WeylForm, graded_commutator, mul_i_divide_hbar, op_delta,
                    op_delta_inv, op_delta_star, pi_weight, scalar_part)
@@ -201,18 +201,15 @@ def _assoc_coefficients(f, g, h, state, left):
     inner = star(f, g, state) if left else star(g, h, state)
     out = []
     for m in range(n + 1):
-        acc = None
+        acc = JetSum()
         for k in range(m + 1):
             ck = inner.coefficient(k)
             if ck.is_zero():
                 continue
             outer = star(ck, h, state, n - k) if left \
                 else star(f, ck, state, n - k)
-            t = outer.coefficient(m - k)
-            acc = t if acc is None else acc + t
-        if acc is None:
-            acc = state.geometry.zero_jet()
-        out.append(acc)
+            acc.add(outer.coefficient(m - k))
+        out.append(acc.jet(state.geometry.zero_jet()))
     return out
 
 

@@ -14,9 +14,11 @@ form and truncates at the element's ``degree_cap`` (also doubled).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from operator import add as _add
 
-from .jets import ChartMismatch, Jet, JetError
+from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
 from .rational import CRat, HALF_I
 
 # form-index subsets are sorted tuples; fiber multidegrees are dense tuples
@@ -103,6 +105,12 @@ class WeylForm:
         dim = geometry.dim
         return cls(geometry, degree_cap,
                    {(hbar_power, (0,) * dim, ()): jet})
+
+    @classmethod
+    def from_sums(cls, geometry, degree_cap, sums):
+        """The form whose terms are the finished ``{key: JetSum}`` sums."""
+        return cls(geometry, degree_cap,
+                   {key: acc.jet() for key, acc in sums.items()})
 
     @classmethod
     def fiber_generator(cls, geometry, degree_cap, i, order=None):
@@ -216,7 +224,10 @@ def _mul_contract(a, b, parity):
     oinv = geom.omega_inv
     oinv_const = [[_const_or_none(oinv[i][j]) for j in range(dim)]
                   for i in range(dim)]
-    out = {}
+    # the parity doubling rides on the scalar of every emitted term
+    emit = 1 if parity is None else 2
+    out = defaultdict(JetSum)
+    scales = {}     # (i, j, ra[i] * rb[j], m) -> contraction step scalar
 
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
         da = 2 * ka + sum(alpha_a)
@@ -228,28 +239,25 @@ def _mul_contract(a, b, parity):
                 continue
             sign, beta = w
             base = jet_a * jet_b
-            if sign < 0:
-                base = -base
             if base.is_zero():
                 continue
             # m-fold contractions: each step pairs one y from a with one
             # from b through omega^{ij}, picks up a factor i*hbar/2, and is
-            # divided by the running m for the 1/m! in the exponential.
-            state = {(alpha_a, alpha_b): base}
+            # divided by the running m for the 1/m! in the exponential.  A
+            # state's value is jet * scalar, so steps through constant
+            # entries of omega^{-1} only rescale and form no new jet.
+            state = {(alpha_a, alpha_b): (base, sign)}
             m = 0
             while state:
                 factor_k = ka + kb + m
                 if parity is None or m % 2 == parity:
-                    for (ra, rb), jet in state.items():
-                        key = (factor_k,
-                               tuple(x + y for x, y in zip(ra, rb)),
-                               beta)
-                        prev = out.get(key)
-                        out[key] = jet if prev is None else prev + jet
+                    for (ra, rb), (jet, c) in state.items():
+                        out[factor_k, tuple(map(_add, ra, rb)), beta].add(
+                            jet, s=c * emit)
                 m += 1
-                new_state = {}
+                steps = defaultdict(list)
                 inv_m = Fraction(1, m)
-                for (ra, rb), jet in state.items():
+                for (ra, rb), (jet, c) in state.items():
                     if not any(ra) or not any(rb):
                         continue
                     for i in range(dim):
@@ -266,21 +274,30 @@ def _mul_contract(a, b, parity):
                                 continue
                             rb2 = list(rb)
                             rb2[j] -= 1
-                            rb2 = tuple(rb2)
-                            sc = HALF_I * (ra[i] * rb[j]) * inv_m
                             omc = oinv_const[i][j]
-                            if omc is not None:
-                                contrib = jet * (sc * omc)
-                            else:
-                                contrib = jet * om * sc
-                            prev = new_state.get((ra2, rb2))
-                            new_state[(ra2, rb2)] = contrib if prev is None \
-                                else prev + contrib
-                state = {key: jet for key, jet in new_state.items()
-                         if not jet.is_zero()}
-    if parity is not None:
-        out = {key: jet * 2 for key, jet in out.items()}
-    return WeylForm(geom, cap, out)
+                            sc = scales.get((i, j, ra[i] * rb[j], m))
+                            if sc is None:
+                                sc = HALF_I * (ra[i] * rb[j]) * inv_m
+                                if omc is not None:
+                                    sc = sc * omc
+                                scales[i, j, ra[i] * rb[j], m] = sc
+                            steps[ra2, tuple(rb2)].append(
+                                (jet, None if omc is not None else om, c * sc))
+                state = {}
+                for key, terms in steps.items():
+                    jet = terms[0][0]
+                    if all(t[0] is jet and t[1] is None for t in terms):
+                        c = sum(t[2] for t in terms)
+                        if c:
+                            state[key] = (jet, c)
+                        continue
+                    acc = JetSum()
+                    for t in terms:
+                        acc.add(*t)
+                    jet = acc.jet()
+                    if not jet.is_zero():
+                        state[key] = (jet, 1)
+    return WeylForm.from_sums(geom, cap, out)
 
 
 def _pair_contraction(geom, alpha_a, alpha_b):
@@ -300,7 +317,8 @@ def _pair_contraction(geom, alpha_a, alpha_b):
         ra = list(alpha_a)
         ra[i] -= 1
         ra = tuple(ra)
-        out = Jet.zero(geom.chart, geom.order)
+        acc = JetSum()
+        acc.add(Jet.zero(geom.chart, geom.order))
         for j, e in enumerate(alpha_b):
             if not e:
                 continue
@@ -312,7 +330,8 @@ def _pair_contraction(geom, alpha_a, alpha_b):
             inner = _pair_contraction(geom, ra, tuple(rb))
             if inner.is_zero():
                 continue
-            out = out + om * inner * e
+            acc.add(om, inner, e)
+        out = acc.jet()
     geom._cache[key] = out
     return out
 
@@ -325,7 +344,7 @@ def symbol_mul(a, b, max_hbar=None):
     """
     a._check(b)
     geom = a.geometry
-    out = {}
+    out = defaultdict(JetSum)
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
         if beta_a:
             continue
@@ -342,13 +361,14 @@ def symbol_mul(a, b, max_hbar=None):
             scale = HALF_I ** la
             const = _const_or_none(pairing)
             if const is not None:
-                contrib = (jet_a * jet_b) * (scale * const)
+                if not product_vanishes(jet_a, jet_b):
+                    out[k].add(jet_a, jet_b, scale * const)
             else:
-                contrib = jet_a * jet_b * pairing * scale
-            if contrib.is_zero():
-                continue
-            out[k] = out[k] + contrib if k in out else contrib
-    return {k: jet for k, jet in out.items() if not jet.is_zero()}
+                ab = jet_a * jet_b
+                if not product_vanishes(ab, pairing):
+                    out[k].add(ab, pairing, scale)
+    sym = {k: acc.jet() for k, acc in out.items()}
+    return {k: jet for k, jet in sym.items() if not jet.is_zero()}
 
 
 def weight_truncate(a, max_weight):
@@ -371,7 +391,7 @@ def graded_commutator(a, b):
 
 def op_delta(a):
     """Replace one fiber generator by the matching form generator."""
-    out = {}
+    out = defaultdict(JetSum)
     for (k, alpha, beta), jet in a.terms.items():
         for i, e in enumerate(alpha):
             if not e:
@@ -382,42 +402,37 @@ def op_delta(a):
             sign, beta2 = ins
             alpha2 = list(alpha)
             alpha2[i] -= 1
-            key = (k, tuple(alpha2), beta2)
-            contrib = jet * (e * sign)
-            prev = out.get(key)
-            out[key] = contrib if prev is None else prev + contrib
-    return WeylForm(a.geometry, a.degree_cap, out)
+            out[k, tuple(alpha2), beta2].add(jet, s=e * sign)
+    return WeylForm.from_sums(a.geometry, a.degree_cap, out)
 
 
 def op_delta_star(a):
     """Replace one form generator by the matching fiber generator."""
-    out = {}
-    for (k, alpha, beta), jet in a.terms.items():
-        for pos, i in enumerate(beta):
-            sign = -1 if pos % 2 else 1
-            alpha2 = list(alpha)
-            alpha2[i] += 1
-            beta2 = beta[:pos] + beta[pos + 1:]
-            key = (k, tuple(alpha2), beta2)
-            contrib = jet * sign
-            prev = out.get(key)
-            out[key] = contrib if prev is None else prev + contrib
-    return WeylForm(a.geometry, a.degree_cap, out)
+    return _delta_star(a, False)
 
 
 def op_delta_inv(a):
     """Normalized homotopy: delta*/(l+p) per bidegree, zero on the scalars."""
-    out = WeylForm.zero(a.geometry, a.degree_cap)
-    buckets = {}
+    return _delta_star(a, True)
+
+
+def _delta_star(a, normalized):
+    """delta* in one pass; divided by l + p per term when ``normalized``.
+
+    delta* keeps l + p (the fiber degree plus the form degree), so every
+    output key collects terms of a single l + p.
+    """
+    out = defaultdict(JetSum)
     for (k, alpha, beta), jet in a.terms.items():
-        lp = sum(alpha) + len(beta)
-        if lp == 0:
+        if not beta:
             continue
-        buckets.setdefault(lp, {})[(k, alpha, beta)] = jet
-    for lp, terms in buckets.items():
-        part = WeylForm(a.geometry, a.degree_cap, terms)
-        out = out + op_delta_star(part).scale(Fraction(1, lp))
-    return out
+        scale = Fraction(1, sum(alpha) + len(beta)) if normalized else 1
+        for pos, i in enumerate(beta):
+            alpha2 = list(alpha)
+            alpha2[i] += 1
+            out[k, tuple(alpha2), beta[:pos] + beta[pos + 1:]].add(
+                jet, s=-scale if pos % 2 else scale)
+    return WeylForm.from_sums(a.geometry, a.degree_cap, out)
 
 
 def scalar_part(a):
@@ -433,11 +448,8 @@ def symbol(a):
     """Map hbar power -> jet for the y-free, form-free part of ``a``."""
     dim = a.geometry.dim
     zero_alpha = (0,) * dim
-    out = {}
-    for (k, alpha, beta), jet in a.terms.items():
-        if alpha == zero_alpha and beta == ():
-            out[k] = out[k] + jet if k in out else jet
-    return out
+    return {k: jet for (k, alpha, beta), jet in a.terms.items()
+            if alpha == zero_alpha and beta == ()}
 
 
 def pi_weight(a, doubled_degree):

@@ -1,10 +1,17 @@
 """Command-line surface: geometry files, reports, exit codes."""
 
 import json
+import os
+import shlex
+import sys
 
 import pytest
 
+import fedquant.geometry
 from fedquant.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPHERE = os.path.join(ROOT, "bench", "geometries", "round_sphere.json")
 
 
 FLAT = '{"kind": "flat", "n": 1, "order": 11}'
@@ -166,3 +173,40 @@ def test_negative_hbar_order_is_input_error(flat_file, capsys, order):
 def test_check_unusable_order_is_input_error(capsys, suite, order):
     assert main(["check", suite, "--order", order, "--quiet"]) == 2
     assert "--order" in capsys.readouterr().err
+
+
+def test_validate_runs_validation_once(flat_file, monkeypatch):
+    calls = []
+    original = fedquant.geometry.validate_connection
+
+    def counting(geom):
+        calls.append(geom)
+        return original(geom)
+
+    # rebind every module-level reference, as an import may hold its own
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("fedquant") \
+                and getattr(mod, "validate_connection", None) is original:
+            monkeypatch.setattr(mod, "validate_connection", counting)
+    assert main(["validate", flat_file, "--quiet"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suite", ["associativity", "correspondence"])
+def test_check_order_with_geometry_is_input_error(flat_file, capsys, suite):
+    # the geometry file fixes the jet order, so --order would be ignored
+    assert main(["check", suite, "--geometry", flat_file,
+                 "--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order 3 conflicts with --geometry" in captured.err
+
+
+def test_readme_quantize_command_runs_on_sphere(capsys):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        line = next(ln for ln in fh
+                    if ln.startswith("fedquant quantize sphere.json"))
+    argv = [SPHERE if a == "sphere.json" else a
+            for a in shlex.split(line)[1:]]
+    assert main(argv) == 0
+    assert "operator computed" in capsys.readouterr().out

@@ -149,7 +149,7 @@ def test_commutator_rows_match_graded_commutator(kind_state):
                 continue
             acc = {}
             add_commutator(st, w, part, acc)
-            assert WeylForm(geom, st.degree_cap, acc) \
+            assert WeylForm.from_sums(geom, st.degree_cap, acc) \
                 == mul_i_divide_hbar(graded_commutator(rp, part))
             checked += 1
     assert checked or st.r.is_zero()
