@@ -12,6 +12,7 @@ symbol of the fiberwise product of their flat sections.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 
 from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
@@ -68,6 +69,12 @@ class StarSeries:
         return f"StarSeries(through hbar^{self.valid_hbar_order})"
 
 
+# sections kept per state, oldest dropped first: a section is reused within
+# one associativity triple or one quantized operator, a few calls apart,
+# while a stream of unrelated observables would grow the cache without end
+SECTION_CACHE_SIZE = 32
+
+
 class FedosovState:
     """Converged solution of the flatness equation for one geometry."""
 
@@ -81,7 +88,7 @@ class FedosovState:
         self.converged = converged
         self.iterations_used = iterations_used
         self.section_cap = degree_cap - 2
-        self._section_cache = {}
+        self._section_cache = OrderedDict()
         self._r_parts = None
         self._rows = {}
 
@@ -193,8 +200,8 @@ def flat_section(f, state, max_weight=None):
 
     Filled through doubled weight cap - 2 by default, which is what the
     star product at the state's target order consumes; a smaller
-    ``max_weight`` spends fewer derivatives of f.  Partial fills are
-    cached per jet and extended on demand.
+    ``max_weight`` spends fewer derivatives of f.  Partial fills of the
+    last ``SECTION_CACHE_SIZE`` new jets are cached and extended on demand.
     """
     geom = state.geometry
     if f.chart != geom.chart:
@@ -204,10 +211,13 @@ def flat_section(f, state, max_weight=None):
     top = state.section_cap if max_weight is None \
         else min(max_weight, state.section_cap)
     cap = state.degree_cap
-    cached = state._section_cache.get(f)
+    cache = state._section_cache
+    cached = cache.get(f)
     if cached is None:
         cached = [0, {0: WeylForm.from_jet(geom, cap, f)}]
-        state._section_cache[f] = cached
+        if len(cache) >= SECTION_CACHE_SIZE:
+            cache.popitem(last=False)
+        cache[f] = cached
     filled, parts = cached
     for s in range(filled, top):
         if s in parts:

@@ -1,5 +1,7 @@
 """The flatness recursion, flat sections, and the induced star product."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,9 +13,9 @@ from fedquant.weyl import (WeylForm, graded_commutator, mul_i_divide_hbar,
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                hamiltonian_vf, lift_cotangent, omega_pair,
                                poisson)
-from fedquant.fedosov import (FedosovError, FedosovState, add_commutator,
-                              check_flatness, flat_section, moyal_reference,
-                              section_defect, solve_r, star)
+from fedquant.fedosov import (SECTION_CACHE_SIZE, FedosovError, FedosovState,
+                              add_commutator, check_flatness, flat_section,
+                              moyal_reference, section_defect, solve_r, star)
 from fedquant import sampling
 from fedquant.suites import _r3_oracle, _r4_oracle
 
@@ -69,6 +71,19 @@ def test_insufficient_jet_order_rejected():
     flat = build_flat(1, 6)
     with pytest.raises(FedosovError):
         solve_r(flat, 3)    # needs valid_order >= 9
+
+
+def test_discarded_state_is_freed_without_the_collector():
+    st = darboux_state("refcount", n_hbar=2)
+    flat_section(observables(st)[0], st)
+    geom = weakref.ref(st.geometry)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        del st
+        assert geom() is None
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_recursion_reaches_fixed_point():
@@ -135,6 +150,26 @@ def test_section_independent_of_filled_rows(kind_state):
     flat_section(h, warm)
     assert bool(warm._rows) == bool(warm.r_parts)
     assert flat_section(f, warm) == expected
+
+
+def test_section_cache_is_bounded():
+    st = darboux_state("cache", n_hbar=2)
+    f, g, _ = observables(st)
+    fs = [f + g * k for k in range(SECTION_CACHE_SIZE + 2)]
+    first = flat_section(fs[0], st)
+    for f in fs[1:SECTION_CACHE_SIZE]:
+        flat_section(f, st)
+    cache = st._section_cache
+    assert len(cache) == SECTION_CACHE_SIZE and fs[0] in cache
+    kept = cache[fs[0]]
+    flat_section(fs[0], st)
+    assert cache[fs[0]] is kept and len(cache) == SECTION_CACHE_SIZE
+    flat_section(fs[SECTION_CACHE_SIZE], st)
+    assert len(cache) == SECTION_CACHE_SIZE and fs[0] not in cache
+    assert fs[1] in cache and fs[SECTION_CACHE_SIZE] in cache
+    # a dropped section is rebuilt exactly
+    assert flat_section(fs[0], st) == first
+    assert flat_section(fs[0], st) == flat_section(fs[0], fresh_copy(st))
 
 
 def test_commutator_rows_match_graded_commutator(kind_state):
