@@ -47,10 +47,8 @@ def _rational(text):
 def _jet_table(jet):
     """Coefficients keyed 'e1,e2,...'; values are CRat strings 'p/q' or
     'p/q+r/s*i', deterministic and float-free."""
-    out = {}
-    for key in sorted(jet.coeffs):
-        out[",".join(str(e) for e in key)] = str(jet.coeffs[key])
-    return out
+    return {",".join(str(e) for e in key): str(c)
+            for key, c in sorted(jet.coeffs.items())}
 
 
 def load_geometry(path):

@@ -185,12 +185,16 @@ def check_flatness(state):
     The top working weight is corrupted by truncation of the quadratic term
     and is excluded; a converged state reports an empty map.
     """
+    return _count_by_weight(state.residual, state.degree_cap - 1)
+
+
+def _count_by_weight(form, cutoff):
+    """Terms of a form per doubled weight below ``cutoff``; a WeylForm
+    keeps no zero jets, so every term is a nonzero one."""
     out = {}
-    for (k, alpha, beta), jet in state.residual.terms.items():
+    for k, alpha, _ in form.terms:
         w = 2 * k + sum(alpha)
-        if w >= state.degree_cap - 1:
-            continue
-        if not jet.is_zero():
+        if w < cutoff:
             out[w] = out.get(w, 0) + 1
     return out
 
@@ -261,14 +265,7 @@ def section_defect(section, state):
     geom = state.geometry
     d = nabla(section, geom) - op_delta(section) \
         + mul_i_divide_hbar(graded_commutator(state.r, section))
-    out = {}
-    for (k, alpha, beta), jet in d.terms.items():
-        w = 2 * k + sum(alpha)
-        if w >= state.section_cap:
-            continue
-        if not jet.is_zero():
-            out[w] = out.get(w, 0) + 1
-    return out
+    return _count_by_weight(d, state.section_cap)
 
 
 def star(f, g, state, n_hbar=None):
@@ -297,7 +294,7 @@ def moyal_reference(f, g, geom, n_hbar):
             jet = geom.omega_inv[a][b]
             if jet.is_zero():
                 continue
-            if any(sum(key) for key in jet.coeffs):
+            if not jet.is_constant():
                 raise FedosovError(
                     "direct reference product needs a constant inverse form")
             oinv[(a, b)] = jet.constant_term

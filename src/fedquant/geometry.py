@@ -657,9 +657,8 @@ def validate_connection(geom):
                     ok, where = False, f"(c,a,b)=({c},{a},{b})"
     rep.add("connection symplectic (nabla omega = 0)", ok, where)
 
-    constant_omega = all(
-        all(sum(a_idx) == 0 for a_idx in omega[a][b].coeffs)
-        for a in range(dim) for b in range(dim))
+    constant_omega = all(omega[a][b].is_constant()
+                         for a in range(dim) for b in range(dim))
     if constant_omega:
         ok, where = True, ""
         low = geom.gamma_low

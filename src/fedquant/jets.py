@@ -9,9 +9,9 @@ one order; nothing here ever rounds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import add as _add
 
@@ -76,21 +76,7 @@ class Chart:
             raise JetError(f"unknown chart variable {name!r}") from None
 
 
-def _int_scaled(coeffs):
-    """(den, sorted [(degree, key, re_int, im_int)], has_imaginary)."""
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    cplx = False
-    terms = []
-    for a, c in coeffs.items():
-        im = c.im.numerator * (den // c.im.denominator)
-        if im:
-            cplx = True
-        terms.append((sum(a), a,
-                      c.re.numerator * (den // c.re.denominator), im))
-    terms.sort()
-    return den, terms, cplx
+_FRAC_ZERO = Fraction(0)
 
 
 def _as_crat(value):
@@ -100,66 +86,91 @@ def _as_crat(value):
 class Jet:
     """Truncated Taylor expansion about a chart's base point.
 
-    ``coeffs`` maps dense exponent tuples to nonzero CRat values; multi-indices
-    of total degree beyond ``valid_order`` are dropped on construction.
+    The coefficients are stored once, as Gaussian-integer numerators over
+    one positive denominator ``den``: ``terms`` is a tuple of
+    ``(degree, alpha, re, im)`` sorted by degree and then multi-index, each
+    standing for (re + im*i)/den times the monomial alpha.  The store is
+    canonical (no zero entry, no degree beyond ``valid_order``, and no
+    factor common to den and all numerators), so equal jets have equal
+    stores.  ``coeffs`` is a read-only ``{alpha: CRat}`` view of it.
     """
 
-    __slots__ = ("chart", "max_order", "valid_order", "coeffs", "_scaled")
+    __slots__ = ("chart", "max_order", "valid_order", "den", "terms")
 
     def __init__(self, chart, max_order, valid_order, coeffs):
+        """``coeffs`` maps multi-indices to int, Fraction or CRat values;
+        zeros and terms of degree beyond ``valid_order`` are dropped."""
         if not 0 <= valid_order <= max_order:
             raise JetError(f"need 0 <= valid_order <= max_order, "
                            f"got {valid_order}, {max_order}")
-        clean = {}
+        clean = []
+        den = 1
         dim = chart.dim
         for alpha, c in coeffs.items():
             if len(alpha) != dim:
                 raise JetError("multi-index length does not match chart")
-            if sum(alpha) > valid_order:
+            d = sum(alpha)
+            if d > valid_order:
                 continue
             c = _as_crat(c)
             if c:
-                clean[alpha] = c
+                clean.append((d, alpha, c.re, c.im))
+                den = lcm(den, c.re.denominator, c.im.denominator)
+        # den is the lcm of reduced denominators, so it is already coprime
+        # to the numerators jointly
+        terms = sorted((d, alpha, re.numerator * (den // re.denominator),
+                        im.numerator * (den // im.denominator))
+                       for d, alpha, re, im in clean)
+        self._init(chart, max_order, valid_order, den, tuple(terms))
+
+    def _init(self, chart, max_order, valid_order, den, terms):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "valid_order", valid_order)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_scaled", None)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def _make(cls, chart, max_order, valid_order, coeffs, scaled=None):
-        """Internal fast path: ``coeffs`` must already be clean, i.e.
-        nonzero CRat values at multi-indices of degree <= valid_order;
-        ``scaled``, if given, is their integer form (see ``_int_rep``)."""
+    def _make(cls, chart, max_order, valid_order, den, terms):
+        """Internal fast path: ``den`` and the tuple ``terms`` must already
+        be a canonical store."""
         self = object.__new__(cls)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "valid_order", valid_order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_scaled", scaled)
+        self._init(chart, max_order, valid_order, den, terms)
         return self
+
+    @classmethod
+    def from_terms(cls, chart, max_order, valid_order, den, terms):
+        """The jet of sorted, nonzero ``(degree, alpha, re, im)`` terms of
+        degree <= valid_order over ``den``; a factor common to den and all
+        numerators is divided out."""
+        g = gcd(den, *[t[2] for t in terms], *[t[3] for t in terms])
+        if g != 1:
+            den //= g
+            terms = [(d, a, re // g, im // g) for d, a, re, im in terms]
+        return cls._make(chart, max_order, valid_order, den, tuple(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
-    def _int_rep(self):
-        """Cached integer form: (den, sorted (degree, key, re, im), cplx)."""
-        rep = self._scaled
-        if rep is None:
-            rep = _int_scaled(self.coeffs)
-            object.__setattr__(self, "_scaled", rep)
-        return rep
+    @property
+    def coeffs(self):
+        """``{alpha: CRat}``, built from the store on each access."""
+        den = self.den
+        return {a: CRat._make(Fraction(re, den) if re else _FRAC_ZERO,
+                              Fraction(im, den) if im else _FRAC_ZERO)
+                for _, a, re, im in self.terms}
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, chart, order):
-        return cls(chart, order, order, {})
+        return cls._make(chart, order, order, 1, ())
 
     @classmethod
     def constant(cls, chart, value, order):
-        z = (0,) * chart.dim
-        return cls(chart, order, order, {z: _as_crat(value)})
+        re, im, den = _scalar_ints(value)
+        terms = ((0, (0,) * chart.dim, re, im),) if re or im else ()
+        return cls._make(chart, order, order, den, terms)
 
     @classmethod
     def variable(cls, chart, var, order):
@@ -179,14 +190,31 @@ class Jet:
         """Restrict validity (and stored terms) to the given order."""
         if order >= self.valid_order:
             return self
-        return Jet(self.chart, self.max_order, order, self.coeffs)
+        if order < 0:
+            raise JetError(f"cannot truncate to order {order}")
+        kept = self.terms[:bisect_left(self.terms, (order + 1,))]
+        return Jet.from_terms(self.chart, self.max_order, order, self.den,
+                              kept)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
+
+    def is_constant(self):
+        """Whether no stored term has positive degree."""
+        return not self.terms or self.terms[-1][0] == 0
+
+    def coefficient(self, alpha):
+        """The coefficient of the monomial ``alpha`` as a CRat."""
+        terms = self.terms
+        i = bisect_left(terms, (sum(alpha), alpha))
+        if i == len(terms) or terms[i][1] != alpha:
+            return ZERO
+        _, _, re, im = terms[i]
+        return CRat._make(Fraction(re, self.den), Fraction(im, self.den))
 
     @property
     def constant_term(self):
-        return self.coeffs.get((0,) * self.chart.dim, ZERO)
+        return self.coefficient((0,) * self.chart.dim)
 
     def agrees_with(self, other, order=None):
         """Exact coefficient equality up to the shared (or given) order."""
@@ -197,24 +225,22 @@ class Jet:
                 raise OrderExhausted(
                     f"comparison order {order} exceeds shared validity {v}")
             v = order
-        keys = set(self.coeffs) | set(other.coeffs)
-        for a in keys:
-            if sum(a) > v:
-                continue
-            if self.coeffs.get(a, ZERO) != other.coeffs.get(a, ZERO):
-                return False
-        return True
+        # cross-multiplied, so the two stores need not share a denominator
+        da, db = self.den, other.den
+        return ({k: (re * db, im * db) for d, k, re, im in self.terms
+                 if d <= v}
+                == {k: (re * da, im * da) for d, k, re, im in other.terms
+                    if d <= v})
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return (self.chart == other.chart
-                and self.valid_order == other.valid_order
-                and self.coeffs == other.coeffs)
+        return (self.valid_order == other.valid_order
+                and self.den == other.den and self.terms == other.terms
+                and self.chart == other.chart)
 
     def __hash__(self):
-        return hash((self.chart, self.valid_order,
-                     frozenset(self.coeffs.items())))
+        return hash((self.valid_order, self.den, self.terms))
 
     def __repr__(self):
         terms = ", ".join(f"{a}: {c}" for a, c in sorted(self.coeffs.items()))
@@ -227,18 +253,17 @@ class Jet:
             other = Jet.constant(self.chart, other, self.max_order)
         if not isinstance(other, Jet):
             return NotImplemented
-        self._check_chart(other)
-        v = min(self.valid_order, other.valid_order)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, ZERO) + c
-        return Jet(self.chart, min(self.max_order, other.max_order), v, out)
+        acc = JetSum()
+        acc.add(self)
+        acc.add(other)
+        return acc.jet()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.chart, self.max_order, self.valid_order,
-                   {a: -c for a, c in self.coeffs.items()})
+        return Jet._make(self.chart, self.max_order, self.valid_order,
+                         self.den, tuple((d, k, -re, -im)
+                                         for d, k, re, im in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -292,16 +317,11 @@ class Jet:
                 return self
             raise OrderExhausted("cannot differentiate a jet of valid_order 0")
         i = self.chart.index(var) if isinstance(var, str) else var
-        out = {}
-        for a, c in self.coeffs.items():
-            e = a[i]
-            if e == 0:
-                continue
-            b = list(a)
-            b[i] = e - 1
-            out[tuple(b)] = CRat._make(c.re * e, c.im * e)
-        return Jet._make(self.chart, self.max_order, self.valid_order - 1,
-                         out)
+        # lowering one exponent keeps the (degree, alpha) order
+        out = [(d - 1, a[:i] + (a[i] - 1,) + a[i + 1:], re * a[i], im * a[i])
+               for d, a, re, im in self.terms if a[i]]
+        return Jet.from_terms(self.chart, self.max_order, self.valid_order - 1,
+                              self.den, out)
 
     def mul_variable(self, var):
         """Multiply by a displacement variable; gains one order of validity.
@@ -311,12 +331,10 @@ class Jet:
         nothing is truncated away and the certified order rises.
         """
         i = self.chart.index(var) if isinstance(var, str) else var
-        out = {}
-        for a, c in self.coeffs.items():
-            b = list(a)
-            b[i] += 1
-            out[tuple(b)] = c
-        return Jet(self.chart, self.max_order + 1, self.valid_order + 1, out)
+        out = tuple((d + 1, a[:i] + (a[i] + 1,) + a[i + 1:], re, im)
+                    for d, a, re, im in self.terms)
+        return Jet._make(self.chart, self.max_order + 1, self.valid_order + 1,
+                         self.den, out)
 
     def invert(self):
         """Multiplicative inverse as a truncated power series."""
@@ -341,13 +359,17 @@ class Jet:
         c = self.chart.conj
         if c is None:
             raise DomainError("chart has no conjugation pairing")
-        out = {}
-        for a, coef in self.coeffs.items():
-            b = [0] * len(a)
-            for i, e in enumerate(a):
-                b[c[i]] = e
-            out[tuple(b)] = coef.conjugate()
-        return Jet(self.chart, self.max_order, self.valid_order, out)
+        out = sorted((d, tuple(a[j] for j in c), re, -im)
+                     for d, a, re, im in self.terms)
+        return Jet._make(self.chart, self.max_order, self.valid_order,
+                         self.den, tuple(out))
+
+    def _rekeyed(self, chart, rekey):
+        """The same coefficients at ``rekey(alpha)``, which must keep
+        degrees and be injective."""
+        out = sorted((d, rekey(a), re, im) for d, a, re, im in self.terms)
+        return Jet._make(chart, self.max_order, self.valid_order, self.den,
+                         tuple(out))
 
     # -- chart surgery ----------------------------------------------------
 
@@ -357,12 +379,10 @@ class Jet:
         sub = Chart(tuple(self.chart.names[i] for i in indices),
                     tuple(self.chart.base[i] for i in indices))
         keep = set(indices)
-        out = {}
-        for a, c in self.coeffs.items():
+        for _, a, _, _ in self.terms:
             if any(e and i not in keep for i, e in enumerate(a)):
                 raise DomainError("jet depends on a variable outside the sub-chart")
-            out[tuple(a[i] for i in indices)] = c
-        return Jet(sub, self.max_order, self.valid_order, out)
+        return self._rekeyed(sub, lambda a: tuple(a[i] for i in indices))
 
     def embed(self, chart, index_map=None):
         """View this jet on a larger chart; index_map sends old to new indices."""
@@ -371,22 +391,19 @@ class Jet:
         for old, new in enumerate(index_map):
             if chart.base[new] != self.chart.base[old]:
                 raise ChartMismatch("base point differs under embedding")
-        out = {}
-        for a, c in self.coeffs.items():
+
+        def spread(a):
             b = [0] * chart.dim
             for old, e in enumerate(a):
                 b[index_map[old]] = e
-            out[tuple(b)] = c
-        return Jet(chart, self.max_order, self.valid_order, out)
+            return tuple(b)
+        return self._rekeyed(chart, spread)
 
 
 # -- exact accumulation ----------------------------------------------------
 
-_FRAC_ZERO = Fraction(0)
-
-
 def _scalar_ints(s):
-    """(re, im, den) integers with s == (re + im*i) / den."""
+    """(re, im, den) integers with s == (re + im*i) / den, in lowest terms."""
     if type(s) is int:
         return s, 0, 1
     s = _as_crat(s)
@@ -399,13 +416,13 @@ def _scalar_ints(s):
 class JetSum:
     """Exact sum of terms s*a*b (or s*a) of jets on one chart.
 
-    Each product is convolved in Python ints from the operands' cached
-    integer forms and added into one map of [re, im] numerators over a
-    common denominator; the denominator is raised to an lcm only when a
-    term's own does not divide it.  ``jet()`` normalizes each output
-    coefficient once.  ``valid_order`` and ``max_order`` are the minimum
-    over all terms, exactly as a left fold of ``*`` and ``+`` gives them,
-    and a term is convolved only up to the running minimum.
+    Each product is convolved in Python ints from the operands' stores and
+    added into one map of [re, im] numerators over a common denominator;
+    the denominator is raised to an lcm only when a term's own does not
+    divide it.  ``jet()`` sorts and reduces the map once.  ``valid_order``
+    and ``max_order`` are the minimum over all terms, exactly as a left
+    fold of ``*`` and ``+`` gives them, and a term is convolved only up to
+    the running minimum.
     """
 
     __slots__ = ("chart", "max_order", "valid_order", "den", "acc")
@@ -440,15 +457,13 @@ class JetSum:
         sr, si, sd = _scalar_ints(s)
         if not (sr or si):
             return
-        d1, left, cplx = a._int_rep()
+        left = a.terms
         if b is None:
-            right, d2 = None, 1
+            right, tden = None, a.den * sd
         else:
-            d2, right, cplx2 = b._int_rep()
-            cplx = cplx or cplx2
+            right, tden = b.terms, a.den * b.den * sd
         # bring the term and the sum to one denominator, folding the
         # rescaling into the scalar so each pair costs integer products only
-        tden = d1 * d2 * sd
         den = self.den
         if den % tden:
             new = lcm(den, tden)
@@ -460,8 +475,6 @@ class JetSum:
         f = den // tden
         sr *= f
         si *= f
-        if si:
-            cplx = True
         if right is None:
             for da, ka, ar, ai in left:
                 if da > v:
@@ -473,7 +486,7 @@ class JetSum:
                 else:
                     prev[0] += re
                     prev[1] += im
-        elif cplx:
+        elif si or any(t[3] for t in left) or any(t[3] for t in right):
             for da, ka, ar, ai in left:
                 if da > v:
                     break
@@ -509,27 +522,10 @@ class JetSum:
         """The normalized sum; ``empty`` when no term was added."""
         if self.chart is None:
             return empty
-        # one gcd pass reduces the common denominator to the lcm of the
-        # output denominators, which is the cached integer form's
-        acc = self.acc
-        g = gcd(self.den, *chain.from_iterable(acc.values()))
-        den = self.den // g
-        out = {}
-        terms = []
-        cplx = False
-        for key, (re, im) in acc.items():
-            if re or im:
-                re //= g
-                im //= g
-                out[key] = CRat._make(
-                    Fraction(re, den) if re else _FRAC_ZERO,
-                    Fraction(im, den) if im else _FRAC_ZERO)
-                terms.append((sum(key), key, re, im))
-                if im:
-                    cplx = True
-        terms.sort()
-        return Jet._make(self.chart, self.max_order, self.valid_order, out,
-                         (den, terms, cplx))
+        terms = sorted((sum(key), key, re, im)
+                       for key, (re, im) in self.acc.items() if re or im)
+        return Jet.from_terms(self.chart, self.max_order, self.valid_order,
+                              self.den, terms)
 
 
 def product_vanishes(a, b):
@@ -539,10 +535,9 @@ def product_vanishes(a, b):
     product is the product of the lowest parts: a*b vanishes exactly when
     a factor does or their lowest degrees add up past the shared validity.
     """
-    if not a.coeffs or not b.coeffs:
+    if not a.terms or not b.terms:
         return True
-    return a._int_rep()[1][0][0] + b._int_rep()[1][0][0] \
-        > min(a.valid_order, b.valid_order)
+    return a.terms[0][0] + b.terms[0][0] > min(a.valid_order, b.valid_order)
 
 
 # -- elementary functions --------------------------------------------------

@@ -260,15 +260,13 @@ def fiber_decompose(f, geom):
     n = geom.n
     sub = config_chart(geom)
     pieces = {}
-    for alpha, c in f.coeffs.items():
-        fib = tuple(alpha[n:])
-        base = tuple(alpha[:n])
-        pieces.setdefault(fib, {})[base] = c
-    return {fib: Jet(sub, f.max_order,
-                     max(f.valid_order - sum(fib), 0),
-                     {b: c for b, c in coeffs.items()
-                      if sum(b) <= f.valid_order - sum(fib)})
-            for fib, coeffs in pieces.items()}
+    for d, alpha, re, im in f.terms:
+        fib = alpha[n:]
+        pieces.setdefault(fib, []).append((d - sum(fib), alpha[:n], re, im))
+    # a fixed fiber part keeps the (degree, alpha) order of f's terms
+    return {fib: Jet.from_terms(sub, f.max_order, f.valid_order - sum(fib),
+                                f.den, terms)
+            for fib, terms in pieces.items()}
 
 
 def _attach_fiber(c_full, geom, fib):
@@ -582,15 +580,12 @@ def kinetic_alpha(geom, state):
                                 "curvature does not")
     jet = series.coeffs[2]
     shared = min(jet.valid_order, curv.valid_order)
-    pivot = None
-    for a, c in sorted(curv.coeffs.items(), key=lambda kv: sum(kv[0])):
-        if sum(a) <= shared and c:
-            pivot = a
-            break
-    if pivot is None:
+    # the lowest-degree term of the curvature, if it is certified
+    if curv.is_zero() or curv.terms[0][0] > shared:
         raise QuantizationError("scalar curvature vanishes through the "
                                 "certified order; cannot normalize")
-    alpha = jet.coeffs.get(pivot, CRat(0)) / curv.coeffs[pivot]
+    pivot = curv.terms[0][1]
+    alpha = jet.coefficient(pivot) / curv.coefficient(pivot)
     if not alpha.is_real:
         raise QuantizationError("curvature coefficient is not real")
     if not jet.agrees_with(curv * alpha.re):
@@ -840,7 +835,5 @@ def _as_monomials(jet, geom):
     base = geom.chart.base
     if any(b for b in base):
         raise QuantizationError("monomial expansion needs a centered chart")
-    out = {}
-    for alpha, c in jet.coeffs.items():
-        out[(tuple(alpha[:n]), tuple(alpha[n:]))] = c
-    return out
+    return {(alpha[:n], alpha[n:]): jet.coefficient(alpha)
+            for _, alpha, _, _ in jet.terms}

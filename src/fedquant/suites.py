@@ -23,43 +23,42 @@ from .quantization import (check_homogeneity, check_kaehler_orders,
 from . import sampling
 
 
-_STATES = {}
-
-
-def _solved(key, build, n_hbar):
-    """Cache converged states across suites within one process."""
-    state = _STATES.get(key)
+def _solved(states, key, build, n_hbar):
+    """Converged state for ``key``, shared through ``states``, the dict of
+    one suite call, so a suite's cost does not depend on earlier calls."""
+    state = states.get(key)
     if state is None or state.n_hbar < n_hbar:
         state = solve_r(build(), n_hbar)
-        _STATES[key] = state
+        states[key] = state
     return state
 
 
-def _flat_state(n, order, n_hbar):
-    return _solved(("flat", n, order), lambda: build_flat(n, order), n_hbar)
+def _flat_state(states, n, order, n_hbar):
+    return _solved(states, ("flat", n, order), lambda: build_flat(n, order),
+                   n_hbar)
 
 
-def _darboux_state(n, order, seed, n_hbar):
+def _darboux_state(states, n, order, seed, n_hbar):
     def build():
         rng = sampling.make_rng(("darboux", n, seed))
         return build_darboux(n, sampling.random_darboux_gamma(rng, n, order),
                              order)
-    return _solved(("darboux", n, order, seed), build, n_hbar)
+    return _solved(states, ("darboux", n, order, seed), build, n_hbar)
 
 
-def _cotangent_state(n, order, seed, n_hbar):
+def _cotangent_state(states, n, order, seed, n_hbar):
     def build():
         rng = sampling.make_rng(("cotangent", n, seed))
         return lift_cotangent(sampling.random_metric(rng, n, order), order)
-    return _solved(("cotangent", n, order, seed), build, n_hbar)
+    return _solved(states, ("cotangent", n, order, seed), build, n_hbar)
 
 
-def _kaehler_state(n, order, seed, n_hbar):
+def _kaehler_state(states, n, order, seed, n_hbar):
     def build():
         rng = sampling.make_rng(("kaehler", n, seed))
         return build_kaehler(
             sampling.random_kaehler_potential(rng, n, order), order)
-    return _solved(("kaehler", n, order, seed), build, n_hbar)
+    return _solved(states, ("kaehler", n, order, seed), build, n_hbar)
 
 
 # -- flat Moyal equality ---------------------------------------------------
@@ -68,9 +67,10 @@ def moyal_flat_suite(order=11, seed=0, samples=50, n_hbar=4):
     """star == direct exponential product on flat charts, exact."""
     rep = CheckReport()
     rng = sampling.make_rng(("moyal-flat", seed))
+    states = {}
     for t in range(samples):
         n = 1 + t % 2
-        state = _flat_state(n, order, n_hbar)
+        state = _flat_state(states, n, order, n_hbar)
         chart = state.geometry.chart
         f = sampling.random_polynomial(rng, chart, order, degree=4)
         g = sampling.random_polynomial(rng, chart, order, degree=4)
@@ -93,7 +93,7 @@ def second_order_suite(order=9, seed=0, samples=10, n=1):
     rng = sampling.make_rng(("second-order", seed))
     dim = 2 * n
     for t in range(samples):
-        state = _darboux_state(n, order, (seed, t), 2)
+        state = _darboux_state({}, n, order, (seed, t), 2)
         geom = state.geometry
         f = sampling.random_polynomial(rng, geom.chart, order, degree=3)
         g = sampling.random_polynomial(rng, geom.chart, order, degree=3)
@@ -181,7 +181,7 @@ def r_terms_suite(order=9, seed=0, samples=3, n=1):
     """First two curvature terms of the flatness solution, exact."""
     rep = CheckReport()
     for t in range(samples):
-        state = _darboux_state(n, order, (seed, "r", t), 3)
+        state = _darboux_state({}, n, order, (seed, "r", t), 3)
         geom = state.geometry
         cap = state.degree_cap
         rep.add("r_(3) = -(1/8) R y^3 dx",
@@ -214,13 +214,14 @@ def _assoc_coefficients(f, g, h, state, left):
 
 
 _KIND_STATES = {
-    "flat": lambda order, seed, n_hbar: _flat_state(1, order, n_hbar),
-    "darboux": lambda order, seed, n_hbar:
-        _darboux_state(1, order, seed, n_hbar),
-    "cotangent": lambda order, seed, n_hbar:
-        _cotangent_state(1, max(order, 11), seed, n_hbar),
-    "kaehler": lambda order, seed, n_hbar:
-        _kaehler_state(1, max(order, 12), seed, n_hbar),
+    "flat": lambda states, order, seed, n_hbar:
+        _flat_state(states, 1, order, n_hbar),
+    "darboux": lambda states, order, seed, n_hbar:
+        _darboux_state(states, 1, order, seed, n_hbar),
+    "cotangent": lambda states, order, seed, n_hbar:
+        _cotangent_state(states, 1, max(order, 11), seed, n_hbar),
+    "kaehler": lambda states, order, seed, n_hbar:
+        _kaehler_state(states, 1, max(order, 12), seed, n_hbar),
 }
 
 
@@ -229,7 +230,7 @@ def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, kinds=None,
     """(f*g)*h == f*(g*h) through hbar^N on every geometry kind."""
     rep = CheckReport()
     states = [state] if state is not None else \
-        [_KIND_STATES[k](order, seed, n_hbar)
+        [_KIND_STATES[k]({}, order, seed, n_hbar)
          for k in (kinds or ("flat", "darboux", "cotangent", "kaehler"))]
     for st in states:
         chart = st.geometry.chart
@@ -253,7 +254,7 @@ def correspondence_suite(order=9, seed=0, samples=25, kinds=None, state=None):
     """f*g - g*f = i hbar {f, g} + O(hbar^2) on every geometry kind."""
     rep = CheckReport()
     states = [state] if state is not None else \
-        [_KIND_STATES[k](order, seed, 1)
+        [_KIND_STATES[k]({}, order, seed, 1)
          for k in (kinds or ("flat", "darboux", "cotangent", "kaehler"))]
     for st in states:
         geom = st.geometry
@@ -282,7 +283,7 @@ def _cotangent_battery(order, seed, metrics):
     out = []
     for t in range(metrics):
         n = plan[t % len(plan)]
-        out.append(_cotangent_state(n, order, (seed, t), 3))
+        out.append(_cotangent_state({}, n, order, (seed, t), 3))
     return out
 
 
@@ -331,7 +332,7 @@ def kaehler_orders_suite(order=12, seed=0, potentials=5):
     plan = [1, 1, 2, 1, 2]
     for t in range(potentials):
         n = plan[t % len(plan)]
-        state = _kaehler_state(n, order, (seed, t), 3)
+        state = _kaehler_state({}, n, order, (seed, t), 3)
         chart = state.geometry.chart
         rng = sampling.make_rng(("kaehler-orders", seed, t))
         z = Jet.variable(chart, 0, order)
@@ -380,7 +381,7 @@ def flat_reps_suite(order=11, seed=0, monomials=None, polynomials=10):
         Jet.variable(complex_chart(1), 0, order)
         * Jet.variable(complex_chart(1), 1, order), order)
     rep = flat_reps(1, 3, monomials, geom_real, kf)
-    state = _flat_state(1, order, 3)
+    state = _flat_state({}, 1, order, 3)
     for t in range(polynomials):
         f = sampling.random_p_polynomial(rng, state.geometry.chart, 1, order,
                                          p_degree=3, q_degree=3)

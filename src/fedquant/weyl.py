@@ -198,10 +198,7 @@ class WeylForm:
 
 def _const_or_none(jet):
     """The constant value of a constant jet, else None."""
-    for key, c in jet.coeffs.items():
-        if sum(key):
-            return None
-    return jet.constant_term
+    return jet.constant_term if jet.is_constant() else None
 
 
 def weyl_mul(a, b):

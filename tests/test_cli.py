@@ -1,5 +1,6 @@
 """Command-line surface: geometry files, reports, exit codes."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -210,3 +211,38 @@ def test_readme_quantize_command_runs_on_sphere(capsys):
             for a in shlex.split(line)[1:]]
     assert main(argv) == 0
     assert "operator computed" in capsys.readouterr().out
+
+
+KAEHLER_CURVED = ('{"kind": "kaehler", "n": 1, "order": 12,'
+                  ' "base_point": ["1/3"], "potential":'
+                  ' "z1*zb1 + 1/3*z1^2*zb1^2 - 1/5*z1^3*zb1^3"}')
+
+# sha256 of json.dumps(doc["coefficients"], sort_keys=True); only the
+# coefficients are hashed, because the command line names the file's path
+GOLDEN_COEFFICIENTS = [
+    ("kaehler", ["star", "--f", "z1^2*zb1", "--g", "zb1 + z1*zb1^2",
+                 "--order", "3"],
+     "22398994cc91aa1ce9691d78bc1de270d86b6861205796d141adea8eef843fb6"),
+    (SPHERE, ["star", "--f", "p1*q2 + q1^2", "--g", "p2^2 + p1*q1",
+              "--order", "2"],
+     "1643b031c44219b0868a9a59c6557cb336a2031b2a58ff58f5a4b00deef4f44e"),
+    (SPHERE, ["quantize", "--f", "kinetic", "--order", "2"],
+     "d90b3df1499ebb6a0d0241b86ebebaaf5ff3512cd2b71c599f33722a42a051d7"),
+]
+
+
+@pytest.mark.parametrize("geometry,argv,digest", GOLDEN_COEFFICIENTS,
+                         ids=["kaehler-star", "sphere-star",
+                              "sphere-quantize-kinetic"])
+def test_curved_chart_coefficients_are_pinned(tmp_path, geometry, argv,
+                                              digest):
+    if geometry == "kaehler":
+        geometry = tmp_path / "k.json"
+        geometry.write_text(KAEHLER_CURVED)
+    out = tmp_path / "out.json"
+    assert main([argv[0], str(geometry), *argv[1:], "--quiet",
+                 "--json", str(out)]) == 0
+    coefficients = json.loads(out.read_text())["coefficients"]
+    got = hashlib.sha256(
+        json.dumps(coefficients, sort_keys=True).encode()).hexdigest()
+    assert got == digest

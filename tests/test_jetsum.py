@@ -1,15 +1,22 @@
 """The exact accumulator: JetSum against a left fold of ``*`` and ``+``,
-and the one-term product against a direct Fraction convolution."""
+the one-term product against a direct Fraction convolution, and the jet
+operations on the integer store against pairwise Fraction arithmetic on the
+``coeffs`` view."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fedquant.jets import Chart, Jet, JetSum, product_vanishes
+from fedquant.jets import Chart, Jet, JetError, JetSum, product_vanishes
 from fedquant.rational import CRat
 
-CHARTS = {d: Chart(tuple(f"x{i}" for i in range(d)), (0,) * d)
+# each chart pairs x0 with x1 for conjugation where it has both
+CHARTS = {d: Chart(tuple(f"x{i}" for i in range(d)), (0,) * d,
+                   ((0,), (1, 0), (1, 0, 2))[d - 1])
           for d in (1, 2, 3)}
 
 # denominators with unrelated prime factors, so the common denominator of a
@@ -105,3 +112,140 @@ def test_cancelling_sum_keeps_the_smallest_validity():
     acc.add(y, s=Fraction(-2, 7))
     out = acc.jet()
     assert out.is_zero() and out.valid_order == 2 and out.max_order == 2
+
+
+# -- the single integer store ------------------------------------------------
+
+def assert_canonical(j):
+    """Sorted by (degree, key), no zero entry, degrees within validity and
+    no factor common to den and all numerators."""
+    assert j.den > 0
+    assert list(j.terms) == sorted(j.terms)
+    assert len({t[1] for t in j.terms}) == len(j.terms)
+    for d, key, re, im in j.terms:
+        assert d == sum(key) <= j.valid_order and (re or im)
+    assert gcd(j.den, *[x for t in j.terms for x in t[2:]]) == 1
+
+
+def from_view(chart, max_order, valid_order, coeffs):
+    """The reference result: a jet built from Fraction-valued coefficients."""
+    return Jet(chart, max_order, valid_order,
+               {k: c for k, c in coeffs.items() if sum(k) <= valid_order})
+
+
+def pairwise_sum(a, b, sign):
+    out = dict(a.coeffs)
+    for k, c in b.coeffs.items():
+        out[k] = out.get(k, CRat(0)) + c * sign
+    return from_view(a.chart, min(a.max_order, b.max_order),
+                     min(a.valid_order, b.valid_order), out)
+
+
+def shifted(key, i, by):
+    return key[:i] + (key[i] + by,) + key[i + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(jets))
+def test_store_round_trips_through_the_view(j):
+    assert_canonical(j)
+    again = Jet(j.chart, j.max_order, j.valid_order, j.coeffs)
+    assert again == j and hash(again) == hash(j)
+    assert again.den == j.den and again.terms == j.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(jets(d), jets(d))))
+def test_sums_match_pairwise_fractions(pair):
+    a, b = pair
+    for got, want in ((a + b, pairwise_sum(a, b, 1)),
+                      (a - b, pairwise_sum(a, b, -1)),
+                      (-a, from_view(a.chart, a.max_order, a.valid_order,
+                                     {k: -c for k, c in a.coeffs.items()}))):
+        assert_canonical(got)
+        assert same(got, want) and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(jets), st.data())
+def test_unary_operations_match_pairwise_fractions(j, data):
+    chart, dim = j.chart, j.chart.dim
+    i = data.draw(st.integers(0, dim - 1))
+    k = data.draw(st.integers(0, j.valid_order))
+    view = j.coeffs
+    cases = [
+        (j.truncate(k),
+         from_view(chart, j.max_order, k, view)),
+        (j.mul_variable(i),
+         from_view(chart, j.max_order + 1, j.valid_order + 1,
+                   {shifted(a, i, 1): c for a, c in view.items()})),
+        (j.conjugate(),
+         from_view(chart, j.max_order, j.valid_order,
+                   {tuple(a[p] for p in chart.conj): c.conjugate()
+                    for a, c in view.items()})),
+    ]
+    if j.valid_order:
+        cases.append((j.partial(i), from_view(
+            chart, j.max_order, j.valid_order - 1,
+            {shifted(a, i, -1): c * a[i] for a, c in view.items() if a[i]})))
+    for got, want in cases:
+        assert_canonical(got)
+        assert same(got, want) and got == want and got.den == want.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(jets), st.data())
+def test_embed_and_restrict_round_trip(j, data):
+    dim = j.chart.dim
+    # place the jet's variables at distinct, shuffled slots of a larger chart
+    slots = data.draw(st.permutations(range(dim + 1)))[:dim]
+    big = Chart(tuple(f"y{s}" for s in range(dim + 1)), (0,) * (dim + 1))
+    up = j.embed(big, slots)
+    assert_canonical(up)
+    want = {}
+    for a, c in j.coeffs.items():
+        b = [0] * (dim + 1)
+        for old, e in enumerate(a):
+            b[slots[old]] = e
+        want[tuple(b)] = c
+    assert same(up, from_view(big, j.max_order, j.valid_order, want))
+    down = up.restrict(slots)
+    assert_canonical(down)
+    assert down.coeffs == j.coeffs and down.den == j.den
+    assert down.valid_order == j.valid_order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(jets), st.data())
+def test_agreement_ignores_terms_above_the_order(j, data):
+    if j.valid_order == 0:
+        return
+    k = data.draw(st.integers(0, j.valid_order - 1))
+    above = [a for a in product(range(j.valid_order + 1), repeat=j.chart.dim)
+             if k < sum(a) <= j.valid_order]
+    extra = data.draw(st.dictionaries(st.sampled_from(above), crats,
+                                      min_size=1, max_size=3))
+    # 97 divides no denominator the strategy draws, so the stores differ
+    first = next(iter(extra))
+    extra[first] = extra[first] + Fraction(1, 97)
+    coeffs = {a: c for a, c in j.coeffs.items() if sum(a) <= k}
+    other = Jet(j.chart, j.max_order, j.valid_order, {**coeffs, **extra})
+    assert other.den != j.den
+    assert j.agrees_with(other, order=k) and other.agrees_with(j, order=k)
+    assert not j.agrees_with(other)
+    low = (0,) * j.chart.dim
+    bumped = Jet(j.chart, j.max_order, j.valid_order,
+                 {**j.coeffs, low: j.coeffs.get(low, 0) + Fraction(1, 97)})
+    assert not j.agrees_with(bumped, order=k)
+
+
+def test_constancy_and_coefficients_read_the_store():
+    x = Jet.variable(CHARTS[2], 0, 3)
+    c = Jet.constant(CHARTS[2], CRat(Fraction(2, 6), 1), 3)
+    assert c.is_constant() and Jet.zero(CHARTS[2], 3).is_constant()
+    assert not x.is_constant()
+    assert c.den == 3 and c.constant_term == CRat(Fraction(1, 3), 1)
+    assert (x * c).coefficient((1, 0)) == CRat(Fraction(1, 3), 1)
+    assert (x * c).coefficient((0, 1)) == CRat(0)
+    with pytest.raises(JetError):
+        x.truncate(-1)
