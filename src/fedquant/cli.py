@@ -66,6 +66,10 @@ def load_geometry(path):
         order = int(doc["order"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: missing or bad field: {exc}") from None
+    if n < 1:
+        raise InputError(f"{path}: n must be >= 1, got {n}")
+    if order < 0:
+        raise InputError(f"{path}: order must be >= 0, got {order}")
     base = tuple(_rational(b) for b in doc.get("base_point", ["0"] * n))
     if len(base) != n:
         raise InputError(f"{path}: base_point needs {n} entries")
@@ -135,7 +139,8 @@ def _emit(args, command, report, geometry="", coefficients=None):
             lines.append(f"geometry {geometry}")
         width = max((len(c["name"]) for c in report.checks), default=0)
         for c in report.checks:
-            mark = "ok  " if c["passed"] else "FAIL"
+            mark = "ok  " if c["passed"] else \
+                ("FAIL" if c["fatal"] else "mismatch")
             loc = f"  {c['location']}" if c["location"] else ""
             lines.append(f"  {mark} {c['name']:<{width}}{loc}")
         for label, tab in coefficients.items():

@@ -54,16 +54,10 @@ class StarSeries:
             raise FedosovError(f"hbar power {k} outside certified range")
         return self.coefficients[k]
 
-    def agrees_with(self, other, hbar_order=None, jet_order=None):
-        n = min(self.valid_hbar_order, other.valid_hbar_order)
-        if hbar_order is not None:
-            if hbar_order > n:
-                raise FedosovError(
-                    f"hbar order {hbar_order} exceeds shared validity {n}")
-            n = hbar_order
-        return all(self.coefficients[k].agrees_with(other.coefficients[k],
-                                                    jet_order)
-                   for k in range(n + 1))
+    def agrees_with(self, other):
+        """Coefficient-wise agreement through the shared hbar order."""
+        return all(a.agrees_with(b)
+                   for a, b in zip(self.coefficients, other.coefficients))
 
     def __repr__(self):
         return f"StarSeries(through hbar^{self.valid_hbar_order})"
@@ -132,14 +126,14 @@ def _geometry_validity(geom):
     return min(orders)
 
 
-def solve_r(geom, n_hbar, degree_cap=None):
+def solve_r(geom, n_hbar):
     """Solve the flatness equation through the working degree cap.
 
     The weight-(w+1) component of r is determined by the weight-w data, so
     the recursion fills one weight per step; a final full fixed-point pass
     certifies stability of every retained term.
     """
-    cap = default_degree_cap(n_hbar) if degree_cap is None else degree_cap
+    cap = default_degree_cap(n_hbar)
     if _geometry_validity(geom) < 2 * n_hbar + 3:
         raise FedosovError(
             f"geometry jets need valid_order >= {2 * n_hbar + 3} "

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .jets import Chart, ChartMismatch, Jet, JetError, JetSum
 from .rational import CRat, I
@@ -52,6 +52,13 @@ class CheckReport:
     def add(self, name, passed, location="", fatal=True):
         self.checks.append({"name": name, "passed": bool(passed),
                             "location": location, "fatal": fatal})
+
+    def expect(self, name, cases, fatal=True):
+        """Add one entry from ``(location, passed)`` cases, read lazily in
+        order: it fails at the first case that fails, naming its location,
+        and passes with location "" if none does."""
+        where = next((loc for loc, ok in cases if not ok), None)
+        self.add(name, where is None, where or "", fatal)
 
     @property
     def passed(self):
@@ -207,27 +214,26 @@ def _darboux_omega(chart, n, order):
     return omega, omega_inv
 
 
-def phase_chart(n, base_q=None, prefixes=("q", "p")):
+def phase_chart(n, base_q=None):
     base_q = tuple(base_q or (0,) * n)
-    names = tuple(f"{prefixes[0]}{i+1}" for i in range(n)) + \
-        tuple(f"{prefixes[1]}{i+1}" for i in range(n))
+    names = tuple(f"q{i+1}" for i in range(n)) + \
+        tuple(f"p{i+1}" for i in range(n))
     base = base_q + (0,) * n
     return Chart(names, base)
 
 
 # -- builders --------------------------------------------------------------
 
-def build_flat(n, order, validate=True):
+def build_flat(n, order):
     """Standard symplectic vector space: constant omega, zero connection."""
     chart = phase_chart(n)
     omega, omega_inv = _darboux_omega(chart, n, order)
     geom = ChartGeometry("flat", n, chart, order, omega, omega_inv, {})
-    if validate:
-        _require_valid(geom)
+    _require_valid(geom)
     return geom
 
 
-def build_darboux(n, gamma_low, order, base_q=None, validate=True):
+def build_darboux(n, gamma_low, order, base_q=None):
     """Constant Darboux omega with a user-supplied lowered connection.
 
     ``gamma_low`` maps (i, j, k) to jets for the fully lowered Christoffel
@@ -249,15 +255,13 @@ def build_darboux(n, gamma_low, order, base_q=None, validate=True):
                 gamma[u, j, k].add(om, jet)
     gamma = {key: acc.jet() for key, acc in gamma.items()}
     geom = ChartGeometry("darboux", n, chart, order, omega, omega_inv, gamma)
-    if validate:
-        _require_valid(geom)
+    _require_valid(geom)
     return geom
 
 
-def christoffels(metric, metric_inv, chart_indices=None):
+def christoffels(metric, metric_inv):
     """Levi-Civita symbols of a metric given as a jet matrix."""
     n = len(metric)
-    idx = chart_indices or range(n)
     out = {}
     half = Fraction(1, 2)
     for k in range(n):
@@ -266,9 +270,9 @@ def christoffels(metric, metric_inv, chart_indices=None):
                 acc = JetSum()
                 for l in range(n):
                     g = metric_inv[k][l]
-                    acc.add(metric[l][i].partial(idx[j]), g, half)
-                    acc.add(metric[l][j].partial(idx[i]), g, half)
-                    acc.add(metric[i][j].partial(idx[l]), g, -half)
+                    acc.add(metric[l][i].partial(j), g, half)
+                    acc.add(metric[l][j].partial(i), g, half)
+                    acc.add(metric[i][j].partial(l), g, -half)
                 acc = acc.jet()
                 if not acc.is_zero():
                     out[(k, i, j)] = acc
@@ -277,7 +281,7 @@ def christoffels(metric, metric_inv, chart_indices=None):
     return out
 
 
-def _curvature_of(gamma, dim, partial_idx):
+def _curvature_of(gamma, dim):
     """R^i_{jkl} from raised Christoffel data."""
     out = {}
     for i in range(dim):
@@ -287,10 +291,10 @@ def _curvature_of(gamma, dim, partial_idx):
                     acc = JetSum()
                     g = gamma.get((i, l, j))
                     if g is not None:
-                        acc.add(g.partial(partial_idx[k]))
+                        acc.add(g.partial(k))
                     g = gamma.get((i, k, j))
                     if g is not None:
-                        acc.add(g.partial(partial_idx[l]), s=-1)
+                        acc.add(g.partial(l), s=-1)
                     for m in range(dim):
                         g1 = gamma.get((i, k, m))
                         g2 = gamma.get((m, l, j))
@@ -307,7 +311,7 @@ def _curvature_of(gamma, dim, partial_idx):
     return out
 
 
-def lift_cotangent(metric, order, validate=True):
+def lift_cotangent(metric, order):
     """Lift the Levi-Civita connection of a base metric to phase space.
 
     ``metric`` is an n x n matrix of jets on a base chart in the position
@@ -326,7 +330,7 @@ def lift_cotangent(metric, order, validate=True):
 
     ginv_base = invert_jet_matrix(metric)
     gt_base = christoffels(metric, ginv_base)
-    rt_base = _curvature_of(gt_base, n, list(range(n)))
+    rt_base = _curvature_of(gt_base, n)
 
     def up(jet):
         return jet.embed(chart, emb)
@@ -383,12 +387,11 @@ def lift_cotangent(metric, order, validate=True):
               "curvature_base": rt}
     geom = ChartGeometry("cotangent", n, chart, order, omega, omega_inv,
                          gamma, source)
-    if validate:
-        _require_valid(geom)
+    _require_valid(geom)
     return geom
 
 
-def build_kaehler(potential, order, validate=True):
+def build_kaehler(potential, order):
     """Geometry of a complex chart from a real potential jet.
 
     The chart must carry a conjugation pairing (z-block first, zbar-block
@@ -442,8 +445,7 @@ def build_kaehler(potential, order, validate=True):
               "A_inv": tuple(tuple(r) for r in a_inv)}
     geom = ChartGeometry("kaehler", n, chart, order, omega, omega_inv,
                          gamma, source)
-    if validate:
-        _require_valid(geom)
+    _require_valid(geom)
     return geom
 
 
@@ -462,7 +464,7 @@ def complex_chart(n, base_z=None):
 
 def curvature(geom):
     dim = geom.dim
-    r_up = _curvature_of(geom.gamma, dim, list(range(dim)))
+    r_up = _curvature_of(geom.gamma, dim)
     r_low = defaultdict(JetSum)
     for (m, j, k, l), jet in r_up.items():
         for i in range(dim):
@@ -609,40 +611,29 @@ def validate_connection(geom):
     dim = geom.dim
     omega, omega_inv = geom.omega, geom.omega_inv
     zero = geom.zero_jet()
+    pairs = list(product(range(dim), repeat=2))
 
-    ok, where = True, ""
-    for a in range(dim):
-        for b in range(dim):
-            if not omega[a][b].agrees_with(-omega[b][a]):
-                ok, where = False, f"(a,b)=({a},{b})"
-                break
-        if not ok:
-            break
-    rep.add("omega antisymmetric", ok, where)
+    rep.expect("omega antisymmetric", (
+        (f"(a,b)=({a},{b})", omega[a][b].agrees_with(-omega[b][a]))
+        for a, b in pairs))
 
-    ok, where = True, ""
-    for a in range(dim):
-        for c in range(dim):
+    def identity():
+        for a, c in pairs:
             acc = JetSum()
             for b in range(dim):
                 acc.add(omega[a][b], omega_inv[b][c])
             acc = acc.jet()
             want = Jet.constant(geom.chart, 1 if a == c else 0,
                                 acc.valid_order)
-            if not acc.agrees_with(want):
-                ok, where = False, f"(a,c)=({a},{c})"
-    rep.add("omega * omega_inv = identity", ok, where)
+            yield f"(a,c)=({a},{c})", acc.agrees_with(want)
+    rep.expect("omega * omega_inv = identity", identity())
 
-    ok, where = True, ""
-    for (u, a, b), g in geom.gamma.items():
-        if not g.agrees_with(geom.gamma_at(u, b, a)):
-            ok, where = False, f"Gamma^{u}_({a},{b})"
-            break
-    rep.add("connection torsion-free", ok, where)
+    rep.expect("connection torsion-free", (
+        (f"Gamma^{u}_({a},{b})", g.agrees_with(geom.gamma_at(u, b, a)))
+        for (u, a, b), g in geom.gamma.items()))
 
-    ok, where = True, ""
-    for c in range(dim):
-        for a in range(dim):
+    def symplectic():
+        for c, a in pairs:
             for b in range(a + 1, dim):
                 acc = JetSum()
                 acc.add(omega[a][b].partial(c))
@@ -653,36 +644,21 @@ def validate_connection(geom):
                     g = geom.gamma.get((d, c, b))
                     if g is not None:
                         acc.add(omega[a][d], g, -1)
-                if not acc.jet().is_zero():
-                    ok, where = False, f"(c,a,b)=({c},{a},{b})"
-    rep.add("connection symplectic (nabla omega = 0)", ok, where)
+                yield f"(c,a,b)=({c},{a},{b})", acc.jet().is_zero()
+    rep.expect("connection symplectic (nabla omega = 0)", symplectic())
 
-    constant_omega = all(omega[a][b].is_constant()
-                         for a in range(dim) for b in range(dim))
-    if constant_omega:
-        ok, where = True, ""
+    if all(omega[a][b].is_constant() for a, b in pairs):
         low = geom.gamma_low
-        keys = set(low)
-        for (i, j, k) in keys:
-            ref = low[(i, j, k)]
-            for perm in permutations((i, j, k)):
-                other = low.get(perm)
-                other = other if other is not None else zero
-                if not ref.agrees_with(other):
-                    ok, where = False, f"indices {(i, j, k)} vs {perm}"
-                    break
-            if not ok:
-                break
-        rep.add("lowered Gamma totally symmetric", ok, where)
+        rep.expect("lowered Gamma totally symmetric", (
+            (f"indices {key} vs {perm}",
+             low[key].agrees_with(low.get(perm, zero)))
+            for key in set(low) for perm in permutations(key)))
 
     curv = geom.curvature()
-    ok, where = True, ""
-    for (i, j, k, l), jet in curv.r_low.items():
-        other = curv.r_low.get((j, i, k, l), zero)
-        if not jet.agrees_with(other):
-            ok, where = False, f"indices {(i, j, k, l)}"
-            break
-    rep.add("lowered curvature symmetric in first pair", ok, where)
+    rep.expect("lowered curvature symmetric in first pair", (
+        (f"indices {(i, j, k, l)}",
+         jet.agrees_with(curv.r_low.get((j, i, k, l), zero)))
+        for (i, j, k, l), jet in curv.r_low.items()))
 
     if geom.kind == "kaehler":
         _kaehler_checks(geom, curv, rep)
@@ -694,52 +670,39 @@ def validate_connection(geom):
 def _kaehler_checks(geom, curv, rep):
     n = geom.n
     zero = geom.zero_jet()
+    quads = list(product(range(n), repeat=4))
 
-    ok, where = True, ""
-    for (i, j, k, l) in curv.r_low:
-        mixed_first = (i < n) != (j < n)
-        mixed_last = (k < n) != (l < n)
-        if not (mixed_first and mixed_last):
-            ok, where = False, f"non-mixed component {(i, j, k, l)}"
-            break
-    rep.add("curvature components mixed-index only", ok, where)
+    rep.expect("curvature components mixed-index only", (
+        (f"non-mixed component {(i, j, k, l)}",
+         (i < n) != (j < n) and (k < n) != (l < n))
+        for (i, j, k, l) in curv.r_low))
 
     a_mat = geom.source["A"]
     a_inv = geom.source["A_inv"]
-    ok, where = True, ""
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    # i d_i d_lbar A_{k jbar} - i A^{nbar m} d_i A_{k nbar}
-                    #   d_lbar A_{m jbar}
-                    want = JetSum()
-                    want.add(a_mat[k][j].partial(i).partial(n + l), s=I)
-                    for m in range(n):
-                        for nn in range(n):
-                            want.add(a_inv[nn][m] * a_mat[k][nn].partial(i),
-                                     a_mat[m][j].partial(n + l), -I)
-                    want = want.jet()
-                    got = curv.low(k, n + l, i, n + j, zero)
-                    if not got.agrees_with(want):
-                        ok = False
-                        where = f"(k,l,i,j)=({k},{l},{i},{j})"
-    rep.add("curvature matches potential Hessian formula", ok, where)
 
-    ok, where = True, ""
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    a = curv.low(k, n + l, i, n + j, zero)
-                    b = curv.low(k, n + j, i, n + l, zero)
-                    if not a.agrees_with(b):
-                        ok, where = False, f"(k,l,i,j)=({k},{l},{i},{j})"
-                    c = curv.low(n + k, l, n + i, j, zero)
-                    d = curv.low(n + k, j, n + i, l, zero)
-                    if not c.agrees_with(d):
-                        ok, where = False, f"barred (k,l,i,j)"
-    rep.add("curvature exchange symmetries", ok, where)
+    def hessian_formula():
+        for k, l, i, j in quads:
+            # i d_i d_lbar A_{k jbar} - i A^{nbar m} d_i A_{k nbar}
+            #   d_lbar A_{m jbar}
+            want = JetSum()
+            want.add(a_mat[k][j].partial(i).partial(n + l), s=I)
+            for m, nn in product(range(n), repeat=2):
+                want.add(a_inv[nn][m] * a_mat[k][nn].partial(i),
+                         a_mat[m][j].partial(n + l), -I)
+            got = curv.low(k, n + l, i, n + j, zero)
+            yield f"(k,l,i,j)=({k},{l},{i},{j})", got.agrees_with(want.jet())
+    rep.expect("curvature matches potential Hessian formula",
+               hessian_formula())
+
+    def exchange():
+        low = curv.low
+        for k, l, i, j in quads:
+            where = f"(k,l,i,j)=({k},{l},{i},{j})"
+            yield where, low(k, n + l, i, n + j, zero).agrees_with(
+                low(k, n + j, i, n + l, zero))
+            yield "barred " + where, low(n + k, l, n + i, j, zero).agrees_with(
+                low(n + k, j, n + i, l, zero))
+    rep.expect("curvature exchange symmetries", exchange())
 
 
 def _cotangent_checks(geom, curv, rep):
@@ -748,29 +711,19 @@ def _cotangent_checks(geom, curv, rep):
     rt = geom.source["curvature_base"]
     gt = geom.source["gamma_base"]
     third = Fraction(1, 3)
+    quads = list(product(range(n), repeat=4))
 
-    ok, where = True, ""
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    got = curv.up(l, k, i, j, zero)
-                    want = rt.get((l, k, i, j), zero)
-                    if not got.agrees_with(want):
-                        ok, where = False, f"(l,k,i,j)=({l},{k},{i},{j})"
-    rep.add("lifted curvature restricts to the base", ok, where)
+    rep.expect("lifted curvature restricts to the base", (
+        (f"(l,k,i,j)=({l},{k},{i},{j})",
+         curv.up(l, k, i, j, zero).agrees_with(rt.get((l, k, i, j), zero)))
+        for l, k, i, j in quads))
 
-    ok, where = True, ""
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    got = curv.up(n + l, k, i, n + j, zero)
-                    want = (rt.get((j, l, k, i), zero)
-                            + rt.get((j, k, l, i), zero)) * third
-                    if not got.agrees_with(want):
-                        ok, where = False, f"(l,k,i,j)=({l},{k},{i},{j})"
-    rep.add("mixed lifted curvature identity", ok, where)
+    rep.expect("mixed lifted curvature identity", (
+        (f"(l,k,i,j)=({l},{k},{i},{j})",
+         curv.up(n + l, k, i, n + j, zero).agrees_with(
+             (rt.get((j, l, k, i), zero) + rt.get((j, k, l, i), zero))
+             * third))
+        for l, k, i, j in quads))
 
     # the p-linear curvature block of the published display is recorded as a
     # cross-check only; a mismatch is reported, not fatal
@@ -788,30 +741,26 @@ def _cotangent_checks(geom, curv, rep):
             if (m, i, k) in g:
                 acc.add(g[(m, i, k)], rt.get((a, j, l, m), zero), -1)
 
-    ok, where = True, ""
-    for ii in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = JetSum()
-                    for a in range(n):
-                        pa = Jet.variable(geom.chart, n + a, geom.order)
-                        inner = JetSum()
-                        for (x, y) in ((ii, j), (j, ii)):
-                            cov_rt(inner, x, a, y, l, k)
-                            for m in range(n):
-                                if (a, x, m) in gt:
-                                    inner.add(gt[(a, x, m)],
-                                              rt.get((m, y, l, k), zero), -3)
-                                if (a, l, m) in gt:
-                                    inner.add(gt[(a, l, m)],
-                                              rt.get((m, x, y, k), zero), -1)
-                                if (a, k, m) in gt:
-                                    inner.add(gt[(a, k, m)],
-                                              rt.get((m, x, y, l), zero))
-                        acc.add(pa, inner.jet(), third)
-                    got = curv.up(n + ii, j, k, l, zero)
-                    if not got.agrees_with(acc.jet()):
-                        ok, where = False, f"(i,j,k,l)=({ii},{j},{k},{l})"
-    rep.add("p-linear curvature display cross-check", ok, where,
-            fatal=False)
+    def p_linear():
+        for ii, j, k, l in quads:
+            acc = JetSum()
+            for a in range(n):
+                pa = Jet.variable(geom.chart, n + a, geom.order)
+                inner = JetSum()
+                for (x, y) in ((ii, j), (j, ii)):
+                    cov_rt(inner, x, a, y, l, k)
+                    for m in range(n):
+                        if (a, x, m) in gt:
+                            inner.add(gt[(a, x, m)],
+                                      rt.get((m, y, l, k), zero), -3)
+                        if (a, l, m) in gt:
+                            inner.add(gt[(a, l, m)],
+                                      rt.get((m, x, y, k), zero), -1)
+                        if (a, k, m) in gt:
+                            inner.add(gt[(a, k, m)],
+                                      rt.get((m, x, y, l), zero))
+                acc.add(pa, inner.jet(), third)
+            got = curv.up(n + ii, j, k, l, zero)
+            yield f"(i,j,k,l)=({ii},{j},{k},{l})", got.agrees_with(acc.jet())
+    rep.expect("p-linear curvature display cross-check", p_linear(),
+               fatal=False)

@@ -540,6 +540,20 @@ def product_vanishes(a, b):
     return a.terms[0][0] + b.terms[0][0] > min(a.valid_order, b.valid_order)
 
 
+def jet_maps_agree(a, b):
+    """Whether two ``{key: Jet}`` maps agree key by key, each pair to its
+    shared order; a missing key stands for an exact zero, so the jet on the
+    other side must have no term."""
+    for key in a.keys() | b.keys():
+        x, y = a.get(key), b.get(key)
+        if x is None or y is None:
+            if not (y if x is None else x).is_zero():
+                return False
+        elif not x.agrees_with(y):
+            return False
+    return True
+
+
 # -- elementary functions --------------------------------------------------
 
 def _compose_series(a, series_coeffs):

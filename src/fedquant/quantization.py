@@ -13,7 +13,8 @@ from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
-from .jets import Chart, ChartMismatch, DomainError, Jet, JetError, JetSum
+from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
+                   jet_maps_agree)
 from .rational import CRat, I
 from .weyl import pi_weight, symbol_mul
 from .geometry import CheckReport, christoffels, _curvature_of, poisson
@@ -65,17 +66,8 @@ class HbarSeries:
         return HbarSeries(self.chart,
                           {k + delta: j for k, j in self.coeffs.items()})
 
-    def agrees_with(self, other, jet_order=None):
-        for k in set(self.coeffs) | set(other.coeffs):
-            a = self.coeffs.get(k)
-            b = other.coeffs.get(k)
-            if a is None:
-                a = Jet(b.chart, b.max_order, b.valid_order, {})
-            if b is None:
-                b = Jet(a.chart, a.max_order, a.valid_order, {})
-            if not a.agrees_with(b, jet_order):
-                return False
-        return True
+    def agrees_with(self, other):
+        return jet_maps_agree(self.coeffs, other.coeffs)
 
     def __repr__(self):
         return f"HbarSeries({sorted(self.coeffs)})"
@@ -146,19 +138,14 @@ class DiffOp:
                 out[idx] = HbarSeries(self.chart, kept)
         return DiffOp(self.chart, out)
 
-    def agrees_with(self, other, jet_order=None):
-        if self.chart != other.chart:
-            return False
-        for idx in set(self.terms) | set(other.terms):
-            a = self.terms.get(idx)
-            b = other.terms.get(idx)
-            if a is None:
-                a = HbarSeries(self.chart, {})
-            if b is None:
-                b = HbarSeries(self.chart, {})
-            if not a.agrees_with(b, jet_order):
-                return False
-        return True
+    def agrees_with(self, other):
+        return self.chart == other.chart and jet_maps_agree(
+            self._flat_terms(), other._flat_terms())
+
+    def _flat_terms(self):
+        """The coefficient jets keyed by (derivative index, hbar power)."""
+        return {(idx, k): jet for idx, series in self.terms.items()
+                for k, jet in series.coeffs.items()}
 
     def __repr__(self):
         return f"DiffOp(order {self.order()}, {len(self.terms)} terms)"
@@ -421,7 +408,7 @@ def gq_kaehler(f, geom):
 
 # -- the star-homomorphism extension ---------------------------------------
 
-def rho_extend(f, state, geom=None, split="first"):
+def rho_extend(f, state, split="first"):
     """Extend quantization to momentum polynomials through star factorization.
 
     A monomial c(q) p^I is split as (c p_{i1}) * p^{I - e_{i1}}; the star
@@ -431,7 +418,7 @@ def rho_extend(f, state, geom=None, split="first"):
     product's homogeneity in (p, hbar), which holds for flat charts and
     lifted cotangent connections.
     """
-    geom = state.geometry if geom is None else geom
+    geom = state.geometry
     if geom.kind not in ("flat", "cotangent"):
         raise QuantizationError(
             "star factorization is supported on flat and cotangent "
@@ -527,7 +514,7 @@ def scalar_curvature(geom):
     g, ginv = base_metric(geom)
     n = geom.n
     gamma = christoffels(g, ginv)
-    riem = _curvature_of(gamma, n, list(range(n)))
+    riem = _curvature_of(gamma, n)
     sub = config_chart(geom)
     acc = Jet.zero(sub, min(e.valid_order for row in g for e in row) - 2)
     for j in range(n):
@@ -558,7 +545,7 @@ def kinetic_alpha(geom, state):
     multiplication operator proportional to the scalar curvature.
     """
     ke = kinetic_energy_observable(geom)
-    op = rho_extend(ke, state, geom)
+    op = rho_extend(ke, state)
     delta = laplace_beltrami(geom).shift_hbar(2).scale(-1)
     resid = op - delta
     zero_idx = (0,) * geom.n
@@ -596,8 +583,16 @@ def kinetic_alpha(geom, state):
 
 # -- compatibility checkers ------------------------------------------------
 
-def _coeff_zero(series, k):
-    return series.coefficient(k).is_zero()
+def _star_closes(x, y, state, first_order):
+    """Whether the star coefficients of x * y are xy, then (i/2){x, y} if
+    ``first_order``, and zero at every later hbar power."""
+    s = star(x, y, state)
+    want = [x * y]
+    if first_order:
+        want.append(poisson(x, y, state.geometry) * CRat(0, Fraction(1, 2)))
+    return (all(s.coefficient(k).agrees_with(w) for k, w in enumerate(want))
+            and all(s.coefficient(k).is_zero()
+                    for k in range(len(want), s.valid_hbar_order + 1)))
 
 
 def check_kompi(state, samples, rep):
@@ -606,20 +601,12 @@ def check_kompi(state, samples, rep):
     For polarized f, g (momentum-free) and h affine in the momenta:
     f*g = fg exactly, and f*h, h*f close at first order in hbar.
     """
-    geom = state.geometry
-    nmax = state.n_hbar
     for tag, (f, g, h) in enumerate(samples):
-        s = star(f, g, state)
-        ok = s.coefficient(0).agrees_with(f * g) and all(
-            _coeff_zero(s, k) for k in range(1, nmax + 1))
-        rep.add("polarized f*g = fg", ok, f"sample {tag}")
+        rep.add("polarized f*g = fg", _star_closes(f, g, state, False),
+                f"sample {tag}")
         for (x, y, nm) in ((f, h, "f*h"), (h, f, "h*f")):
-            s = star(x, y, state)
-            pb = poisson(x, y, geom) * CRat(0, Fraction(1, 2))
-            ok = (s.coefficient(0).agrees_with(x * y)
-                  and s.coefficient(1).agrees_with(pb)
-                  and all(_coeff_zero(s, k) for k in range(2, nmax + 1)))
-            rep.add(f"{nm} closes at first order", ok, f"sample {tag}")
+            rep.add(f"{nm} closes at first order",
+                    _star_closes(x, y, state, True), f"sample {tag}")
 
 
 def p_euler(f, geom):
@@ -641,15 +628,11 @@ def check_homogeneity(state, samples, rep):
         s = star(f, g, state)
         s1 = star(p_euler(f, geom), g, state)
         s2 = star(f, p_euler(g, geom), state)
-        ok = True
-        where = ""
-        for k in range(nmax + 1):
-            lhs = p_euler(s.coefficient(k), geom) + s.coefficient(k) * k
-            rhs = s1.coefficient(k) + s2.coefficient(k)
-            if not lhs.agrees_with(rhs):
-                ok, where = False, f"sample {tag}, hbar^{k}"
-                break
-        rep.add("H is a star derivation", ok, where)
+        rep.expect("H is a star derivation", (
+            (f"sample {tag}, hbar^{k}",
+             (p_euler(s.coefficient(k), geom) + s.coefficient(k) * k)
+             .agrees_with(s1.coefficient(k) + s2.coefficient(k)))
+            for k in range(nmax + 1)))
 
 
 def kaehler_third_order_jet(geom, a, m):
@@ -700,13 +683,8 @@ def check_kaehler_orders(state, samples, rep):
         f = Jet.variable(geom.chart, a, order)
         for m in range(n):
             h = potential.partial(m) * (-I)
-            s = star(f, h, state)
-            pb = poisson(f, h, geom) * CRat(0, Fraction(1, 2))
-            ok = (s.coefficient(0).agrees_with(f * h)
-                  and s.coefficient(1).agrees_with(pb)
-                  and all(_coeff_zero(s, k) for k in range(2, nmax + 1)))
-            rep.add("z^a * (-i dK) closes at first order", ok,
-                    f"(a,m)=({a},{m})")
+            rep.add("z^a * (-i dK) closes at first order",
+                    _star_closes(f, h, state, True), f"(a,m)=({a},{m})")
             if nmax >= 3:
                 fhat = flat_section(f, state)
                 hhat = flat_section(h, state)
@@ -726,10 +704,8 @@ def check_kaehler_orders(state, samples, rep):
                 rep.add("weight (5,1)+(1,5) third-order contribution",
                         cross.agrees_with(contraction), f"(a,m)=({a},{m})")
     for tag, (f, g) in enumerate(samples):
-        s = star(f, g, state)
-        ok = s.coefficient(0).agrees_with(f * g) and all(
-            _coeff_zero(s, k) for k in range(1, nmax + 1))
-        rep.add("holomorphic f*g = fg", ok, f"sample {tag}")
+        rep.add("holomorphic f*g = fg", _star_closes(f, g, state, False),
+                f"sample {tag}")
 
 
 # -- flat-chart representations --------------------------------------------

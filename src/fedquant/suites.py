@@ -23,42 +23,26 @@ from .quantization import (check_homogeneity, check_kaehler_orders,
 from . import sampling
 
 
-def _solved(states, key, build, n_hbar):
-    """Converged state for ``key``, shared through ``states``, the dict of
-    one suite call, so a suite's cost does not depend on earlier calls."""
-    state = states.get(key)
-    if state is None or state.n_hbar < n_hbar:
-        state = solve_r(build(), n_hbar)
-        states[key] = state
-    return state
+# the seeded chart of each kind, drawn from rng = make_rng((kind, n, seed))
+_CHARTS = {
+    "flat": lambda rng, n, order: build_flat(n, order),
+    "darboux": lambda rng, n, order: build_darboux(
+        n, sampling.random_darboux_gamma(rng, n, order), order),
+    "cotangent": lambda rng, n, order: lift_cotangent(
+        sampling.random_metric(rng, n, order), order),
+    "kaehler": lambda rng, n, order: build_kaehler(
+        sampling.random_kaehler_potential(rng, n, order), order),
+}
+
+# chart dimensions n of the cotangent and Kaehler batteries, in turn
+_BATTERY_DIMS = (1, 1, 2, 1, 2)
 
 
-def _flat_state(states, n, order, n_hbar):
-    return _solved(states, ("flat", n, order), lambda: build_flat(n, order),
-                   n_hbar)
-
-
-def _darboux_state(states, n, order, seed, n_hbar):
-    def build():
-        rng = sampling.make_rng(("darboux", n, seed))
-        return build_darboux(n, sampling.random_darboux_gamma(rng, n, order),
-                             order)
-    return _solved(states, ("darboux", n, order, seed), build, n_hbar)
-
-
-def _cotangent_state(states, n, order, seed, n_hbar):
-    def build():
-        rng = sampling.make_rng(("cotangent", n, seed))
-        return lift_cotangent(sampling.random_metric(rng, n, order), order)
-    return _solved(states, ("cotangent", n, order, seed), build, n_hbar)
-
-
-def _kaehler_state(states, n, order, seed, n_hbar):
-    def build():
-        rng = sampling.make_rng(("kaehler", n, seed))
-        return build_kaehler(
-            sampling.random_kaehler_potential(rng, n, order), order)
-    return _solved(states, ("kaehler", n, order, seed), build, n_hbar)
+def _state(kind, n, order, n_hbar, seed=None):
+    """Converged state of the seeded chart of ``kind``; every suite call
+    solves its own, so a suite's cost does not depend on earlier calls."""
+    rng = sampling.make_rng((kind, n, seed))
+    return solve_r(_CHARTS[kind](rng, n, order), n_hbar)
 
 
 # -- flat Moyal equality ---------------------------------------------------
@@ -70,7 +54,9 @@ def moyal_flat_suite(order=11, seed=0, samples=50, n_hbar=4):
     states = {}
     for t in range(samples):
         n = 1 + t % 2
-        state = _flat_state(states, n, order, n_hbar)
+        if n not in states:
+            states[n] = _state("flat", n, order, n_hbar)
+        state = states[n]
         chart = state.geometry.chart
         f = sampling.random_polynomial(rng, chart, order, degree=4)
         g = sampling.random_polynomial(rng, chart, order, degree=4)
@@ -93,7 +79,7 @@ def second_order_suite(order=9, seed=0, samples=10, n=1):
     rng = sampling.make_rng(("second-order", seed))
     dim = 2 * n
     for t in range(samples):
-        state = _darboux_state({}, n, order, (seed, t), 2)
+        state = _state("darboux", n, order, 2, (seed, t))
         geom = state.geometry
         f = sampling.random_polynomial(rng, geom.chart, order, degree=3)
         g = sampling.random_polynomial(rng, geom.chart, order, degree=3)
@@ -181,7 +167,7 @@ def r_terms_suite(order=9, seed=0, samples=3, n=1):
     """First two curvature terms of the flatness solution, exact."""
     rep = CheckReport()
     for t in range(samples):
-        state = _darboux_state({}, n, order, (seed, "r", t), 3)
+        state = _state("darboux", n, order, 3, (seed, "r", t))
         geom = state.geometry
         cap = state.degree_cap
         rep.add("r_(3) = -(1/8) R y^3 dx",
@@ -213,16 +199,11 @@ def _assoc_coefficients(f, g, h, state, left):
     return out
 
 
-_KIND_STATES = {
-    "flat": lambda states, order, seed, n_hbar:
-        _flat_state(states, 1, order, n_hbar),
-    "darboux": lambda states, order, seed, n_hbar:
-        _darboux_state(states, 1, order, seed, n_hbar),
-    "cotangent": lambda states, order, seed, n_hbar:
-        _cotangent_state(states, 1, max(order, 11), seed, n_hbar),
-    "kaehler": lambda states, order, seed, n_hbar:
-        _kaehler_state(states, 1, max(order, 12), seed, n_hbar),
-}
+def _kind_states(kinds, order, seed, n_hbar):
+    """One n = 1 state per kind; the curved charts need a higher jet order."""
+    least = {"cotangent": 11, "kaehler": 12}
+    return [_state(k, 1, max(order, least.get(k, 0)), n_hbar, seed)
+            for k in (kinds or ("flat", "darboux", "cotangent", "kaehler"))]
 
 
 def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, kinds=None,
@@ -230,8 +211,7 @@ def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, kinds=None,
     """(f*g)*h == f*(g*h) through hbar^N on every geometry kind."""
     rep = CheckReport()
     states = [state] if state is not None else \
-        [_KIND_STATES[k]({}, order, seed, n_hbar)
-         for k in (kinds or ("flat", "darboux", "cotangent", "kaehler"))]
+        _kind_states(kinds, order, seed, n_hbar)
     for st in states:
         chart = st.geometry.chart
         kind = st.geometry.kind
@@ -254,8 +234,7 @@ def correspondence_suite(order=9, seed=0, samples=25, kinds=None, state=None):
     """f*g - g*f = i hbar {f, g} + O(hbar^2) on every geometry kind."""
     rep = CheckReport()
     states = [state] if state is not None else \
-        [_KIND_STATES[k]({}, order, seed, 1)
-         for k in (kinds or ("flat", "darboux", "cotangent", "kaehler"))]
+        _kind_states(kinds, order, seed, 1)
     for st in states:
         geom = st.geometry
         chart = geom.chart
@@ -279,12 +258,9 @@ def correspondence_suite(order=9, seed=0, samples=25, kinds=None, state=None):
 
 def _cotangent_battery(order, seed, metrics):
     """Converged states for a seeded mix of base metrics at n = 1 and 2."""
-    plan = [1, 1, 2, 1, 2]
-    out = []
-    for t in range(metrics):
-        n = plan[t % len(plan)]
-        out.append(_cotangent_state({}, n, order, (seed, t), 3))
-    return out
+    return [_state("cotangent", _BATTERY_DIMS[t % len(_BATTERY_DIMS)], order,
+                   3, (seed, t))
+            for t in range(metrics)]
 
 
 def _phase_samples(rng, geom, order):
@@ -329,10 +305,9 @@ def cotangent_homogeneity_suite(order=11, seed=0, metrics=5):
 def kaehler_orders_suite(order=12, seed=0, potentials=5):
     """Vanishing mixed orders and the third-order curvature contributions."""
     rep = CheckReport()
-    plan = [1, 1, 2, 1, 2]
     for t in range(potentials):
-        n = plan[t % len(plan)]
-        state = _kaehler_state({}, n, order, (seed, t), 3)
+        n = _BATTERY_DIMS[t % len(_BATTERY_DIMS)]
+        state = _state("kaehler", n, order, 3, (seed, t))
         chart = state.geometry.chart
         rng = sampling.make_rng(("kaehler-orders", seed, t))
         z = Jet.variable(chart, 0, order)
@@ -381,7 +356,7 @@ def flat_reps_suite(order=11, seed=0, monomials=None, polynomials=10):
         Jet.variable(complex_chart(1), 0, order)
         * Jet.variable(complex_chart(1), 1, order), order)
     rep = flat_reps(1, 3, monomials, geom_real, kf)
-    state = _flat_state({}, 1, order, 3)
+    state = _state("flat", 1, order, 3)
     for t in range(polynomials):
         f = sampling.random_p_polynomial(rng, state.geometry.chart, 1, order,
                                          p_degree=3, q_degree=3)

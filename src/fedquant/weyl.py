@@ -18,7 +18,8 @@ from collections import defaultdict
 from fractions import Fraction
 from operator import add as _add
 
-from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
+from .jets import (ChartMismatch, Jet, JetError, JetSum, jet_maps_agree,
+                   product_vanishes)
 from .rational import CRat, HALF_I
 
 # form-index subsets are sorted tuples; fiber multidegrees are dense tuples
@@ -136,20 +137,10 @@ class WeylForm:
         return WeylForm(self.geometry, self.degree_cap,
                         {key: fn(jet) for key, jet in self.terms.items()})
 
-    def agrees_with(self, other, jet_order=None):
+    def agrees_with(self, other):
         """Exact equality of retained terms, jets compared to shared order."""
         self._check(other)
-        keys = set(self.terms) | set(other.terms)
-        for key in keys:
-            a = self.terms.get(key)
-            b = other.terms.get(key)
-            if a is None:
-                a = Jet(b.chart, b.max_order, b.valid_order, {})
-            if b is None:
-                b = Jet(a.chart, a.max_order, a.valid_order, {})
-            if not a.agrees_with(b, jet_order):
-                return False
-        return True
+        return jet_maps_agree(self.terms, other.terms)
 
     def __eq__(self, other):
         if not isinstance(other, WeylForm):

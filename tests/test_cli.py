@@ -1,5 +1,6 @@
 """Command-line surface: geometry files, reports, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 import fedquant.geometry
-from fedquant.cli import main
+from fedquant.cli import _emit, main
+from fedquant.geometry import CheckReport
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPHERE = os.path.join(ROOT, "bench", "geometries", "round_sphere.json")
@@ -174,6 +176,30 @@ def test_negative_hbar_order_is_input_error(flat_file, capsys, order):
 def test_check_unusable_order_is_input_error(capsys, suite, order):
     assert main(["check", suite, "--order", order, "--quiet"]) == 2
     assert "--order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,field", [
+    ('{"kind": "flat", "n": 1, "order": -3}', "order"),
+    ('{"kind": "flat", "n": 0, "order": 9}', "n"),
+    ('{"kind": "cotangent", "n": 0, "order": 9, "metric": []}', "n"),
+], ids=["negative-order", "zero-n", "zero-n-cotangent"])
+def test_geometry_dimensions_are_bounded(tmp_path, capsys, doc, field):
+    path = tmp_path / "bounds.json"
+    path.write_text(doc)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be >=" in captured.err
+
+
+def test_failing_non_fatal_entry_prints_mismatch(capsys):
+    report = CheckReport()
+    report.add("recorded cross-check", False, "sample 0", fatal=False)
+    args = argparse.Namespace(quiet=False, json=None)
+    assert _emit(args, "demo", report) == 0
+    out = capsys.readouterr().out
+    assert "mismatch recorded cross-check  sample 0" in out
+    assert "FAIL" not in out
 
 
 def test_validate_runs_validation_once(flat_file, monkeypatch):

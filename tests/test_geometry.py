@@ -7,7 +7,8 @@ import pytest
 from fedquant.jets import Chart, Jet
 from fedquant.rational import CRat, I
 from fedquant.weyl import WeylForm, graded_commutator, mul_i_divide_hbar
-from fedquant.geometry import (CheckReport, ValidationFailure, build_darboux,
+from fedquant.geometry import (ChartGeometry, CheckReport, ValidationFailure,
+                               build_darboux,
                                build_flat, build_kaehler, complex_chart,
                                hamiltonian_vf, invert_jet_matrix,
                                lift_cotangent, nabla, omega_pair, phase_chart,
@@ -100,6 +101,37 @@ def test_report_non_fatal_mismatch_does_not_fail():
     rep.add("identity 2", False, "sample 3")
     assert not rep.passed
     assert str(rep).endswith("  [FAIL] identity 2: sample 3")
+
+
+def test_expect_records_the_first_failing_case_and_reads_no_further():
+    def cases():
+        yield "(0,0)", True
+        yield "(0,1)", False
+        raise AssertionError("case read after the first failure")
+
+    rep = CheckReport()
+    rep.expect("first failure", cases())
+    rep.expect("no cases", iter(()))
+    rep.expect("all pass", [("(0,0)", True), ("(0,1)", True)], fatal=False)
+    assert rep.checks == [
+        {"name": "first failure", "passed": False, "location": "(0,1)",
+         "fatal": True},
+        {"name": "no cases", "passed": True, "location": "", "fatal": True},
+        {"name": "all pass", "passed": True, "location": "", "fatal": False},
+    ]
+
+
+def test_validation_names_the_first_failing_case():
+    flat = build_flat(1, ORDER)
+    doubled = [[e * 2 for e in row] for row in flat.omega_inv]
+    geom = ChartGeometry("flat", 1, phase_chart(1), ORDER, flat.omega,
+                         doubled, {})
+    rep = validate_connection(geom)
+    entry = next(c for c in rep.checks
+                 if c["name"] == "omega * omega_inv = identity")
+    # (0,0), (1,1) both read 2 instead of 1; the first one is reported
+    assert not entry["passed"] and entry["location"] == "(a,c)=(0,0)"
+    assert not rep.passed
 
 
 def test_cotangent_lift_base_block():

@@ -11,7 +11,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fedquant.jets import Chart, Jet, JetError, JetSum, product_vanishes
+from fedquant.jets import (Chart, Jet, JetError, JetSum, jet_maps_agree,
+                           product_vanishes)
 from fedquant.rational import CRat
 
 # each chart pairs x0 with x1 for conjugation where it has both
@@ -237,6 +238,40 @@ def test_agreement_ignores_terms_above_the_order(j, data):
     bumped = Jet(j.chart, j.max_order, j.valid_order,
                  {**j.coeffs, low: j.coeffs.get(low, 0) + Fraction(1, 97)})
     assert not j.agrees_with(bumped, order=k)
+
+
+@st.composite
+def jet_map_pairs(draw):
+    """The dimension of a chart and two ``{key: Jet}`` maps on it; the second
+    keeps, truncates, drops or redraws each entry of the first and may add
+    keys of its own."""
+    dim = draw(st.integers(1, 3))
+    a = draw(st.dictionaries(st.integers(0, 3), jets(dim), max_size=4))
+    b = {}
+    for key, j in a.items():
+        how = draw(st.sampled_from(["same", "truncated", "dropped", "other"]))
+        if how == "same":
+            b[key] = j
+        elif how == "truncated":
+            b[key] = j.truncate(draw(st.integers(0, j.valid_order)))
+        elif how == "other":
+            b[key] = draw(jets(dim))
+    b.update(draw(st.dictionaries(st.integers(2, 5), jets(dim), max_size=2)))
+    return dim, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(jet_map_pairs())
+def test_jet_maps_agree_is_symmetric_and_keywise(maps):
+    dim, a, b = maps
+    assert jet_maps_agree(a, b) == jet_maps_agree(b, a)
+    # a missing key stands for an exact zero
+    zero = Jet.zero(CHARTS[dim], 2)
+    assert jet_maps_agree(a, {**b, 9: zero}) == jet_maps_agree(a, b)
+    a = {k: j for k, j in a.items() if not j.is_zero()}
+    b = {k: j for k, j in b.items() if not j.is_zero()}
+    assert jet_maps_agree(a, b) == (
+        a.keys() == b.keys() and all(a[k].agrees_with(b[k]) for k in a))
 
 
 def test_constancy_and_coefficients_read_the_store():
