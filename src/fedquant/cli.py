@@ -33,6 +33,11 @@ from .quantization import (QuantizationError, gq_kaehler,
 from .suites import SUITES
 
 
+# limits on geometry files; the cost of every command grows steeply in both
+MAX_N = 16
+MAX_ORDER = 16
+
+
 class InputError(Exception):
     pass
 
@@ -66,10 +71,11 @@ def load_geometry(path):
         order = int(doc["order"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: missing or bad field: {exc}") from None
-    if n < 1:
-        raise InputError(f"{path}: n must be >= 1, got {n}")
-    if order < 0:
-        raise InputError(f"{path}: order must be >= 0, got {order}")
+    if not 1 <= n <= MAX_N:
+        raise InputError(f"{path}: n must be >= 1 and <= {MAX_N}, got {n}")
+    if not 0 <= order <= MAX_ORDER:
+        raise InputError(
+            f"{path}: order must be >= 0 and <= {MAX_ORDER}, got {order}")
     base = tuple(_rational(b) for b in doc.get("base_point", ["0"] * n))
     if len(base) != n:
         raise InputError(f"{path}: base_point needs {n} entries")

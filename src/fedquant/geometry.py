@@ -282,32 +282,35 @@ def christoffels(metric, metric_inv):
 
 
 def _curvature_of(gamma, dim):
-    """R^i_{jkl} from raised Christoffel data."""
+    """R^i_{jkl} from raised Christoffel data.
+
+    R^i_{jkl} = d_k G^i_{lj} - d_l G^i_{kj}
+                + sum_m (G^i_{km} G^m_{lj} - G^i_{lm} G^m_{kj}),
+
+    summed over the stored entries of ``gamma`` only, so the cost follows
+    the connection's support; keys come out in (i, j, k, l) order.
+    """
+    by_upper = defaultdict(list)     # m -> [(x, j, G^m_{xj})]
+    for (m, x, j), g in gamma.items():
+        by_upper[m].append((x, j, g))
+    sums = defaultdict(JetSum)       # (i, j, k, l) with k < l
+    for (i, x, j), g in gamma.items():
+        for k in range(x):
+            sums[i, j, k, x].add(g.partial(k))
+        for l in range(x + 1, dim):
+            sums[i, j, x, l].add(g.partial(l), s=-1)
+    for (i, x, m), g1 in gamma.items():
+        for y, j, g2 in by_upper.get(m, ()):
+            if x < y:
+                sums[i, j, x, y].add(g1, g2)
+            elif y < x:
+                sums[i, j, y, x].add(g1, g2, -1)
     out = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for l in range(k + 1, dim):
-                    acc = JetSum()
-                    g = gamma.get((i, l, j))
-                    if g is not None:
-                        acc.add(g.partial(k))
-                    g = gamma.get((i, k, j))
-                    if g is not None:
-                        acc.add(g.partial(l), s=-1)
-                    for m in range(dim):
-                        g1 = gamma.get((i, k, m))
-                        g2 = gamma.get((m, l, j))
-                        if g1 is not None and g2 is not None:
-                            acc.add(g1, g2)
-                        g1 = gamma.get((i, l, m))
-                        g2 = gamma.get((m, k, j))
-                        if g1 is not None and g2 is not None:
-                            acc.add(g1, g2, -1)
-                    acc = acc.jet()
-                    if acc is not None and not acc.is_zero():
-                        out[(i, j, k, l)] = acc
-                        out[(i, j, l, k)] = -acc
+    for (i, j, k, l) in sorted(sums):
+        acc = sums[i, j, k, l].jet()
+        if not acc.is_zero():
+            out[(i, j, k, l)] = acc
+            out[(i, j, l, k)] = -acc
     return out
 
 

@@ -7,16 +7,30 @@ Elements are finite sums of terms
 where ``c`` is a jet, ``alpha`` a symmetric multidegree over the 2n fiber
 generators and ``beta`` a strictly increasing subset of form indices.  The
 grading weight of a term is k + |alpha|/2; it is stored doubled
-(``2k + |alpha|``) so that half-integers stay integral.  The fiberwise
-product contracts pairs of fiber generators against the inverse symplectic
-form and truncates at the element's ``degree_cap`` (also doubled).
+(``2k + |alpha|``) so that half-integers stay integral.
+
+The fiberwise product is the exponential contraction against the inverse
+symplectic form, truncated at the element's ``degree_cap`` (also doubled).
+On monomials it has the closed form
+
+    y^alpha o y^beta = sum over gamma <= alpha, delta <= beta with
+                       |gamma| = |delta| = m  of
+        (i hbar/2)^m C(alpha, gamma) C(beta, delta) P(gamma, delta)
+        y^(alpha - gamma + beta - delta),
+
+where C(alpha, gamma) = prod_i binom(alpha_i, gamma_i) and P(gamma, delta)
+is the sum over complete pairings of the m generators in gamma with those
+in delta of the product of omega^{ij} (``_pair_contraction``).  That one
+kernel serves ``weyl_mul``, ``graded_commutator`` (odd m, doubled) and
+``symbol_mul`` (gamma = alpha, delta = beta).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from operator import add as _add
+from itertools import product
+from math import comb, prod
 
 from .jets import (ChartMismatch, Jet, JetError, JetSum, jet_maps_agree,
                    product_vanishes)
@@ -113,15 +127,6 @@ class WeylForm:
         return cls(geometry, degree_cap,
                    {key: acc.jet() for key, acc in sums.items()})
 
-    @classmethod
-    def fiber_generator(cls, geometry, degree_cap, i, order=None):
-        """The generator y^i with unit jet coefficient."""
-        dim = geometry.dim
-        alpha = tuple(1 if k == i else 0 for k in range(dim))
-        order = geometry.order if order is None else order
-        one = Jet.constant(geometry.chart, 1, order)
-        return cls(geometry, degree_cap, {(0, alpha, ()): one})
-
     # -- bookkeeping ------------------------------------------------------
 
     def _check(self, other):
@@ -173,17 +178,6 @@ class WeylForm:
     def scale(self, scalar):
         return self.map_jets(lambda j: j * scalar)
 
-    def mul_jet(self, jet):
-        """Multiply every coefficient by a scalar (y-free, form-free) jet."""
-        return self.map_jets(lambda j: j * jet)
-
-    def shift_hbar(self, delta):
-        """Multiply by hbar^delta (delta >= 0)."""
-        out = {}
-        for (k, alpha, beta), jet in self.terms.items():
-            out[(k + delta, alpha, beta)] = jet
-        return WeylForm(self.geometry, self.degree_cap, out)
-
 
 # -- the fiberwise product -------------------------------------------------
 
@@ -200,23 +194,19 @@ def weyl_mul(a, b):
 def _mul_contract(a, b, parity):
     """a o b, keeping only contraction orders of the given parity (or all).
 
-    With parity 1 the result is doubled, which turns it into the graded
-    commutator: the antisymmetry of omega^{-1} flips each contraction's
-    sign on reversal, so the even orders cancel in [a, b] and the odd
-    orders appear twice.
+    Each pair of terms adds the cached closed-form expansion of its fiber
+    monomials (``_expansion``) times the product of its jets.  With parity
+    1 the result is doubled, which turns it into the graded commutator:
+    the antisymmetry of omega^{-1} flips each contraction's sign on
+    reversal, so the even orders cancel in [a, b] and the odd orders
+    appear twice.
     """
     a._check(b)
     geom = a.geometry
     cap = a.degree_cap
-    dim = geom.dim
-    oinv = geom.omega_inv
-    oinv_const = [[_const_or_none(oinv[i][j]) for j in range(dim)]
-                  for i in range(dim)]
     # the parity doubling rides on the scalar of every emitted term
     emit = 1 if parity is None else 2
     out = defaultdict(JetSum)
-    scales = {}     # (i, j, ra[i] * rb[j], m) -> contraction step scalar
-
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
         da = 2 * ka + sum(alpha_a)
         for (kb, alpha_b, beta_b), jet_b in b.terms.items():
@@ -229,70 +219,68 @@ def _mul_contract(a, b, parity):
             base = jet_a * jet_b
             if base.is_zero():
                 continue
-            # m-fold contractions: each step pairs one y from a with one
-            # from b through omega^{ij}, picks up a factor i*hbar/2, and is
-            # divided by the running m for the 1/m! in the exponential.  A
-            # state's value is jet * scalar, so steps through constant
-            # entries of omega^{-1} only rescale and form no new jet.
-            state = {(alpha_a, alpha_b): (base, sign)}
-            m = 0
-            while state:
-                factor_k = ka + kb + m
-                if parity is None or m % 2 == parity:
-                    for (ra, rb), (jet, c) in state.items():
-                        out[factor_k, tuple(map(_add, ra, rb)), beta].add(
-                            jet, s=c * emit)
-                m += 1
-                steps = defaultdict(list)
-                inv_m = Fraction(1, m)
-                for (ra, rb), (jet, c) in state.items():
-                    if not any(ra) or not any(rb):
-                        continue
-                    for i in range(dim):
-                        if not ra[i]:
-                            continue
-                        ra2 = list(ra)
-                        ra2[i] -= 1
-                        ra2 = tuple(ra2)
-                        for j in range(dim):
-                            if not rb[j]:
-                                continue
-                            om = oinv[i][j]
-                            if om is None or om.is_zero():
-                                continue
-                            rb2 = list(rb)
-                            rb2[j] -= 1
-                            omc = oinv_const[i][j]
-                            sc = scales.get((i, j, ra[i] * rb[j], m))
-                            if sc is None:
-                                sc = HALF_I * (ra[i] * rb[j]) * inv_m
-                                if omc is not None:
-                                    sc = sc * omc
-                                scales[i, j, ra[i] * rb[j], m] = sc
-                            steps[ra2, tuple(rb2)].append(
-                                (jet, None if omc is not None else om, c * sc))
-                state = {}
-                for key, terms in steps.items():
-                    jet = terms[0][0]
-                    if all(t[0] is jet and t[1] is None for t in terms):
-                        c = sum(t[2] for t in terms)
-                        if c:
-                            state[key] = (jet, c)
-                        continue
-                    acc = JetSum()
-                    for t in terms:
-                        acc.add(*t)
-                    jet = acc.jet()
-                    if not jet.is_zero():
-                        state[key] = (jet, 1)
+            s = sign * emit
+            # one add per contraction term, so that a term cancelling
+            # another still lowers the key's validity as its own
+            for m, alpha, pairing, scale in _expansion(geom, alpha_a,
+                                                       alpha_b):
+                if parity is not None and m % 2 != parity:
+                    continue
+                if pairing is None or not product_vanishes(base, pairing):
+                    out[ka + kb + m, alpha, beta].add(base, pairing,
+                                                      scale * s)
     return WeylForm.from_sums(geom, cap, out)
 
 
+def _expansion(geom, alpha_a, alpha_b):
+    """The terms of y^alpha_a o y^alpha_b, cached per geometry.
+
+    Entries are (m, alpha, pairing, scale) for each pair gamma <= alpha_a,
+    delta <= alpha_b with |gamma| = |delta| = m and a nonzero pairing:
+    the term  scale * pairing * hbar^m * y^alpha.  A constant pairing is
+    folded into ``scale`` and stored as None.
+    """
+    key = ("expansion", alpha_a, alpha_b)
+    cached = geom._cache.get(key)
+    if cached is not None:
+        return cached
+    subs_a, subs_b = _sub_degrees(alpha_a), _sub_degrees(alpha_b)
+    # few distinct scalars recur across entries: keep one object per value
+    scales = geom._cache.setdefault("scales", {})
+    out = []
+    for m in range(min(len(subs_a), len(subs_b))):
+        power = HALF_I ** m
+        for gamma, binom_a in subs_a[m]:
+            for delta, binom_b in subs_b[m]:
+                pairing = _pair_contraction(geom, gamma, delta)
+                if pairing.is_zero():
+                    continue
+                scale = power * (binom_a * binom_b)
+                const = _const_or_none(pairing)
+                if const is not None:
+                    pairing, scale = None, scale * const
+                scale = scales.setdefault(scale, scale)
+                alpha = tuple(a - g + b - d for a, g, b, d
+                              in zip(alpha_a, gamma, alpha_b, delta))
+                out.append((m, alpha, pairing, scale))
+    geom._cache[key] = out
+    return out
+
+
+def _sub_degrees(alpha):
+    """The (gamma, C(alpha, gamma)) with gamma <= alpha, listed by |gamma|."""
+    out = [[] for _ in range(sum(alpha) + 1)]
+    for gamma in product(*(range(e + 1) for e in alpha)):
+        out[sum(gamma)].append((gamma, prod(map(comb, alpha, gamma))))
+    return out
+
+
 def _pair_contraction(geom, alpha_a, alpha_b):
-    """Sum over complete pairings of the fiber multidegrees through omega.
+    """P(alpha_a, alpha_b): the complete pairings through omega.
 
     Returns the jet  sum over bijections pi  of  prod omega^{i, pi(i)},
-    cached per geometry since it depends only on the multidegrees.
+    cached per geometry since it depends only on the multidegrees.  Every
+    contraction coefficient of the fiberwise product comes from here.
     """
     key = ("contraction", alpha_a, alpha_b)
     cached = geom._cache.get(key)
@@ -327,8 +315,9 @@ def _pair_contraction(geom, alpha_a, alpha_b):
 def symbol_mul(a, b, max_hbar=None):
     """The y-free, form-free part of a o b, as a map hbar power -> jet.
 
-    Only complete contractions survive in the symbol, so this skips all
-    intermediate contraction states of the full product.
+    Only complete contractions (gamma = alpha_a, delta = alpha_b, where
+    both binomial factors are 1) survive in the symbol, so this skips
+    every other term of the full product.
     """
     a._check(b)
     geom = a.geometry

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import fedquant.geometry
-from fedquant.cli import _emit, main
+from fedquant.cli import MAX_N, MAX_ORDER, _emit, main
 from fedquant.geometry import CheckReport
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -178,18 +178,40 @@ def test_check_unusable_order_is_input_error(capsys, suite, order):
     assert "--order" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc,field", [
-    ('{"kind": "flat", "n": 1, "order": -3}', "order"),
-    ('{"kind": "flat", "n": 0, "order": 9}', "n"),
-    ('{"kind": "cotangent", "n": 0, "order": 9, "metric": []}', "n"),
-], ids=["negative-order", "zero-n", "zero-n-cotangent"])
-def test_geometry_dimensions_are_bounded(tmp_path, capsys, doc, field):
+ORDER_BOUND = f"order must be >= 0 and <= {MAX_ORDER}, got"
+N_BOUND = f"n must be >= 1 and <= {MAX_N}, got"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"kind": "flat", "n": 1, "order": -3}', f"{ORDER_BOUND} -3"),
+    ('{"kind": "flat", "n": 0, "order": 9}', f"{N_BOUND} 0"),
+    ('{"kind": "cotangent", "n": 0, "order": 9, "metric": []}',
+     f"{N_BOUND} 0"),
+    ('{"kind": "flat", "n": 1, "order": %d}' % (MAX_ORDER + 1),
+     f"{ORDER_BOUND} {MAX_ORDER + 1}"),
+    ('{"kind": "flat", "n": 1, "order": 200}', f"{ORDER_BOUND} 200"),
+    ('{"kind": "flat", "n": %d, "order": 1}' % (MAX_N + 1),
+     f"{N_BOUND} {MAX_N + 1}"),
+    ('{"kind": "cotangent", "n": %d, "order": 9, "metric": []}' % (MAX_N + 1),
+     f"{N_BOUND} {MAX_N + 1}"),
+], ids=["negative-order", "zero-n", "zero-n-cotangent", "order-above-limit",
+        "order-200", "n-above-limit", "n-above-limit-cotangent"])
+def test_geometry_dimensions_are_bounded(tmp_path, capsys, doc, message):
     path = tmp_path / "bounds.json"
     path.write_text(doc)
     assert main(["validate", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{field} must be >=" in captured.err
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("n,order", [(1, MAX_ORDER), (MAX_N, 1)],
+                         ids=["order-at-limit", "n-at-limit"])
+def test_geometry_at_the_bounds_is_accepted(tmp_path, capsys, n, order):
+    path = tmp_path / "bounds.json"
+    path.write_text(f'{{"kind": "flat", "n": {n}, "order": {order}}}')
+    assert main(["validate", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_failing_non_fatal_entry_prints_mismatch(capsys):

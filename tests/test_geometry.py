@@ -188,12 +188,12 @@ def test_nabla_leibniz():
     q = Jet.variable(geom.chart, 0, ORDER)
     a = WeylForm(geom, cap, {(0, (1, 0), ()): q})
     f = q * q + 2
-    lhs = nabla(a.mul_jet(f), geom)
+    lhs = nabla(a.map_jets(lambda j: j * f), geom)
     # nabla(f a) = df a + f nabla a; the df term inserts the form on the left
     df = WeylForm(geom, cap, {(0, (0, 0), (0,)): f.partial(0),
                               (0, (0, 0), (1,)): f.partial(1)})
     from fedquant.weyl import weyl_mul
-    rhs = weyl_mul(df, a) + nabla(a, geom).mul_jet(f)
+    rhs = weyl_mul(df, a) + nabla(a, geom).map_jets(lambda j: j * f)
     assert lhs.agrees_with(rhs)
 
 
@@ -203,8 +203,8 @@ def test_curvature_square_of_connection():
                          ORDER)
     cap = 8
     rhat = geom.rhat(cap)
-    a = WeylForm.fiber_generator(geom, cap, 1).mul_jet(
-        Jet.variable(geom.chart, 0, ORDER))
+    a = WeylForm(geom, cap, {(0, (0, 1), ()): Jet.variable(geom.chart, 0,
+                                                           ORDER)})
     lhs = nabla(nabla(a, geom), geom)
     rhs = mul_i_divide_hbar(graded_commutator(rhat, a))
     assert lhs.agrees_with(rhs)

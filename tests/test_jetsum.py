@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fedquant.jets import (Chart, Jet, JetError, JetSum, jet_maps_agree,
                            product_vanishes)
@@ -75,7 +75,6 @@ def same(x, y):
             and x.max_order == y.max_order)
 
 
-@settings(max_examples=200, deadline=None)
 @given(sums())
 def test_jetsum_equals_left_fold(terms):
     acc = JetSum()
@@ -84,7 +83,6 @@ def test_jetsum_equals_left_fold(terms):
     assert same(acc.jet(), fold(terms))
 
 
-@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(jets(d), jets(d))),
        scalars)
 def test_single_term_product_matches_direct_convolution(pair, s):
@@ -146,7 +144,6 @@ def shifted(key, i, by):
     return key[:i] + (key[i] + by,) + key[i + 1:]
 
 
-@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(jets))
 def test_store_round_trips_through_the_view(j):
     assert_canonical(j)
@@ -155,7 +152,6 @@ def test_store_round_trips_through_the_view(j):
     assert again.den == j.den and again.terms == j.terms
 
 
-@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(jets(d), jets(d))))
 def test_sums_match_pairwise_fractions(pair):
     a, b = pair
@@ -167,7 +163,6 @@ def test_sums_match_pairwise_fractions(pair):
         assert same(got, want) and got == want
 
 
-@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(jets), st.data())
 def test_unary_operations_match_pairwise_fractions(j, data):
     chart, dim = j.chart, j.chart.dim
@@ -194,7 +189,6 @@ def test_unary_operations_match_pairwise_fractions(j, data):
         assert same(got, want) and got == want and got.den == want.den
 
 
-@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(jets), st.data())
 def test_embed_and_restrict_round_trip(j, data):
     dim = j.chart.dim
@@ -216,7 +210,6 @@ def test_embed_and_restrict_round_trip(j, data):
     assert down.valid_order == j.valid_order
 
 
-@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(jets), st.data())
 def test_agreement_ignores_terms_above_the_order(j, data):
     if j.valid_order == 0:
@@ -260,7 +253,6 @@ def jet_map_pairs(draw):
     return dim, a, b
 
 
-@settings(max_examples=200, deadline=None)
 @given(jet_map_pairs())
 def test_jet_maps_agree_is_symmetric_and_keywise(maps):
     dim, a, b = maps
