@@ -8,7 +8,7 @@ operators for cotangent and complex charts.
 from .rational import CRat, rational_sqrt
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError,
                    OrderExhausted, jet_exp, jet_log, jet_sqrt)
-from .exprparse import ParseError, jet_of, parse
+from .exprparse import ParseError, jet_of
 from .weyl import (GradingError, WeylForm, graded_commutator, op_delta,
                    op_delta_inv, op_delta_star, symbol, weyl_mul)
 from .geometry import (ChartGeometry, CheckReport, GeometryError,

@@ -276,24 +276,23 @@ def build_parser():
                     "symplectic charts")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, geometry=True):
-        if geometry:
-            p.add_argument("geometry", help="geometry JSON file")
-        p.add_argument("--order", type=int, default=None,
-                       help="hbar order (star/quantize) or jet order "
-                            "(check suites)")
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, order_help=None):
+        if order_help:
+            p.add_argument("--order", type=int, default=None,
+                           help=order_help)
         p.add_argument("--json", metavar="PATH",
                        help="also write the report as JSON")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stdout table")
 
     p = sub.add_parser("validate", help="validate a geometry file")
+    p.add_argument("geometry", help="geometry JSON file")
     common(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("star", help="star product coefficient dump")
-    common(p)
+    p.add_argument("geometry", help="geometry JSON file")
+    common(p, "hbar order of the series (default 2)")
     p.add_argument("--f", required=True, help="first factor expression")
     p.add_argument("--g", required=True, help="second factor expression")
     p.set_defaults(fn=cmd_star)
@@ -303,11 +302,14 @@ def build_parser():
     p.add_argument("--geometry", default=None,
                    help="optional geometry file (associativity and "
                         "correspondence only)")
-    common(p, geometry=False)
+    p.add_argument("--seed", type=int, default=0)
+    common(p, "jet order of the suite's geometries (default: the "
+              "suite's own)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("quantize", help="polarization operator dump")
-    common(p)
+    p.add_argument("geometry", help="geometry JSON file")
+    common(p, "hbar order of the operator (default 3)")
     p.add_argument("--f", required=True,
                    help="observable expression, or 'kinetic'")
     p.set_defaults(fn=cmd_quantize)

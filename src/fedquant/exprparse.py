@@ -1,6 +1,7 @@
 """A small expression language for entering metrics, potentials and observables.
 
-Grammar (standard precedence, ``^`` binds tightest and is right-associative):
+Grammar (standard precedence; ``^`` binds tightest and does not chain, so
+``2^3^2`` is a ParseError and ``(2^3)^2`` is not):
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -8,20 +9,27 @@ Grammar (standard precedence, ``^`` binds tightest and is right-associative):
     atom   := number | "i" | symbol | "(" expr ")" | func "(" expr ")"
     func   := "exp" | "log" | "sqrt" | "sin" | "cos"
 
-Numbers are integers or finite decimals, both converted exactly.  Symbols are
-resolved against a chart at elaboration time, not at parse time.
+Numbers are integers or finite decimals, both converted exactly.  The
+parser evaluates as it reads: each rule returns the jet of the text it
+consumed, so symbols resolve against the chart while parsing.  An evaluation
+error is raised where it occurs: before a syntax error further right, after
+an unexpected character anywhere.  A power whose coefficients would pass
+``MAX_POWER_BITS`` bits is refused before it is computed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .jets import Jet, jet_elem
 from .rational import CRat
 
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")
+
+# bound on the estimated coefficient size of a^k, in bits; without it an
+# exponent of a few digits makes coefficients of millions of bits
+MAX_POWER_BITS = 1 << 14
 
 
 class ParseError(ValueError):
@@ -30,77 +38,33 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# -- AST -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImagUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str          # one of + - * /
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Apply:
-    func: str
-    arg: object
-
-
-# -- tokenizer -------------------------------------------------------------
-
-_TOKEN = re.compile(r"(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+# a number, a symbol, an operator, or any other non-space character
+_TOKEN = re.compile(r"(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S)")
 
 
 def _tokenize(src):
     tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        num, sym, op = m.groups()
-        if num is not None:
-            tokens.append(("num", num, pos))
-        elif sym is not None:
-            tokens.append(("sym", sym, pos))
-        else:
-            tokens.append(("op", op, pos))
-        pos = m.end()
+    for m in _TOKEN.finditer(src):
+        if m.lastindex == 4:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((("num", "sym", "op")[m.lastindex - 1], m.group(),
+                       m.start()))
     return tokens
 
 
+def _int(digits, pos):
+    try:
+        return int(digits)
+    except ValueError:
+        # only Python's limit on the length of an int literal lands here
+        raise ParseError("number literal too long", pos) from None
+
+
 class _Parser:
-    def __init__(self, src):
-        self.src = src
+    """Recursive descent over the token list; each rule returns a Jet."""
+
+    def __init__(self, src, chart, order):
+        self.src, self.chart, self.order = src, chart, order
         self.tokens = _tokenize(src)
         self.k = 0
 
@@ -130,7 +94,8 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                e = BinOp(val, e, self.term())
+                rhs = self.term()
+                e = e + rhs if val == "+" else e - rhs
             else:
                 return e
 
@@ -140,7 +105,8 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                e = BinOp(val, e, self.factor())
+                rhs = self.factor()
+                e = e * rhs if val == "*" else e / rhs
             else:
                 return e
 
@@ -148,7 +114,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return Neg(self.factor())
+            return -self.factor()
         a = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -156,27 +122,31 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != "num" or "." in val:
                 raise ParseError("exponent must be an integer literal", pos)
-            return Pow(a, int(val))
+            k = _int(val, pos)
+            # a^k has about k times the bits of a's denominator or of the
+            # numerators of its constant term, whichever are longer
+            c = a.terms[0][2:] if a.terms and not a.terms[0][0] else (0, 0)
+            if k * max(a.den, *map(abs, c)).bit_length() > MAX_POWER_BITS:
+                raise ParseError(f"power too large: coefficients would pass "
+                                 f"{MAX_POWER_BITS} bits", pos)
+            return a ** k
         return a
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            if "." in val:
-                whole, frac = val.split(".")
-                value = Fraction(int(whole + frac), 10 ** len(frac))
-            else:
-                value = Fraction(int(val))
-            return Num(value)
+            whole, _, frac = val.partition(".")
+            value = Fraction(_int(whole + frac, pos), 10 ** len(frac))
+            return Jet.constant(self.chart, CRat(value), self.order)
         if kind == "sym":
             if val == "i":
-                return ImagUnit()
+                return Jet.constant(self.chart, CRat(0, 1), self.order)
             if val in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Apply(val, arg)
-            return Sym(val)
+                return jet_elem(val, arg)
+            return Jet.variable(self.chart, val, self.order)
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")
@@ -184,63 +154,12 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-def parse(src):
-    """Parse source text into an AST."""
-    return _Parser(src).parse()
-
-
-# -- pretty printing -------------------------------------------------------
-
-def pretty(ast):
-    """Render an AST so that reparsing gives a structurally identical tree."""
-    if isinstance(ast, Num):
-        v = ast.value
-        return str(v.numerator) if v.denominator == 1 else \
-            f"({v.numerator}/{v.denominator})"
-    if isinstance(ast, ImagUnit):
-        return "i"
-    if isinstance(ast, Sym):
-        return ast.name
-    if isinstance(ast, Neg):
-        return f"(-{pretty(ast.arg)})"
-    if isinstance(ast, BinOp):
-        return f"({pretty(ast.left)}{ast.op}{pretty(ast.right)})"
-    if isinstance(ast, Pow):
-        return f"({pretty(ast.base)}^{ast.exponent})"
-    if isinstance(ast, Apply):
-        return f"{ast.func}({pretty(ast.arg)})"
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
-# -- elaboration -----------------------------------------------------------
-
-def elaborate(ast, chart, order):
-    """Expand an AST into a Jet about the chart's base point."""
-    if isinstance(ast, Num):
-        return Jet.constant(chart, CRat(ast.value), order)
-    if isinstance(ast, ImagUnit):
-        return Jet.constant(chart, CRat(0, 1), order)
-    if isinstance(ast, Sym):
-        return Jet.variable(chart, ast.name, order)
-    if isinstance(ast, Neg):
-        return -elaborate(ast.arg, chart, order)
-    if isinstance(ast, BinOp):
-        a = elaborate(ast.left, chart, order)
-        b = elaborate(ast.right, chart, order)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        return a / b
-    if isinstance(ast, Pow):
-        return elaborate(ast.base, chart, order) ** ast.exponent
-    if isinstance(ast, Apply):
-        return jet_elem(ast.func, elaborate(ast.arg, chart, order))
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
 def jet_of(src, chart, order):
-    """Parse and elaborate in one step."""
-    return elaborate(parse(src), chart, order)
+    """The jet of the expression ``src`` about the chart's base point,
+    truncated at ``order``."""
+    parser = _Parser(src, chart, order)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.peek()[2]) from None

@@ -635,18 +635,20 @@ def validate_connection(geom):
         (f"Gamma^{u}_({a},{b})", g.agrees_with(geom.gamma_at(u, b, a)))
         for (u, a, b), g in geom.gamma.items()))
 
+    # the stored Gamma^d_(c,a) grouped by lower pair: (c, a) -> [(d, jet)]
+    by_lower = defaultdict(list)
+    for (d, c, a), g in geom.gamma.items():
+        by_lower[c, a].append((d, g))
+
     def symplectic():
         for c, a in pairs:
             for b in range(a + 1, dim):
                 acc = JetSum()
                 acc.add(omega[a][b].partial(c))
-                for d in range(dim):
-                    g = geom.gamma.get((d, c, a))
-                    if g is not None:
-                        acc.add(g, omega[d][b], -1)
-                    g = geom.gamma.get((d, c, b))
-                    if g is not None:
-                        acc.add(omega[a][d], g, -1)
+                for d, g in by_lower.get((c, a), ()):
+                    acc.add(g, omega[d][b], -1)
+                for d, g in by_lower.get((c, b), ()):
+                    acc.add(omega[a][d], g, -1)
                 yield f"(c,a,b)=({c},{a},{b})", acc.jet().is_zero()
     rep.expect("connection symplectic (nabla omega = 0)", symplectic())
 

@@ -69,7 +69,7 @@ def moyal_flat_suite(order=11, seed=0, samples=50, n_hbar=4):
 
 # -- explicit low-order coefficients ---------------------------------------
 
-def second_order_suite(order=9, seed=0, samples=10, n=1):
+def second_order_suite(order=9, seed=0, samples=10):
     """hbar^1 and hbar^2 star coefficients against contracted oracles.
 
     hbar^1 = -(i/2) omega(X_f, X_g); hbar^2 = (1/8)(nabla_j X_f)^b
@@ -77,10 +77,10 @@ def second_order_suite(order=9, seed=0, samples=10, n=1):
     """
     rep = CheckReport()
     rng = sampling.make_rng(("second-order", seed))
-    dim = 2 * n
     for t in range(samples):
-        state = _state("darboux", n, order, 2, (seed, t))
+        state = _state("darboux", 1, order, 2, (seed, t))
         geom = state.geometry
+        dim = geom.dim
         f = sampling.random_polynomial(rng, geom.chart, order, degree=3)
         g = sampling.random_polynomial(rng, geom.chart, order, degree=3)
         ss = star(f, g, state)
@@ -163,11 +163,11 @@ def _r4_oracle(geom, cap):
     return WeylForm(geom, cap, terms)
 
 
-def r_terms_suite(order=9, seed=0, samples=3, n=1):
+def r_terms_suite(order=9, seed=0, samples=3):
     """First two curvature terms of the flatness solution, exact."""
     rep = CheckReport()
     for t in range(samples):
-        state = _state("darboux", n, order, 3, (seed, "r", t))
+        state = _state("darboux", 1, order, 3, (seed, "r", t))
         geom = state.geometry
         cap = state.degree_cap
         rep.add("r_(3) = -(1/8) R y^3 dx",
@@ -199,19 +199,18 @@ def _assoc_coefficients(f, g, h, state, left):
     return out
 
 
-def _kind_states(kinds, order, seed, n_hbar):
+def _kind_states(order, seed, n_hbar):
     """One n = 1 state per kind; the curved charts need a higher jet order."""
     least = {"cotangent": 11, "kaehler": 12}
     return [_state(k, 1, max(order, least.get(k, 0)), n_hbar, seed)
-            for k in (kinds or ("flat", "darboux", "cotangent", "kaehler"))]
+            for k in ("flat", "darboux", "cotangent", "kaehler")]
 
 
-def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, kinds=None,
-                        state=None):
+def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, state=None):
     """(f*g)*h == f*(g*h) through hbar^N on every geometry kind."""
     rep = CheckReport()
     states = [state] if state is not None else \
-        _kind_states(kinds, order, seed, n_hbar)
+        _kind_states(order, seed, n_hbar)
     for st in states:
         chart = st.geometry.chart
         kind = st.geometry.kind
@@ -230,11 +229,11 @@ def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, kinds=None,
     return rep
 
 
-def correspondence_suite(order=9, seed=0, samples=25, kinds=None, state=None):
+def correspondence_suite(order=9, seed=0, samples=25, state=None):
     """f*g - g*f = i hbar {f, g} + O(hbar^2) on every geometry kind."""
     rep = CheckReport()
     states = [state] if state is not None else \
-        _kind_states(kinds, order, seed, 1)
+        _kind_states(order, seed, 1)
     for st in states:
         geom = st.geometry
         chart = geom.chart
@@ -342,15 +341,14 @@ def kinetic_alpha_suite(order=9, seed=0, metrics=3):
 
 # -- flat representations --------------------------------------------------
 
-def flat_reps_suite(order=11, seed=0, monomials=None, polynomials=10):
+def flat_reps_suite(order=11, seed=0, polynomials=10):
     """Representation homomorphisms and factorization independence."""
     rng = sampling.make_rng(("flat-reps", seed))
-    if monomials is None:
-        monomials = []
-        for _ in range(6):
-            m1 = ((rng.randint(0, 2),), (rng.randint(0, 3),))
-            m2 = ((rng.randint(0, 2),), (rng.randint(0, 3),))
-            monomials.append((m1, m2))
+    monomials = []
+    for _ in range(6):
+        m1 = ((rng.randint(0, 2),), (rng.randint(0, 3),))
+        m2 = ((rng.randint(0, 2),), (rng.randint(0, 3),))
+        monomials.append((m1, m2))
     geom_real = build_flat(1, order)
     kf = build_kaehler(
         Jet.variable(complex_chart(1), 0, order)
@@ -396,8 +394,9 @@ def _number_op(a):
     return WeylForm(a.geometry, a.degree_cap, terms)
 
 
-def structural_suite(order=6, seed=0, samples=4, cap=8):
+def structural_suite(order=6, seed=0, samples=4):
     """Chain identities of delta, its adjoint, and the curvature square."""
+    cap = 8
     rep = CheckReport()
     rng = sampling.make_rng(("structural", seed))
     geoms = [

@@ -178,6 +178,20 @@ def test_check_unusable_order_is_input_error(capsys, suite, order):
     assert "--order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--order", "3"],
+    ["validate", "--seed", "9"],
+    ["star", "--f", "q1", "--g", "p1", "--seed", "9"],
+    ["quantize", "--f", "p1^2", "--seed", "9"],
+], ids=["validate-order", "validate-seed", "star-seed", "quantize-seed"])
+def test_option_the_command_does_not_read_is_rejected(flat_file, capsys,
+                                                      argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], flat_file, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 ORDER_BOUND = f"order must be >= 0 and <= {MAX_ORDER}, got"
 N_BOUND = f"n must be >= 1 and <= {MAX_N}, got"
 
