@@ -4,7 +4,8 @@ Geometry files are JSON:
 
     { "kind": "flat" | "darboux" | "cotangent" | "kaehler",
       "n": 1, "order": 9,
-      "base_point": ["1/2", "1/3"],
+      "base_point": ["1/2", "1/3"],                 (ints, or strings of an
+                                                    int, p/q or a decimal)
       "metric": [["4/(1+q1^2+q2^2)^2", "0"], ...]   (cotangent)
       "potential": "z1*zb1"                          (kaehler)
       "gamma": {"111": "q1", ...}                    (darboux, 1-based) }
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -36,16 +38,34 @@ from .suites import SUITES
 # limits on geometry files; the cost of every command grows steeply in both
 MAX_N = 16
 MAX_ORDER = 16
+# longest base-point entry, in characters: the number enters every jet of
+# the chart, and Fraction would expand "1e3000000" to 10 million bits
+MAX_NUMBER_CHARS = 100
+
+# an integer, p/q or a finite decimal
+_NUMBER = re.compile(r"[-+]?\d+(/\d+|\.\d+)?")
 
 
 class InputError(Exception):
     pass
 
 
-def _rational(text):
+def _rational(value):
+    """A base-point entry: a JSON int, or a string holding an integer, p/q
+    or a finite decimal, of at most ``MAX_NUMBER_CHARS`` characters."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputError(f"bad rational {value!r}: give an int, or a string "
+                         "holding an int, p/q or a decimal")
+    text = str(value)
+    if len(text) > MAX_NUMBER_CHARS:
+        raise InputError(f"rational of {len(text)} characters; the limit is "
+                         f"{MAX_NUMBER_CHARS}")
+    if not _NUMBER.fullmatch(text):
+        raise InputError(f"bad rational {text!r}: give an int, p/q or a "
+                         "decimal")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -63,7 +83,8 @@ def load_geometry(path):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an int literal past Python's digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     try:
         kind = doc["kind"]
@@ -76,7 +97,10 @@ def load_geometry(path):
     if not 0 <= order <= MAX_ORDER:
         raise InputError(
             f"{path}: order must be >= 0 and <= {MAX_ORDER}, got {order}")
-    base = tuple(_rational(b) for b in doc.get("base_point", ["0"] * n))
+    base = doc.get("base_point", [0] * n)
+    if not isinstance(base, list):
+        raise InputError(f"{path}: base_point must be a list")
+    base = tuple(_rational(b) for b in base)
     if len(base) != n:
         raise InputError(f"{path}: base_point needs {n} entries")
 

@@ -12,14 +12,13 @@ symbol of the fiberwise product of their flat sections.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 
 from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
 from .rational import CRat
-from .weyl import (WeylForm, graded_commutator, mul_i_divide_hbar, op_delta,
-                   op_delta_inv, pi_weight, symbol_mul, weight_truncate,
-                   weyl_mul)
+from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
+                   pi_weight, symbol_mul, weight_truncate, weyl_mul)
 from .geometry import nabla
 
 
@@ -108,8 +107,10 @@ class FedosovState:
             geom = self.geometry
             unit = WeylForm(geom, self.degree_cap,
                             {key: Jet.constant(geom.chart, 1, geom.order)})
-            row = tuple(mul_i_divide_hbar(
-                graded_commutator(self.r_parts[w], unit)).terms.items())
+            sums = graded_commutator(self.r_parts[w], unit,
+                                     defaultdict(JetSum))
+            row = tuple(WeylForm.from_sums(geom, self.degree_cap,
+                                           sums).terms.items())
             self._rows[(w, key)] = row
         return row
 
@@ -130,8 +131,9 @@ def solve_r(geom, n_hbar):
     """Solve the flatness equation through the working degree cap.
 
     The weight-(w+1) component of r is determined by the weight-w data, so
-    the recursion fills one weight per step; a final full fixed-point pass
-    certifies stability of every retained term.
+    the recursion fills one weight per step, summing its right-hand side
+    nabla r_w + (i/hbar) sum r_w1 o r_w2 in one map; a final full
+    fixed-point pass certifies stability of every retained term.
     """
     cap = default_degree_cap(n_hbar)
     if _geometry_validity(geom) < 2 * n_hbar + 3:
@@ -140,33 +142,24 @@ def solve_r(geom, n_hbar):
             f"for a star product through hbar^{n_hbar}")
     rhat = geom.rhat(cap)
     parts = {3: op_delta_inv(rhat)}
-    iterations = 1
     for w in range(3, cap):
-        update = nabla(parts[w], geom)
-        # the hbar^0 layers of the quadratic term only cancel summed over
-        # ordered pairs, so divide the whole sum at once
-        quad = WeylForm.zero(geom, cap)
+        # every term has weight w, so delta^{-1} gives weight w + 1 only
+        sums = nabla(parts[w], geom, defaultdict(JetSum))
         for w1 in range(3, w):
-            w2 = w + 2 - w1
-            if w2 in parts:
-                quad = quad + weyl_mul(parts[w1], parts[w2])
-        update = update + mul_i_divide_hbar(quad)
-        parts[w + 1] = pi_weight(op_delta_inv(update), w + 1)
-        iterations += 1
-    r = WeylForm.zero(geom, cap)
-    for part in parts.values():
-        r = r + part
+            weyl_mul(parts[w1], parts[w + 2 - w1], sums)
+        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, cap, sums))
+    r = WeylForm(geom, cap, {key: jet for part in parts.values()
+                             for key, jet in part.terms.items()})
 
     # full fixed-point pass over the assembled solution; the top weight of
     # the quadratic term is truncated, so stability is certified below it
-    quad = mul_i_divide_hbar(weyl_mul(r, r))
+    quad = WeylForm.from_sums(geom, cap, weyl_mul(r, r, defaultdict(JetSum)))
     nr = nabla(r, geom)
     refreshed = op_delta_inv(rhat + nr + quad)
     converged = weight_truncate(refreshed, cap - 1).agrees_with(
         weight_truncate(r, cap - 1))
     residual = op_delta(r) - rhat - nr - quad
-    state = FedosovState(geom, n_hbar, cap, r, residual, converged,
-                         iterations + 1)
+    state = FedosovState(geom, n_hbar, cap, r, residual, converged, cap - 1)
     if not converged:
         raise FedosovError("flatness iteration did not reach a fixed point; "
                            "the degree recursion is broken")
@@ -218,47 +211,41 @@ def flat_section(f, state, max_weight=None):
         cache[f] = cached
     filled, parts = cached
     for s in range(filled, top):
+        # nabla a_s + sum over w of (i/hbar)[r_w, a_(s+2-w)], all of
+        # weight s, in one map
+        sums = defaultdict(JetSum)
         if s in parts:
-            update = nabla(parts[s], geom)
-        else:
-            update = WeylForm.zero(geom, cap)
-        comm = {}
+            nabla(parts[s], geom, sums)
         for w in state.r_parts:
             s2 = s + 2 - w
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
-                add_commutator(state, w, parts[s2], comm)
-        if comm:
-            update = update + WeylForm.from_sums(geom, cap, comm)
-        nxt = pi_weight(op_delta_inv(update), s + 1)
+                add_commutator(state, w, parts[s2], sums)
+        nxt = op_delta_inv(WeylForm.from_sums(geom, cap, sums))
         if not nxt.is_zero():
             parts[s + 1] = nxt
     cached[0] = max(filled, top)
-    out = parts[0]
-    for s in range(1, top + 1):
-        if s in parts:
-            out = out + parts[s]
-    return out
+    return WeylForm(geom, cap, {key: jet for s, part in parts.items()
+                                if s <= top
+                                for key, jet in part.terms.items()})
 
 
 def add_commutator(state, w, part, acc):
     """Accumulate (i/hbar)[r_w, part] from the state's rows into ``acc``,
-    a map from term key to JetSum; products that vanish are skipped."""
+    a ``defaultdict(JetSum)`` keyed by term; products that vanish are
+    skipped."""
     for key, jet in part.terms.items():
         for out_key, row_jet in state._commutator_row(w, key):
-            if product_vanishes(jet, row_jet):
-                continue
-            sums = acc.get(out_key)
-            if sums is None:
-                acc[out_key] = sums = JetSum()
-            sums.add(jet, row_jet)
+            if not product_vanishes(jet, row_jet):
+                acc[out_key].add(jet, row_jet)
 
 
 def section_defect(section, state):
     """Apply the flat connection to a section; zero on trusted weights."""
     geom = state.geometry
-    d = nabla(section, geom) - op_delta(section) \
-        + mul_i_divide_hbar(graded_commutator(state.r, section))
+    sums = nabla(section, geom, defaultdict(JetSum))
+    graded_commutator(state.r, section, sums)
+    d = WeylForm.from_sums(geom, state.degree_cap, sums) - op_delta(section)
     return _count_by_weight(d, state.section_cap)
 
 

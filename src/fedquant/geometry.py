@@ -564,17 +564,18 @@ def covariant_dv(vec, geom):
 
 # -- the connection on fiber-polynomial forms ------------------------------
 
-def nabla(a, geom):
+def nabla(a, geom, into=None):
     """Exterior covariant derivative on a WeylForm.
 
     Acts as d on coefficients, by the connection on fiber generators, and
     inserts the new form index on the left.  Costs one order of jet
-    validity through the d-part.
+    validity through the d-part.  With ``into``, a ``{key: JetSum}`` map,
+    the terms are added to it and the map is returned.
     """
     if a.geometry != geom:
         raise ChartMismatch("form does not live on this geometry")
     dim = geom.dim
-    out = defaultdict(JetSum)
+    out = defaultdict(JetSum) if into is None else into
     for (k, alpha, beta), jet in a.terms.items():
         for b in range(dim):
             dj = jet.partial(b)
@@ -597,6 +598,8 @@ def nabla(a, geom):
                 alpha2[i] -= 1
                 alpha2[x] += 1
                 out[k, tuple(alpha2), beta2].add(g, jet, -e * sign)
+    if into is not None:
+        return out
     return WeylForm.from_sums(geom, a.degree_cap, out)
 
 

@@ -15,7 +15,7 @@ from math import comb
 
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree)
-from .rational import CRat, I
+from .rational import CRat, HALF_I, I
 from .weyl import pi_weight, symbol_mul
 from .geometry import CheckReport, christoffels, _curvature_of, poisson
 from .fedosov import FedosovError, flat_section, moyal_reference, star
@@ -39,32 +39,8 @@ class HbarSeries:
             if k < 0:
                 raise QuantizationError("negative hbar power")
 
-    @classmethod
-    def of(cls, jet, hbar_power=0):
-        return cls(jet.chart, {hbar_power: jet})
-
     def is_zero(self):
         return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, j in other.coeffs.items():
-            out[k] = out[k] + j if k in out else j
-        return HbarSeries(self.chart, out)
-
-    def __neg__(self):
-        return HbarSeries(self.chart, {k: -j for k, j in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        return HbarSeries(self.chart,
-                          {k: j * scalar for k, j in self.coeffs.items()})
-
-    def shift(self, delta):
-        return HbarSeries(self.chart,
-                          {k + delta: j for k, j in self.coeffs.items()})
 
     def agrees_with(self, other):
         return jet_maps_agree(self.coeffs, other.coeffs)
@@ -76,7 +52,11 @@ class HbarSeries:
 # -- differential operators ------------------------------------------------
 
 class DiffOp:
-    """Finite-order operator sum_I c_I(hbar, x) d^I on configuration jets."""
+    """Finite-order operator sum_I c_I(hbar, x) d^I on configuration jets.
+
+    Sums of operators go through ``_diffop_sum``, one JetSum per
+    coefficient.
+    """
 
     __slots__ = ("chart", "terms")
 
@@ -93,12 +73,12 @@ class DiffOp:
     @classmethod
     def mult(cls, jet, hbar_power=0):
         z = (0,) * jet.chart.dim
-        return cls(jet.chart, {z: HbarSeries.of(jet, hbar_power)})
+        return cls(jet.chart, {z: HbarSeries(jet.chart, {hbar_power: jet})})
 
     @classmethod
     def deriv(cls, chart, i, coeff, hbar_power=0):
         e = tuple(1 if k == i else 0 for k in range(chart.dim))
-        return cls(chart, {e: HbarSeries.of(coeff, hbar_power)})
+        return cls(chart, {e: HbarSeries(chart, {hbar_power: coeff})})
 
     @classmethod
     def identity(cls, chart, order):
@@ -110,24 +90,13 @@ class DiffOp:
     def __add__(self, other):
         if self.chart != other.chart:
             raise ChartMismatch("operators on different charts")
-        out = dict(self.terms)
-        for idx, s in other.terms.items():
-            out[idx] = out[idx] + s if idx in out else s
-        return DiffOp(self.chart, out)
+        return _diffop_sum(self.chart, ((self, 1, 0), (other, 1, 0)))
 
     def __neg__(self):
-        return DiffOp(self.chart, {i: -s for i, s in self.terms.items()})
+        return _diffop_sum(self.chart, ((self, -1, 0),))
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, scalar):
-        return DiffOp(self.chart,
-                      {i: s * scalar for i, s in self.terms.items()})
-
-    def shift_hbar(self, delta):
-        return DiffOp(self.chart,
-                      {i: s.shift(delta) for i, s in self.terms.items()})
 
     def truncate_hbar(self, n):
         """Drop every coefficient beyond hbar^n."""
@@ -327,30 +296,21 @@ def gq_cotangent(f, geom):
         g, ginv = base_metric(geom)
     else:
         g = ginv = None
-    div = JetSum()
-    for j in range(n):
-        if a_vec[j].is_zero():
-            continue
-        div.add(a_vec[j].partial(j))
-        if g is not None:
-            div.add(a_vec[j], _log_vol_gradient(g, ginv, j))
-    div = div.jet()
-
-    terms = {}
+    sums = defaultdict(JetSum)
     zero_idx = (0,) * n
     for j in range(n):
         if a_vec[j].is_zero():
             continue
         e = tuple(1 if k == j else 0 for k in range(n))
-        terms[e] = HbarSeries.of(a_vec[j] * (-I), 1)
-    order0 = HbarSeries(sub, {})
-    if div is not None:
-        order0 = order0 + HbarSeries.of(div * (-I) * Fraction(1, 2), 1)
+        sums[e, 1].add(a_vec[j], s=-I)
+        # -(i/2) div a
+        sums[zero_idx, 1].add(a_vec[j].partial(j), s=-HALF_I)
+        if g is not None:
+            sums[zero_idx, 1].add(a_vec[j], _log_vol_gradient(g, ginv, j),
+                                  -HALF_I)
     if not b.is_zero():
-        order0 = order0 + HbarSeries.of(b, 0)
-    if not order0.is_zero():
-        terms[zero_idx] = order0
-    return DiffOp(sub, terms)
+        sums[zero_idx, 0].add(b)
+    return _diffop_of(sub, sums)
 
 
 # -- holomorphic-polarization operators ------------------------------------
@@ -380,7 +340,7 @@ def gq_kaehler(f, geom):
             v = v - u[a] * potential.partial(a)
 
     idx = tuple(range(n))
-    sub = Chart(geom.chart.names[:n], geom.chart.base[:n])
+    sub = config_chart(geom)
     try:
         u_sub = [j.restrict(idx) for j in u]
         v_sub = v.restrict(idx)
@@ -389,21 +349,19 @@ def gq_kaehler(f, geom):
             "observable is not affine in the dK block with holomorphic "
             "coefficients") from None
 
-    terms = {}
+    sums = defaultdict(JetSum)
     zero_idx = (0,) * n
-    order0 = HbarSeries(sub, {})
     for a in range(n):
         if u_sub[a].is_zero():
             continue
         e = tuple(1 if k == a else 0 for k in range(n))
-        terms[e] = HbarSeries.of(u_sub[a], 1)
-        order0 = order0 + HbarSeries.of(
-            u_sub[a].partial(a) * Fraction(1, 2), 1)
+        sums[e, 1].add(u_sub[a])
+        du = u_sub[a].partial(a)
+        if not du.is_zero():
+            sums[zero_idx, 1].add(du, s=Fraction(1, 2))
     if not v_sub.is_zero():
-        order0 = order0 + HbarSeries.of(v_sub, 0)
-    if not order0.is_zero():
-        terms[zero_idx] = order0
-    return DiffOp(sub, terms)
+        sums[zero_idx, 0].add(v_sub)
+    return _diffop_of(sub, sums)
 
 
 # -- the star-homomorphism extension ---------------------------------------
@@ -481,32 +439,21 @@ def laplace_beltrami(geom):
     """
     g, ginv = base_metric(geom)
     n = geom.n
-    sub = config_chart(geom)
-    terms = {}
-
-    def add(idx, jet):
-        if jet.is_zero():
-            return
-        s = HbarSeries.of(jet)
-        terms[idx] = terms[idx] + s if idx in terms else s
-
+    sums = defaultdict(JetSum)
     for a in range(n):
         for b in range(n):
+            if ginv[a][b].is_zero():
+                continue
             idx = [0] * n
             idx[a] += 1
             idx[b] += 1
-            add(tuple(idx), ginv[a][b])
+            sums[tuple(idx), 0].add(ginv[a][b])
     for b in range(n):
-        acc = None
-        for a in range(n):
-            t = ginv[a][b].partial(a) \
-                + ginv[a][b] * _log_vol_gradient(g, ginv, a)
-            acc = t if acc is None else acc + t
         e = tuple(1 if k == b else 0 for k in range(n))
-        if acc is not None and not acc.is_zero():
-            terms[e] = terms[e] + HbarSeries.of(acc) if e in terms \
-                else HbarSeries.of(acc)
-    return DiffOp(sub, terms)
+        for a in range(n):
+            sums[e, 0].add(ginv[a][b].partial(a))
+            sums[e, 0].add(ginv[a][b], _log_vol_gradient(g, ginv, a))
+    return _diffop_of(config_chart(geom), sums)
 
 
 def scalar_curvature(geom):
@@ -546,8 +493,8 @@ def kinetic_alpha(geom, state):
     """
     ke = kinetic_energy_observable(geom)
     op = rho_extend(ke, state)
-    delta = laplace_beltrami(geom).shift_hbar(2).scale(-1)
-    resid = op - delta
+    # op + hbar^2 Delta
+    resid = _diffop_sum(op.chart, ((op, 1, 0), (laplace_beltrami(geom), 1, 2)))
     zero_idx = (0,) * geom.n
     # DiffOp and HbarSeries drop zero entries, so every one left is nonzero
     for idx, series in resid.terms.items():
@@ -787,7 +734,7 @@ def flat_reps(n, n_hbar, samples, geom_real, geom_fock):
     run("position", geom_real, base_r)
 
     # Fock representation: z multiplies, zbar = hbar d_z
-    sub_f = Chart(geom_fock.chart.names[:n], geom_fock.chart.base[:n])
+    sub_f = config_chart(geom_fock)
     base_f = [DiffOp.deriv(sub_f, i,
                            Jet.constant(sub_f, 1, order), 1)
               for i in range(n)]

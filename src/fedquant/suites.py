@@ -7,12 +7,13 @@ suite both call these entry points.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .jets import Jet, JetSum
 from .rational import I, HALF_I
-from .weyl import (WeylForm, graded_commutator, mul_i_divide_hbar, op_delta,
-                   op_delta_inv, op_delta_star, pi_weight, scalar_part)
+from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
+                   op_delta_star, pi_weight, scalar_part)
 from .geometry import (CheckReport, build_darboux, build_flat, build_kaehler,
                        complex_chart, covariant_dv, hamiltonian_vf,
                        lift_cotangent, nabla, omega_pair, poisson,
@@ -426,7 +427,8 @@ def structural_suite(order=6, seed=0, samples=4):
                     f"sample {t}")
         a = _random_form(rng, geom, cap, order, terms=3)
         lhs = nabla(nabla(a, geom), geom)
-        rhs = mul_i_divide_hbar(graded_commutator(rhat, a))
+        rhs = WeylForm.from_sums(geom, cap, graded_commutator(
+            rhat, a, defaultdict(JetSum)))
         rep.add(f"{kind} nabla^2 = (i/hbar)[Rhat, .]", lhs.agrees_with(rhs))
     return rep
 

@@ -34,7 +34,7 @@ from math import comb, prod
 
 from .jets import (ChartMismatch, Jet, JetError, JetSum, jet_maps_agree,
                    product_vanishes)
-from .rational import CRat, HALF_I
+from .rational import HALF_I, I
 
 # form-index subsets are sorted tuples; fiber multidegrees are dense tuples
 
@@ -84,7 +84,9 @@ class WeylForm:
 
     ``terms`` maps (hbar_power, y_multidegree, form_subset) to jet
     coefficients; terms whose doubled weight exceeds ``degree_cap`` are
-    dropped on construction.
+    dropped on construction, and so are zero jets.  A nonzero term at a
+    negative hbar power raises ``GradingError``: it is what (i/hbar) leaves
+    of an hbar^0 layer that should have cancelled.
     """
 
     __slots__ = ("geometry", "degree_cap", "terms")
@@ -101,6 +103,10 @@ class WeylForm:
                 continue
             if jet.is_zero():
                 continue
+            if k < 0:
+                raise GradingError(
+                    "nonzero hbar^0 layer under (i/hbar), a graded identity "
+                    "was violated upstream")
             clean[(k, alpha, beta)] = jet
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "degree_cap", degree_cap)
@@ -110,10 +116,6 @@ class WeylForm:
         raise AttributeError("WeylForm is immutable")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, geometry, degree_cap):
-        return cls(geometry, degree_cap, {})
 
     @classmethod
     def from_jet(cls, geometry, degree_cap, jet, hbar_power=0):
@@ -175,9 +177,6 @@ class WeylForm:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, scalar):
-        return self.map_jets(lambda j: j * scalar)
-
 
 # -- the fiberwise product -------------------------------------------------
 
@@ -186,12 +185,16 @@ def _const_or_none(jet):
     return jet.constant_term if jet.is_constant() else None
 
 
-def weyl_mul(a, b):
-    """Fiberwise product: exponential contraction against omega^{-1}."""
-    return _mul_contract(a, b, None)
+def weyl_mul(a, b, into=None):
+    """Fiberwise product: exponential contraction against omega^{-1}.
+
+    With ``into``, (i/hbar) a o b is added to that map instead (see
+    ``_mul_contract``).
+    """
+    return _mul_contract(a, b, None, into)
 
 
-def _mul_contract(a, b, parity):
+def _mul_contract(a, b, parity, into=None):
     """a o b, keeping only contraction orders of the given parity (or all).
 
     Each pair of terms adds the cached closed-form expansion of its fiber
@@ -200,13 +203,22 @@ def _mul_contract(a, b, parity):
     the antisymmetry of omega^{-1} flips each contraction's sign on
     reversal, so the even orders cancel in [a, b] and the odd orders
     appear twice.
+
+    Given ``into``, a ``{key: JetSum}`` map, the terms of (i/hbar) times
+    the product are added to it and the map is returned; the hbar^0
+    layer, whose ordered pairs cancel only in the finished sums, is
+    checked when the map becomes a form (``WeylForm.from_sums``).
     """
     a._check(b)
     geom = a.geometry
     cap = a.degree_cap
-    # the parity doubling rides on the scalar of every emitted term
+    # the parity doubling rides on the scalar of every emitted term, and
+    # so does the i of (i/hbar)
     emit = 1 if parity is None else 2
-    out = defaultdict(JetSum)
+    if into is None:
+        out, lower = defaultdict(JetSum), 0
+    else:
+        out, lower, emit = into, 1, emit * I
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
         da = 2 * ka + sum(alpha_a)
         for (kb, alpha_b, beta_b), jet_b in b.terms.items():
@@ -227,8 +239,10 @@ def _mul_contract(a, b, parity):
                 if parity is not None and m % 2 != parity:
                     continue
                 if pairing is None or not product_vanishes(base, pairing):
-                    out[ka + kb + m, alpha, beta].add(base, pairing,
-                                                      scale * s)
+                    out[ka + kb + m - lower, alpha, beta].add(
+                        base, pairing, scale * s)
+    if into is not None:
+        return out
     return WeylForm.from_sums(geom, cap, out)
 
 
@@ -308,6 +322,10 @@ def _pair_contraction(geom, alpha_a, alpha_b):
                 continue
             acc.add(om, inner, e)
         out = acc.jet()
+        if out.is_zero():
+            # most pairings vanish on sparse omega^{-1}; every caller skips
+            # them, so they share one zero jet
+            out = geom._cache.setdefault("zero pairing", out)
     geom._cache[key] = out
     return out
 
@@ -355,13 +373,14 @@ def weight_truncate(a, max_weight):
                      if 2 * key[0] + sum(key[1]) <= max_weight})
 
 
-def graded_commutator(a, b):
+def graded_commutator(a, b, into=None):
     """[a, b] = a o b - (-1)^{pq} b o a, summed over form bidegrees.
 
     Computed as twice the odd-contraction part of a single product; the
     form-degree signs cancel against the contraction signs on reversal.
+    With ``into``, (i/hbar) [a, b] is added to that map instead.
     """
-    return _mul_contract(a, b, 1)
+    return _mul_contract(a, b, 1, into)
 
 
 # -- the fiber (co)differentials ------------------------------------------
@@ -434,21 +453,3 @@ def pi_weight(a, doubled_degree):
     return WeylForm(a.geometry, a.degree_cap,
                     {key: jet for key, jet in a.terms.items()
                      if 2 * key[0] + sum(key[1]) == doubled_degree})
-
-
-def divide_hbar(a):
-    """Shift every hbar power down by one; the hbar^0 layer must vanish."""
-    out = {}
-    for (k, alpha, beta), jet in a.terms.items():
-        if k == 0:
-            raise GradingError(
-                "divide_hbar: nonzero hbar^0 layer, a graded identity was "
-                "violated upstream")
-        out[(k - 1, alpha, beta)] = jet
-    # shifting down frees one unit of doubled weight; keep the same cap
-    return WeylForm(a.geometry, a.degree_cap, out)
-
-
-def mul_i_divide_hbar(a):
-    """(i/hbar) * a, the recurring prefactor of graded commutators."""
-    return divide_hbar(a.scale(CRat(0, 1)))

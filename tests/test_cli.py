@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import fedquant.geometry
-from fedquant.cli import MAX_N, MAX_ORDER, _emit, main
+from fedquant.cli import MAX_N, MAX_NUMBER_CHARS, MAX_ORDER, _emit, main
 from fedquant.geometry import CheckReport
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -224,6 +224,38 @@ def test_geometry_dimensions_are_bounded(tmp_path, capsys, doc, message):
 def test_geometry_at_the_bounds_is_accepted(tmp_path, capsys, n, order):
     path = tmp_path / "bounds.json"
     path.write_text(f'{{"kind": "flat", "n": {n}, "order": {order}}}')
+    assert main(["validate", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("0.1", "bad rational 0.1"),
+    ("true", "bad rational True"),
+    ('"1e3000000"', "bad rational '1e3000000'"),
+    ("1" * 5000, "invalid JSON"),
+    ('"%s"' % ("1" * (MAX_NUMBER_CHARS + 1)),
+     f"the limit is {MAX_NUMBER_CHARS}"),
+], ids=["float", "bool", "exponent", "int-past-digit-limit", "long-string"])
+def test_base_point_numbers_are_exact_and_bounded(tmp_path, capsys, entry,
+                                                  message):
+    path = tmp_path / "base.json"
+    path.write_text('{"kind": "flat", "n": 1, "order": 3, '
+                    f'"base_point": [{entry}]}}')
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("entry", ["3", '"-7"', '"-1/2"', '"0.25"',
+                                   '"%s"' % ("1" * MAX_NUMBER_CHARS)],
+                         ids=["int", "int-string", "fraction", "decimal",
+                              "longest-string"])
+def test_base_point_accepts_ints_fractions_and_decimals(tmp_path, capsys,
+                                                        entry):
+    path = tmp_path / "base.json"
+    path.write_text('{"kind": "darboux", "n": 1, "order": 3, '
+                    f'"base_point": [{entry}], "gamma": {{}}}}')
     assert main(["validate", str(path), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
 

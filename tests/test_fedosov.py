@@ -2,14 +2,14 @@
 
 import gc
 import weakref
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from fedquant.jets import Jet
+from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (WeylForm, graded_commutator, mul_i_divide_hbar,
-                           pi_weight)
+from fedquant.weyl import WeylForm, graded_commutator, pi_weight
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                hamiltonian_vf, lift_cotangent, omega_pair,
                                poisson)
@@ -182,10 +182,11 @@ def test_commutator_rows_match_graded_commutator(kind_state):
             part = pi_weight(sec, s2)
             if part.is_zero():
                 continue
-            acc = {}
+            acc = defaultdict(JetSum)
             add_commutator(st, w, part, acc)
             assert WeylForm.from_sums(geom, st.degree_cap, acc) \
-                == mul_i_divide_hbar(graded_commutator(rp, part))
+                == WeylForm.from_sums(geom, st.degree_cap, graded_commutator(
+                    rp, part, defaultdict(JetSum)))
             checked += 1
     assert checked or st.r.is_zero()
 

@@ -1,12 +1,13 @@
 """Chart geometries: builders, validation, curvature, covariant calculus."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from fedquant.jets import Chart, Jet
+from fedquant.jets import Chart, Jet, JetSum
 from fedquant.rational import CRat, I
-from fedquant.weyl import WeylForm, graded_commutator, mul_i_divide_hbar
+from fedquant.weyl import WeylForm, graded_commutator
 from fedquant.geometry import (ChartGeometry, CheckReport, ValidationFailure,
                                build_darboux,
                                build_flat, build_kaehler, complex_chart,
@@ -206,5 +207,6 @@ def test_curvature_square_of_connection():
     a = WeylForm(geom, cap, {(0, (0, 1), ()): Jet.variable(geom.chart, 0,
                                                            ORDER)})
     lhs = nabla(nabla(a, geom), geom)
-    rhs = mul_i_divide_hbar(graded_commutator(rhat, a))
+    rhs = WeylForm.from_sums(geom, cap, graded_commutator(
+        rhat, a, defaultdict(JetSum)))
     assert lhs.agrees_with(rhs)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fedquant.jets import (Chart, ChartMismatch, DomainError, Jet,
                            OrderExhausted, jet_cos, jet_exp, jet_log,
@@ -156,3 +157,53 @@ def test_restrict_rejects_dropped_dependence():
     f = var(0) * var(1)
     with pytest.raises(DomainError):
         f.restrict((0,))
+
+
+# -- identities of the elementary functions on random jets -----------------
+
+small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+crats = st.builds(CRat, small, small)
+zero = st.just(0)
+
+
+@st.composite
+def jets(draw, constant):
+    """A jet on CH of valid order 0..5 with the drawn constant term."""
+    v = draw(st.integers(0, 5))
+    keys = [(i, d - i) for d in range(1, v + 1) for i in range(d + 1)]
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), crats,
+                                  max_size=6)) if keys else {}
+    coeffs[(0, 0)] = draw(constant)
+    return Jet(CH, v, v, coeffs)
+
+
+def same_through(x, y, v):
+    """x and y agree and both stay valid through order v."""
+    return min(x.valid_order, y.valid_order) == v and x.agrees_with(y)
+
+
+@given(jets(crats.filter(bool)))
+def test_inverse_times_jet_is_one(a):
+    assert same_through(a.invert() * a, const(1, a.max_order), a.valid_order)
+
+
+@given(jets(zero))
+def test_log_inverts_exp(a):
+    assert same_through(jet_log(jet_exp(a)), a, a.valid_order)
+
+
+@given(jets(zero), jets(zero))
+def test_exp_turns_sums_into_products(a, b):
+    assert same_through(jet_exp(a + b), jet_exp(a) * jet_exp(b),
+                        min(a.valid_order, b.valid_order))
+
+
+@given(jets(small.filter(bool).map(lambda c: c * c)))
+def test_sqrt_squared_is_the_jet(a):
+    assert same_through(jet_sqrt(a) ** 2, a, a.valid_order)
+
+
+@given(jets(zero))
+def test_sin_squared_plus_cos_squared_is_one(a):
+    assert same_through(jet_sin(a) ** 2 + jet_cos(a) ** 2,
+                        const(1, a.max_order), a.valid_order)

@@ -1,5 +1,6 @@
 """Fiberwise Weyl algebra: products, gradings, and the delta homotopy."""
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -7,12 +8,12 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from fedquant.jets import Jet
+from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (GradingError, WeylForm, divide_hbar,
-                           graded_commutator, op_delta, op_delta_inv,
-                           op_delta_star, pi_weight, scalar_part, symbol,
-                           symbol_mul, weight_truncate, weyl_mul)
+from fedquant.weyl import (GradingError, WeylForm, graded_commutator,
+                           op_delta, op_delta_inv, op_delta_star, pi_weight,
+                           scalar_part, symbol, symbol_mul, weight_truncate,
+                           weyl_mul)
 from fedquant import sampling
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
@@ -119,7 +120,8 @@ def test_homotopy_decomposition():
 def test_number_operator_identity():
     a = WeylForm(FLAT, CAP, {(0, (2, 1), (0,)): jconst(1)})
     anti = op_delta(op_delta_star(a)) + op_delta_star(op_delta(a))
-    assert anti.agrees_with(a.scale(4))  # |alpha| + |beta| = 3 + 1
+    # |alpha| + |beta| = 3 + 1
+    assert anti.agrees_with(a.map_jets(lambda j: j * 4))
 
 
 def test_weight_projection_and_truncation():
@@ -132,13 +134,18 @@ def test_weight_projection_and_truncation():
     assert weight_truncate(a, 2).agrees_with(pi_weight(a, 2))
 
 
-def test_divide_hbar_requires_positive_grade():
-    ok = WeylForm(FLAT, CAP, {(1, (0, 0), ()): jconst(1)})
-    assert divide_hbar(ok).agrees_with(
-        WeylForm(FLAT, CAP, {(0, (0, 0), ()): jconst(1)}))
-    bad = WeylForm(FLAT, CAP, {(0, (0, 0), ()): jconst(1)})
+def test_i_over_hbar_requires_a_vanishing_hbar0_layer():
+    y1 = WeylForm(FLAT, CAP, {(0, (1, 0), ()): jconst(1)})
+    y2 = WeylForm(FLAT, CAP, {(0, (0, 1), ()): jconst(1)})
+    # [y1, y2] lives at hbar^1, so (i/hbar) moves it to hbar^0 times i
+    ok = graded_commutator(y1, y2, defaultdict(JetSum))
+    assert WeylForm.from_sums(FLAT, CAP, ok).agrees_with(WeylForm(
+        FLAT, CAP, {(k - 1, alpha, beta): jet * I for (k, alpha, beta), jet
+                    in graded_commutator(y1, y2).terms.items()}))
+    # y1 o y1 = y1^2 at hbar^0, which (i/hbar) cannot take
+    bad = weyl_mul(y1, y1, defaultdict(JetSum))
     with pytest.raises(GradingError):
-        divide_hbar(bad)
+        WeylForm.from_sums(FLAT, CAP, bad)
 
 
 def test_symbol_strips_fiber():
@@ -158,7 +165,7 @@ def test_symbol_mul_matches_full_product(kind):
     b = WeylForm(geom, CAP, {(0, (0, 1), ()): q * 2, (0, (2, 0), ()): q})
     sym = symbol_mul(a, b, max_hbar=3)
     full = scalar_part(weyl_mul(a, b))
-    acc = WeylForm.zero(geom, CAP)
+    acc = WeylForm(geom, CAP, {})
     for k, jet in sym.items():
         acc = acc + WeylForm.from_jet(geom, CAP, jet, hbar_power=k)
     assert acc.agrees_with(full)
@@ -233,7 +240,7 @@ def contraction_reference(a, b):
 def commutator_reference(a, b):
     """[a, b] = a o b - (-1)^{pq} b o a, term by term in form degree."""
     geom, cap = a.geometry, a.degree_cap
-    out = WeylForm.zero(geom, cap)
+    out = WeylForm(geom, cap, {})
     for key_a, ja in a.terms.items():
         for key_b, jb in b.terms.items():
             ta = WeylForm(geom, cap, {key_a: ja})
