@@ -88,10 +88,15 @@ def load_geometry(path):
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     try:
         kind = doc["kind"]
-        n = int(doc["n"])
-        order = int(doc["order"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n, order = doc["n"], doc["order"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: missing or bad field: {exc}") from None
+    for field, value in (("n", n), ("order", order)):
+        # a JSON integer only: bool is an int subclass, and int() would
+        # truncate a float or parse a string
+        if type(value) is not int:
+            raise InputError(
+                f"{path}: {field} must be an integer, got {value!r}")
     if not 1 <= n <= MAX_N:
         raise InputError(f"{path}: n must be >= 1 and <= {MAX_N}, got {n}")
     if not 0 <= order <= MAX_ORDER:

@@ -13,7 +13,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add as _add
 
 from .rational import CRat, ONE, ZERO, rational_sqrt
 
@@ -78,6 +77,34 @@ class Chart:
 
 _FRAC_ZERO = Fraction(0)
 
+# the width of one field of a packed monomial key; max_order stays below
+# 2**_KEY_BITS, so no field of a key or of a sum of keys carries
+_KEY_BITS = 16
+_KEY_MASK = (1 << _KEY_BITS) - 1
+
+
+def pack_key(alpha):
+    """The int key of the multi-index ``alpha``: |alpha| in the top field
+    and alpha_i in field dim-1-i, so keys add as multi-indices do and
+    integer order is (degree, alpha) order."""
+    key = sum(alpha)
+    for e in alpha:
+        key = key << _KEY_BITS | e
+    return key
+
+
+def unpack_key(key, dim):
+    """The multi-index of an int key on a chart of dimension ``dim``."""
+    return tuple(key >> _KEY_BITS * i & _KEY_MASK
+                 for i in range(dim - 1, -1, -1))
+
+
+def _check_index(alpha, dim):
+    if len(alpha) != dim:
+        raise JetError("multi-index length does not match chart")
+    if any(e < 0 for e in alpha):
+        raise JetError(f"multi-index {tuple(alpha)} has a negative entry")
+
 
 def _as_crat(value):
     return value if isinstance(value, CRat) else CRat(value)
@@ -88,11 +115,16 @@ class Jet:
 
     The coefficients are stored once, as Gaussian-integer numerators over
     one positive denominator ``den``: ``terms`` is a tuple of
-    ``(degree, alpha, re, im)`` sorted by degree and then multi-index, each
-    standing for (re + im*i)/den times the monomial alpha.  The store is
-    canonical (no zero entry, no degree beyond ``valid_order``, and no
-    factor common to den and all numerators), so equal jets have equal
-    stores.  ``coeffs`` is a read-only ``{alpha: CRat}`` view of it.
+    ``(degree, key, re, im)`` sorted by key, each standing for
+    (re + im*i)/den times the monomial alpha whose packed int key
+    (``pack_key``) is ``key``.  A key holds |alpha| in its top field and
+    alpha_i in field dim-1-i, 16 bits each, so the key of a product
+    monomial is the sum of the keys and key order is (degree, alpha)
+    order; ``max_order`` must stay below 2**16 so that no field carries.
+    The store is canonical (no zero entry, no degree beyond
+    ``valid_order``, and no factor common to den and all numerators), so
+    equal jets have equal stores.  ``coeffs`` is a read-only
+    ``{alpha: CRat}`` view of it.
     """
 
     __slots__ = ("chart", "max_order", "valid_order", "den", "terms")
@@ -107,23 +139,25 @@ class Jet:
         den = 1
         dim = chart.dim
         for alpha, c in coeffs.items():
-            if len(alpha) != dim:
-                raise JetError("multi-index length does not match chart")
+            _check_index(alpha, dim)
             d = sum(alpha)
             if d > valid_order:
                 continue
             c = _as_crat(c)
             if c:
-                clean.append((d, alpha, c.re, c.im))
+                clean.append((d, pack_key(alpha), c.re, c.im))
                 den = lcm(den, c.re.denominator, c.im.denominator)
         # den is the lcm of reduced denominators, so it is already coprime
         # to the numerators jointly
-        terms = sorted((d, alpha, re.numerator * (den // re.denominator),
+        terms = sorted((d, key, re.numerator * (den // re.denominator),
                         im.numerator * (den // im.denominator))
-                       for d, alpha, re, im in clean)
+                       for d, key, re, im in clean)
         self._init(chart, max_order, valid_order, den, tuple(terms))
 
     def _init(self, chart, max_order, valid_order, den, terms):
+        if max_order >= 1 << _KEY_BITS:
+            raise JetError(f"max_order {max_order} is not below "
+                           f"2**{_KEY_BITS}, the packed key bound")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "valid_order", valid_order)
@@ -140,7 +174,7 @@ class Jet:
 
     @classmethod
     def from_terms(cls, chart, max_order, valid_order, den, terms):
-        """The jet of sorted, nonzero ``(degree, alpha, re, im)`` terms of
+        """The jet of sorted, nonzero ``(degree, key, re, im)`` terms of
         degree <= valid_order over ``den``; a factor common to den and all
         numerators is divided out."""
         g = gcd(den, *[t[2] for t in terms], *[t[3] for t in terms])
@@ -155,10 +189,11 @@ class Jet:
     @property
     def coeffs(self):
         """``{alpha: CRat}``, built from the store on each access."""
-        den = self.den
-        return {a: CRat._make(Fraction(re, den) if re else _FRAC_ZERO,
-                              Fraction(im, den) if im else _FRAC_ZERO)
-                for _, a, re, im in self.terms}
+        den, dim = self.den, self.chart.dim
+        return {unpack_key(key, dim): CRat._make(
+                    Fraction(re, den) if re else _FRAC_ZERO,
+                    Fraction(im, den) if im else _FRAC_ZERO)
+                for _, key, re, im in self.terms}
 
     # -- constructors -----------------------------------------------------
 
@@ -169,7 +204,7 @@ class Jet:
     @classmethod
     def constant(cls, chart, value, order):
         re, im, den = _scalar_ints(value)
-        terms = ((0, (0,) * chart.dim, re, im),) if re or im else ()
+        terms = ((0, 0, re, im),) if re or im else ()
         return cls._make(chart, order, order, den, terms)
 
     @classmethod
@@ -205,9 +240,14 @@ class Jet:
 
     def coefficient(self, alpha):
         """The coefficient of the monomial ``alpha`` as a CRat."""
+        _check_index(alpha, self.chart.dim)
+        d = sum(alpha)
+        if d > self.valid_order:
+            return ZERO
         terms = self.terms
-        i = bisect_left(terms, (sum(alpha), alpha))
-        if i == len(terms) or terms[i][1] != alpha:
+        key = pack_key(alpha)
+        i = bisect_left(terms, (d, key))
+        if i == len(terms) or terms[i][1] != key:
             return ZERO
         _, _, re, im = terms[i]
         return CRat._make(Fraction(re, self.den), Fraction(im, self.den))
@@ -316,10 +356,14 @@ class Jet:
                 # convention that absent terms are exact zeros
                 return self
             raise OrderExhausted("cannot differentiate a jet of valid_order 0")
-        i = self.chart.index(var) if isinstance(var, str) else var
-        # lowering one exponent keeps the (degree, alpha) order
-        out = [(d - 1, a[:i] + (a[i] - 1,) + a[i + 1:], re * a[i], im * a[i])
-               for d, a, re, im in self.terms if a[i]]
+        shift, step = self._field(var)
+        # lowering one exponent subtracts one constant, which keeps the
+        # key order
+        out = []
+        for d, key, re, im in self.terms:
+            e = key >> shift & _KEY_MASK
+            if e:
+                out.append((d - 1, key - step, re * e, im * e))
         return Jet.from_terms(self.chart, self.max_order, self.valid_order - 1,
                               self.den, out)
 
@@ -330,11 +374,21 @@ class Jet:
         coefficient just moves up one degree: unlike a generic product,
         nothing is truncated away and the certified order rises.
         """
-        i = self.chart.index(var) if isinstance(var, str) else var
-        out = tuple((d + 1, a[:i] + (a[i] + 1,) + a[i + 1:], re, im)
-                    for d, a, re, im in self.terms)
+        _, step = self._field(var)
+        out = tuple((d + 1, key + step, re, im)
+                    for d, key, re, im in self.terms)
         return Jet._make(self.chart, self.max_order + 1, self.valid_order + 1,
                          self.den, out)
+
+    def _field(self, var):
+        """The shift of ``var``'s key field, and the key step that raises
+        its exponent (and so the degree) by one."""
+        dim = self.chart.dim
+        i = self.chart.index(var) if isinstance(var, str) else var
+        if not 0 <= i < dim:
+            raise JetError(f"variable index {i} is outside the chart")
+        shift = _KEY_BITS * (dim - 1 - i)
+        return shift, (1 << _KEY_BITS * dim) + (1 << shift)
 
     def invert(self):
         """Multiplicative inverse as a truncated power series."""
@@ -359,15 +413,28 @@ class Jet:
         c = self.chart.conj
         if c is None:
             raise DomainError("chart has no conjugation pairing")
-        out = sorted((d, tuple(a[j] for j in c), re, -im)
-                     for d, a, re, im in self.terms)
+        swapped = self._rekeyed(self.chart, c)
         return Jet._make(self.chart, self.max_order, self.valid_order,
-                         self.den, tuple(out))
+                         self.den, tuple((d, key, re, -im)
+                                         for d, key, re, im in swapped.terms))
 
-    def _rekeyed(self, chart, rekey):
-        """The same coefficients at ``rekey(alpha)``, which must keep
-        degrees and be injective."""
-        out = sorted((d, rekey(a), re, im) for d, a, re, im in self.terms)
+    def _rekeyed(self, chart, sources):
+        """The same coefficients on ``chart``, whose variable j is this
+        jet's variable ``sources[j]``, or one it does not depend on where
+        that is None; every variable it depends on must have one place."""
+        dim = self.chart.dim
+        shifts = [None if i is None else _KEY_BITS * (dim - 1 - i)
+                  for i in sources]
+        out = []
+        for d, key, re, im in self.terms:
+            # the degree stays; each exponent field moves to its new place
+            new = d
+            for shift in shifts:
+                new <<= _KEY_BITS
+                if shift is not None:
+                    new |= key >> shift & _KEY_MASK
+            out.append((d, new, re, im))
+        out.sort()
         return Jet._make(chart, self.max_order, self.valid_order, self.den,
                          tuple(out))
 
@@ -379,25 +446,23 @@ class Jet:
         sub = Chart(tuple(self.chart.names[i] for i in indices),
                     tuple(self.chart.base[i] for i in indices))
         keep = set(indices)
-        for _, a, _, _ in self.terms:
-            if any(e and i not in keep for i, e in enumerate(a)):
-                raise DomainError("jet depends on a variable outside the sub-chart")
-        return self._rekeyed(sub, lambda a: tuple(a[i] for i in indices))
+        dim = self.chart.dim
+        dropped = sum(_KEY_MASK << _KEY_BITS * (dim - 1 - i)
+                      for i in range(dim) if i not in keep)
+        if any(key & dropped for _, key, _, _ in self.terms):
+            raise DomainError("jet depends on a variable outside the sub-chart")
+        return self._rekeyed(sub, indices)
 
     def embed(self, chart, index_map=None):
         """View this jet on a larger chart; index_map sends old to new indices."""
         if index_map is None:
             index_map = tuple(chart.index(nm) for nm in self.chart.names)
+        sources = [None] * chart.dim
         for old, new in enumerate(index_map):
             if chart.base[new] != self.chart.base[old]:
                 raise ChartMismatch("base point differs under embedding")
-
-        def spread(a):
-            b = [0] * chart.dim
-            for old, e in enumerate(a):
-                b[index_map[old]] = e
-            return tuple(b)
-        return self._rekeyed(chart, spread)
+            sources[new] = old
+        return self._rekeyed(chart, sources)
 
 
 # -- exact accumulation ----------------------------------------------------
@@ -417,8 +482,11 @@ class JetSum:
     """Exact sum of terms s*a*b (or s*a) of jets on one chart.
 
     Each product is convolved in Python ints from the operands' stores and
-    added into one map of [re, im] numerators over a common denominator;
-    the denominator is raised to an lcm only when a term's own does not
+    added into one map from packed key to [re, im] numerators over a
+    common denominator; a product monomial's key is the sum of its
+    factors' keys, so each coefficient pair costs one int addition (no
+    field carries: degrees stay within validity, below 2**16).  The
+    denominator is raised to an lcm only when a term's own does not
     divide it.  ``jet()`` sorts and reduces the map once.  ``valid_order``
     and ``max_order`` are the minimum over all terms, exactly as a left
     fold of ``*`` and ``+`` gives them, and a term is convolved only up to
@@ -434,7 +502,9 @@ class JetSum:
         self.acc = {}
 
     def add(self, a, b=None, s=1):
-        """Add s*a*b, or s*a when ``b`` is None; s is int, Fraction or CRat."""
+        """Add s*a*b, or s*a when ``b`` is None; s is int, Fraction, CRat
+        or an ``(re, im, den)`` triple of ints standing for (re + im*i)/den
+        with den > 0."""
         v, m = a.valid_order, a.max_order
         if b is not None:
             if a.chart is not b.chart and a.chart != b.chart:
@@ -450,11 +520,13 @@ class JetSum:
                 self.max_order = m
             if v < self.valid_order:
                 self.valid_order = v
-                for key in [k for k in acc if sum(k) > v]:
+                # the keys of degree above v are those from this one up
+                limit = (v + 1) << _KEY_BITS * self.chart.dim
+                for key in [k for k in acc if k >= limit]:
                     del acc[key]
             else:
                 v = self.valid_order
-        sr, si, sd = _scalar_ints(s)
+        sr, si, sd = s if type(s) is tuple else _scalar_ints(s)
         if not (sr or si):
             return
         left = a.terms
@@ -495,7 +567,7 @@ class JetSum:
                 for db, kb, br, bi in right:
                     if db > rem:
                         break
-                    key = tuple(map(_add, ka, kb))
+                    key = ka + kb
                     prev = acc.get(key)
                     if prev is None:
                         acc[key] = [ar * br - ai * bi, ar * bi + ai * br]
@@ -511,7 +583,7 @@ class JetSum:
                 for db, kb, br, _ in right:
                     if db > rem:
                         break
-                    key = tuple(map(_add, ka, kb))
+                    key = ka + kb
                     prev = acc.get(key)
                     if prev is None:
                         acc[key] = [ar * br, 0]
@@ -522,8 +594,9 @@ class JetSum:
         """The normalized sum; ``empty`` when no term was added."""
         if self.chart is None:
             return empty
-        terms = sorted((sum(key), key, re, im)
-                       for key, (re, im) in self.acc.items() if re or im)
+        shift = _KEY_BITS * self.chart.dim
+        terms = [(key >> shift, key, re, im)
+                 for key, (re, im) in sorted(self.acc.items()) if re or im]
         return Jet.from_terms(self.chart, self.max_order, self.valid_order,
                               self.den, terms)
 

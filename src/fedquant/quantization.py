@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
-                   jet_maps_agree)
+                   jet_maps_agree, pack_key, unpack_key)
 from .rational import CRat, HALF_I, I
 from .weyl import pi_weight, symbol_mul
 from .geometry import CheckReport, christoffels, _curvature_of, poisson
@@ -215,10 +215,13 @@ def fiber_decompose(f, geom):
     """
     n = geom.n
     sub = config_chart(geom)
+    dim = f.chart.dim
     pieces = {}
-    for d, alpha, re, im in f.terms:
+    for d, key, re, im in f.terms:
+        alpha = unpack_key(key, dim)
         fib = alpha[n:]
-        pieces.setdefault(fib, []).append((d - sum(fib), alpha[:n], re, im))
+        pieces.setdefault(fib, []).append(
+            (d - sum(fib), pack_key(alpha[:n]), re, im))
     # a fixed fiber part keeps the (degree, alpha) order of f's terms
     return {fib: Jet.from_terms(sub, f.max_order, f.valid_order - sum(fib),
                                 f.den, terms)
@@ -518,7 +521,7 @@ def kinetic_alpha(geom, state):
     if curv.is_zero() or curv.terms[0][0] > shared:
         raise QuantizationError("scalar curvature vanishes through the "
                                 "certified order; cannot normalize")
-    pivot = curv.terms[0][1]
+    pivot = unpack_key(curv.terms[0][1], curv.chart.dim)
     alpha = jet.coefficient(pivot) / curv.coefficient(pivot)
     if not alpha.is_real:
         raise QuantizationError("curvature coefficient is not real")
@@ -758,5 +761,4 @@ def _as_monomials(jet, geom):
     base = geom.chart.base
     if any(b for b in base):
         raise QuantizationError("monomial expansion needs a centered chart")
-    return {(alpha[:n], alpha[n:]): jet.coefficient(alpha)
-            for _, alpha, _, _ in jet.terms}
+    return {(alpha[:n], alpha[n:]): c for alpha, c in jet.coeffs.items()}

@@ -30,11 +30,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .jets import (ChartMismatch, Jet, JetError, JetSum, jet_maps_agree,
                    product_vanishes)
-from .rational import HALF_I, I
 
 # form-index subsets are sorted tuples; fiber multidegrees are dense tuples
 
@@ -180,9 +179,31 @@ class WeylForm:
 
 # -- the fiberwise product -------------------------------------------------
 
+# scalars of the product kernel are (re, im, den) ints standing for
+# (re + im*i)/den in lowest terms, the form JetSum.add takes them in
+
 def _const_or_none(jet):
-    """The constant value of a constant jet, else None."""
-    return jet.constant_term if jet.is_constant() else None
+    """The value of a nonzero constant jet as a scalar, else None; the
+    canonical store already holds it in lowest terms."""
+    if not jet.is_constant():
+        return None
+    _, _, re, im = jet.terms[0]
+    return re, im, jet.den
+
+
+def _scalar_mul(x, y):
+    """The product of two scalars, in lowest terms."""
+    xr, xi, xd = x
+    yr, yi, yd = y
+    re, im, den = xr * yr - xi * yi, xr * yi + xi * yr, xd * yd
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
+def _half_i_power(m):
+    """(i/2)^m as a scalar."""
+    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[m % 4]
+    return re, im, 1 << m
 
 
 def weyl_mul(a, b, into=None):
@@ -216,9 +237,9 @@ def _mul_contract(a, b, parity, into=None):
     # so does the i of (i/hbar)
     emit = 1 if parity is None else 2
     if into is None:
-        out, lower = defaultdict(JetSum), 0
+        out, lower, emit = defaultdict(JetSum), 0, (emit, 0, 1)
     else:
-        out, lower, emit = into, 1, emit * I
+        out, lower, emit = into, 1, (0, emit, 1)
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
         da = 2 * ka + sum(alpha_a)
         for (kb, alpha_b, beta_b), jet_b in b.terms.items():
@@ -231,7 +252,7 @@ def _mul_contract(a, b, parity, into=None):
             base = jet_a * jet_b
             if base.is_zero():
                 continue
-            s = sign * emit
+            s = emit if sign == 1 else (-emit[0], -emit[1], 1)
             # one add per contraction term, so that a term cancelling
             # another still lowers the key's validity as its own
             for m, alpha, pairing, scale in _expansion(geom, alpha_a,
@@ -240,7 +261,7 @@ def _mul_contract(a, b, parity, into=None):
                     continue
                 if pairing is None or not product_vanishes(base, pairing):
                     out[ka + kb + m - lower, alpha, beta].add(
-                        base, pairing, scale * s)
+                        base, pairing, _scalar_mul(scale, s))
     if into is not None:
         return out
     return WeylForm.from_sums(geom, cap, out)
@@ -251,8 +272,9 @@ def _expansion(geom, alpha_a, alpha_b):
 
     Entries are (m, alpha, pairing, scale) for each pair gamma <= alpha_a,
     delta <= alpha_b with |gamma| = |delta| = m and a nonzero pairing:
-    the term  scale * pairing * hbar^m * y^alpha.  A constant pairing is
-    folded into ``scale`` and stored as None.
+    the term  scale * pairing * hbar^m * y^alpha, with ``scale`` an
+    (re, im, den) scalar.  A constant pairing is folded into ``scale`` and
+    stored as None.
     """
     key = ("expansion", alpha_a, alpha_b)
     cached = geom._cache.get(key)
@@ -263,16 +285,16 @@ def _expansion(geom, alpha_a, alpha_b):
     scales = geom._cache.setdefault("scales", {})
     out = []
     for m in range(min(len(subs_a), len(subs_b))):
-        power = HALF_I ** m
+        power = _half_i_power(m)
         for gamma, binom_a in subs_a[m]:
             for delta, binom_b in subs_b[m]:
                 pairing = _pair_contraction(geom, gamma, delta)
                 if pairing.is_zero():
                     continue
-                scale = power * (binom_a * binom_b)
+                scale = _scalar_mul(power, (binom_a * binom_b, 0, 1))
                 const = _const_or_none(pairing)
                 if const is not None:
-                    pairing, scale = None, scale * const
+                    pairing, scale = None, _scalar_mul(scale, const)
                 scale = scales.setdefault(scale, scale)
                 alpha = tuple(a - g + b - d for a, g, b, d
                               in zip(alpha_a, gamma, alpha_b, delta))
@@ -353,11 +375,11 @@ def symbol_mul(a, b, max_hbar=None):
             pairing = _pair_contraction(geom, alpha_a, alpha_b)
             if pairing.is_zero():
                 continue
-            scale = HALF_I ** la
+            scale = _half_i_power(la)
             const = _const_or_none(pairing)
             if const is not None:
                 if not product_vanishes(jet_a, jet_b):
-                    out[k].add(jet_a, jet_b, scale * const)
+                    out[k].add(jet_a, jet_b, _scalar_mul(scale, const))
             else:
                 ab = jet_a * jet_b
                 if not product_vanishes(ab, pairing):

@@ -208,8 +208,15 @@ N_BOUND = f"n must be >= 1 and <= {MAX_N}, got"
      f"{N_BOUND} {MAX_N + 1}"),
     ('{"kind": "cotangent", "n": %d, "order": 9, "metric": []}' % (MAX_N + 1),
      f"{N_BOUND} {MAX_N + 1}"),
+    ('{"kind": "flat", "n": true, "order": 9.7}',
+     "n must be an integer, got True"),
+    ('{"kind": "flat", "n": 1, "order": 9.7}',
+     "order must be an integer, got 9.7"),
+    ('{"kind": "flat", "n": 1, "order": "9"}',
+     "order must be an integer, got '9'"),
 ], ids=["negative-order", "zero-n", "zero-n-cotangent", "order-above-limit",
-        "order-200", "n-above-limit", "n-above-limit-cotangent"])
+        "order-200", "n-above-limit", "n-above-limit-cotangent", "n-true",
+        "order-float", "order-string"])
 def test_geometry_dimensions_are_bounded(tmp_path, capsys, doc, message):
     path = tmp_path / "bounds.json"
     path.write_text(doc)

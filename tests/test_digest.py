@@ -3,8 +3,9 @@
 Each case solves one seeded chart and hashes a canonical dump of r, of
 ``check_flatness``, of one flat section and of the star coefficients of two
 seeded observables.  A jet enters the dump as its key, ``valid_order``,
-``den`` and ``terms``, so any changed coefficient or claimed validity moves
-the digest.  A change that moves one on purpose re-pins it and says why.
+``den`` and ``terms`` (each packed monomial key unpacked to its
+multi-index), so any changed coefficient or claimed validity moves the
+digest.  A change that moves one on purpose re-pins it and says why.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 
 from fedquant import sampling
 from fedquant.fedosov import check_flatness, flat_section, solve_r, star
+from fedquant.jets import unpack_key
 from fedquant.suites import _CHARTS
 
 # (kind, n, jet order, N, chart rng tag) -> sha256 of the canonical dump;
@@ -40,7 +42,10 @@ PINNED = {
 
 
 def _jet(jet):
-    return (jet.valid_order, jet.den, jet.terms)
+    dim = jet.chart.dim
+    return (jet.valid_order, jet.den,
+            tuple((d, unpack_key(key, dim), re, im)
+                  for d, key, re, im in jet.terms))
 
 
 def _form(form):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedquant.jets import (Chart, Jet, JetError, JetSum, jet_maps_agree,
-                           product_vanishes)
+                           pack_key, product_vanishes, unpack_key)
 from fedquant.rational import CRat
 
 # each chart pairs x0 with x1 for conjugation where it has both
@@ -122,7 +122,8 @@ def assert_canonical(j):
     assert list(j.terms) == sorted(j.terms)
     assert len({t[1] for t in j.terms}) == len(j.terms)
     for d, key, re, im in j.terms:
-        assert d == sum(key) <= j.valid_order and (re or im)
+        assert d == sum(unpack_key(key, j.chart.dim)) <= j.valid_order
+        assert re or im
     assert gcd(j.den, *[x for t in j.terms for x in t[2:]]) == 1
 
 
@@ -276,3 +277,65 @@ def test_constancy_and_coefficients_read_the_store():
     assert (x * c).coefficient((0, 1)) == CRat(0)
     with pytest.raises(JetError):
         x.truncate(-1)
+
+
+# -- the packed monomial key -------------------------------------------------
+
+def multi_indices(dim, top=2 ** 12):
+    return st.lists(st.integers(0, top), min_size=dim,
+                    max_size=dim).map(tuple)
+
+
+index_pairs = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(multi_indices(d), multi_indices(d)))
+
+
+@given(index_pairs)
+def test_keys_add_as_multi_indices(pair):
+    a, b = pair
+    total = tuple(x + y for x, y in zip(a, b))
+    assert pack_key(a) + pack_key(b) == pack_key(total)
+    assert unpack_key(pack_key(a) + pack_key(b), len(a)) == total
+
+
+@given(index_pairs)
+def test_key_order_is_degree_then_multi_index(pair):
+    a, b = pair
+    assert (pack_key(a) < pack_key(b)) == ((sum(a), a) < (sum(b), b))
+    assert (pack_key(a) == pack_key(b)) == (a == b)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.dictionaries(multi_indices(d, 300), crats, max_size=6))))
+def test_keys_round_trip_through_the_view(case):
+    dim, coeffs = case
+    chart = Chart(tuple(f"x{i}" for i in range(dim)), (0,) * dim)
+    j = Jet(chart, 1200, 1200, coeffs)
+    assert_canonical(j)
+    want = {a: c for a, c in coeffs.items() if c}
+    assert j.coeffs == want
+    assert list(j.coeffs) == sorted(want, key=lambda a: (sum(a), a))
+    assert all(j.coefficient(a) == c for a, c in want.items())
+
+
+def test_orders_and_multi_indices_are_bounded():
+    chart = CHARTS[2]
+    with pytest.raises(JetError):
+        Jet(chart, 2 ** 16, 0, {})
+    with pytest.raises(JetError):
+        Jet.zero(chart, 2 ** 16)
+    top = Jet.variable(chart, 0, 2 ** 16 - 1)
+    assert top.coefficient((1, 0)) == CRat(1)
+    with pytest.raises(JetError):
+        top.mul_variable(1)
+    # an index past either end would shift into another field
+    for var in (-1, 2):
+        with pytest.raises(JetError):
+            Jet.variable(chart, 0, 3).partial(var)
+        with pytest.raises(JetError):
+            Jet.variable(chart, 0, 3).mul_variable(var)
+    for bad in [(-1, 2), (1,), (1, 0, 0)]:
+        with pytest.raises(JetError):
+            Jet(chart, 3, 3, {bad: 1})
+        with pytest.raises(JetError):
+            top.coefficient(bad)
