@@ -29,10 +29,13 @@ class FedosovError(JetError):
 def default_degree_cap(n_hbar):
     """Doubled working weight for a star product certified through hbar^N.
 
-    Scalar contributions at hbar^m come from section components of doubled
-    weight a + b = 2m, so the sections are filled through weight 2N; their
-    recursion consumes r through weight 2N + 1, and the weight-by-weight
-    solve makes every r component below the cap exact, so cap = 2N + 2.
+    ``symbol_mul`` pairs a section term hbar^ka y^alpha only with a term
+    hbar^kb y^alpha and lands at hbar^(ka + kb + |alpha|), so a star
+    product through hbar^N reads only the terms with k + |alpha| <= N
+    (``flat_section``).  Their doubled weight 2k + |alpha| is at most 2N,
+    so full sections are filled through weight 2N; that recursion consumes
+    r through weight 2N + 1, and the weight-by-weight solve makes every r
+    component below the cap exact, so cap = 2N + 2.
     """
     return 2 * n_hbar + 2
 
@@ -100,7 +103,8 @@ class FedosovState:
 
         r is fixed, so the commutator with its weight-w part is a linear
         map over jets; each row is filled once and returned as a tuple of
-        (output key, jet) pairs.
+        (level, output key, jet) triples, the level being k + |alpha| of
+        the output key.
         """
         row = self._rows.get((w, key))
         if row is None:
@@ -109,8 +113,9 @@ class FedosovState:
                             {key: Jet.constant(geom.chart, 1, geom.order)})
             sums = graded_commutator(self.r_parts[w], unit,
                                      defaultdict(JetSum))
-            row = tuple(WeylForm.from_sums(geom, self.degree_cap,
-                                           sums).terms.items())
+            row = tuple((k + sum(alpha), (k, alpha, beta), jet)
+                        for (k, alpha, beta), jet in WeylForm.from_sums(
+                            geom, self.degree_cap, sums).terms.items())
             self._rows[(w, key)] = row
         return row
 
@@ -186,57 +191,97 @@ def _count_by_weight(form, cutoff):
     return out
 
 
-def flat_section(f, state, max_weight=None):
+def flat_section(f, state, n_hbar=None):
     """Lift a scalar jet to a section annihilated by the flat connection.
 
-    Filled through doubled weight cap - 2 by default, which is what the
-    star product at the state's target order consumes; a smaller
-    ``max_weight`` spends fewer derivatives of f.  Partial fills of the
-    last ``SECTION_CACHE_SIZE`` new jets are cached and extended on demand.
+    With no bound the section is filled through doubled weight
+    ``state.section_cap``.  With ``n_hbar`` = n (at most the state's N) it
+    holds exactly the terms hbar^k y^alpha with k + |alpha| <= n, the only
+    ones a star product through hbar^n reads (``default_degree_cap``), and
+    each is store-equal to the same term of the full section.  That is
+    because the level k + |alpha| never goes down in the recursion
+
+        a_(s+1) = delta^-1 (nabla a_s + sum_w (i/hbar) [r_w, a_(s+2-w)]):
+
+    nabla keeps k and alpha, and delta^-1 adds one to |alpha|; a commutator
+    term of contraction order m <= |alpha_r| moves the level by
+    k_r + |alpha_r| - m - 1 >= -1, which the following delta^-1 adds back.
+    So a kept term gets exactly the sums the full fill gives it, and the
+    bounded fill skips nabla inputs of level n or more and commutator
+    terms that land above level n - 1.  It stops at weight 2n - 1: a
+    weight-2n term of level <= n would be a y-free hbar^n, which delta^-1
+    never makes.
+
+    The sections of the last ``SECTION_CACHE_SIZE`` new jets are cached
+    with the bound they were built to (None for a full section).  An entry
+    serves a request for an equal or smaller bound, restricted to that
+    bound, and is rebuilt for any other.
     """
     geom = state.geometry
     if f.chart != geom.chart:
         raise ChartMismatch("observable lives on a different chart")
     if not state.converged:
         raise FedosovError("state is not converged")
-    top = state.section_cap if max_weight is None \
-        else min(max_weight, state.section_cap)
-    cap = state.degree_cap
+    n = n_hbar
+    if n is not None:
+        if n < 0:
+            raise FedosovError(f"hbar order {n} is negative")
+        n = min(n, state.n_hbar)
     cache = state._section_cache
-    cached = cache.get(f)
-    if cached is None:
-        cached = [0, {0: WeylForm.from_jet(geom, cap, f)}]
-        if len(cache) >= SECTION_CACHE_SIZE:
+    entry = cache.get(f)
+    # a full entry serves any bound, a bounded one its own and smaller
+    if entry is None or not (entry[0] is None
+                             or n is not None and n <= entry[0]):
+        if entry is None and len(cache) >= SECTION_CACHE_SIZE:
             cache.popitem(last=False)
-        cache[f] = cached
-    filled, parts = cached
-    for s in range(filled, top):
+        entry = cache[f] = (n, _fill_section(f, state, n))
+    bound, section = entry
+    return section if bound == n else _restrict_level(section, n)
+
+
+def _fill_section(f, state, n):
+    """The section of ``flat_section``, built from scratch."""
+    geom = state.geometry
+    cap = state.degree_cap
+    # no term's level exceeds its doubled weight, which the cap bounds
+    top, lim = (state.section_cap, cap) if n is None else (2 * n - 1, n - 1)
+    parts = {0: WeylForm.from_jet(geom, cap, f)}
+    for s in range(top):
         # nabla a_s + sum over w of (i/hbar)[r_w, a_(s+2-w)], all of
         # weight s, in one map
         sums = defaultdict(JetSum)
         if s in parts:
-            nabla(parts[s], geom, sums)
+            nabla(parts[s] if n is None else _restrict_level(parts[s], lim),
+                  geom, sums)
         for w in state.r_parts:
             s2 = s + 2 - w
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
-                add_commutator(state, w, parts[s2], sums)
+                add_commutator(state, w, parts[s2], sums, lim)
         nxt = op_delta_inv(WeylForm.from_sums(geom, cap, sums))
         if not nxt.is_zero():
             parts[s + 1] = nxt
-    cached[0] = max(filled, top)
-    return WeylForm(geom, cap, {key: jet for s, part in parts.items()
-                                if s <= top
+    return WeylForm(geom, cap, {key: jet for part in parts.values()
                                 for key, jet in part.terms.items()})
 
 
-def add_commutator(state, w, part, acc):
+def _restrict_level(form, lim):
+    """The terms of ``form`` with k + |alpha| <= lim."""
+    return WeylForm(form.geometry, form.degree_cap,
+                    {key: jet for key, jet in form.terms.items()
+                     if key[0] + sum(key[1]) <= lim})
+
+
+def add_commutator(state, w, part, acc, max_level=None):
     """Accumulate (i/hbar)[r_w, part] from the state's rows into ``acc``,
     a ``defaultdict(JetSum)`` keyed by term; products that vanish are
-    skipped."""
+    skipped, and so are terms whose level k + |alpha| exceeds
+    ``max_level`` when one is given."""
+    if max_level is None:
+        max_level = state.degree_cap
     for key, jet in part.terms.items():
-        for out_key, row_jet in state._commutator_row(w, key):
-            if not product_vanishes(jet, row_jet):
+        for level, out_key, row_jet in state._commutator_row(w, key):
+            if level <= max_level and not product_vanishes(jet, row_jet):
                 acc[out_key].add(jet, row_jet)
 
 
@@ -250,11 +295,19 @@ def section_defect(section, state):
 
 
 def star(f, g, state, n_hbar=None):
-    """Star product through hbar^N: the symbol of f-hat o g-hat."""
+    """Star product through hbar^n (the state's N by default, and at most
+    that): the symbol of f-hat o g-hat.
+
+    The symbol pairs hbar^ka y^alpha only with hbar^kb y^alpha and lands
+    at hbar^(ka + kb + |alpha|), so each section is built with only its
+    terms of k + |alpha| <= n (``flat_section``), which are equal to those
+    of the full sections; the coefficients and their validity are those of
+    the full sections' symbol through hbar^n.
+    """
     geom = state.geometry
     n = state.n_hbar if n_hbar is None else min(n_hbar, state.n_hbar)
-    fhat = flat_section(f, state, 2 * n)
-    ghat = flat_section(g, state, 2 * n)
+    fhat = flat_section(f, state, n)
+    ghat = flat_section(g, state, n)
     sym = symbol_mul(fhat, ghat, max_hbar=n)
     v = min(j.valid_order
             for j in list(sym.values()) + [f, g])

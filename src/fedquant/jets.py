@@ -127,7 +127,8 @@ class Jet:
     ``{alpha: CRat}`` view of it.
     """
 
-    __slots__ = ("chart", "max_order", "valid_order", "den", "terms")
+    __slots__ = ("chart", "max_order", "valid_order", "den", "terms",
+                 "_imag")
 
     def __init__(self, chart, max_order, valid_order, coeffs):
         """``coeffs`` maps multi-indices to int, Fraction or CRat values;
@@ -163,6 +164,7 @@ class Jet:
         object.__setattr__(self, "valid_order", valid_order)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_imag", None)
 
     @classmethod
     def _make(cls, chart, max_order, valid_order, den, terms):
@@ -233,6 +235,15 @@ class Jet:
 
     def is_zero(self):
         return not self.terms
+
+    def has_imag(self):
+        """Whether some coefficient has a nonzero imaginary part; the store
+        is scanned on the first call only."""
+        imag = self._imag
+        if imag is None:
+            imag = any(t[3] for t in self.terms)
+            object.__setattr__(self, "_imag", imag)
+        return imag
 
     def is_constant(self):
         """Whether no stored term has positive degree."""
@@ -558,7 +569,7 @@ class JetSum:
                 else:
                     prev[0] += re
                     prev[1] += im
-        elif si or any(t[3] for t in left) or any(t[3] for t in right):
+        elif si or a.has_imag() or b.has_imag():
             for da, ka, ar, ai in left:
                 if da > v:
                     break

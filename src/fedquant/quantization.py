@@ -636,8 +636,10 @@ def check_kaehler_orders(state, samples, rep):
             rep.add("z^a * (-i dK) closes at first order",
                     _star_closes(f, h, state, True), f"(a,m)=({a},{m})")
             if nmax >= 3:
-                fhat = flat_section(f, state)
-                hhat = flat_section(h, state)
+                # every pairing landing at hbar^3 reads terms with
+                # k + |alpha| <= 3 only
+                fhat = flat_section(f, state, 3)
+                hhat = flat_section(h, state, 3)
                 contraction = kaehler_third_order_jet(geom, a, m)
                 c33 = symbol_mul(pi_weight(fhat, 3), pi_weight(hhat, 3),
                                  max_hbar=3).get(3)

@@ -240,10 +240,13 @@ def _mul_contract(a, b, parity, into=None):
         out, lower, emit = defaultdict(JetSum), 0, (emit, 0, 1)
     else:
         out, lower, emit = into, 1, (0, emit, 1)
+    # the doubled weight of each b term, read once per call
+    b_terms = [(2 * kb + sum(alpha_b), kb, alpha_b, beta_b, jet_b)
+               for (kb, alpha_b, beta_b), jet_b in b.terms.items()]
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
-        da = 2 * ka + sum(alpha_a)
-        for (kb, alpha_b, beta_b), jet_b in b.terms.items():
-            if da + 2 * kb + sum(alpha_b) > cap:
+        room = cap - 2 * ka - sum(alpha_a)
+        for db, kb, alpha_b, beta_b, jet_b in b_terms:
+            if db > room:
                 continue
             w = _wedge(beta_a, beta_b)
             if w is None:

@@ -9,7 +9,8 @@ import pytest
 
 from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import WeylForm, graded_commutator, pi_weight
+from fedquant.weyl import (WeylForm, graded_commutator, pi_weight,
+                          symbol_mul)
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                hamiltonian_vf, lift_cotangent, omega_pair,
                                poisson)
@@ -189,6 +190,56 @@ def test_commutator_rows_match_graded_commutator(kind_state):
                     rp, part, defaultdict(JetSum)))
             checked += 1
     assert checked or st.r.is_zero()
+
+
+def restrict_level(form, n):
+    """The terms hbar^k y^alpha of ``form`` with k + |alpha| <= n."""
+    return WeylForm(form.geometry, form.degree_cap,
+                    {key: jet for key, jet in form.terms.items()
+                     if key[0] + sum(key[1]) <= n})
+
+
+def test_bounded_section_is_restricted_full_section(kind_state):
+    f = observables(kind_state)[0]
+    full = flat_section(f, fresh_copy(kind_state))
+    for n in range(kind_state.n_hbar + 1):
+        bounded = flat_section(f, fresh_copy(kind_state), n)
+        assert bounded == restrict_level(full, n)
+    # a bound above the state's order is the state's order
+    assert flat_section(f, fresh_copy(kind_state), kind_state.n_hbar + 1) \
+        == restrict_level(full, kind_state.n_hbar)
+
+
+def test_star_matches_symbol_of_full_sections(kind_state):
+    st = fresh_copy(kind_state)
+    f, g, _ = observables(st)
+    fhat, ghat = flat_section(f, st), flat_section(g, st)
+    for n in range(st.n_hbar + 1):
+        # the unbounded path: the symbol of the two full sections
+        sym = symbol_mul(fhat, ghat, max_hbar=n)
+        v = min(j.valid_order for j in list(sym.values()) + [f, g])
+        zero = Jet.zero(st.geometry.chart, v)
+        expected = tuple(sym.get(k, zero) for k in range(n + 1))
+        assert star(f, g, fresh_copy(kind_state), n).coefficients == expected
+        assert star(f, g, st, n).coefficients == expected
+
+
+@pytest.mark.parametrize("bounds", [(1, None), (None, 1), (0, 2)],
+                         ids=["truncated-full", "full-truncated",
+                              "small-large"])
+def test_section_cache_call_orders(kind_state, bounds):
+    f = observables(kind_state)[0]
+    st = fresh_copy(kind_state)
+    for n in bounds:
+        assert flat_section(f, st, n) \
+            == flat_section(f, fresh_copy(kind_state), n)
+    assert len(st._section_cache) == 1
+
+
+def test_negative_section_bound_rejected():
+    st = darboux_state("negative", n_hbar=1)
+    with pytest.raises(FedosovError):
+        flat_section(observables(st)[0], st, -1)
 
 
 def test_low_order_star_coefficients():
