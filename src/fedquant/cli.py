@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import re
 import sys
@@ -35,7 +36,8 @@ from .quantization import (QuantizationError, gq_kaehler,
 from .suites import SUITES
 
 
-# limits on geometry files; the cost of every command grows steeply in both
+# limits on geometry files and on `check --order`; the cost of every
+# command grows steeply in both
 MAX_N = 16
 MAX_ORDER = 16
 # longest base-point entry, in characters: the number enters every jet of
@@ -110,6 +112,8 @@ def load_geometry(path):
         raise InputError(f"{path}: base_point needs {n} entries")
 
     def elaborate(src, chart):
+        if not isinstance(src, str):
+            raise InputError(f"{path}: expression {src!r} must be a string")
         try:
             return jet_of(src, chart, order)
         except (ParseError, JetError) as exc:
@@ -120,8 +124,11 @@ def load_geometry(path):
             return build_flat(n, order)
         if kind == "darboux":
             chart = phase_chart(n, base)
+            gamma = doc.get("gamma", {})
+            if not isinstance(gamma, dict):
+                raise InputError(f"{path}: gamma must be an object")
             gl = {}
-            for key, src in doc.get("gamma", {}).items():
+            for key, src in gamma.items():
                 if len(key) != 3 or not key.isdigit():
                     raise InputError(
                         f"{path}: gamma key {key!r} is not three 1-based "
@@ -135,8 +142,10 @@ def load_geometry(path):
         if kind == "cotangent":
             chart = Chart(tuple(f"q{i+1}" for i in range(n)), base)
             rows = doc["metric"]
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise InputError(f"{path}: metric must be {n}x{n}")
+            if not isinstance(rows, list) or len(rows) != n or any(
+                    not isinstance(r, list) or len(r) != n for r in rows):
+                raise InputError(
+                    f"{path}: metric must be a list of {n} lists of {n}")
             metric = [[elaborate(src, chart) for src in row] for row in rows]
             return lift_cotangent(metric, order)
         if kind == "kaehler":
@@ -174,8 +183,7 @@ def _emit(args, command, report, geometry="", coefficients=None):
             lines.append(f"geometry {geometry}")
         width = max((len(c["name"]) for c in report.checks), default=0)
         for c in report.checks:
-            mark = "ok  " if c["passed"] else \
-                ("FAIL" if c["fatal"] else "mismatch")
+            mark = "ok  " if c["passed"] else "FAIL"
             loc = f"  {c['location']}" if c["location"] else ""
             lines.append(f"  {mark} {c['name']:<{width}}{loc}")
         for label, tab in coefficients.items():
@@ -240,9 +248,12 @@ def cmd_check(args):
     kwargs = {"seed": args.seed}
     order = _order(args, None)
     if order is not None:
+        if order > MAX_ORDER:
+            raise InputError(
+                f"--order must be >= 0 and <= {MAX_ORDER}, got {order}")
         kwargs["order"] = order
     if args.geometry:
-        if args.suite not in ("associativity", "correspondence"):
+        if "geometry" not in inspect.signature(fn).parameters:
             raise InputError(
                 f"suite {args.suite!r} builds its own seeded geometries; "
                 "omit the geometry file")
@@ -250,17 +261,15 @@ def cmd_check(args):
             raise InputError(
                 f"--order {order} conflicts with --geometry "
                 f"{args.geometry}: the geometry file sets the jet order")
-        geom = load_geometry(args.geometry)
-        n_hbar = 3 if args.suite == "associativity" else 1
-        try:
-            kwargs["state"] = solve_r(geom, n_hbar)
-        except FedosovError as exc:
-            raise InputError(f"{args.geometry}: {exc}") from None
+        kwargs["geometry"] = load_geometry(args.geometry)
     try:
         report = fn(**kwargs)
     except JetError as exc:
-        # at the suite's default order a JetError is a library fault
-        if "order" not in kwargs:
+        # a geometry file can be too short for the suite's hbar order; on
+        # its own geometries at its own order a JetError is a library fault
+        if args.geometry and isinstance(exc, FedosovError):
+            raise InputError(f"{args.geometry}: {exc}") from None
+        if order is None:
             raise
         raise InputError(f"suite {args.suite!r} cannot run at --order "
                          f"{order}: {exc}") from None
@@ -329,8 +338,7 @@ def build_parser():
     p = sub.add_parser("check", help="run a named check suite")
     p.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
     p.add_argument("--geometry", default=None,
-                   help="optional geometry file (associativity and "
-                        "correspondence only)")
+                   help="optional geometry file, for a suite that takes one")
     p.add_argument("--seed", type=int, default=0)
     common(p, "jet order of the suite's geometries (default: the "
               "suite's own)")

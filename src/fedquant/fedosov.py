@@ -74,15 +74,12 @@ SECTION_CACHE_SIZE = 32
 class FedosovState:
     """Converged solution of the flatness equation for one geometry."""
 
-    def __init__(self, geometry, n_hbar, degree_cap, r, residual, converged,
-                 iterations_used):
+    def __init__(self, geometry, n_hbar, degree_cap, r, residual):
         self.geometry = geometry
         self.n_hbar = n_hbar
         self.degree_cap = degree_cap
         self.r = r
         self.residual = residual
-        self.converged = converged
-        self.iterations_used = iterations_used
         self.section_cap = degree_cap - 2
         self._section_cache = OrderedDict()
         self._r_parts = None
@@ -120,8 +117,7 @@ class FedosovState:
         return row
 
     def __repr__(self):
-        return (f"FedosovState(N={self.n_hbar}, cap={self.degree_cap}, "
-                f"converged={self.converged})")
+        return f"FedosovState(N={self.n_hbar}, cap={self.degree_cap})"
 
 
 def _geometry_validity(geom):
@@ -161,14 +157,11 @@ def solve_r(geom, n_hbar):
     quad = WeylForm.from_sums(geom, cap, weyl_mul(r, r, defaultdict(JetSum)))
     nr = nabla(r, geom)
     refreshed = op_delta_inv(rhat + nr + quad)
-    converged = weight_truncate(refreshed, cap - 1).agrees_with(
-        weight_truncate(r, cap - 1))
-    residual = op_delta(r) - rhat - nr - quad
-    state = FedosovState(geom, n_hbar, cap, r, residual, converged, cap - 1)
-    if not converged:
+    if not weight_truncate(refreshed, cap - 1).agrees_with(
+            weight_truncate(r, cap - 1)):
         raise FedosovError("flatness iteration did not reach a fixed point; "
                            "the degree recursion is broken")
-    return state
+    return FedosovState(geom, n_hbar, cap, r, op_delta(r) - rhat - nr - quad)
 
 
 def check_flatness(state):
@@ -220,8 +213,6 @@ def flat_section(f, state, n_hbar=None):
     geom = state.geometry
     if f.chart != geom.chart:
         raise ChartMismatch("observable lives on a different chart")
-    if not state.converged:
-        raise FedosovError("state is not converged")
     n = n_hbar
     if n is not None:
         if n < 0:

@@ -39,36 +39,34 @@ class ValidationFailure(GeometryError):
 
 
 class CheckReport:
-    """Ordered check verdicts from validation, checkers and suites.
+    """Ordered check verdicts from validation and the check suites.
 
-    Each entry in ``checks`` is a dict with ``name``, ``passed``,
-    ``location`` and ``fatal``; a failing non-fatal entry is a recorded
-    mismatch that does not fail the report.
+    Each entry in ``checks`` is a dict with ``name``, ``passed`` and
+    ``location``; the report passes when every entry does.
     """
 
     def __init__(self):
         self.checks = []
 
-    def add(self, name, passed, location="", fatal=True):
+    def add(self, name, passed, location=""):
         self.checks.append({"name": name, "passed": bool(passed),
-                            "location": location, "fatal": fatal})
+                            "location": location})
 
-    def expect(self, name, cases, fatal=True):
+    def expect(self, name, cases):
         """Add one entry from ``(location, passed)`` cases, read lazily in
         order: it fails at the first case that fails, naming its location,
         and passes with location "" if none does."""
         where = next((loc for loc, ok in cases if not ok), None)
-        self.add(name, where is None, where or "", fatal)
+        self.add(name, where is None, where or "")
 
     @property
     def passed(self):
-        return all(c["passed"] for c in self.checks if c["fatal"])
+        return all(c["passed"] for c in self.checks)
 
     def __str__(self):
         lines = []
         for c in self.checks:
-            status = "ok" if c["passed"] else \
-                ("FAIL" if c["fatal"] else "mismatch")
+            status = "ok" if c["passed"] else "FAIL"
             loc = f": {c['location']}" if c["location"] else ""
             lines.append(f"  [{status}] {c['name']}{loc}")
         return "\n".join(lines)
@@ -733,8 +731,7 @@ def _cotangent_checks(geom, curv, rep):
              * third))
         for l, k, i, j in quads))
 
-    # the p-linear curvature block of the published display is recorded as a
-    # cross-check only; a mismatch is reported, not fatal
+    # the p-linear curvature block of the published display
     def cov_rt(acc, i, a, j, l, k):
         """Add the covariant derivative nabla_i R^a_{jlk} into ``acc``."""
         acc.add(rt.get((a, j, l, k), zero).partial(i))
@@ -770,5 +767,4 @@ def _cotangent_checks(geom, curv, rep):
                 acc.add(pa, inner.jet(), third)
             got = curv.up(n + ii, j, k, l, zero)
             yield f"(i,j,k,l)=({ii},{j},{k},{l})", got.agrees_with(acc.jet())
-    rep.expect("p-linear curvature display cross-check", p_linear(),
-               fatal=False)
+    rep.expect("p-linear curvature display cross-check", p_linear())

@@ -1,4 +1,4 @@
-"""Polarized quantization operators and their star-product compatibility.
+"""Polarized quantization operators and the flat-chart representations.
 
 Wave functions are jets in the configuration block only (positions for
 cotangent charts, the holomorphic block for complex charts).  Operators are
@@ -16,9 +16,9 @@ from math import comb
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree, pack_key, unpack_key)
 from .rational import CRat, HALF_I, I
-from .weyl import pi_weight, symbol_mul
-from .geometry import CheckReport, christoffels, _curvature_of, poisson
-from .fedosov import FedosovError, flat_section, moyal_reference, star
+from .weyl import sub_degrees
+from .geometry import CheckReport, christoffels, _curvature_of
+from .fedosov import FedosovError, moyal_reference, star
 
 
 class QuantizationError(JetError):
@@ -167,16 +167,15 @@ def diffop_compose(a, b):
     """Operator product a(b(psi)), expanding coefficients by Leibniz."""
     if a.chart != b.chart:
         raise ChartMismatch("operators on different charts")
-    dim = a.chart.dim
     sums = defaultdict(JetSum)
     for ia, sa in a.terms.items():
+        # d^{ia} (c_b d^{ib} psi): distribute each of the ia derivatives
+        # between c_b and psi
+        splits = [(onto_coeff, mult, tuple(x - y for x, y in
+                                           zip(ia, onto_coeff)))
+                  for level in sub_degrees(ia) for onto_coeff, mult in level]
         for ib, sb in b.terms.items():
-            # d^{ia} (c_b d^{ib} psi): distribute each of the ia derivatives
-            # between c_b and psi
-            for onto_coeff, onto_psi in _splits(ia):
-                mult = 1
-                for k in range(dim):
-                    mult *= comb(ia[k], onto_coeff[k])
+            for onto_coeff, mult, onto_psi in splits:
                 idx = tuple(x + y for x, y in zip(onto_psi, ib))
                 for kb, jb in sb.coeffs.items():
                     d = _iter_partial(jb, onto_coeff)
@@ -185,17 +184,6 @@ def diffop_compose(a, b):
                     for ka, ja in sa.coeffs.items():
                         sums[idx, ka + kb].add(ja, d, mult)
     return _diffop_of(a.chart, sums)
-
-
-def _splits(idx):
-    """All ways to split a multi-index into two parts."""
-    if not idx:
-        yield (), ()
-        return
-    head, tail = idx[0], idx[1:]
-    for rest_a, rest_b in _splits(tail):
-        for k in range(head + 1):
-            yield (k,) + rest_a, (head - k,) + rest_b
 
 
 # -- observable decomposition ----------------------------------------------
@@ -531,135 +519,6 @@ def kinetic_alpha(geom, state):
     return alpha.re
 
 
-# -- compatibility checkers ------------------------------------------------
-
-def _star_closes(x, y, state, first_order):
-    """Whether the star coefficients of x * y are xy, then (i/2){x, y} if
-    ``first_order``, and zero at every later hbar power."""
-    s = star(x, y, state)
-    want = [x * y]
-    if first_order:
-        want.append(poisson(x, y, state.geometry) * CRat(0, Fraction(1, 2)))
-    return (all(s.coefficient(k).agrees_with(w) for k, w in enumerate(want))
-            and all(s.coefficient(k).is_zero()
-                    for k in range(len(want), s.valid_hbar_order + 1)))
-
-
-def check_kompi(state, samples, rep):
-    """Star-product conditions for vertical-polarization compatibility.
-
-    For polarized f, g (momentum-free) and h affine in the momenta:
-    f*g = fg exactly, and f*h, h*f close at first order in hbar.
-    """
-    for tag, (f, g, h) in enumerate(samples):
-        rep.add("polarized f*g = fg", _star_closes(f, g, state, False),
-                f"sample {tag}")
-        for (x, y, nm) in ((f, h, "f*h"), (h, f, "h*f")):
-            rep.add(f"{nm} closes at first order",
-                    _star_closes(x, y, state, True), f"sample {tag}")
-
-
-def p_euler(f, geom):
-    """p_i df/dp_i, the fiber-scaling derivation on a phase-space jet."""
-    n = geom.n
-    acc = JetSum()
-    for i in range(n):
-        d = f.partial(n + i)
-        if not d.is_zero():
-            acc.add(d.mul_variable(n + i))
-    return acc.jet(Jet.zero(geom.chart, max(f.valid_order - 1, 0)))
-
-
-def check_homogeneity(state, samples, rep):
-    """H = p_i d/dp_i + hbar d/dhbar is a derivation of the star product."""
-    geom = state.geometry
-    nmax = state.n_hbar
-    for tag, (f, g) in enumerate(samples):
-        s = star(f, g, state)
-        s1 = star(p_euler(f, geom), g, state)
-        s2 = star(f, p_euler(g, geom), state)
-        rep.expect("H is a star derivation", (
-            (f"sample {tag}, hbar^{k}",
-             (p_euler(s.coefficient(k), geom) + s.coefficient(k) * k)
-             .agrees_with(s1.coefficient(k) + s2.coefficient(k)))
-            for k in range(nmax + 1)))
-
-
-def kaehler_third_order_jet(geom, a, m):
-    """(1/64) R^a_{b c dbar} R_{m nbar k lbar} A^{dbar k} A^{nbar b} A^{lbar c}.
-
-    The common magnitude of the two cancelling third-order contributions to
-    z^a * (-i d_m K).
-    """
-    n = geom.n
-    curv = geom.curvature()
-    a_inv = geom.source["A_inv"]
-    zero = geom.zero_jet()
-    acc = JetSum()
-    for b in range(n):
-        for c in range(n):
-            for d in range(n):
-                r1 = curv.up(a, b, c, n + d, zero)
-                if r1.is_zero():
-                    continue
-                for k in range(n):
-                    for l in range(n):
-                        for nn in range(n):
-                            r2 = curv.low(m, n + nn, k, n + l, zero)
-                            if r2.is_zero():
-                                continue
-                            acc.add(r1 * r2 * a_inv[d][k] * a_inv[nn][b],
-                                    a_inv[l][c], Fraction(1, 64))
-    return acc.jet(zero)
-
-
-def check_kaehler_orders(state, samples, rep):
-    """Order-by-order behaviour of the star product on a complex chart.
-
-    For each linear holomorphic f = z^a and each h = -i d_m K: the hbar^2
-    and hbar^3 coefficients vanish, with the two third-order contributions
-    (section weights 3+3 and 5+1 / 1+5) individually matching the curvature
-    contraction that cancels between them; holomorphic pairs multiply
-    pointwise.
-    """
-    geom = state.geometry
-    if geom.kind != "kaehler":
-        raise QuantizationError("complex-chart geometry required")
-    n = geom.n
-    order = geom.order
-    potential = geom.source["potential"]
-    nmax = state.n_hbar
-    for a in range(n):
-        f = Jet.variable(geom.chart, a, order)
-        for m in range(n):
-            h = potential.partial(m) * (-I)
-            rep.add("z^a * (-i dK) closes at first order",
-                    _star_closes(f, h, state, True), f"(a,m)=({a},{m})")
-            if nmax >= 3:
-                # every pairing landing at hbar^3 reads terms with
-                # k + |alpha| <= 3 only
-                fhat = flat_section(f, state, 3)
-                hhat = flat_section(h, state, 3)
-                contraction = kaehler_third_order_jet(geom, a, m)
-                c33 = symbol_mul(pi_weight(fhat, 3), pi_weight(hhat, 3),
-                                 max_hbar=3).get(3)
-                c51 = symbol_mul(pi_weight(fhat, 5), pi_weight(hhat, 1),
-                                 max_hbar=3).get(3)
-                c15 = symbol_mul(pi_weight(fhat, 1), pi_weight(hhat, 5),
-                                 max_hbar=3).get(3)
-                zero = geom.zero_jet()
-                c33 = c33 if c33 is not None else zero
-                cross = (c51 if c51 is not None else zero) \
-                    + (c15 if c15 is not None else zero)
-                rep.add("weight (3,3) third-order contribution",
-                        c33.agrees_with(-contraction), f"(a,m)=({a},{m})")
-                rep.add("weight (5,1)+(1,5) third-order contribution",
-                        cross.agrees_with(contraction), f"(a,m)=({a},{m})")
-    for tag, (f, g) in enumerate(samples):
-        rep.add("holomorphic f*g = fg", _star_closes(f, g, state, False),
-                f"sample {tag}")
-
-
 # -- flat-chart representations --------------------------------------------
 
 def _mccoy(chart, order, var, m, k, base_op):
@@ -704,7 +563,7 @@ def weyl_quantize(geom, fib_coeffs, base_ops):
     return _diffop_sum(sub, terms)
 
 
-def flat_reps(n, n_hbar, samples, geom_real, geom_fock):
+def flat_reps(n_hbar, samples, geom_real, geom_fock):
     """Position and Fock representations as star homomorphisms.
 
     ``samples`` is a list of monomial pairs given as (beta, fib)
@@ -712,6 +571,7 @@ def flat_reps(n, n_hbar, samples, geom_real, geom_fock):
     exponential product on their respective flat charts.
     """
     rep = CheckReport()
+    n = geom_real.n
     order = geom_real.order
 
     def run(tag, geom, base_ops):

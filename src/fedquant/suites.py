@@ -1,8 +1,10 @@
 """Named check suites over seeded random inputs.
 
-Each suite builds its own geometries from a seed, runs an exact property
-battery, and returns a geometry.CheckReport; the command line and the test
-suite both call these entry points.
+Each suite builds its own geometries from a seed (``associativity`` and
+``correspondence`` can take one geometry instead and solve it at their own
+hbar order), runs an exact property battery, and returns a
+geometry.CheckReport; the command line and the test suite both call these
+entry points through ``SUITES``.
 """
 
 from __future__ import annotations
@@ -11,16 +13,15 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .jets import Jet, JetSum
-from .rational import I, HALF_I
+from .rational import CRat, I, HALF_I
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
-                   op_delta_star, pi_weight, scalar_part)
+                   op_delta_star, pi_weight, scalar_part, symbol_mul)
 from .geometry import (CheckReport, build_darboux, build_flat, build_kaehler,
                        complex_chart, covariant_dv, hamiltonian_vf,
                        lift_cotangent, nabla, omega_pair, poisson,
                        validate_connection)
-from .fedosov import moyal_reference, solve_r, star
-from .quantization import (check_homogeneity, check_kaehler_orders,
-                           check_kompi, flat_reps, kinetic_alpha, rho_extend)
+from .fedosov import flat_section, moyal_reference, solve_r, star
+from .quantization import flat_reps, kinetic_alpha, rho_extend
 from . import sampling
 
 
@@ -207,10 +208,12 @@ def _kind_states(order, seed, n_hbar):
             for k in ("flat", "darboux", "cotangent", "kaehler")]
 
 
-def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, state=None):
-    """(f*g)*h == f*(g*h) through hbar^N on every geometry kind."""
+def associativity_suite(order=9, seed=0, samples=25, n_hbar=3,
+                        geometry=None):
+    """(f*g)*h == f*(g*h) through hbar^N on every geometry kind, or on
+    ``geometry`` alone."""
     rep = CheckReport()
-    states = [state] if state is not None else \
+    states = [solve_r(geometry, n_hbar)] if geometry is not None else \
         _kind_states(order, seed, n_hbar)
     for st in states:
         chart = st.geometry.chart
@@ -230,10 +233,11 @@ def associativity_suite(order=9, seed=0, samples=25, n_hbar=3, state=None):
     return rep
 
 
-def correspondence_suite(order=9, seed=0, samples=25, state=None):
-    """f*g - g*f = i hbar {f, g} + O(hbar^2) on every geometry kind."""
+def correspondence_suite(order=9, seed=0, samples=25, geometry=None):
+    """f*g - g*f = i hbar {f, g} + O(hbar^2) on every geometry kind, or on
+    ``geometry`` alone."""
     rep = CheckReport()
-    states = [state] if state is not None else \
+    states = [solve_r(geometry, 1)] if geometry is not None else \
         _kind_states(order, seed, 1)
     for st in states:
         geom = st.geometry
@@ -263,54 +267,146 @@ def _cotangent_battery(order, seed, metrics):
             for t in range(metrics)]
 
 
-def _phase_samples(rng, geom, order):
-    n = geom.n
-    chart = geom.chart
-    f = sampling.random_p_polynomial(rng, chart, n, order, p_degree=0,
-                                     q_degree=3, terms=3)
-    g = sampling.random_p_polynomial(rng, chart, n, order, p_degree=0,
-                                     q_degree=3, terms=3)
-    h = sampling.random_p_polynomial(rng, chart, n, order, p_degree=1,
-                                     q_degree=2, terms=3)
-    return f, g, h
+def _star_closes(x, y, state, first_order):
+    """Whether the star coefficients of x * y are xy, then (i/2){x, y} if
+    ``first_order``, and zero at every later hbar power."""
+    s = star(x, y, state)
+    want = [x * y]
+    if first_order:
+        want.append(poisson(x, y, state.geometry) * CRat(0, Fraction(1, 2)))
+    return (all(s.coefficient(k).agrees_with(w) for k, w in enumerate(want))
+            and all(s.coefficient(k).is_zero()
+                    for k in range(len(want), s.valid_hbar_order + 1)))
 
 
 def kompi_suite(order=11, seed=0, metrics=5):
-    """Polarization-compatibility star conditions on lifted connections."""
+    """Polarization-compatibility star conditions on lifted connections.
+
+    For polarized f, g (momentum-free) and h affine in the momenta:
+    f*g = fg exactly, and f*h, h*f close at first order in hbar.
+    """
     rep = CheckReport()
     for t, state in enumerate(_cotangent_battery(order, seed, metrics)):
         rng = sampling.make_rng(("kompi", seed, t))
-        f, g, h = _phase_samples(rng, state.geometry, order)
-        check_kompi(state, [(f, g, h)], rep)
+        n = state.geometry.n
+        chart = state.geometry.chart
+        f, g = (sampling.random_p_polynomial(rng, chart, n, order, p_degree=0,
+                                             q_degree=3, terms=3)
+                for _ in range(2))
+        h = sampling.random_p_polynomial(rng, chart, n, order, p_degree=1,
+                                         q_degree=2, terms=3)
+        rep.add("polarized f*g = fg", _star_closes(f, g, state, False),
+                f"metric {t}")
+        for (x, y, nm) in ((f, h, "f*h"), (h, f, "h*f")):
+            rep.add(f"{nm} closes at first order",
+                    _star_closes(x, y, state, True), f"metric {t}")
     return rep
 
 
+def _p_euler(f, geom):
+    """p_i df/dp_i, the fiber-scaling derivation on a phase-space jet."""
+    n = geom.n
+    acc = JetSum()
+    for i in range(n):
+        d = f.partial(n + i)
+        if not d.is_zero():
+            acc.add(d.mul_variable(n + i))
+    return acc.jet(Jet.zero(geom.chart, max(f.valid_order - 1, 0)))
+
+
 def cotangent_homogeneity_suite(order=11, seed=0, metrics=5):
-    """The momentum Euler field is a derivation of the star product."""
+    """H = p_i d/dp_i + hbar d/dhbar is a derivation of the star product."""
     rep = CheckReport()
     for t, state in enumerate(_cotangent_battery(order, seed, metrics)):
         rng = sampling.make_rng(("homog", seed, t))
-        chart = state.geometry.chart
-        n = state.geometry.n
-        f = sampling.random_p_polynomial(rng, chart, n, order, p_degree=2,
-                                         q_degree=2, terms=3)
-        g = sampling.random_p_polynomial(rng, chart, n, order, p_degree=2,
-                                         q_degree=2, terms=3)
-        check_homogeneity(state, [(f, g)], rep)
+        geom = state.geometry
+        f, g = (sampling.random_p_polynomial(rng, geom.chart, geom.n, order,
+                                             p_degree=2, q_degree=2, terms=3)
+                for _ in range(2))
+        s = star(f, g, state)
+        s1 = star(_p_euler(f, geom), g, state)
+        s2 = star(f, _p_euler(g, geom), state)
+        rep.expect("H is a star derivation", (
+            (f"metric {t}, hbar^{k}",
+             (_p_euler(s.coefficient(k), geom) + s.coefficient(k) * k)
+             .agrees_with(s1.coefficient(k) + s2.coefficient(k)))
+            for k in range(state.n_hbar + 1)))
     return rep
 
 
 # -- kaehler orders --------------------------------------------------------
 
+def _kaehler_third_order_jet(geom, a, m):
+    """(1/64) R^a_{b c dbar} R_{m nbar k lbar} A^{dbar k} A^{nbar b} A^{lbar c}.
+
+    The common magnitude of the two cancelling third-order contributions to
+    z^a * (-i d_m K).
+    """
+    n = geom.n
+    curv = geom.curvature()
+    a_inv = geom.source["A_inv"]
+    zero = geom.zero_jet()
+    acc = JetSum()
+    for b in range(n):
+        for c in range(n):
+            for d in range(n):
+                r1 = curv.up(a, b, c, n + d, zero)
+                if r1.is_zero():
+                    continue
+                for k in range(n):
+                    for l in range(n):
+                        for nn in range(n):
+                            r2 = curv.low(m, n + nn, k, n + l, zero)
+                            if r2.is_zero():
+                                continue
+                            acc.add(r1 * r2 * a_inv[d][k] * a_inv[nn][b],
+                                    a_inv[l][c], Fraction(1, 64))
+    return acc.jet(zero)
+
+
+def _third_order(fhat, hhat, wf, wh, zero):
+    """The hbar^3 coefficient of the weight-wf part of fhat times the
+    weight-wh part of hhat."""
+    c = symbol_mul(pi_weight(fhat, wf), pi_weight(hhat, wh), max_hbar=3)
+    return c.get(3, zero)
+
+
 def kaehler_orders_suite(order=12, seed=0, potentials=5):
-    """Vanishing mixed orders and the third-order curvature contributions."""
+    """Order-by-order behaviour of the star product on complex charts.
+
+    For each linear holomorphic f = z^a and each h = -i d_m K: the hbar^2
+    and hbar^3 coefficients vanish, with the two third-order contributions
+    (section weights 3+3 and 5+1 / 1+5) individually matching the curvature
+    contraction that cancels between them; a holomorphic pair multiplies
+    pointwise.
+    """
     rep = CheckReport()
     for t in range(potentials):
         n = _BATTERY_DIMS[t % len(_BATTERY_DIMS)]
         state = _state("kaehler", n, order, 3, (seed, t))
-        chart = state.geometry.chart
+        geom = state.geometry
+        zero = geom.zero_jet()
+        potential = geom.source["potential"]
+        for a in range(n):
+            f = Jet.variable(geom.chart, a, order)
+            for m in range(n):
+                where = f"potential {t}, (a,m)=({a},{m})"
+                h = potential.partial(m) * (-I)
+                rep.add("z^a * (-i dK) closes at first order",
+                        _star_closes(f, h, state, True), where)
+                # every pairing landing at hbar^3 reads terms with
+                # k + |alpha| <= 3 only
+                fhat = flat_section(f, state, 3)
+                hhat = flat_section(h, state, 3)
+                contraction = _kaehler_third_order_jet(geom, a, m)
+                rep.add("weight (3,3) third-order contribution",
+                        _third_order(fhat, hhat, 3, 3, zero).agrees_with(
+                            -contraction), where)
+                cross = _third_order(fhat, hhat, 5, 1, zero) \
+                    + _third_order(fhat, hhat, 1, 5, zero)
+                rep.add("weight (5,1)+(1,5) third-order contribution",
+                        cross.agrees_with(contraction), where)
         rng = sampling.make_rng(("kaehler-orders", seed, t))
-        z = Jet.variable(chart, 0, order)
         coeffs = {}
         for _ in range(3):
             alpha = [0] * (2 * n)
@@ -318,8 +414,10 @@ def kaehler_orders_suite(order=12, seed=0, potentials=5):
                 alpha[rng.randrange(n)] += 1
             key = tuple(alpha)
             coeffs[key] = coeffs.get(key, 0) + sampling.random_rational(rng)
-        hol = Jet(chart, order, order, coeffs)
-        check_kaehler_orders(state, [(z, hol)], rep)
+        hol = Jet(geom.chart, order, order, coeffs)
+        rep.add("holomorphic f*g = fg",
+                _star_closes(Jet.variable(geom.chart, 0, order), hol, state,
+                             False), f"potential {t}")
     return rep
 
 
@@ -354,7 +452,7 @@ def flat_reps_suite(order=11, seed=0, polynomials=10):
     kf = build_kaehler(
         Jet.variable(complex_chart(1), 0, order)
         * Jet.variable(complex_chart(1), 1, order), order)
-    rep = flat_reps(1, 3, monomials, geom_real, kf)
+    rep = flat_reps(3, monomials, geom_real, kf)
     state = _state("flat", 1, order, 3)
     for t in range(polynomials):
         f = sampling.random_p_polynomial(rng, state.geometry.chart, 1, order,
@@ -443,5 +541,7 @@ SUITES = {
     "kaehler-orders": kaehler_orders_suite,
     "kinetic-alpha": kinetic_alpha_suite,
     "flat-reps": flat_reps_suite,
+    "second-order": second_order_suite,
+    "structural": structural_suite,
 }
 

@@ -283,7 +283,7 @@ def _expansion(geom, alpha_a, alpha_b):
     cached = geom._cache.get(key)
     if cached is not None:
         return cached
-    subs_a, subs_b = _sub_degrees(alpha_a), _sub_degrees(alpha_b)
+    subs_a, subs_b = sub_degrees(alpha_a), sub_degrees(alpha_b)
     # few distinct scalars recur across entries: keep one object per value
     scales = geom._cache.setdefault("scales", {})
     out = []
@@ -306,7 +306,7 @@ def _expansion(geom, alpha_a, alpha_b):
     return out
 
 
-def _sub_degrees(alpha):
+def sub_degrees(alpha):
     """The (gamma, C(alpha, gamma)) with gamma <= alpha, listed by |gamma|."""
     out = [[] for _ in range(sum(alpha) + 1)]
     for gamma in product(*(range(e + 1) for e in alpha)):

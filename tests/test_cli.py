@@ -172,7 +172,9 @@ def test_negative_hbar_order_is_input_error(flat_file, capsys, order):
 
 
 @pytest.mark.parametrize("suite,order", [("moyal-flat", "-1"),
-                                         ("r-terms", "2")])
+                                         ("r-terms", "2"),
+                                         ("kinetic-alpha",
+                                          str(MAX_ORDER + 1))])
 def test_check_unusable_order_is_input_error(capsys, suite, order):
     assert main(["check", suite, "--order", order, "--quiet"]) == 2
     assert "--order" in capsys.readouterr().err
@@ -254,6 +256,32 @@ def test_base_point_numbers_are_exact_and_bounded(tmp_path, capsys, entry,
     assert message in captured.err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ('{"kind": "cotangent", "n": 1, "order": 9, "metric": 5}',
+     "metric must be a list of 1 lists of 1"),
+    ('{"kind": "cotangent", "n": 2, "order": 9, "metric": [[3]]}',
+     "metric must be a list of 2 lists of 2"),
+    ('{"kind": "cotangent", "n": 1, "order": 9, "metric": [[3]]}',
+     "expression 3 must be a string"),
+    ('{"kind": "cotangent", "n": 1, "order": 9, "metric": ["1"]}',
+     "metric must be a list of 1 lists of 1"),
+    ('{"kind": "darboux", "n": 1, "order": 9, "gamma": ["q1"]}',
+     "gamma must be an object"),
+    ('{"kind": "darboux", "n": 1, "order": 9, "gamma": {"111": 2}}',
+     "expression 2 must be a string"),
+    ('{"kind": "kaehler", "n": 1, "order": 9, "potential": 7}',
+     "expression 7 must be a string"),
+], ids=["metric-int", "metric-short", "metric-entry-int", "metric-row-string",
+        "gamma-list", "gamma-entry-int", "potential-int"])
+def test_geometry_field_types_are_checked(tmp_path, capsys, doc, message):
+    path = tmp_path / "types.json"
+    path.write_text(doc)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("entry", ["3", '"-7"', '"-1/2"', '"0.25"',
                                    '"%s"' % ("1" * MAX_NUMBER_CHARS)],
                          ids=["int", "int-string", "fraction", "decimal",
@@ -267,14 +295,13 @@ def test_base_point_accepts_ints_fractions_and_decimals(tmp_path, capsys,
     assert capsys.readouterr().err == ""
 
 
-def test_failing_non_fatal_entry_prints_mismatch(capsys):
+def test_failing_entry_prints_fail_and_exits_1(capsys):
     report = CheckReport()
-    report.add("recorded cross-check", False, "sample 0", fatal=False)
+    report.add("identity", True)
+    report.add("cross-check", False, "sample 0")
     args = argparse.Namespace(quiet=False, json=None)
-    assert _emit(args, "demo", report) == 0
-    out = capsys.readouterr().out
-    assert "mismatch recorded cross-check  sample 0" in out
-    assert "FAIL" not in out
+    assert _emit(args, "demo", report) == 1
+    assert "FAIL cross-check  sample 0" in capsys.readouterr().out
 
 
 def test_validate_runs_validation_once(flat_file, monkeypatch):
@@ -292,6 +319,17 @@ def test_validate_runs_validation_once(flat_file, monkeypatch):
             monkeypatch.setattr(mod, "validate_connection", counting)
     assert main(["validate", flat_file, "--quiet"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suite", ["second-order", "structural"])
+def test_every_acceptance_suite_runs_from_the_command_line(capsys, suite):
+    assert main(["check", suite, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_check_geometry_for_a_seeded_suite_is_input_error(flat_file, capsys):
+    assert main(["check", "kompi", "--geometry", flat_file]) == 2
+    assert "omit the geometry file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["associativity", "correspondence"])

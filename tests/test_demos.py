@@ -12,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # sha256 of each demo's stdout
 DEMO_STDOUT = {
     "flat_star.py":
-        "9a7c0099e748937d2b90fdfcb512cfd6e88496e91cd53ea1c949cf70ed2a0625",
+        "cb3cf663ab4566f1593249e93db5a5b65373a9c4c513c3cd1543c178e7e86ec8",
     "holomorphic_ops.py":
         "0902d2c5514178d5617a8244c6bc546b1cf25330453bfe7cc41b70fdfc4e76bc",
     "sphere_kinetic.py":

@@ -91,17 +91,15 @@ def test_validation_report_names_offender():
         pytest.fail("expected a validation failure")
 
 
-def test_report_non_fatal_mismatch_does_not_fail():
+def test_report_fails_on_any_failing_entry():
     rep = CheckReport()
     rep.add("identity", True)
-    rep.add("cross-check", False, "(i,j)=(0,1)", fatal=False)
     assert rep.passed
-    assert [c["name"] for c in rep.checks] == ["identity", "cross-check"]
-    assert str(rep) == ("  [ok] identity\n"
-                        "  [mismatch] cross-check: (i,j)=(0,1)")
     rep.add("identity 2", False, "sample 3")
     assert not rep.passed
-    assert str(rep).endswith("  [FAIL] identity 2: sample 3")
+    assert [c["name"] for c in rep.checks] == ["identity", "identity 2"]
+    assert str(rep) == ("  [ok] identity\n"
+                        "  [FAIL] identity 2: sample 3")
 
 
 def test_expect_records_the_first_failing_case_and_reads_no_further():
@@ -113,12 +111,11 @@ def test_expect_records_the_first_failing_case_and_reads_no_further():
     rep = CheckReport()
     rep.expect("first failure", cases())
     rep.expect("no cases", iter(()))
-    rep.expect("all pass", [("(0,0)", True), ("(0,1)", True)], fatal=False)
+    rep.expect("all pass", [("(0,0)", True), ("(0,1)", True)])
     assert rep.checks == [
-        {"name": "first failure", "passed": False, "location": "(0,1)",
-         "fatal": True},
-        {"name": "no cases", "passed": True, "location": "", "fatal": True},
-        {"name": "all pass", "passed": True, "location": "", "fatal": False},
+        {"name": "first failure", "passed": False, "location": "(0,1)"},
+        {"name": "no cases", "passed": True, "location": ""},
+        {"name": "all pass", "passed": True, "location": ""},
     ]
 
 

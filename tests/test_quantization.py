@@ -174,7 +174,7 @@ def test_flat_representations():
     samples = [(((1,), (1,)), ((0,), (2,))),
                (((2,), (1,)), ((1,), (2,))),
                (((0,), (3,)), ((2,), (0,)))]
-    rep = flat_reps(1, 3, samples, build_flat(1, order), fock)
+    rep = flat_reps(3, samples, build_flat(1, order), fock)
     assert rep.passed, str(rep)
 
 
