@@ -19,8 +19,8 @@ from .fedosov import (FedosovError, FedosovState, StarSeries, check_flatness,
                       flat_section, moyal_reference, section_defect, solve_r,
                       star)
 from .quantization import (DiffOp, HbarSeries, QuantizationError,
-                           diffop_apply, diffop_compose, flat_reps,
-                           gq_cotangent, gq_kaehler, kinetic_alpha,
+                           diffop_apply, diffop_compose, gq_cotangent,
+                           gq_kaehler, kinetic_alpha,
                            kinetic_energy_observable, laplace_beltrami,
                            rho_extend, scalar_curvature)
 from .suites import SUITES

@@ -280,11 +280,17 @@ def cmd_check(args):
 def cmd_quantize(args):
     n = _order(args, 3)
     geom = load_geometry(args.geometry)
+    if geom.kind == "kaehler" and args.order is not None:
+        # the holomorphic operator is exact at first order in hbar
+        raise InputError(f"--order {args.order} does not apply to the "
+                         f"kaehler geometry {args.geometry}: its operator "
+                         "needs no star product")
     try:
         if args.f.strip() == "kinetic":
             if geom.kind not in ("flat", "cotangent"):
                 raise InputError(
-                    "the kinetic shorthand needs a cotangent geometry")
+                    "the kinetic shorthand needs a flat or cotangent "
+                    "geometry")
             f = kinetic_energy_observable(geom)
         else:
             f = jet_of(args.f, geom.chart, geom.order)
@@ -346,7 +352,8 @@ def build_parser():
 
     p = sub.add_parser("quantize", help="polarization operator dump")
     p.add_argument("geometry", help="geometry JSON file")
-    common(p, "hbar order of the operator (default 3)")
+    common(p, "hbar order of the operator (default 3; not for a kaehler "
+              "file)")
     p.add_argument("--f", required=True,
                    help="observable expression, or 'kinetic'")
     p.set_defaults(fn=cmd_quantize)

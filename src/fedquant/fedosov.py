@@ -18,8 +18,8 @@ from fractions import Fraction
 from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
 from .rational import CRat
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
-                   pi_weight, symbol_mul, weight_truncate, weyl_mul)
-from .geometry import nabla
+                   symbol_mul, weight_truncate, weyl_mul)
+from .geometry import build_rhat, nabla
 
 
 class FedosovError(JetError):
@@ -74,26 +74,18 @@ SECTION_CACHE_SIZE = 32
 class FedosovState:
     """Converged solution of the flatness equation for one geometry."""
 
-    def __init__(self, geometry, n_hbar, degree_cap, r, residual):
+    def __init__(self, geometry, n_hbar, degree_cap, r, r_parts, residual):
+        """``r_parts`` holds the nonzero weight components of ``r``, keyed
+        by doubled weight."""
         self.geometry = geometry
         self.n_hbar = n_hbar
         self.degree_cap = degree_cap
         self.r = r
+        self.r_parts = r_parts
         self.residual = residual
         self.section_cap = degree_cap - 2
         self._section_cache = OrderedDict()
-        self._r_parts = None
         self._rows = {}
-
-    @property
-    def r_parts(self):
-        """Nonzero weight components of r, keyed by doubled weight."""
-        if self._r_parts is None:
-            parts = {w: pi_weight(self.r, w)
-                     for w in range(3, self.degree_cap + 1)}
-            self._r_parts = {w: p for w, p in parts.items()
-                             if not p.is_zero()}
-        return self._r_parts
 
     def _commutator_row(self, w, key):
         """(i/hbar)[r_w, t] for the unit-coefficient term t at ``key``.
@@ -141,7 +133,7 @@ def solve_r(geom, n_hbar):
         raise FedosovError(
             f"geometry jets need valid_order >= {2 * n_hbar + 3} "
             f"for a star product through hbar^{n_hbar}")
-    rhat = geom.rhat(cap)
+    rhat = build_rhat(geom, cap)
     parts = {3: op_delta_inv(rhat)}
     for w in range(3, cap):
         # every term has weight w, so delta^{-1} gives weight w + 1 only
@@ -161,7 +153,9 @@ def solve_r(geom, n_hbar):
             weight_truncate(r, cap - 1)):
         raise FedosovError("flatness iteration did not reach a fixed point; "
                            "the degree recursion is broken")
-    return FedosovState(geom, n_hbar, cap, r, op_delta(r) - rhat - nr - quad)
+    return FedosovState(geom, n_hbar, cap, r,
+                        {w: p for w, p in parts.items() if not p.is_zero()},
+                        op_delta(r) - rhat - nr - quad)
 
 
 def check_flatness(state):
@@ -263,13 +257,11 @@ def _restrict_level(form, lim):
                      if key[0] + sum(key[1]) <= lim})
 
 
-def add_commutator(state, w, part, acc, max_level=None):
+def add_commutator(state, w, part, acc, max_level):
     """Accumulate (i/hbar)[r_w, part] from the state's rows into ``acc``,
     a ``defaultdict(JetSum)`` keyed by term; products that vanish are
     skipped, and so are terms whose level k + |alpha| exceeds
-    ``max_level`` when one is given."""
-    if max_level is None:
-        max_level = state.degree_cap
+    ``max_level``."""
     for key, jet in part.terms.items():
         for level, out_key, row_jet in state._commutator_row(w, key):
             if level <= max_level and not product_vanishes(jet, row_jet):

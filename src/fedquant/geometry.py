@@ -142,15 +142,6 @@ class ChartGeometry:
             self._cache["validation"] = validate_connection(self)
         return self._cache["validation"]
 
-    def rhat(self, degree_cap):
-        # the cache keeps the terms, not the form: a form refers back to
-        # its geometry, and that cycle would leave a discarded geometry to
-        # the cyclic collector instead of reference counting
-        key = ("rhat", degree_cap)
-        if key not in self._cache:
-            self._cache[key] = build_rhat(self, degree_cap).terms
-        return WeylForm(self, degree_cap, self._cache[key])
-
 
 @dataclass
 class CurvatureData:

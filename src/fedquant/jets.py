@@ -267,15 +267,10 @@ class Jet:
     def constant_term(self):
         return self.coefficient((0,) * self.chart.dim)
 
-    def agrees_with(self, other, order=None):
-        """Exact coefficient equality up to the shared (or given) order."""
+    def agrees_with(self, other):
+        """Exact coefficient equality up to the shared order."""
         self._check_chart(other)
         v = min(self.valid_order, other.valid_order)
-        if order is not None:
-            if order > v:
-                raise OrderExhausted(
-                    f"comparison order {order} exceeds shared validity {v}")
-            v = order
         # cross-multiplied, so the two stores need not share a denominator
         da, db = self.den, other.den
         return ({k: (re * db, im * db) for d, k, re, im in self.terms
@@ -464,10 +459,8 @@ class Jet:
             raise DomainError("jet depends on a variable outside the sub-chart")
         return self._rekeyed(sub, indices)
 
-    def embed(self, chart, index_map=None):
+    def embed(self, chart, index_map):
         """View this jet on a larger chart; index_map sends old to new indices."""
-        if index_map is None:
-            index_map = tuple(chart.index(nm) for nm in self.chart.names)
         sources = [None] * chart.dim
         for old, new in enumerate(index_map):
             if chart.base[new] != self.chart.base[old]:

@@ -1,4 +1,4 @@
-"""Polarized quantization operators and the flat-chart representations.
+"""Polarized quantization operators.
 
 Wave functions are jets in the configuration block only (positions for
 cotangent charts, the holomorphic block for complex charts).  Operators are
@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb
 
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree, pack_key, unpack_key)
-from .rational import CRat, HALF_I, I
+from .rational import HALF_I, I
 from .weyl import sub_degrees
-from .geometry import CheckReport, christoffels, _curvature_of
-from .fedosov import FedosovError, moyal_reference, star
+from .geometry import christoffels, _curvature_of
+from .fedosov import FedosovError, star
 
 
 class QuantizationError(JetError):
@@ -71,12 +70,12 @@ class DiffOp:
         self.terms = clean
 
     @classmethod
-    def mult(cls, jet, hbar_power=0):
+    def mult(cls, jet):
         z = (0,) * jet.chart.dim
-        return cls(jet.chart, {z: HbarSeries(jet.chart, {hbar_power: jet})})
+        return cls(jet.chart, {z: HbarSeries(jet.chart, {0: jet})})
 
     @classmethod
-    def deriv(cls, chart, i, coeff, hbar_power=0):
+    def deriv(cls, chart, i, coeff, hbar_power):
         e = tuple(1 if k == i else 0 for k in range(chart.dim))
         return cls(chart, {e: HbarSeries(chart, {hbar_power: coeff})})
 
@@ -465,12 +464,14 @@ def scalar_curvature(geom):
 
 
 def kinetic_energy_observable(geom):
-    """g^{ab} p_a p_b as a jet on the phase-space chart."""
+    """g^{ab} p_a p_b as a jet on the phase-space chart of a flat or
+    cotangent geometry."""
     n = geom.n
+    _, ginv = base_metric(geom)
     acc = JetSum()
     for a in range(n):
         for b in range(n):
-            gab = geom.source["metric_inv"][a][b]
+            gab = _embed_config(ginv[a][b], geom)
             acc.add(gab.mul_variable(n + a).mul_variable(n + b))
     return acc.jet()
 
@@ -517,110 +518,3 @@ def kinetic_alpha(geom, state):
         raise QuantizationError(
             "kinetic residual is not proportional to the scalar curvature")
     return alpha.re
-
-
-# -- flat-chart representations --------------------------------------------
-
-def _mccoy(chart, order, var, m, k, base_op):
-    """Symmetrized operator for x^m y^k with [x, y-op] canonical.
-
-    (1/2^m) sum_j C(m,j) x^j (y-op)^k x^(m-j), the standard fully
-    symmetrized ordering for a single conjugate pair.
-    """
-    x = Jet.variable(chart, var, order)
-    xj = DiffOp.identity(chart, order)
-    powers = [xj]
-    for _ in range(m):
-        powers.append(diffop_compose(DiffOp.mult(x), powers[-1]))
-    opk = DiffOp.identity(chart, order)
-    for _ in range(k):
-        opk = diffop_compose(base_op, opk)
-    return _diffop_sum(chart, (
-        (diffop_compose(powers[j], diffop_compose(opk, powers[m - j])),
-         Fraction(comb(m, j), 2 ** m), 0)
-        for j in range(m + 1)))
-
-
-def weyl_quantize(geom, fib_coeffs, base_ops):
-    """Symmetrized quantization of monomials q^beta p^I on a flat chart.
-
-    ``base_ops[i]`` is the operator representing the i-th fiber variable;
-    distinct coordinate pairs commute, so the symmetrization factorizes
-    into per-pair symmetrized products.
-    """
-    n = geom.n
-    sub = base_ops[0].chart
-    order = geom.order
-    terms = []
-    for (beta, fib), coeff in fib_coeffs.items():
-        term = DiffOp.mult(Jet.constant(sub, coeff, order))
-        for i in range(n):
-            if beta[i] or fib[i]:
-                term = diffop_compose(
-                    term, _mccoy(sub, order, i, beta[i], fib[i],
-                                 base_ops[i]))
-        terms.append((term, 1, 0))
-    return _diffop_sum(sub, terms)
-
-
-def flat_reps(n_hbar, samples, geom_real, geom_fock):
-    """Position and Fock representations as star homomorphisms.
-
-    ``samples`` is a list of monomial pairs given as (beta, fib)
-    multi-indices; both representations are checked against the direct
-    exponential product on their respective flat charts.
-    """
-    rep = CheckReport()
-    n = geom_real.n
-    order = geom_real.order
-
-    def run(tag, geom, base_ops):
-        sub = base_ops[0].chart
-        for (mono1, mono2) in samples:
-            f = _monomial_jet(geom, mono1)
-            g = _monomial_jet(geom, mono2)
-            of = weyl_quantize(geom, {mono1: CRat(1)}, base_ops)
-            og = weyl_quantize(geom, {mono2: CRat(1)}, base_ops)
-            lhs = diffop_compose(of, og)
-            s = moyal_reference(f, g, geom, n_hbar)
-            rhs = _diffop_sum(sub, (
-                (weyl_quantize(geom, _as_monomials(ck, geom), base_ops), 1, k)
-                for k, ck in enumerate(s.coefficients) if not ck.is_zero()))
-            ok = lhs.truncate_hbar(n_hbar).agrees_with(
-                rhs.truncate_hbar(n_hbar))
-            rep.add(f"{tag} homomorphism on monomials", ok,
-                    f"{mono1} x {mono2}")
-
-    # position representation: q multiplies, p differentiates
-    sub_r = config_chart(geom_real)
-    base_r = [DiffOp.deriv(sub_r, i,
-                           Jet.constant(sub_r, -I, order), 1)
-              for i in range(n)]
-    run("position", geom_real, base_r)
-
-    # Fock representation: z multiplies, zbar = hbar d_z
-    sub_f = config_chart(geom_fock)
-    base_f = [DiffOp.deriv(sub_f, i,
-                           Jet.constant(sub_f, 1, order), 1)
-              for i in range(n)]
-    run("Fock", geom_fock, base_f)
-    return rep
-
-
-def _monomial_jet(geom, mono):
-    beta, fib = mono
-    order = geom.order
-    out = Jet.constant(geom.chart, 1, order)
-    for i, e in enumerate(beta):
-        for _ in range(e):
-            out = out.mul_variable(i)
-    return _attach_fiber(out, geom, fib)
-
-
-def _as_monomials(jet, geom):
-    """Exact monomial expansion {(beta, fib): coefficient} of a jet."""
-    n = geom.n
-    base = geom.chart.base
-    if any(b for b in base):
-        raise QuantizationError("monomial expansion needs a centered chart")
-    return {(alpha[:n], alpha[n:]): c for alpha, c in jet.coeffs.items()}

@@ -1,27 +1,31 @@
 """Named check suites over seeded random inputs.
 
-Each suite builds its own geometries from a seed (``associativity`` and
-``correspondence`` can take one geometry instead and solve it at their own
-hbar order), runs an exact property battery, and returns a
-geometry.CheckReport; the command line and the test suite both call these
-entry points through ``SUITES``.
+Each suite has fixed sample counts and hbar orders and takes only a jet
+order and a seed.  It builds its own geometries from the seed
+(``associativity`` and ``correspondence`` can take one geometry instead
+and solve it at their own hbar order), runs an exact property battery,
+and returns a geometry.CheckReport; the command line and the test suite
+both call these entry points through ``SUITES``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from math import comb
 
 from .jets import Jet, JetSum
 from .rational import CRat, I, HALF_I
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
                    op_delta_star, pi_weight, scalar_part, symbol_mul)
 from .geometry import (CheckReport, build_darboux, build_flat, build_kaehler,
-                       complex_chart, covariant_dv, hamiltonian_vf,
-                       lift_cotangent, nabla, omega_pair, poisson,
-                       validate_connection)
+                       build_rhat, complex_chart, covariant_dv,
+                       hamiltonian_vf, lift_cotangent, nabla, omega_pair,
+                       poisson, validate_connection)
 from .fedosov import flat_section, moyal_reference, solve_r, star
-from .quantization import flat_reps, kinetic_alpha, rho_extend
+from .quantization import (DiffOp, QuantizationError, _diffop_sum,
+                           config_chart, diffop_compose, kinetic_alpha,
+                           rho_extend)
 from . import sampling
 
 
@@ -36,7 +40,8 @@ _CHARTS = {
         sampling.random_kaehler_potential(rng, n, order), order),
 }
 
-# chart dimensions n of the cotangent and Kaehler batteries, in turn
+# the chart dimension n of each of the five base metrics (cotangent
+# batteries) and potentials (kaehler-orders), in turn
 _BATTERY_DIMS = (1, 1, 2, 1, 2)
 
 
@@ -49,21 +54,22 @@ def _state(kind, n, order, n_hbar, seed=None):
 
 # -- flat Moyal equality ---------------------------------------------------
 
-def moyal_flat_suite(order=11, seed=0, samples=50, n_hbar=4):
-    """star == direct exponential product on flat charts, exact."""
+def moyal_flat_suite(order=11, seed=0):
+    """star == direct exponential product on flat charts, exact, through
+    hbar^4 on 50 samples."""
     rep = CheckReport()
     rng = sampling.make_rng(("moyal-flat", seed))
     states = {}
-    for t in range(samples):
+    for t in range(50):
         n = 1 + t % 2
         if n not in states:
-            states[n] = _state("flat", n, order, n_hbar)
+            states[n] = _state("flat", n, order, 4)
         state = states[n]
         chart = state.geometry.chart
         f = sampling.random_polynomial(rng, chart, order, degree=4)
         g = sampling.random_polynomial(rng, chart, order, degree=4)
         got = star(f, g, state)
-        want = moyal_reference(f, g, state.geometry, n_hbar)
+        want = moyal_reference(f, g, state.geometry, 4)
         rep.add("flat star equals direct product", got.agrees_with(want),
                 f"sample {t} (n={n})")
     return rep
@@ -71,15 +77,16 @@ def moyal_flat_suite(order=11, seed=0, samples=50, n_hbar=4):
 
 # -- explicit low-order coefficients ---------------------------------------
 
-def second_order_suite(order=9, seed=0, samples=10):
-    """hbar^1 and hbar^2 star coefficients against contracted oracles.
+def second_order_suite(order=9, seed=0):
+    """hbar^1 and hbar^2 star coefficients against contracted oracles, on
+    10 samples.
 
     hbar^1 = -(i/2) omega(X_f, X_g); hbar^2 = (1/8)(nabla_j X_f)^b
     (nabla_b X_g)^j, the normalization fixed by the flat limit.
     """
     rep = CheckReport()
     rng = sampling.make_rng(("second-order", seed))
-    for t in range(samples):
+    for t in range(10):
         state = _state("darboux", 1, order, 2, (seed, t))
         geom = state.geometry
         dim = geom.dim
@@ -165,10 +172,11 @@ def _r4_oracle(geom, cap):
     return WeylForm(geom, cap, terms)
 
 
-def r_terms_suite(order=9, seed=0, samples=3):
-    """First two curvature terms of the flatness solution, exact."""
+def r_terms_suite(order=9, seed=0):
+    """First two curvature terms of the flatness solution, exact, on 3
+    samples."""
     rep = CheckReport()
-    for t in range(samples):
+    for t in range(3):
         state = _state("darboux", 1, order, 3, (seed, "r", t))
         geom = state.geometry
         cap = state.degree_cap
@@ -208,18 +216,17 @@ def _kind_states(order, seed, n_hbar):
             for k in ("flat", "darboux", "cotangent", "kaehler")]
 
 
-def associativity_suite(order=9, seed=0, samples=25, n_hbar=3,
-                        geometry=None):
-    """(f*g)*h == f*(g*h) through hbar^N on every geometry kind, or on
-    ``geometry`` alone."""
+def associativity_suite(order=9, seed=0, geometry=None):
+    """(f*g)*h == f*(g*h) through hbar^3 on 25 triples per geometry kind,
+    or on ``geometry`` alone."""
     rep = CheckReport()
-    states = [solve_r(geometry, n_hbar)] if geometry is not None else \
-        _kind_states(order, seed, n_hbar)
+    states = [solve_r(geometry, 3)] if geometry is not None else \
+        _kind_states(order, seed, 3)
     for st in states:
         chart = st.geometry.chart
         kind = st.geometry.kind
         rng = sampling.make_rng(("assoc", kind, seed))
-        for t in range(samples):
+        for t in range(25):
             f = sampling.random_polynomial(rng, chart, order, degree=2,
                                            terms=3)
             g = sampling.random_polynomial(rng, chart, order, degree=2,
@@ -233,9 +240,9 @@ def associativity_suite(order=9, seed=0, samples=25, n_hbar=3,
     return rep
 
 
-def correspondence_suite(order=9, seed=0, samples=25, geometry=None):
-    """f*g - g*f = i hbar {f, g} + O(hbar^2) on every geometry kind, or on
-    ``geometry`` alone."""
+def correspondence_suite(order=9, seed=0, geometry=None):
+    """f*g - g*f = i hbar {f, g} + O(hbar^2) on 25 pairs per geometry kind,
+    or on ``geometry`` alone."""
     rep = CheckReport()
     states = [solve_r(geometry, 1)] if geometry is not None else \
         _kind_states(order, seed, 1)
@@ -243,7 +250,7 @@ def correspondence_suite(order=9, seed=0, samples=25, geometry=None):
         geom = st.geometry
         chart = geom.chart
         rng = sampling.make_rng(("corr", geom.kind, seed))
-        for t in range(samples):
+        for t in range(25):
             f = sampling.random_polynomial(rng, chart, order, degree=3,
                                            terms=4)
             g = sampling.random_polynomial(rng, chart, order, degree=3,
@@ -260,11 +267,11 @@ def correspondence_suite(order=9, seed=0, samples=25, geometry=None):
 
 # -- cotangent suites ------------------------------------------------------
 
-def _cotangent_battery(order, seed, metrics):
-    """Converged states for a seeded mix of base metrics at n = 1 and 2."""
-    return [_state("cotangent", _BATTERY_DIMS[t % len(_BATTERY_DIMS)], order,
-                   3, (seed, t))
-            for t in range(metrics)]
+def _cotangent_battery(order, seed):
+    """Converged states for five seeded base metrics, one per entry of
+    ``_BATTERY_DIMS``."""
+    return [_state("cotangent", n, order, 3, (seed, t))
+            for t, n in enumerate(_BATTERY_DIMS)]
 
 
 def _star_closes(x, y, state, first_order):
@@ -279,14 +286,14 @@ def _star_closes(x, y, state, first_order):
                     for k in range(len(want), s.valid_hbar_order + 1)))
 
 
-def kompi_suite(order=11, seed=0, metrics=5):
+def kompi_suite(order=11, seed=0):
     """Polarization-compatibility star conditions on lifted connections.
 
     For polarized f, g (momentum-free) and h affine in the momenta:
     f*g = fg exactly, and f*h, h*f close at first order in hbar.
     """
     rep = CheckReport()
-    for t, state in enumerate(_cotangent_battery(order, seed, metrics)):
+    for t, state in enumerate(_cotangent_battery(order, seed)):
         rng = sampling.make_rng(("kompi", seed, t))
         n = state.geometry.n
         chart = state.geometry.chart
@@ -314,10 +321,10 @@ def _p_euler(f, geom):
     return acc.jet(Jet.zero(geom.chart, max(f.valid_order - 1, 0)))
 
 
-def cotangent_homogeneity_suite(order=11, seed=0, metrics=5):
+def cotangent_homogeneity_suite(order=11, seed=0):
     """H = p_i d/dp_i + hbar d/dhbar is a derivation of the star product."""
     rep = CheckReport()
-    for t, state in enumerate(_cotangent_battery(order, seed, metrics)):
+    for t, state in enumerate(_cotangent_battery(order, seed)):
         rng = sampling.make_rng(("homog", seed, t))
         geom = state.geometry
         f, g = (sampling.random_p_polynomial(rng, geom.chart, geom.n, order,
@@ -371,7 +378,7 @@ def _third_order(fhat, hhat, wf, wh, zero):
     return c.get(3, zero)
 
 
-def kaehler_orders_suite(order=12, seed=0, potentials=5):
+def kaehler_orders_suite(order=12, seed=0):
     """Order-by-order behaviour of the star product on complex charts.
 
     For each linear holomorphic f = z^a and each h = -i d_m K: the hbar^2
@@ -381,8 +388,7 @@ def kaehler_orders_suite(order=12, seed=0, potentials=5):
     pointwise.
     """
     rep = CheckReport()
-    for t in range(potentials):
-        n = _BATTERY_DIMS[t % len(_BATTERY_DIMS)]
+    for t, n in enumerate(_BATTERY_DIMS):
         state = _state("kaehler", n, order, 3, (seed, t))
         geom = state.geometry
         zero = geom.zero_jet()
@@ -423,13 +429,14 @@ def kaehler_orders_suite(order=12, seed=0, potentials=5):
 
 # -- kinetic energy --------------------------------------------------------
 
-def kinetic_alpha_suite(order=9, seed=0, metrics=3):
-    """The half-form scalar-curvature coefficient is exactly 1/4."""
+def kinetic_alpha_suite(order=9, seed=0):
+    """The half-form scalar-curvature coefficient is exactly 1/4, on the
+    round sphere and three random metrics."""
     rep = CheckReport()
     sph = lift_cotangent(sampling.sphere_metric(order), order)
     st = solve_r(sph, 2)
     rep.add("round sphere alpha", kinetic_alpha(sph, st) == Fraction(1, 4))
-    for t in range(metrics):
+    for t in range(3):
         rng = sampling.make_rng(("kinetic", seed, t))
         geom = lift_cotangent(sampling.random_metric(rng, 2, order), order)
         state = solve_r(geom, 2)
@@ -440,8 +447,74 @@ def kinetic_alpha_suite(order=9, seed=0, metrics=3):
 
 # -- flat representations --------------------------------------------------
 
-def flat_reps_suite(order=11, seed=0, polynomials=10):
-    """Representation homomorphisms and factorization independence."""
+def _mccoy(chart, order, var, m, k, base_op):
+    """Symmetrized operator for x^m y^k with [x, y-op] canonical.
+
+    (1/2^m) sum_j C(m,j) x^j (y-op)^k x^(m-j), the standard fully
+    symmetrized ordering for a single conjugate pair.
+    """
+    x = Jet.variable(chart, var, order)
+    powers = [DiffOp.identity(chart, order)]
+    for _ in range(m):
+        powers.append(diffop_compose(DiffOp.mult(x), powers[-1]))
+    opk = DiffOp.identity(chart, order)
+    for _ in range(k):
+        opk = diffop_compose(base_op, opk)
+    return _diffop_sum(chart, (
+        (diffop_compose(powers[j], diffop_compose(opk, powers[m - j])),
+         Fraction(comb(m, j), 2 ** m), 0)
+        for j in range(m + 1)))
+
+
+def weyl_quantize(geom, fib_coeffs, base_ops):
+    """Symmetrized quantization of monomials q^beta p^I on a flat chart.
+
+    ``base_ops[i]`` is the operator representing the i-th fiber variable;
+    distinct coordinate pairs commute, so the symmetrization factorizes
+    into per-pair symmetrized products.
+    """
+    n = geom.n
+    sub = base_ops[0].chart
+    order = geom.order
+    terms = []
+    for (beta, fib), coeff in fib_coeffs.items():
+        term = DiffOp.mult(Jet.constant(sub, coeff, order))
+        for i in range(n):
+            if beta[i] or fib[i]:
+                term = diffop_compose(
+                    term, _mccoy(sub, order, i, beta[i], fib[i],
+                                 base_ops[i]))
+        terms.append((term, 1, 0))
+    return _diffop_sum(sub, terms)
+
+
+def _monomial_jet(geom, mono):
+    """q^beta p^fib as a jet, for ``mono`` = (beta, fib)."""
+    beta, fib = mono
+    out = Jet.constant(geom.chart, 1, geom.order)
+    for i, e in enumerate(beta + fib):
+        for _ in range(e):
+            out = out.mul_variable(i)
+    return out
+
+
+def _as_monomials(jet, geom):
+    """Exact monomial expansion {(beta, fib): coefficient} of a jet."""
+    n = geom.n
+    if any(b for b in geom.chart.base):
+        raise QuantizationError("monomial expansion needs a centered chart")
+    return {(alpha[:n], alpha[n:]): c for alpha, c in jet.coeffs.items()}
+
+
+def flat_reps_suite(order=11, seed=0):
+    """Representation homomorphisms and factorization independence.
+
+    The position and Fock representations of six seeded monomial pairs
+    are checked against the direct exponential product through hbar^3 on
+    their flat charts, and ``rho_extend`` against its two splitting rules
+    on 10 momentum polynomials.
+    """
+    rep = CheckReport()
     rng = sampling.make_rng(("flat-reps", seed))
     monomials = []
     for _ in range(6):
@@ -449,12 +522,30 @@ def flat_reps_suite(order=11, seed=0, polynomials=10):
         m2 = ((rng.randint(0, 2),), (rng.randint(0, 3),))
         monomials.append((m1, m2))
     geom_real = build_flat(1, order)
-    kf = build_kaehler(
+    geom_fock = build_kaehler(
         Jet.variable(complex_chart(1), 0, order)
         * Jet.variable(complex_chart(1), 1, order), order)
-    rep = flat_reps(3, monomials, geom_real, kf)
+    # position: q multiplies, p = -i hbar d_q; Fock: z multiplies,
+    # zbar = hbar d_z
+    for tag, geom, scale in (("position", geom_real, -I),
+                             ("Fock", geom_fock, 1)):
+        sub = config_chart(geom)
+        base_ops = [DiffOp.deriv(sub, 0, Jet.constant(sub, scale, order), 1)]
+        for mono1, mono2 in monomials:
+            f = _monomial_jet(geom, mono1)
+            g = _monomial_jet(geom, mono2)
+            of = weyl_quantize(geom, {mono1: CRat(1)}, base_ops)
+            og = weyl_quantize(geom, {mono2: CRat(1)}, base_ops)
+            lhs = diffop_compose(of, og)
+            s = moyal_reference(f, g, geom, 3)
+            rhs = _diffop_sum(sub, (
+                (weyl_quantize(geom, _as_monomials(ck, geom), base_ops), 1, k)
+                for k, ck in enumerate(s.coefficients) if not ck.is_zero()))
+            rep.add(f"{tag} homomorphism on monomials",
+                    lhs.truncate_hbar(3).agrees_with(rhs.truncate_hbar(3)),
+                    f"{mono1} x {mono2}")
     state = _state("flat", 1, order, 3)
-    for t in range(polynomials):
+    for t in range(10):
         f = sampling.random_p_polynomial(rng, state.geometry.chart, 1, order,
                                          p_degree=3, q_degree=3)
         a = rho_extend(f, state, split="first")
@@ -493,7 +584,7 @@ def _number_op(a):
     return WeylForm(a.geometry, a.degree_cap, terms)
 
 
-def structural_suite(order=6, seed=0, samples=4):
+def structural_suite(order=6, seed=0):
     """Chain identities of delta, its adjoint, and the curvature square."""
     cap = 8
     rep = CheckReport()
@@ -509,8 +600,8 @@ def structural_suite(order=6, seed=0, samples=4):
         kind = geom.kind + f" n={geom.n}"
         rep.add(f"{kind} connection validation",
                 validate_connection(geom).passed)
-        rhat = geom.rhat(cap)
-        for t in range(samples):
+        rhat = build_rhat(geom, cap)
+        for t in range(4):
             a = _random_form(rng, geom, cap, order)
             rep.add(f"{kind} delta^2 = 0", op_delta(op_delta(a)).is_zero(),
                     f"sample {t}")

@@ -117,10 +117,8 @@ class WeylForm:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_jet(cls, geometry, degree_cap, jet, hbar_power=0):
-        dim = geometry.dim
-        return cls(geometry, degree_cap,
-                   {(hbar_power, (0,) * dim, ()): jet})
+    def from_jet(cls, geometry, degree_cap, jet):
+        return cls(geometry, degree_cap, {(0, (0,) * geometry.dim, ()): jet})
 
     @classmethod
     def from_sums(cls, geometry, degree_cap, sums):
@@ -355,8 +353,9 @@ def _pair_contraction(geom, alpha_a, alpha_b):
     return out
 
 
-def symbol_mul(a, b, max_hbar=None):
-    """The y-free, form-free part of a o b, as a map hbar power -> jet.
+def symbol_mul(a, b, max_hbar):
+    """The y-free, form-free part of a o b through hbar^max_hbar, as a map
+    hbar power -> jet.
 
     Only complete contractions (gamma = alpha_a, delta = alpha_b, where
     both binomial factors are 1) survive in the symbol, so this skips
@@ -373,7 +372,7 @@ def symbol_mul(a, b, max_hbar=None):
             if beta_b or sum(alpha_b) != la:
                 continue
             k = ka + kb + la
-            if max_hbar is not None and k > max_hbar:
+            if k > max_hbar:
                 continue
             pairing = _pair_contraction(geom, alpha_a, alpha_b)
             if pairing.is_zero():

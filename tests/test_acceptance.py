@@ -15,50 +15,49 @@ from fedquant import suites
 
 SEED = 2026
 
-# per suite: keyword arguments, wall-clock budget in seconds (None for
-# none), and the sha256 of json.dumps of the report's [name, passed,
-# location] entries
+# per suite: wall-clock budget in seconds (None for none), and the sha256
+# of json.dumps of the report's [name, passed, location] entries
 RUNS = {
     "moyal-flat": (
-        {"samples": 50, "n_hbar": 4}, 30,
+        30,
         "729fd6316e9ef9a61aea24e73a6392ed0cded8fe0b1dcddda4227b78a9b79f9b"),
     "second-order": (
-        {"samples": 10}, 60,
+        60,
         "ca7f9057bee8c976406aae2ce71a0f6f0d6c43fc7a84fcf4fa509577406dd1de"),
     "r-terms": (
-        {"samples": 3}, None,
+        None,
         "fa1a564700a1fa774dd1863c1dea81a1effc8a0daded8c4771a6b0da76c50e0f"),
     "associativity": (
-        {"samples": 25}, 60,
+        60,
         "38faad4aac6b36a689dabe5d6722f96fe246a05dfea58d4904a054237599caea"),
     "correspondence": (
-        {"samples": 25}, 60,
+        60,
         "ed43fc461ec0d8cc2ffd6f1837352acce245415c0c6e22db78c637dd394e8179"),
     "cotangent-homogeneity": (
-        {"metrics": 5}, None,
+        None,
         "722282a6d78c2b13c3dd080406b990c20f978e983887d85f2cd345c6c2041eb9"),
     "kompi": (
-        {"metrics": 5}, None,
+        None,
         "cec76dcea95b00215d41616196d18c19a750f83bc11a211591c4a619d114c515"),
     "kinetic-alpha": (
-        {"metrics": 3}, 120,
+        120,
         "aba56a10df4d02368517e5712fa3b788840f5d32a39ed3a8086e96575072585a"),
     "kaehler-orders": (
-        {"potentials": 5}, None,
+        None,
         "0365f3bc265554ec31b01f481599df13a72164202d21276488c775f758eb4377"),
     "flat-reps": (
-        {"polynomials": 10}, None,
+        None,
         "8953cee9f466e5b1183ccbd1c7e2b8588e72709ddf3672f8f269aa5ee950efa8"),
     "structural": (
-        {}, None,
+        None,
         "1ae8233611f41fcc241dccd9feaf1ce896271bf41b0f9489a63f8af9b3a75036"),
 }
 
 
 def _run(name):
-    kwargs, budget, digest = RUNS[name]
+    budget, digest = RUNS[name]
     t0 = time.time()
-    rep = suites.SUITES[name](seed=SEED, **kwargs)
+    rep = suites.SUITES[name](seed=SEED)
     elapsed = time.time() - t0
     assert rep.passed, "\n" + str(rep)
     if budget is not None:

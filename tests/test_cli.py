@@ -84,6 +84,28 @@ def test_quantize_kinetic_needs_cotangent(tmp_path, capsys):
     assert main(["quantize", str(path), "--f", "kinetic"]) == 2
 
 
+def test_quantize_kinetic_on_a_flat_chart_is_p_squared(flat_file, tmp_path):
+    coefficients = []
+    for f in ("kinetic", "p1^2"):
+        out = tmp_path / "out.json"
+        assert main(["quantize", flat_file, "--f", f, "--quiet",
+                     "--json", str(out)]) == 0
+        coefficients.append(json.loads(out.read_text())["coefficients"])
+    assert coefficients[0] == coefficients[1]
+    assert coefficients[0] == {"d^(2)": {"hbar^2": {"0": "-1"}}}
+
+
+def test_quantize_order_on_kaehler_is_input_error(tmp_path, capsys):
+    # the holomorphic operator is computed without a star product, so an
+    # --order would be ignored
+    path = tmp_path / "k.json"
+    path.write_text(KAEHLER)
+    assert main(["quantize", str(path), "--f", "z1", "--quiet"]) == 0
+    assert main(["quantize", str(path), "--f", "z1", "--order", "2",
+                 "--quiet"]) == 2
+    assert "--order 2 does not apply" in capsys.readouterr().err
+
+
 def test_check_unknown_suite(capsys):
     assert main(["check", "no-such-suite"]) == 2
 

@@ -125,7 +125,7 @@ def kind_state(request):
 def fresh_copy(st):
     """The same solution of the flatness equation with empty caches."""
     return FedosovState(st.geometry, st.n_hbar, st.degree_cap, st.r,
-                        st.residual)
+                        st.r_parts, st.residual)
 
 
 def observables(st):
@@ -182,7 +182,7 @@ def test_commutator_rows_match_graded_commutator(kind_state):
             if part.is_zero():
                 continue
             acc = defaultdict(JetSum)
-            add_commutator(st, w, part, acc)
+            add_commutator(st, w, part, acc, st.degree_cap)
             assert WeylForm.from_sums(geom, st.degree_cap, acc) \
                 == WeylForm.from_sums(geom, st.degree_cap, graded_commutator(
                     rp, part, defaultdict(JetSum)))

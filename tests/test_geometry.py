@@ -9,8 +9,8 @@ from fedquant.jets import Chart, Jet, JetSum
 from fedquant.rational import CRat, I
 from fedquant.weyl import WeylForm, graded_commutator
 from fedquant.geometry import (ChartGeometry, CheckReport, ValidationFailure,
-                               build_darboux,
-                               build_flat, build_kaehler, complex_chart,
+                               build_darboux, build_flat, build_kaehler,
+                               build_rhat, complex_chart,
                                hamiltonian_vf, invert_jet_matrix,
                                lift_cotangent, nabla, omega_pair, phase_chart,
                                poisson, validate_connection)
@@ -200,7 +200,7 @@ def test_curvature_square_of_connection():
     geom = build_darboux(1, sampling.random_darboux_gamma(rng, 1, ORDER),
                          ORDER)
     cap = 8
-    rhat = geom.rhat(cap)
+    rhat = build_rhat(geom, cap)
     a = WeylForm(geom, cap, {(0, (0, 1), ()): Jet.variable(geom.chart, 0,
                                                            ORDER)})
     lhs = nabla(nabla(a, geom), geom)

@@ -131,8 +131,9 @@ def test_truncate_and_agrees_with_shared_order():
     f = (x + 1) ** 4
     g = f.truncate(2)
     assert f.agrees_with(g)          # compares through order 2
-    with pytest.raises(OrderExhausted):
-        f.agrees_with(g, order=3)    # can't certify beyond shared validity
+    assert g.truncate(3) is g        # truncation never raises validity
+    h = f - x ** 3                   # differs from f at order 3 only
+    assert h.agrees_with(g) and not h.agrees_with(f.truncate(3))
 
 
 def test_conjugate_on_paired_chart():

@@ -11,10 +11,11 @@ from fedquant.geometry import (build_flat, build_kaehler, complex_chart,
 from fedquant.fedosov import solve_r
 from fedquant.quantization import (DiffOp, HbarSeries, QuantizationError,
                                    config_chart, diffop_apply, diffop_compose,
-                                   flat_reps, gq_cotangent, gq_kaehler,
-                                   kinetic_alpha, kinetic_energy_observable,
+                                   gq_cotangent, gq_kaehler, kinetic_alpha,
+                                   kinetic_energy_observable,
                                    laplace_beltrami, rho_extend,
                                    scalar_curvature)
+from fedquant.suites import flat_reps_suite, weyl_quantize
 from fedquant import sampling
 
 
@@ -34,7 +35,7 @@ def flat_state(flat):
 def test_diffop_commutator(flat):
     sub = config_chart(flat)
     q = Jet.variable(sub, 0, ORDER)
-    d = DiffOp.deriv(sub, 0, Jet.constant(sub, 1, ORDER))
+    d = DiffOp.deriv(sub, 0, Jet.constant(sub, 1, ORDER), 0)
     m = DiffOp.mult(q)
     comm = diffop_compose(d, m) - diffop_compose(m, d)
     assert comm.agrees_with(DiffOp.identity(sub, ORDER))
@@ -43,7 +44,7 @@ def test_diffop_commutator(flat):
 def test_compose_matches_iterated_apply(flat):
     sub = config_chart(flat)
     q = Jet.variable(sub, 0, ORDER)
-    d = DiffOp.deriv(sub, 0, q + 2)
+    d = DiffOp.deriv(sub, 0, q + 2, 0)
     psi = q * q * q + q
     once = diffop_apply(d, psi).coeffs[0]
     twice = diffop_apply(d, once).coeffs[0]
@@ -149,8 +150,9 @@ def test_kaehler_affine_observable():
     op = gq_kaehler(f, geom)
     sub = Chart(cc.names[:1], cc.base[:1])
     zc = Jet.variable(sub, 0, order)
+    half = HbarSeries(sub, {1: Jet.constant(sub, Fraction(1, 2), order)})
     want = DiffOp.deriv(sub, 0, zc, 1) + DiffOp.mult(zc * zc) \
-        + DiffOp.mult(Jet.constant(sub, Fraction(1, 2), order), 1)
+        + DiffOp(sub, {(0,): half})
     assert op.agrees_with(want)
 
 
@@ -166,19 +168,44 @@ def test_kaehler_rejects_nonaffine():
         gq_kaehler(z + zb, geom)     # u would not be holomorphic
 
 
-def test_flat_representations():
+def test_flat_representations(flat):
+    """The symmetrized q p is -i hbar (q d + 1/2) in the position
+    representation and hbar (z d + 1/2) in the Fock one; the suite's
+    homomorphism checks pass on seeds other than the battery's."""
     order = ORDER
     cc = complex_chart(1)
     fock = build_kaehler(
         Jet.variable(cc, 0, order) * Jet.variable(cc, 1, order), order)
-    samples = [(((1,), (1,)), ((0,), (2,))),
-               (((2,), (1,)), ((1,), (2,))),
-               (((0,), (3,)), ((2,), (0,)))]
-    rep = flat_reps(3, samples, build_flat(1, order), fock)
-    assert rep.passed, str(rep)
+    for geom, scale in ((flat, -I), (fock, 1)):
+        sub = config_chart(geom)
+        x = Jet.variable(sub, 0, order)
+        c = Jet.constant(sub, scale, order)
+        op = weyl_quantize(geom, {((1,), (1,)): CRat(1)},
+                           [DiffOp.deriv(sub, 0, c, 1)])
+        half = HbarSeries(sub, {1: c * Fraction(1, 2)})
+        want = DiffOp.deriv(sub, 0, c * x, 1) + DiffOp(sub, {(0,): half})
+        assert op.agrees_with(want)
+    for seed in (0, 1):
+        rep = flat_reps_suite(seed=seed)
+        assert rep.passed, str(rep)
 
 
 def test_kinetic_observable_is_metric_contraction(sphere):
     ke = kinetic_energy_observable(sphere)
     # p-degree exactly two everywhere
     assert all(sum(key[2:]) == 2 for key in ke.coeffs)
+    # the lifted inverse metric times p_a p_b, store for store
+    n = sphere.n
+    ginv = sphere.source["metric_inv"]
+    want = sum((ginv[a][b].mul_variable(n + a).mul_variable(n + b)
+                for a in range(n) for b in range(n)),
+               Jet.zero(sphere.chart, ORDER + 2))
+    assert ke == want
+
+
+def test_kinetic_on_a_flat_chart(flat, flat_state):
+    """p^2 on a flat chart: -hbar^2 d^2, with no curvature to normalize."""
+    ke = kinetic_energy_observable(flat)
+    p = Jet.variable(flat.chart, 1, ORDER)
+    assert ke.agrees_with(p * p)
+    assert kinetic_alpha(flat, flat_state) is None

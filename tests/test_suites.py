@@ -1,4 +1,9 @@
-"""Check suites keep no solved state between calls."""
+"""Check suites keep no solved state between calls, and take no size
+options."""
+
+import inspect
+
+import pytest
 
 from fedquant import suites
 
@@ -12,9 +17,15 @@ def test_suite_cost_does_not_depend_on_earlier_suites(monkeypatch):
         return original(geom, n_hbar, *args)
 
     monkeypatch.setattr(suites, "solve_r", counting)
-    assert suites.kompi_suite(metrics=1).passed
+    assert suites.kompi_suite().passed
     fresh = len(calls)
-    assert suites.cotangent_homogeneity_suite(metrics=1).passed
+    assert suites.cotangent_homogeneity_suite().passed
     calls.clear()
-    assert suites.kompi_suite(metrics=1).passed
-    assert fresh == len(calls) == 1
+    assert suites.kompi_suite().passed
+    assert fresh == len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_suites_take_only_order_seed_and_geometry(name):
+    params = tuple(inspect.signature(suites.SUITES[name]).parameters)
+    assert params in (("order", "seed"), ("order", "seed", "geometry"))
