@@ -10,7 +10,7 @@ from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError,
                    OrderExhausted, jet_exp, jet_log, jet_sqrt)
 from .exprparse import ParseError, jet_of
 from .weyl import (GradingError, WeylForm, graded_commutator, op_delta,
-                   op_delta_inv, op_delta_star, symbol, weyl_mul)
+                   op_delta_inv, op_delta_star, weyl_mul)
 from .geometry import (ChartGeometry, CheckReport, GeometryError,
                        ValidationFailure, build_darboux, build_flat,
                        build_kaehler, complex_chart, lift_cotangent, nabla,

@@ -16,7 +16,7 @@ from collections import OrderedDict, defaultdict
 from fractions import Fraction
 
 from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
-from .rational import CRat
+from .rational import HALF_I, ONE
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
                    symbol_mul, weight_truncate, weyl_mul)
 from .geometry import build_rhat, nabla
@@ -125,8 +125,14 @@ def solve_r(geom, n_hbar):
 
     The weight-(w+1) component of r is determined by the weight-w data, so
     the recursion fills one weight per step, summing its right-hand side
-    nabla r_w + (i/hbar) sum r_w1 o r_w2 in one map; a final full
-    fixed-point pass certifies stability of every retained term.
+    nabla r_w + (i/hbar) sum r_w1 o r_w2 in one map.  A final pass runs
+    one full iteration r -> delta^-1 (Rhat + nabla r + (i/hbar) r o r)
+    and raises ``FedosovError`` unless it gives r back below the top
+    weight, which catches a broken recursion but not a flatness defect:
+    the residual is kept on the state for ``check_flatness``, and a
+    nonzero one is returned, not raised, until zero terms keep their
+    validity.  The last chart of ``tests/test_digest.py`` (n = 2 Darboux,
+    seed 0, N = 2, also the ``solve-n2`` benchmark's) has ``{4: 209}``.
     """
     cap = default_degree_cap(n_hbar)
     if _geometry_validity(geom) < 2 * n_hbar + 3:
@@ -162,7 +168,9 @@ def check_flatness(state):
     """Count nonzero residual terms of the flatness equation per weight.
 
     The top working weight is corrupted by truncation of the quadratic term
-    and is excluded; a converged state reports an empty map.
+    and is excluded.  A flat state reports an empty map, but ``solve_r``
+    returns a state whatever its residual, so the map can be nonempty
+    (see ``solve_r``).
     """
     return _count_by_weight(state.residual, state.degree_cap - 1)
 
@@ -198,6 +206,10 @@ def flat_section(f, state, n_hbar=None):
     terms that land above level n - 1.  It stops at weight 2n - 1: a
     weight-2n term of level <= n would be a y-free hbar^n, which delta^-1
     never makes.
+
+    The unbounded mode is kept as the reference the bounded fill is
+    tested against, and as the input of ``section_defect``, which checks
+    the flatness of a section on every trusted weight.
 
     The sections of the last ``SECTION_CACHE_SIZE`` new jets are cached
     with the bound they were built to (None for a full section).  An entry
@@ -315,8 +327,7 @@ def moyal_reference(f, g, geom, n_hbar):
                 raise FedosovError(
                     "direct reference product needs a constant inverse form")
             oinv[(a, b)] = jet.constant_term
-    half_i = CRat(0, Fraction(1, 2))
-    level = [(f, g, CRat(1))]
+    level = [(f, g, ONE)]
     coeffs = []
     for m in range(n_hbar + 1):
         if m:
@@ -330,7 +341,7 @@ def moyal_reference(f, g, geom, n_hbar):
                     gb = gj.partial(b)
                     if gb.is_zero():
                         continue
-                    nxt.append((fa, gb, c * om * half_i * inv_m))
+                    nxt.append((fa, gb, c * om * HALF_I * inv_m))
             level = nxt
         acc = None
         for (fj, gj, c) in level:

@@ -443,8 +443,7 @@ def build_kaehler(potential, order):
 
 def complex_chart(n, base_z=None):
     """Chart (z^1..z^n, zbar^1..zbar^n) with conjugation pairing."""
-    base_z = tuple(CRat(b) if not isinstance(b, CRat) else b
-                   for b in (base_z or (0,) * n))
+    base_z = tuple(map(CRat, base_z or (0,) * n))
     names = tuple(f"z{i+1}" for i in range(n)) + \
         tuple(f"zb{i+1}" for i in range(n))
     base = base_z + tuple(b.conjugate() for b in base_z)

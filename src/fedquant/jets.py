@@ -48,11 +48,9 @@ class Chart:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "base", tuple(self.base))
+        object.__setattr__(self, "base", tuple(map(CRat, self.base)))
         if len(self.names) != len(self.base):
             raise JetError("chart names and base point differ in length")
-        object.__setattr__(self, "base", tuple(
-            v if isinstance(v, CRat) else CRat(v) for v in self.base))
         if self.conj is not None:
             c = tuple(self.conj)
             if sorted(c) != list(range(len(self.names))):
@@ -74,8 +72,6 @@ class Chart:
         except ValueError:
             raise JetError(f"unknown chart variable {name!r}") from None
 
-
-_FRAC_ZERO = Fraction(0)
 
 # the width of one field of a packed monomial key; max_order stays below
 # 2**_KEY_BITS, so no field of a key or of a sum of keys carries
@@ -106,10 +102,6 @@ def _check_index(alpha, dim):
         raise JetError(f"multi-index {tuple(alpha)} has a negative entry")
 
 
-def _as_crat(value):
-    return value if isinstance(value, CRat) else CRat(value)
-
-
 class Jet:
     """Truncated Taylor expansion about a chart's base point.
 
@@ -131,7 +123,7 @@ class Jet:
                  "_imag")
 
     def __init__(self, chart, max_order, valid_order, coeffs):
-        """``coeffs`` maps multi-indices to int, Fraction or CRat values;
+        """``coeffs`` maps multi-indices to values ``CRat()`` takes;
         zeros and terms of degree beyond ``valid_order`` are dropped."""
         if not 0 <= valid_order <= max_order:
             raise JetError(f"need 0 <= valid_order <= max_order, "
@@ -144,15 +136,14 @@ class Jet:
             d = sum(alpha)
             if d > valid_order:
                 continue
-            c = _as_crat(c)
+            c = CRat(c)
             if c:
-                clean.append((d, pack_key(alpha), c.re, c.im))
-                den = lcm(den, c.re.denominator, c.im.denominator)
-        # den is the lcm of reduced denominators, so it is already coprime
-        # to the numerators jointly
-        terms = sorted((d, key, re.numerator * (den // re.denominator),
-                        im.numerator * (den // im.denominator))
-                       for d, key, re, im in clean)
+                clean.append((d, pack_key(alpha), c))
+                den = lcm(den, c.den)
+        # each value is in lowest terms, so the lcm of their denominators
+        # is already coprime to the numerators jointly
+        terms = sorted((d, key, c.re_num * (den // c.den),
+                        c.im_num * (den // c.den)) for d, key, c in clean)
         self._init(chart, max_order, valid_order, den, tuple(terms))
 
     def _init(self, chart, max_order, valid_order, den, terms):
@@ -192,9 +183,7 @@ class Jet:
     def coeffs(self):
         """``{alpha: CRat}``, built from the store on each access."""
         den, dim = self.den, self.chart.dim
-        return {unpack_key(key, dim): CRat._make(
-                    Fraction(re, den) if re else _FRAC_ZERO,
-                    Fraction(im, den) if im else _FRAC_ZERO)
+        return {unpack_key(key, dim): CRat.from_ints(re, im, den)
                 for _, key, re, im in self.terms}
 
     # -- constructors -----------------------------------------------------
@@ -205,9 +194,9 @@ class Jet:
 
     @classmethod
     def constant(cls, chart, value, order):
-        re, im, den = _scalar_ints(value)
-        terms = ((0, 0, re, im),) if re or im else ()
-        return cls._make(chart, order, order, den, terms)
+        c = CRat(value)
+        terms = ((0, 0, c.re_num, c.im_num),) if c else ()
+        return cls._make(chart, order, order, c.den, terms)
 
     @classmethod
     def variable(cls, chart, var, order):
@@ -261,11 +250,14 @@ class Jet:
         if i == len(terms) or terms[i][1] != key:
             return ZERO
         _, _, re, im = terms[i]
-        return CRat._make(Fraction(re, self.den), Fraction(im, self.den))
+        return CRat.from_ints(re, im, self.den)
 
     @property
     def constant_term(self):
-        return self.coefficient((0,) * self.chart.dim)
+        terms = self.terms
+        if terms and not terms[0][1]:  # key 0 is the empty monomial's
+            return CRat.from_ints(terms[0][2], terms[0][3], self.den)
+        return ZERO
 
     def agrees_with(self, other):
         """Exact coefficient equality up to the shared order."""
@@ -346,10 +338,7 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CRat)):
-            s = _as_crat(other)
-            if not s:
-                raise ZeroDivisionError("division of jet by zero scalar")
-            return self * (ONE / s)
+            return self * (ONE / CRat(other))
         if not isinstance(other, Jet):
             return NotImplemented
         return self * other.invert()
@@ -471,17 +460,6 @@ class Jet:
 
 # -- exact accumulation ----------------------------------------------------
 
-def _scalar_ints(s):
-    """(re, im, den) integers with s == (re + im*i) / den, in lowest terms."""
-    if type(s) is int:
-        return s, 0, 1
-    s = _as_crat(s)
-    re, im = s.re, s.im
-    den = lcm(re.denominator, im.denominator)
-    return (re.numerator * (den // re.denominator),
-            im.numerator * (den // im.denominator), den)
-
-
 class JetSum:
     """Exact sum of terms s*a*b (or s*a) of jets on one chart.
 
@@ -506,9 +484,8 @@ class JetSum:
         self.acc = {}
 
     def add(self, a, b=None, s=1):
-        """Add s*a*b, or s*a when ``b`` is None; s is int, Fraction, CRat
-        or an ``(re, im, den)`` triple of ints standing for (re + im*i)/den
-        with den > 0."""
+        """Add s*a*b, or s*a when ``b`` is None; s is an int or anything
+        ``CRat()`` takes."""
         v, m = a.valid_order, a.max_order
         if b is not None:
             if a.chart is not b.chart and a.chart != b.chart:
@@ -530,7 +507,11 @@ class JetSum:
                     del acc[key]
             else:
                 v = self.valid_order
-        sr, si, sd = s if type(s) is tuple else _scalar_ints(s)
+        if type(s) is int:
+            sr, si, sd = s, 0, 1
+        else:
+            s = CRat(s)
+            sr, si, sd = s.re_num, s.im_num, s.den
         if not (sr or si):
             return
         left = a.terms

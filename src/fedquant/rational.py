@@ -1,7 +1,9 @@
 """Exact complex-rational scalars.
 
-All coefficients in the engine live in Q(i): pairs of arbitrary-precision
-rationals.  Closed under +, -, *, and / by nonzero values; equality is exact.
+All coefficients in the engine live in Q(i).  A :class:`CRat` holds one as
+three ints (re + im*i)/den in lowest terms with den > 0, the form a single
+coefficient of a jet store takes (see ``jets.Jet``).  Closed under +, -, *,
+and / by nonzero values; equality is exact.
 """
 
 from __future__ import annotations
@@ -10,133 +12,175 @@ import math
 from fractions import Fraction
 
 
+def _ratio(x):
+    """The reduced (numerator, denominator) of an exact rational input."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, str):
+        return _ratio(Fraction(x))
+    raise TypeError(f"CRat takes an int, a Fraction or an exact string, "
+                    f"not {type(x).__name__}")
+
+
 class CRat:
-    """A complex number with rational real and imaginary parts."""
+    """A complex number with rational real and imaginary parts, stored as
+    the ints ``re_num``, ``im_num`` and ``den`` of (re_num + im_num*i)/den,
+    in lowest terms (no factor common to all three) with den > 0, so equal
+    values have equal ints."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re_num", "im_num", "den")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __new__(cls, re=0, im=0):
+        """``re`` and ``im`` are ints, Fractions or exact strings ("1/3");
+        a CRat ``re`` with no ``im`` is returned as it is."""
+        if type(re) is CRat and not im:
+            return re
+        rn, rd = _ratio(re)
+        inum, idn = _ratio(im)
+        # the lcm of reduced denominators is coprime to the numerators
+        # jointly, so this is already in lowest terms
+        den = rd * idn // math.gcd(rd, idn)
+        return _make(rn * (den // rd), inum * (den // idn), den)
+
+    @staticmethod
+    def from_ints(re, im, den):
+        """(re + im*i)/den for ints with den > 0, put in lowest terms."""
+        g = math.gcd(re, im, den)
+        return _make(re // g, im // g, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("CRat is immutable")
 
-    @classmethod
-    def _make(cls, re, im):
-        """Internal fast path: arguments must already be Fractions."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
+    @property
+    def re(self):
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self):
+        return Fraction(self.im_num, self.den)
 
     # -- predicates -------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.re_num or self.im_num)
 
     @property
     def is_real(self):
-        return not self.im
+        return not self.im_num
 
     # -- arithmetic -------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, CRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CRat(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _ints(other)
         if o is None:
             return NotImplemented
-        return CRat._make(self.re + o.re, self.im + o.im)
+        br, bi, bd = o
+        ad = self.den
+        return CRat.from_ints(self.re_num * bd + br * ad,
+                              self.im_num * bd + bi * ad, ad * bd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CRat._make(self.re - o.re, self.im - o.im)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CRat(o.re - self.re, o.im - self.im)
+        return -self + other
 
     def __neg__(self):
-        return CRat._make(-self.re, -self.im)
+        return _make(-self.re_num, -self.im_num, self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _ints(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return CRat._make(self.re * o.re, self.im)
-        return CRat._make(self.re * o.re - self.im * o.im,
-                          self.re * o.im + self.im * o.re)
+        br, bi, bd = o
+        ar, ai = self.re_num, self.im_num
+        return CRat.from_ints(ar * br - ai * bi, ar * bi + ai * br,
+                              self.den * bd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _ints(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if not d:
+        br, bi, bd = o
+        if not (br or bi):
             raise ZeroDivisionError("division by zero CRat")
-        return CRat((self.re * o.re + self.im * o.im) / d,
-                    (self.im * o.re - self.re * o.im) / d)
+        # z/w = z * conj(w) * bd / (br^2 + bi^2)
+        ar, ai = self.re_num, self.im_num
+        return CRat.from_ints((ar * br + ai * bi) * bd,
+                              (ai * br - ar * bi) * bd,
+                              self.den * (br * br + bi * bi))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return CRat(other) / self
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return CRat(1) / self ** (-k)
-        out = CRat(1)
-        base = self
+            return ONE / self ** -k
+        out, base = ONE, self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self):
-        return CRat(self.re, -self.im)
+        return _make(self.re_num, -self.im_num, self.den)
 
     # -- comparison / hashing --------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _ints(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self.re_num, self.im_num, self.den) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.im_num:
+            return hash((self.re_num, self.im_num, self.den))
+        # a real value hashes like the int or Fraction it equals
+        return hash(self.re)
 
     def __repr__(self):
         return f"CRat({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
+
+
+def _make(re, im, den):
+    """The CRat of ints already in lowest terms with den > 0."""
+    self = object.__new__(CRat)
+    object.__setattr__(self, "re_num", re)
+    object.__setattr__(self, "im_num", im)
+    object.__setattr__(self, "den", den)
+    return self
+
+
+def _ints(x):
+    """The (re, im, den) ints of a CRat, int or Fraction, else None."""
+    if type(x) is CRat:
+        return x.re_num, x.im_num, x.den
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 ZERO = CRat(0)

@@ -280,7 +280,7 @@ def _star_closes(x, y, state, first_order):
     s = star(x, y, state)
     want = [x * y]
     if first_order:
-        want.append(poisson(x, y, state.geometry) * CRat(0, Fraction(1, 2)))
+        want.append(poisson(x, y, state.geometry) * HALF_I)
     return (all(s.coefficient(k).agrees_with(w) for k, w in enumerate(want))
             and all(s.coefficient(k).is_zero()
                     for k in range(len(want), s.valid_hbar_order + 1)))
