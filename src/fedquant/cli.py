@@ -121,7 +121,7 @@ def load_geometry(path):
 
     try:
         if kind == "flat":
-            return build_flat(n, order)
+            return build_flat(n, order, base)
         if kind == "darboux":
             chart = phase_chart(n, base)
             gamma = doc.get("gamma", {})

@@ -90,7 +90,6 @@ class ChartGeometry:
         self.omega_inv = tuple(tuple(row) for row in omega_inv)
         self.gamma = {k: v for k, v in gamma.items() if not v.is_zero()}
         self.source = dict(source or {})
-        self.gamma_low = self._lower_gamma()
         # Gamma^u_{xb} grouped by its upper index: u -> ((x, b, jet), ...)
         by_upper = {}
         for (u, x, b), g in self.gamma.items():
@@ -101,18 +100,6 @@ class ChartGeometry:
     @property
     def dim(self):
         return 2 * self.n
-
-    def _lower_gamma(self):
-        low = defaultdict(JetSum)
-        for (u, a, b), G in self.gamma.items():
-            for i in range(self.dim):
-                om = self.omega[i][u]
-                if not om.is_zero():
-                    low[i, a, b].add(om, G)
-        return _nonzero(low)
-
-    def gamma_at(self, u, a, b):
-        return self.gamma.get((u, a, b), self.zero_jet())
 
     def zero_jet(self):
         return Jet.zero(self.chart, self.order)
@@ -148,17 +135,19 @@ class CurvatureData:
     r_up: dict      # (i, j, k, l) -> Jet, index i raised
     r_low: dict     # (i, j, k, l) -> Jet, all indices down
 
-    def up(self, i, j, k, l, zero):
-        return self.r_up.get((i, j, k, l), zero)
-
-    def low(self, i, j, k, l, zero):
-        return self.r_low.get((i, j, k, l), zero)
-
 
 # -- helpers ---------------------------------------------------------------
 
-def _nonzero(sums):
-    """The nonzero finished jets of a ``{key: JetSum}`` map."""
+def _contract_first(m, table):
+    """The nonzero jets of sum_u m[i][u] T[u, ...]: ``table`` maps index
+    tuples to jets, and the first index of every key is contracted with
+    the jet matrix ``m``."""
+    sums = defaultdict(JetSum)
+    for key, jet in table.items():
+        u, rest = key[0], key[1:]
+        for i, row in enumerate(m):
+            if not row[u].is_zero():
+                sums[(i,) + rest].add(row[u], jet)
     out = {key: acc.jet() for key, acc in sums.items()}
     return {key: jet for key, jet in out.items() if not jet.is_zero()}
 
@@ -213,13 +202,23 @@ def phase_chart(n, base_q=None):
 
 # -- builders --------------------------------------------------------------
 
-def build_flat(n, order):
-    """Standard symplectic vector space: constant omega, zero connection."""
-    chart = phase_chart(n)
+def _constant_form(kind, n, gamma_low, order, base_q):
+    """A validated chart with Darboux omega about (base_q, 0) and the
+    connection raised from ``gamma_low`` by omega^{-1}."""
+    chart = phase_chart(n, base_q)
     omega, omega_inv = _darboux_omega(chart, n, order)
-    geom = ChartGeometry("flat", n, chart, order, omega, omega_inv, {})
+    # a zero entry would only cap the valid order of the sums it enters
+    nonzero = {key: jet for key, jet in gamma_low.items()
+               if not jet.is_zero()}
+    gamma = _contract_first(omega_inv, nonzero)
+    geom = ChartGeometry(kind, n, chart, order, omega, omega_inv, gamma)
     _require_valid(geom)
     return geom
+
+
+def build_flat(n, order, base_q=None):
+    """Standard symplectic vector space: constant omega, zero connection."""
+    return _constant_form("flat", n, {}, order, base_q)
 
 
 def build_darboux(n, gamma_low, order, base_q=None):
@@ -229,23 +228,7 @@ def build_darboux(n, gamma_low, order, base_q=None):
     data; total symmetry is validated.  The raised coefficients follow by
     contraction with omega^{-1}.
     """
-    chart = phase_chart(n, base_q)
-    omega, omega_inv = _darboux_omega(chart, n, order)
-    dim = 2 * n
-    gl = {}
-    for (i, j, k), jet in gamma_low.items():
-        if not jet.is_zero():
-            gl[(i, j, k)] = jet
-    gamma = defaultdict(JetSum)
-    for (i, j, k), jet in gl.items():
-        for u in range(dim):
-            om = omega_inv[u][i]
-            if not om.is_zero():
-                gamma[u, j, k].add(om, jet)
-    gamma = {key: acc.jet() for key, acc in gamma.items()}
-    geom = ChartGeometry("darboux", n, chart, order, omega, omega_inv, gamma)
-    _require_valid(geom)
-    return geom
+    return _constant_form("darboux", n, gamma_low, order, base_q)
 
 
 def christoffels(metric, metric_inv):
@@ -310,7 +293,9 @@ def lift_cotangent(metric, order):
     variables only.  The result is a 2n-chart with Darboux omega whose
     connection is torsion-free, symplectic, and reproduces the base
     connection on position indices; its momentum-valued block is exactly
-    linear in p.
+    linear in p.  Its ``source`` holds, on the base chart, ``metric`` and
+    its inverse ``metric_inv``; on the phase chart, the base Christoffel
+    symbols ``gamma_base`` and curvature ``curvature_base``.
     """
     n = len(metric)
     base_chart = metric[0][0].chart
@@ -322,15 +307,9 @@ def lift_cotangent(metric, order):
 
     ginv_base = invert_jet_matrix(metric)
     gt_base = christoffels(metric, ginv_base)
-    rt_base = _curvature_of(gt_base, n)
-
-    def up(jet):
-        return jet.embed(chart, emb)
-
-    g_full = [[up(e) for e in row] for row in metric]
-    ginv_full = [[up(e) for e in row] for row in ginv_base]
-    gt = {k: up(v) for k, v in gt_base.items()}
-    rt = {k: up(v) for k, v in rt_base.items()}
+    gt = {k: v.embed(chart, emb) for k, v in gt_base.items()}
+    rt = {k: v.embed(chart, emb)
+          for k, v in _curvature_of(gt_base, n).items()}
 
     omega, omega_inv = _darboux_omega(chart, n, order)
     zero = Jet.zero(chart, order)
@@ -373,8 +352,8 @@ def lift_cotangent(metric, order):
                     gamma[(n + k, i, j)] = acc
                     if i != j:
                         gamma[(n + k, j, i)] = acc
-    source = {"metric": tuple(tuple(r) for r in g_full),
-              "metric_inv": tuple(tuple(r) for r in ginv_full),
+    source = {"metric": tuple(tuple(r) for r in metric),
+              "metric_inv": tuple(ginv_base),
               "gamma_base": gt,
               "curvature_base": rt}
     geom = ChartGeometry("cotangent", n, chart, order, omega, omega_inv,
@@ -454,15 +433,8 @@ def complex_chart(n, base_z=None):
 # -- curvature -------------------------------------------------------------
 
 def curvature(geom):
-    dim = geom.dim
-    r_up = _curvature_of(geom.gamma, dim)
-    r_low = defaultdict(JetSum)
-    for (m, j, k, l), jet in r_up.items():
-        for i in range(dim):
-            om = geom.omega[i][m]
-            if not om.is_zero():
-                r_low[i, j, k, l].add(om, jet)
-    return CurvatureData(r_up, _nonzero(r_low))
+    r_up = _curvature_of(geom.gamma, geom.dim)
+    return CurvatureData(r_up, _contract_first(geom.omega, r_up))
 
 
 def build_rhat(geom, degree_cap):
@@ -622,13 +594,14 @@ def validate_connection(geom):
             yield f"(a,c)=({a},{c})", acc.agrees_with(want)
     rep.expect("omega * omega_inv = identity", identity())
 
+    gamma = geom.gamma
     rep.expect("connection torsion-free", (
-        (f"Gamma^{u}_({a},{b})", g.agrees_with(geom.gamma_at(u, b, a)))
-        for (u, a, b), g in geom.gamma.items()))
+        (f"Gamma^{u}_({a},{b})", g.agrees_with(gamma.get((u, b, a), zero)))
+        for (u, a, b), g in gamma.items()))
 
     # the stored Gamma^d_(c,a) grouped by lower pair: (c, a) -> [(d, jet)]
     by_lower = defaultdict(list)
-    for (d, c, a), g in geom.gamma.items():
+    for (d, c, a), g in gamma.items():
         by_lower[c, a].append((d, g))
 
     def symplectic():
@@ -644,7 +617,7 @@ def validate_connection(geom):
     rep.expect("connection symplectic (nabla omega = 0)", symplectic())
 
     if all(omega[a][b].is_constant() for a, b in pairs):
-        low = geom.gamma_low
+        low = _contract_first(omega, gamma)
         rep.expect("lowered Gamma totally symmetric", (
             (f"indices {key} vs {perm}",
              low[key].agrees_with(low.get(perm, zero)))
@@ -685,19 +658,20 @@ def _kaehler_checks(geom, curv, rep):
             for m, nn in product(range(n), repeat=2):
                 want.add(a_inv[nn][m] * a_mat[k][nn].partial(i),
                          a_mat[m][j].partial(n + l), -I)
-            got = curv.low(k, n + l, i, n + j, zero)
+            got = curv.r_low.get((k, n + l, i, n + j), zero)
             yield f"(k,l,i,j)=({k},{l},{i},{j})", got.agrees_with(want.jet())
     rep.expect("curvature matches potential Hessian formula",
                hessian_formula())
 
     def exchange():
-        low = curv.low
+        low = curv.r_low
         for k, l, i, j in quads:
             where = f"(k,l,i,j)=({k},{l},{i},{j})"
-            yield where, low(k, n + l, i, n + j, zero).agrees_with(
-                low(k, n + j, i, n + l, zero))
-            yield "barred " + where, low(n + k, l, n + i, j, zero).agrees_with(
-                low(n + k, j, n + i, l, zero))
+            yield where, low.get((k, n + l, i, n + j), zero).agrees_with(
+                low.get((k, n + j, i, n + l), zero))
+            barred = low.get((n + k, l, n + i, j), zero)
+            yield "barred " + where, barred.agrees_with(
+                low.get((n + k, j, n + i, l), zero))
     rep.expect("curvature exchange symmetries", exchange())
 
 
@@ -711,12 +685,13 @@ def _cotangent_checks(geom, curv, rep):
 
     rep.expect("lifted curvature restricts to the base", (
         (f"(l,k,i,j)=({l},{k},{i},{j})",
-         curv.up(l, k, i, j, zero).agrees_with(rt.get((l, k, i, j), zero)))
+         curv.r_up.get((l, k, i, j), zero).agrees_with(
+             rt.get((l, k, i, j), zero)))
         for l, k, i, j in quads))
 
     rep.expect("mixed lifted curvature identity", (
         (f"(l,k,i,j)=({l},{k},{i},{j})",
-         curv.up(n + l, k, i, n + j, zero).agrees_with(
+         curv.r_up.get((n + l, k, i, n + j), zero).agrees_with(
              (rt.get((j, l, k, i), zero) + rt.get((j, k, l, i), zero))
              * third))
         for l, k, i, j in quads))
@@ -755,6 +730,6 @@ def _cotangent_checks(geom, curv, rep):
                             inner.add(gt[(a, k, m)],
                                       rt.get((m, x, y, l), zero))
                 acc.add(pa, inner.jet(), third)
-            got = curv.up(n + ii, j, k, l, zero)
+            got = curv.r_up.get((n + ii, j, k, l), zero)
             yield f"(i,j,k,l)=({ii},{j},{k},{l})", got.agrees_with(acc.jet())
     rep.expect("p-linear curvature display cross-check", p_linear())

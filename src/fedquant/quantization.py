@@ -231,22 +231,17 @@ def _embed_config(jet, geom):
 # -- vertical-polarization operators ---------------------------------------
 
 def base_metric(geom):
-    """Metric and inverse restricted to the configuration chart."""
+    """Metric and inverse on the configuration chart: the matrices
+    ``lift_cotangent`` stored, or the identity on a flat chart."""
     if geom.kind == "flat":
         n = geom.n
         sub = config_chart(geom)
-        eye = [[Jet.constant(sub, 1 if a == b else 0, geom.order)
-                for b in range(n)] for a in range(n)]
-        return eye, [row[:] for row in eye]
+        eye = tuple(tuple(Jet.constant(sub, 1 if a == b else 0, geom.order)
+                          for b in range(n)) for a in range(n))
+        return eye, eye
     if geom.kind != "cotangent":
         raise QuantizationError("geometry has no base metric")
-    n = geom.n
-    idx = tuple(range(n))
-    g = [[geom.source["metric"][a][b].restrict(idx) for b in range(n)]
-         for a in range(n)]
-    ginv = [[geom.source["metric_inv"][a][b].restrict(idx) for b in range(n)]
-            for a in range(n)]
-    return g, ginv
+    return geom.source["metric"], geom.source["metric_inv"]
 
 
 def _log_vol_gradient(g, ginv, a):

@@ -357,14 +357,14 @@ def _kaehler_third_order_jet(geom, a, m):
     for b in range(n):
         for c in range(n):
             for d in range(n):
-                r1 = curv.up(a, b, c, n + d, zero)
-                if r1.is_zero():
+                r1 = curv.r_up.get((a, b, c, n + d))
+                if r1 is None:
                     continue
                 for k in range(n):
                     for l in range(n):
                         for nn in range(n):
-                            r2 = curv.low(m, n + nn, k, n + l, zero)
-                            if r2.is_zero():
+                            r2 = curv.r_low.get((m, n + nn, k, n + l))
+                            if r2 is None:
                                 continue
                             acc.add(r1 * r2 * a_inv[d][k] * a_inv[nn][b],
                                     a_inv[l][c], Fraction(1, 64))

@@ -28,7 +28,6 @@ kernel serves ``weyl_mul``, ``graded_commutator`` (odd m, doubled) and
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from itertools import product
 from math import comb, prod
 
@@ -414,15 +413,18 @@ def _delta_star(a, normalized):
     output key collects terms of a single l + p.
     """
     out = defaultdict(JetSum)
+    signs = (1, -1)
     for (k, alpha, beta), jet in a.terms.items():
         if not beta:
             continue
-        scale = Fraction(1, sum(alpha) + len(beta)) if normalized else 1
+        if normalized:
+            lp = sum(alpha) + len(beta)
+            signs = (CRat.from_ints(1, 0, lp), CRat.from_ints(-1, 0, lp))
         for pos, i in enumerate(beta):
             alpha2 = list(alpha)
             alpha2[i] += 1
             out[k, tuple(alpha2), beta[:pos] + beta[pos + 1:]].add(
-                jet, s=-scale if pos % 2 else scale)
+                jet, s=signs[pos % 2])
     return WeylForm.from_sums(a.geometry, a.degree_cap, out)
 
 

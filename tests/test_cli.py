@@ -266,7 +266,9 @@ def test_geometry_at_the_bounds_is_accepted(tmp_path, capsys, n, order):
     ("1" * 5000, "invalid JSON"),
     ('"%s"' % ("1" * (MAX_NUMBER_CHARS + 1)),
      f"the limit is {MAX_NUMBER_CHARS}"),
-], ids=["float", "bool", "exponent", "int-past-digit-limit", "long-string"])
+    ('"1/0"', "bad rational '1/0'"),
+], ids=["float", "bool", "exponent", "int-past-digit-limit", "long-string",
+        "zero-denominator"])
 def test_base_point_numbers_are_exact_and_bounded(tmp_path, capsys, entry,
                                                   message):
     path = tmp_path / "base.json"
@@ -293,11 +295,32 @@ def test_base_point_numbers_are_exact_and_bounded(tmp_path, capsys, entry,
      "expression 2 must be a string"),
     ('{"kind": "kaehler", "n": 1, "order": 9, "potential": 7}',
      "expression 7 must be a string"),
+    ("[1, 2]", "missing or bad field"),
+    ('{"kind": "flat"}', "missing or bad field: 'n'"),
+    ('{"kind": "flat", "n": 1, "order": 3, "base_point": "0"}',
+     "base_point must be a list"),
+    ('{"kind": "flat", "n": 2, "order": 3, "base_point": [0]}',
+     "base_point needs 2 entries"),
+    ('{"kind": "darboux", "n": 1, "order": 3, "gamma": {"11": "q1"}}',
+     "is not three 1-based indices"),
+    ('{"kind": "darboux", "n": 1, "order": 3, "gamma": {"113": "q1"}}',
+     "out of range"),
+    ('{"kind": "cotangent", "n": 1, "order": 3}', "missing field 'metric'"),
+    ('{"kind": "kaehler", "n": 1, "order": 3}', "missing field 'potential'"),
+    ('{"kind": "cotangent", "n": 1, "order": 3, "metric": [["0"]]}',
+     "singular at the base point"),
+    ('{"kind": "weird", "n": 1, "order": 3}', "unknown kind 'weird'"),
+    (None, "cannot read"),
 ], ids=["metric-int", "metric-short", "metric-entry-int", "metric-row-string",
-        "gamma-list", "gamma-entry-int", "potential-int"])
+        "gamma-list", "gamma-entry-int", "potential-int", "top-level-list",
+        "no-n", "base-point-string", "base-point-short", "gamma-key-short",
+        "gamma-index-out-of-range", "no-metric", "no-potential",
+        "singular-metric", "unknown-kind", "no-file"])
 def test_geometry_field_types_are_checked(tmp_path, capsys, doc, message):
+    # doc None: the file is never written
     path = tmp_path / "types.json"
-    path.write_text(doc)
+    if doc is not None:
+        path.write_text(doc)
     assert main(["validate", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -315,6 +338,36 @@ def test_base_point_accepts_ints_fractions_and_decimals(tmp_path, capsys,
                     f'"base_point": [{entry}], "gamma": {{}}}}')
     assert main(["validate", str(path), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["star", "--f", "q1 $", "--g", "p1"], "unexpected character"),
+    (["quantize", "--f", "(q1"], "expected ')'"),
+], ids=["star", "quantize"])
+def test_unparsable_observable_is_input_error(flat_file, capsys, argv,
+                                              message):
+    assert main([argv[0], flat_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+FLAT_OFF_ORIGIN = '{"kind": "%s", "n": 1, "order": 5, "base_point": ["1/2"]}'
+
+
+def test_flat_file_keeps_its_base_point(tmp_path):
+    """A flat file and a connection-free Darboux file about the same base
+    point give the same star product, expanded about that point."""
+    tables = []
+    for kind in ("flat", "darboux"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(FLAT_OFF_ORIGIN % kind)
+        out = tmp_path / f"{kind}-star.json"
+        assert main(["star", str(path), "--f", "q1", "--g", "q1",
+                     "--order", "1", "--quiet", "--json", str(out)]) == 0
+        tables.append(json.loads(out.read_text())["coefficients"])
+    assert tables[0] == tables[1]
+    assert tables[0]["hbar^0"] == {"0,0": "1/4", "1,0": "1", "2,0": "1"}
 
 
 def test_failing_entry_prints_fail_and_exits_1(capsys):

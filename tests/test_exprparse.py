@@ -200,3 +200,21 @@ def test_any_text_gives_a_jet_or_an_input_error(geometry_path, src):
         {"kind": "darboux", "n": 1, "order": ORDER, "gamma": {"111": src}}))
     code = main(["validate", str(geometry_path), "--quiet"])
     assert code == 2 if jet is None else code in (0, 2)
+
+
+@pytest.mark.parametrize("src,message", [
+    ("q1 $", "unexpected character"),
+    ("9" * 5000, "number literal too long"),
+    ("(q1", "expected ')'"),
+    ("q1)", "trailing input"),
+    ("(" * 3000 + "q1" + ")" * 3000, "nested too deeply"),
+], ids=["bad-character", "long-number", "unclosed", "trailing", "deep"])
+def test_parse_errors_name_their_cause(geometry_path, capsys, src, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        jet_of(src, CH, ORDER)
+    geometry_path.write_text(json.dumps(
+        {"kind": "darboux", "n": 1, "order": ORDER, "gamma": {"111": src}}))
+    assert main(["validate", str(geometry_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -194,11 +194,13 @@ def test_kinetic_observable_is_metric_contraction(sphere):
     ke = kinetic_energy_observable(sphere)
     # p-degree exactly two everywhere
     assert all(sum(key[2:]) == 2 for key in ke.coeffs)
-    # the lifted inverse metric times p_a p_b, store for store
+    # the base-chart inverse metric, embedded in phase space, times
+    # p_a p_b, store for store
     n = sphere.n
     ginv = sphere.source["metric_inv"]
-    want = sum((ginv[a][b].mul_variable(n + a).mul_variable(n + b)
-                for a in range(n) for b in range(n)),
+    q = tuple(range(n))
+    want = sum((ginv[a][b].embed(sphere.chart, q).mul_variable(n + a)
+                .mul_variable(n + b) for a in range(n) for b in range(n)),
                Jet.zero(sphere.chart, ORDER + 2))
     assert ke == want
 
