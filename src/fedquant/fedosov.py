@@ -18,7 +18,7 @@ from fractions import Fraction
 from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
 from .rational import HALF_I, ONE
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
-                   symbol_mul, weight_truncate, weyl_mul)
+                   symbol_mul, weyl_mul)
 from .geometry import build_rhat, nabla
 
 
@@ -123,16 +123,38 @@ def _geometry_validity(geom):
 def solve_r(geom, n_hbar):
     """Solve the flatness equation through the working degree cap.
 
-    The weight-(w+1) component of r is determined by the weight-w data, so
-    the recursion fills one weight per step, summing its right-hand side
-    nabla r_w + (i/hbar) sum r_w1 o r_w2 in one map.  A final pass runs
-    one full iteration r -> delta^-1 (Rhat + nabla r + (i/hbar) r o r)
-    and raises ``FedosovError`` unless it gives r back below the top
-    weight, which catches a broken recursion but not a flatness defect:
-    the residual is kept on the state for ``check_flatness``, and a
-    nonzero one is returned, not raised, until zero terms keep their
-    validity.  The last chart of ``tests/test_digest.py`` (n = 2 Darboux,
-    seed 0, N = 2, also the ``solve-n2`` benchmark's) has ``{4: 209}``.
+    The weight-(w+1) component of r is determined by the weight-w data,
+    so the recursion fills one weight per step:
+
+        r_3 = delta^-1 Rhat,   r_(w+1) = delta^-1 X_w,
+        X_w = nabla r_w + (i/hbar) sum over w1 + w2 = w + 2 of r_w1 o r_w2.
+
+    r is a 1-form, so r_a o r_b + r_b o r_a is the graded commutator
+    [r_a, r_b]: each unequal weight pair is taken once, as a commutator,
+    and only the diagonal w1 = w2 as a product.
+
+    The flatness certificate comes from the same sums.  Each weight keeps
+    the finished jets of its nabla map and of its product map apart, zero
+    jets included, so a cancelling term still lowers the validity of the
+    X_w they add up to.  Keys of different weights never meet, so the
+    union of the nabla maps plus nabla r_cap is nabla r, and the union of
+    the product maps is (i/hbar) r o r: the cap already drops every pair
+    with w1 + w2 > cap.  With Rhat taken as X_2, the residual
+
+        delta r - Rhat - nabla r - (i/hbar) r o r
+
+    at weight w is delta r_(w+1) - X_w = -delta^-1 delta X_w, because
+    delta delta^-1 + delta^-1 delta is the identity on 2-forms.  So it is
+    nonzero exactly when X_w is not delta-closed.  The Bianchi identity
+    makes X_w closed when the lower weights solve the equation, and for
+    n >= 2 nothing makes it closed when they do not, so reusing the sums
+    leaves the certificate a real test.  For n = 1 every 2-form has top
+    form degree and is closed, so there the residual vanishes whatever
+    the recursion summed.  The residual is kept on the state for
+    ``check_flatness``, and a nonzero one is returned, not raised, until
+    zero terms keep their validity.  The last chart of
+    ``tests/test_digest.py`` (n = 2 Darboux, seed 0, N = 2, also the
+    ``solve-n2`` benchmark's) has ``{4: 209}``.
     """
     cap = default_degree_cap(n_hbar)
     if _geometry_validity(geom) < 2 * n_hbar + 3:
@@ -141,24 +163,25 @@ def solve_r(geom, n_hbar):
             f"for a star product through hbar^{n_hbar}")
     rhat = build_rhat(geom, cap)
     parts = {3: op_delta_inv(rhat)}
+    # the finished jets of nabla r and of (i/hbar) r o r, zero ones kept
+    nr, quad = {}, {}
     for w in range(3, cap):
+        nsums = nabla(parts[w], geom, defaultdict(JetSum))
+        qsums = defaultdict(JetSum)
+        for w1 in range(3, w // 2 + 2):
+            (graded_commutator if 2 * w1 < w + 2 else weyl_mul)(
+                parts[w1], parts[w + 2 - w1], qsums)
+        xsums = defaultdict(JetSum)
+        for sums, done in ((nsums, nr), (qsums, quad)):
+            for key, acc in sums.items():
+                done[key] = jet = acc.jet()
+                xsums[key].add(jet)
         # every term has weight w, so delta^{-1} gives weight w + 1 only
-        sums = nabla(parts[w], geom, defaultdict(JetSum))
-        for w1 in range(3, w):
-            weyl_mul(parts[w1], parts[w + 2 - w1], sums)
-        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, cap, sums))
+        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, cap, xsums))
+    nr.update(nabla(parts[cap], geom).terms)
     r = WeylForm(geom, cap, {key: jet for part in parts.values()
                              for key, jet in part.terms.items()})
-
-    # full fixed-point pass over the assembled solution; the top weight of
-    # the quadratic term is truncated, so stability is certified below it
-    quad = WeylForm.from_sums(geom, cap, weyl_mul(r, r, defaultdict(JetSum)))
-    nr = nabla(r, geom)
-    refreshed = op_delta_inv(rhat + nr + quad)
-    if not weight_truncate(refreshed, cap - 1).agrees_with(
-            weight_truncate(r, cap - 1)):
-        raise FedosovError("flatness iteration did not reach a fixed point; "
-                           "the degree recursion is broken")
+    nr, quad = WeylForm(geom, cap, nr), WeylForm(geom, cap, quad)
     return FedosovState(geom, n_hbar, cap, r,
                         {w: p for w, p in parts.items() if not p.is_zero()},
                         op_delta(r) - rhat - nr - quad)
@@ -167,10 +190,12 @@ def solve_r(geom, n_hbar):
 def check_flatness(state):
     """Count nonzero residual terms of the flatness equation per weight.
 
-    The top working weight is corrupted by truncation of the quadratic term
-    and is excluded.  A flat state reports an empty map, but ``solve_r``
-    returns a state whatever its residual, so the map can be nonempty
-    (see ``solve_r``).
+    The residual at weight w is -delta^-1 delta X_w (``solve_r``): zero
+    exactly when the weight-w right-hand side of the recursion is
+    delta-closed.  The top working weight is excluded, since the cap
+    truncates its quadratic term.  A flat state reports an empty map, but
+    ``solve_r`` returns a state whatever its residual, so the map can be
+    nonempty (see ``solve_r``).
     """
     return _count_by_weight(state.residual, state.degree_cap - 1)
 

@@ -677,8 +677,10 @@ def _kaehler_checks(geom, curv, rep):
 
 def _cotangent_checks(geom, curv, rep):
     n = geom.n
-    zero = geom.zero_jet()
     rt = geom.source["curvature_base"]
+    # an absent entry is zero only as far as the tables are certified
+    zero = Jet.zero(geom.chart, min([geom.order] + [
+        j.valid_order for table in (curv.r_up, rt) for j in table.values()]))
     gt = geom.source["gamma_base"]
     third = Fraction(1, 3)
     quads = list(product(range(n), repeat=4))

@@ -244,14 +244,21 @@ def base_metric(geom):
     return geom.source["metric"], geom.source["metric_inv"]
 
 
-def _log_vol_gradient(g, ginv, a):
-    """(1/2) g^{bc} d_a g_{bc}, the exact gradient of log sqrt(det g)."""
-    n = len(g)
-    acc = JetSum()
-    for b in range(n):
-        for c in range(n):
-            acc.add(ginv[b][c], g[b][c].partial(a), Fraction(1, 2))
-    return acc.jet()
+def _log_vol_gradient(geom):
+    """(1/2) g^{bc} d_a g_{bc} for each a, the exact gradient of
+    log sqrt(det g); it depends on the chart alone, so it is built on
+    first use and kept on the geometry."""
+    if "log vol gradient" not in geom._cache:
+        g, ginv = base_metric(geom)
+        grad = []
+        for a in range(geom.n):
+            acc = JetSum()
+            for b in range(geom.n):
+                for c in range(geom.n):
+                    acc.add(ginv[b][c], g[b][c].partial(a), Fraction(1, 2))
+            grad.append(acc.jet())
+        geom._cache["log vol gradient"] = tuple(grad)
+    return geom._cache["log vol gradient"]
 
 
 def gq_cotangent(f, geom):
@@ -277,10 +284,6 @@ def gq_cotangent(f, geom):
         e = tuple(1 if k == j else 0 for k in range(n))
         a_vec.append(pieces.get(e, Jet.zero(sub, f.valid_order)))
 
-    if geom.kind == "cotangent":
-        g, ginv = base_metric(geom)
-    else:
-        g = ginv = None
     sums = defaultdict(JetSum)
     zero_idx = (0,) * n
     for j in range(n):
@@ -290,8 +293,8 @@ def gq_cotangent(f, geom):
         sums[e, 1].add(a_vec[j], s=-I)
         # -(i/2) div a
         sums[zero_idx, 1].add(a_vec[j].partial(j), s=-HALF_I)
-        if g is not None:
-            sums[zero_idx, 1].add(a_vec[j], _log_vol_gradient(g, ginv, j),
+        if geom.kind == "cotangent":
+            sums[zero_idx, 1].add(a_vec[j], _log_vol_gradient(geom)[j],
                                   -HALF_I)
     if not b.is_zero():
         sums[zero_idx, 0].add(b)
@@ -422,7 +425,7 @@ def laplace_beltrami(geom):
 
     Built directly from the metric jets; no star-product machinery.
     """
-    g, ginv = base_metric(geom)
+    _, ginv = base_metric(geom)
     n = geom.n
     sums = defaultdict(JetSum)
     for a in range(n):
@@ -437,7 +440,7 @@ def laplace_beltrami(geom):
         e = tuple(1 if k == b else 0 for k in range(n))
         for a in range(n):
             sums[e, 0].add(ginv[a][b].partial(a))
-            sums[e, 0].add(ginv[a][b], _log_vol_gradient(g, ginv, a))
+            sums[e, 0].add(ginv[a][b], _log_vol_gradient(geom)[a])
     return _diffop_of(config_chart(geom), sums)
 
 

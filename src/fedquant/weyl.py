@@ -360,13 +360,6 @@ def symbol_mul(a, b, max_hbar):
     return {k: jet for k, jet in sym.items() if not jet.is_zero()}
 
 
-def weight_truncate(a, max_weight):
-    """Drop terms whose doubled weight exceeds the bound."""
-    return WeylForm(a.geometry, a.degree_cap,
-                    {key: jet for key, jet in a.terms.items()
-                     if 2 * key[0] + sum(key[1]) <= max_weight})
-
-
 def graded_commutator(a, b, into=None):
     """[a, b] = a o b - (-1)^{pq} b o a, summed over form bidegrees.
 

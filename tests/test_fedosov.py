@@ -9,16 +9,18 @@ import pytest
 
 from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (WeylForm, graded_commutator, pi_weight,
-                          symbol_mul)
+from fedquant.weyl import (WeylForm, graded_commutator, op_delta,
+                          op_delta_inv, pi_weight, symbol_mul, weyl_mul)
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
-                               hamiltonian_vf, lift_cotangent, omega_pair,
-                               poisson)
+                               build_rhat, hamiltonian_vf, lift_cotangent,
+                               nabla, omega_pair, poisson)
+from fedquant import fedosov
 from fedquant.fedosov import (SECTION_CACHE_SIZE, FedosovError, FedosovState,
                               add_commutator, check_flatness, flat_section,
                               moyal_reference, section_defect, solve_r, star)
 from fedquant import sampling
-from fedquant.suites import _r3_oracle, _r4_oracle
+from fedquant.suites import _CHARTS, _r3_oracle, _r4_oracle
+from test_digest import PINNED
 
 
 ORDER = 11
@@ -96,6 +98,115 @@ def test_r_series_leading_terms():
     geom = st.geometry
     assert pi_weight(st.r, 3).agrees_with(_r3_oracle(geom, st.degree_cap))
     assert pi_weight(st.r, 4).agrees_with(_r4_oracle(geom, st.degree_cap))
+
+
+def weight_at_most(form, w):
+    return WeylForm(form.geometry, form.degree_cap,
+                    {key: jet for key, jet in form.terms.items()
+                     if 2 * key[0] + sum(key[1]) <= w})
+
+
+def full_pass(st):
+    """delta^-1 (Rhat + nabla r + (i/hbar) r o r) and the flatness
+    residual, recomputed from scratch on the whole of r."""
+    geom, cap = st.geometry, st.degree_cap
+    rhat = build_rhat(geom, cap)
+    nr = nabla(st.r, geom)
+    quad = WeylForm.from_sums(geom, cap,
+                              weyl_mul(st.r, st.r, defaultdict(JetSum)))
+    return op_delta_inv(rhat + nr + quad), op_delta(st.r) - rhat - nr - quad
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
+    map(str, c[:4] + c[4])))
+def test_full_pass_reproduces_r_and_the_residual(case):
+    """The full iteration gives r back below the top weight, and the
+    residual from its sums is ``solve_r``'s, store for store, although
+    ``solve_r`` builds both from the recursion's own sums."""
+    kind, n, order, n_hbar, tag = case
+    st = solve_r(_CHARTS[kind](sampling.make_rng(tag), n, order), n_hbar)
+    again, residual = full_pass(st)
+    top = st.degree_cap - 1
+    assert weight_at_most(again, top).agrees_with(weight_at_most(st.r, top))
+    assert residual == st.residual
+
+
+# flat charts, solved at N = 3: the Kaehler n = 1 digest chart, and the
+# cotangent n = 2 one at order 11, where the cap lets the unequal pair
+# (3, 4) reach the residual
+MUTATED = {
+    "kaehler": lambda: _CHARTS["kaehler"](
+        sampling.make_rng(("kaehler", 1, 0)), 1, 12),
+    "cotangent": lambda: _CHARTS["cotangent"](
+        sampling.make_rng(("cotangent", 2, 0)), 2, 11),
+}
+
+
+@pytest.mark.parametrize("kind", list(MUTATED))
+def test_mutation_charts_are_flat(kind):
+    assert check_flatness(solve_r(MUTATED[kind](), 3)) == {}
+
+
+@pytest.mark.parametrize("w", range(4, 8))
+@pytest.mark.parametrize("kind", list(MUTATED))
+def test_changed_r_coefficient_shows_in_the_residual(monkeypatch, kind, w):
+    """Add 1 to a coefficient of r_w whose term delta does not kill.  The
+    residual at weight w - 1 becomes delta of the change, which the
+    certificate sees though it reuses the recursion's sums."""
+    real = fedosov.op_delta_inv
+    calls = []
+
+    def bumped(a):
+        out = real(a)
+        calls.append(out)
+        # the calls give r_3, r_4, ... in turn
+        if len(calls) != w - 2:
+            return out
+        for key, jet in out.terms.items():
+            if not op_delta(WeylForm(out.geometry, out.degree_cap,
+                                     {key: jet})).is_zero():
+                return WeylForm(out.geometry, out.degree_cap,
+                                {**out.terms, key: jet + 1})
+        pytest.fail(f"r_{w} has no term with nonzero delta")
+
+    monkeypatch.setattr(fedosov, "op_delta_inv", bumped)
+    counts = check_flatness(solve_r(MUTATED[kind](), 3))
+    assert counts.get(w - 1)
+
+
+def solve_without_pair_3_4(monkeypatch, kind):
+    """Solve with the unequal pair (3, 4), the first commutator the
+    recursion takes, left out of r_6 and of the quadratic term alike."""
+    real = fedosov.graded_commutator
+    calls = []
+
+    def dropping(a, b, into=None):
+        calls.append(a)
+        return into if len(calls) == 1 else real(a, b, into)
+
+    monkeypatch.setattr(fedosov, "graded_commutator", dropping)
+    st = solve_r(MUTATED[kind](), 3)
+    monkeypatch.undo()
+    return st
+
+
+def test_dropped_weight_pair_shows_in_the_residual(monkeypatch):
+    """X_5 without the pair is not delta-closed, so the certificate sees
+    the broken recursion at weight 5 though it reuses its sums."""
+    st = solve_without_pair_3_4(monkeypatch, "cotangent")
+    assert check_flatness(st).get(5)
+
+
+def test_dropped_weight_pair_on_a_surface_shows_only_in_the_full_pass(
+        monkeypatch):
+    """With n = 1 every 2-form has top form degree, so delta X_w = 0 and
+    the residual -delta^-1 delta X_w vanishes whatever the recursion
+    summed: the certificate cannot see the dropped pair there, and the
+    independent full pass does."""
+    st = solve_without_pair_3_4(monkeypatch, "kaehler")
+    assert check_flatness(st) == {}
+    _, residual = full_pass(st)
+    assert fedosov._count_by_weight(residual, st.degree_cap - 1).get(5)
 
 
 KINDS = ("flat", "darboux", "cotangent", "kaehler")

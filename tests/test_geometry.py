@@ -164,6 +164,24 @@ def test_cotangent_validation_passes():
     assert validate_connection(geom).passed
 
 
+def test_order_5_lift_reads_an_absent_curvature_entry_at_table_validity():
+    """This lift's r_up[(2, 0, 1, 2)] is absent at order 5, so zero only
+    through the tables' lowest validity; reading it as zero through order
+    5 failed the mixed curvature identity against the base formula's
+    degree-3 terms, which the order-9 lift has too."""
+    def lift(order):
+        rng = sampling.make_rng(("sweep", 2, 5, 1, 3))
+        metric = sampling.random_metric(rng, 2, order, degree=3, terms=3)
+        return lift_cotangent(metric, order)   # validates, or raises
+
+    r_low = lift(5).curvature().r_up
+    r_high = lift(9).curvature().r_up
+    low = min(j.valid_order for j in r_low.values())
+    got = r_low.get((2, 0, 1, 2), Jet.zero(r_high[2, 0, 1, 2].chart, low))
+    assert not r_high[2, 0, 1, 2].is_zero()
+    assert got.agrees_with(r_high[2, 0, 1, 2])
+
+
 def test_kaehler_rejects_complex_potential():
     cc = complex_chart(1)
     z = Jet.variable(cc, 0, ORDER)

@@ -12,7 +12,7 @@ from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
 from fedquant.weyl import (GradingError, WeylForm, graded_commutator,
                            op_delta, op_delta_inv, op_delta_star, pi_weight,
-                           scalar_part, symbol_mul, weight_truncate, weyl_mul)
+                           scalar_part, symbol_mul, weyl_mul)
 from fedquant import sampling
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
@@ -130,7 +130,6 @@ def test_weight_projection_and_truncation():
     })
     assert pi_weight(a, 2).agrees_with(
         WeylForm(FLAT, CAP, {(0, (2, 0), ()): jconst(1)}))
-    assert weight_truncate(a, 2).agrees_with(pi_weight(a, 2))
 
 
 def test_i_over_hbar_requires_a_vanishing_hbar0_layer():
