@@ -130,8 +130,11 @@ def solve_r(geom, n_hbar):
         X_w = nabla r_w + (i/hbar) sum over w1 + w2 = w + 2 of r_w1 o r_w2.
 
     r is a 1-form, so r_a o r_b + r_b o r_a is the graded commutator
-    [r_a, r_b]: each unequal weight pair is taken once, as a commutator,
-    and only the diagonal w1 = w2 as a product.
+    [r_a, r_b]: each unequal weight pair is taken once, as a commutator.
+    The diagonal w1 = w2 is the square ``weyl_mul(r_w1, r_w1)``, which
+    takes the same identity down to term pairs: it sums the odd
+    contractions of each unordered pair of terms, doubled, since a 1-form
+    term squares to zero.
 
     The flatness certificate comes from the same sums.  Each weight keeps
     the finished jets of its nabla map and of its product map apart, zero

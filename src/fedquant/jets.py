@@ -179,6 +179,11 @@ class Jet:
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
+    def __reduce__(self):
+        # rebuilt from the canonical store, past the guard above
+        return Jet._make, (self.chart, self.max_order, self.valid_order,
+                           self.den, self.terms)
+
     @property
     def coeffs(self):
         """``{alpha: CRat}``, built from the store on each access."""

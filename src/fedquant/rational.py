@@ -53,6 +53,11 @@ class CRat:
     def __setattr__(self, name, value):
         raise AttributeError("CRat is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the three ints; the default path
+        # would set slots through the guard above
+        return CRat.from_ints, (self.re_num, self.im_num, self.den)
+
     @property
     def re(self):
         return Fraction(self.re_num, self.den)

@@ -23,6 +23,13 @@ is the sum over complete pairings of the m generators in gamma with those
 in delta of the product of omega^{ij} (``_pair_contraction``).  That one
 kernel serves ``weyl_mul``, ``graded_commutator`` (odd m, doubled) and
 ``symbol_mul`` (gamma = alpha, delta = beta).
+
+``weyl_mul(a, a)``, the same form given twice, with every term of odd form
+degree is the square: each term squares to zero under the wedge, and each
+unordered pair of terms gives a_s o a_t + a_t o a_s = [a_s, a_t], so the
+square is the odd part of the pairs s < t, doubled.  The expansions are
+cached per contraction parity, so neither a commutator nor a square builds
+an even order, and a term pair with no odd contraction forms no product.
 """
 
 from __future__ import annotations
@@ -114,6 +121,10 @@ class WeylForm:
     def __setattr__(self, name, value):
         raise AttributeError("WeylForm is immutable")
 
+    def __reduce__(self):
+        # rebuilt by the constructor, past the guard above
+        return WeylForm, (self.geometry, self.degree_cap, self.terms)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -181,7 +192,9 @@ def weyl_mul(a, b, into=None):
     """Fiberwise product: exponential contraction against omega^{-1}.
 
     With ``into``, (i/hbar) a o b is added to that map instead (see
-    ``_mul_contract``).
+    ``_mul_contract``).  Given the same form twice (``a is b``) with every
+    term of odd form degree, such as the Fedosov 1-form r, the product is
+    the square: it is summed over unordered term pairs (``_mul_contract``).
     """
     return _mul_contract(a, b, None, into)
 
@@ -190,11 +203,18 @@ def _mul_contract(a, b, parity, into=None):
     """a o b, keeping only contraction orders of the given parity (or all).
 
     Each pair of terms adds the cached closed-form expansion of its fiber
-    monomials (``_expansion``) times the product of its jets.  With parity
-    1 the result is doubled, which turns it into the graded commutator:
-    the antisymmetry of omega^{-1} flips each contraction's sign on
-    reversal, so the even orders cancel in [a, b] and the odd orders
-    appear twice.
+    monomials (``_expansion``, built for the parity alone) times the
+    product of its jets; a pair whose expansion is empty forms no product.
+    With parity 1 the result is doubled, which turns it into the graded
+    commutator: the antisymmetry of omega^{-1} flips each contraction's
+    sign on reversal, so the even orders cancel in [a, b] and the odd
+    orders appear twice.
+
+    The square a o a of a form whose terms all have odd form degree takes
+    the same route over the unordered pairs s < t: a_s o a_s = 0, since
+    dx^beta wedge dx^beta = 0, and a_s o a_t + a_t o a_s = [a_s, a_t].
+    It is exact, and each pair's even orders, which cancel in the sum,
+    are never formed.
 
     Given ``into``, a ``{key: JetSum}`` map, the terms of (i/hbar) times
     the product are added to it and the map is returned; the hbar^0
@@ -204,6 +224,10 @@ def _mul_contract(a, b, parity, into=None):
     a._check(b)
     geom = a.geometry
     cap = a.degree_cap
+    square = (parity is None and a is b
+              and all(len(beta) % 2 for _, _, beta in a.terms))
+    if square:
+        parity = 1
     # the parity doubling rides on the scalar of every emitted term, and
     # so does the i of (i/hbar)
     emit = 1 if parity is None else 2
@@ -214,13 +238,17 @@ def _mul_contract(a, b, parity, into=None):
     # the doubled weight of each b term, read once per call
     b_terms = [(2 * kb + sum(alpha_b), kb, alpha_b, beta_b, jet_b)
                for (kb, alpha_b, beta_b), jet_b in b.terms.items()]
-    for (ka, alpha_a, beta_a), jet_a in a.terms.items():
+    for i, ((ka, alpha_a, beta_a), jet_a) in enumerate(a.terms.items()):
         room = cap - 2 * ka - sum(alpha_a)
-        for db, kb, alpha_b, beta_b, jet_b in b_terms:
+        for db, kb, alpha_b, beta_b, jet_b in (b_terms[i + 1:] if square
+                                               else b_terms):
             if db > room:
                 continue
             w = _wedge(beta_a, beta_b)
             if w is None:
+                continue
+            expansion = _expansion(geom, alpha_a, alpha_b, parity)
+            if not expansion:
                 continue
             sign, beta = w
             base = jet_a * jet_b
@@ -229,10 +257,7 @@ def _mul_contract(a, b, parity, into=None):
             s = emit if sign == 1 else -emit
             # one add per contraction term, so that a term cancelling
             # another still lowers the key's validity as its own
-            for m, alpha, pairing, scale in _expansion(geom, alpha_a,
-                                                       alpha_b):
-                if parity is not None and m % 2 != parity:
-                    continue
+            for m, alpha, pairing, scale in expansion:
                 if pairing is None or not product_vanishes(base, pairing):
                     out[ka + kb + m - lower, alpha, beta].add(
                         base, pairing, scale * s)
@@ -241,15 +266,18 @@ def _mul_contract(a, b, parity, into=None):
     return WeylForm.from_sums(geom, cap, out)
 
 
-def _expansion(geom, alpha_a, alpha_b):
-    """The terms of y^alpha_a o y^alpha_b, cached per geometry.
+def _expansion(geom, alpha_a, alpha_b, parity=None):
+    """The terms of y^alpha_a o y^alpha_b, cached per geometry and parity.
 
     Entries are (m, alpha, pairing, scale) for each pair gamma <= alpha_a,
     delta <= alpha_b with |gamma| = |delta| = m and a nonzero pairing:
     the term  scale * pairing * hbar^m * y^alpha, with ``scale`` a CRat.
-    A constant pairing is folded into ``scale`` and stored as None.
+    A constant pairing is folded into ``scale`` and stored as None.  With
+    ``parity`` 0 or 1 only the orders m of that parity are built, in the
+    order the full list has them; a commutator or a square asks for the
+    odd ones and never builds an even entry.
     """
-    key = ("expansion", alpha_a, alpha_b)
+    key = ("expansion", alpha_a, alpha_b, parity)
     cached = geom._cache.get(key)
     if cached is not None:
         return cached
@@ -257,7 +285,8 @@ def _expansion(geom, alpha_a, alpha_b):
     # few distinct scalars recur across entries: keep one object per value
     scales = geom._cache.setdefault("scales", {})
     out = []
-    for m in range(min(len(subs_a), len(subs_b))):
+    for m in range(parity or 0, min(len(subs_a), len(subs_b)),
+                   1 if parity is None else 2):
         power = HALF_I ** m
         for gamma, binom_a in subs_a[m]:
             for delta, binom_b in subs_b[m]:

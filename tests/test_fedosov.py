@@ -112,8 +112,11 @@ def full_pass(st):
     geom, cap = st.geometry, st.degree_cap
     rhat = build_rhat(geom, cap)
     nr = nabla(st.r, geom)
+    # an equal copy of r, so that the product takes every ordered term
+    # pair instead of the square's unordered ones
+    twin = WeylForm(geom, cap, dict(st.r.terms))
     quad = WeylForm.from_sums(geom, cap,
-                              weyl_mul(st.r, st.r, defaultdict(JetSum)))
+                              weyl_mul(st.r, twin, defaultdict(JetSum)))
     return op_delta_inv(rhat + nr + quad), op_delta(st.r) - rhat - nr - quad
 
 
@@ -129,6 +132,24 @@ def test_full_pass_reproduces_r_and_the_residual(case):
     top = st.degree_cap - 1
     assert weight_at_most(again, top).agrees_with(weight_at_most(st.r, top))
     assert residual == st.residual
+
+
+@pytest.mark.parametrize("n_hbar", [2, 3])
+def test_solve_r_squares_each_weight_through_weyl_mul(monkeypatch, n_hbar):
+    """From N = 2 on, the cap admits r_w o r_w; each such square goes
+    through ``weyl_mul`` with the weight part given twice."""
+    real = fedosov.weyl_mul
+    calls = []
+
+    def counted(a, b, into=None):
+        calls.append(a is b)
+        return real(a, b, into)
+
+    monkeypatch.setattr(fedosov, "weyl_mul", counted)
+    solve_r(_CHARTS["kaehler"](sampling.make_rng(("kaehler", 1, 0)), 1, 12),
+            n_hbar)
+    # each even weight w = 4 .. cap - 2 squares r_(w/2 + 1)
+    assert calls == [True] * (n_hbar - 1)
 
 
 # flat charts, solved at N = 3: the Kaehler n = 1 digest chart, and the

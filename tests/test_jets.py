@@ -1,5 +1,7 @@
 """Truncated jet arithmetic: ring ops, validity tracking, elementary maps."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -208,3 +210,14 @@ def test_sqrt_squared_is_the_jet(a):
 def test_sin_squared_plus_cos_squared_is_one(a):
     assert same_through(jet_sin(a) ** 2 + jet_cos(a) ** 2,
                         const(1, a.max_order), a.valid_order)
+
+
+@given(jets(crats))
+def test_copies_and_pickles_keep_the_store_and_hash(a):
+    for back in (copy.copy(a), copy.deepcopy(a),
+                 *(pickle.loads(pickle.dumps(a, proto))
+                   for proto in range(2, pickle.HIGHEST_PROTOCOL + 1))):
+        assert (back.max_order, back.valid_order, back.den, back.terms) \
+            == (a.max_order, a.valid_order, a.den, a.terms)
+        assert back == a and hash(back) == hash(a)
+        assert back.has_imag() == a.has_imag()

@@ -1,6 +1,8 @@
 """CRat, the exact scalar of Q(i), against the same formulas computed on
 pairs of Fractions, and its one normal form shared with the jet store."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -111,6 +113,16 @@ def test_hash_agrees_with_equality():
     assert hash(CRat(0)) == hash(0)
     assert hash(CRat(Fraction(-7, 3))) == hash(Fraction(-7, 3))
     assert {CRat(1, 2): "x"}[CRat(Fraction(2, 2), 2)] == "x"
+
+
+@given(pairs)
+def test_copies_and_pickles_keep_value_and_hash(p):
+    c = crat(p)
+    for back in (copy.copy(c), copy.deepcopy(c),
+                 *(pickle.loads(pickle.dumps(c, proto))
+                   for proto in range(2, pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(back) is CRat and same(back, p)
+        assert back == c and hash(back) == hash(c)
 
 
 def test_inputs_are_exact():

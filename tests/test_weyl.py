@@ -1,7 +1,10 @@
 """Fiberwise Weyl algebra: products, gradings, and the delta homotopy."""
 
+import copy
+import pickle
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial
 
@@ -10,12 +13,16 @@ from hypothesis import given, strategies as st
 
 from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (GradingError, WeylForm, graded_commutator,
-                           op_delta, op_delta_inv, op_delta_star, pi_weight,
-                           scalar_part, symbol_mul, weyl_mul)
+from fedquant.weyl import (GradingError, WeylForm, _expansion,
+                           graded_commutator, op_delta, op_delta_inv,
+                           op_delta_star, pi_weight, scalar_part, symbol_mul,
+                           weyl_mul)
 from fedquant import sampling
+from fedquant.fedosov import solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
+from fedquant.suites import _CHARTS
+from test_digest import PINNED
 
 
 ORDER = 6
@@ -291,3 +298,111 @@ def test_weyl_mul_is_associative(abc):
     a, b, c = abc
     assert weyl_mul(weyl_mul(a, b), c).agrees_with(
         weyl_mul(a, weyl_mul(b, c)))
+
+
+# -- the square of an odd form, and parity-split expansions ----------------
+
+@lru_cache(maxsize=None)
+def digest_state(case):
+    kind, n, order, n_hbar, tag = case
+    return solve_r(_CHARTS[kind](sampling.make_rng(tag), n, order), n_hbar)
+
+
+def odd_forms(case):
+    """r and each of its weight parts on a ``tests/test_digest.py`` chart:
+    every term is a 1-form."""
+    st = digest_state(case)
+    return [st.r, *st.r_parts.values()]
+
+
+def finished(sums):
+    """The nonzero finished jets of a ``{key: JetSum}`` map.  An ordered
+    product also leaves zero jets where only its even contraction orders
+    landed, which cancel between a_s o a_t and a_t o a_s; the square never
+    forms them."""
+    jets = {key: acc.jet() for key, acc in sums.items()}
+    return {key: jet for key, jet in jets.items() if not jet.is_zero()}
+
+
+def assert_square_matches_ordered_product(p):
+    # an equal copy is not ``p``, so the second product takes every
+    # ordered term pair and every contraction order
+    twin = WeylForm(p.geometry, p.degree_cap, dict(p.terms))
+    assert finished(weyl_mul(p, p, defaultdict(JetSum))) \
+        == finished(weyl_mul(p, twin, defaultdict(JetSum)))
+    assert weyl_mul(p, p) == weyl_mul(p, twin)
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
+    map(str, c[:4] + c[4])))
+def test_square_of_an_odd_form_equals_the_ordered_product(case):
+    for p in odd_forms(case):
+        assert all(len(beta) % 2 for _, _, beta in p.terms)
+        assert_square_matches_ordered_product(p)
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
+    map(str, c[:4] + c[4])))
+def test_a_zero_form_term_keeps_the_full_product(case):
+    """A 0-form term commutes with everything and its own square does not
+    vanish, so the unordered odd pairs would miss both; the form must take
+    every pair and every order, and still match."""
+    geom = digest_state(case).geometry
+    q = Jet.variable(geom.chart, 0, geom.order)
+    for p in odd_forms(case):
+        mixed = WeylForm(geom, p.degree_cap,
+                         {**p.terms, (1, (0,) * geom.dim, ()): q + 2})
+        assert_square_matches_ordered_product(mixed)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("where", sorted(CURVED))
+def test_parity_expansion_filters_the_full_one(where, parity):
+    geom = CURVED[where]
+    alphas = [e for e in product(range(4), repeat=geom.dim) if sum(e) <= 3]
+    for alpha_a, alpha_b in product(alphas, repeat=2):
+        full = _expansion(geom, alpha_a, alpha_b)
+        assert _expansion(geom, alpha_a, alpha_b, parity) \
+            == [entry for entry in full if entry[0] % 2 == parity]
+
+
+def test_q_only_commutator_forms_no_product(monkeypatch):
+    """On a cotangent chart omega^{-1} never pairs two q-generators, so
+    forms whose fiber parts hold only q-generators have no odd
+    contraction: their commutator is empty, and no jet product is formed
+    for a pair it then throws away."""
+    geom = CURVED["cotangent", 2]
+    assert all(geom.omega_inv[i][j].is_zero()
+               for i in range(2) for j in range(2))
+    q = Jet.variable(geom.chart, 0, ORDER)
+    a = WeylForm(geom, CAP, {(0, (1, 0, 0, 0), (0,)): q + 1,
+                             (0, (1, 2, 0, 0), (2,)): q * 3})
+    b = WeylForm(geom, CAP, {(0, (0, 1, 0, 0), (1,)): q - 1,
+                             (1, (2, 1, 0, 0), (3,)): q})
+    # pairings are built and cached on first use, through JetSum.add
+    graded_commutator(a, b)
+    adds = []
+    real = JetSum.add
+
+    def counted(self, *args, **kw):
+        adds.append(args)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(JetSum, "add", counted)
+    assert graded_commutator(a, b, defaultdict(JetSum)) == {}
+    assert graded_commutator(a, b).is_zero()
+    assert adds == []
+
+
+def test_forms_copy_and_pickle():
+    geom = CURVED["kaehler", 1]
+    q = Jet.variable(geom.chart, 0, ORDER)
+    a = WeylForm(geom, CAP, {(0, (1, 0), (0,)): q * CRat(1, 2),
+                             (1, (0, 2), ()): q + 3})
+    shallow = copy.copy(a)
+    assert shallow == a and shallow.geometry is geom
+    for back in (copy.deepcopy(a),
+                 *(pickle.loads(pickle.dumps(a, proto))
+                   for proto in range(2, pickle.HIGHEST_PROTOCOL + 1))):
+        assert back == a and back.degree_cap == CAP
+        assert weyl_mul(back, back) == weyl_mul(a, a)
