@@ -43,13 +43,15 @@ def default_degree_cap(n_hbar):
 class StarSeries:
     """Coefficient jets of a star product, indexed by hbar power."""
 
-    __slots__ = ("coefficients", "valid_hbar_order")
+    __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients, valid_hbar_order):
+    def __init__(self, coefficients):
         self.coefficients = tuple(coefficients)
-        self.valid_hbar_order = valid_hbar_order
-        if len(self.coefficients) != valid_hbar_order + 1:
-            raise FedosovError("coefficient list does not match hbar order")
+
+    @property
+    def valid_hbar_order(self):
+        """The highest certified hbar power: one per coefficient jet."""
+        return len(self.coefficients) - 1
 
     def coefficient(self, k):
         if not 0 <= k <= self.valid_hbar_order:
@@ -335,7 +337,7 @@ def star(f, g, state, n_hbar=None):
     v = min(j.valid_order
             for j in list(sym.values()) + [f, g])
     zero = Jet.zero(geom.chart, v)
-    return StarSeries([sym.get(k, zero) for k in range(n + 1)], n)
+    return StarSeries([sym.get(k, zero) for k in range(n + 1)])
 
 
 def moyal_reference(f, g, geom, n_hbar):
@@ -379,4 +381,4 @@ def moyal_reference(f, g, geom, n_hbar):
             v = max(min(f.valid_order, g.valid_order) - m, 0)
             acc = Jet.zero(geom.chart, v)
         coeffs.append(acc)
-    return StarSeries(coeffs, n_hbar)
+    return StarSeries(coeffs)

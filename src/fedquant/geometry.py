@@ -23,7 +23,7 @@ from itertools import permutations, product
 
 from .jets import Chart, ChartMismatch, Jet, JetError, JetSum
 from .rational import CRat, I
-from .weyl import WeylForm, _insert_left
+from .weyl import WeylForm, _wedge
 
 KINDS = ("flat", "darboux", "cotangent", "kaehler")
 
@@ -541,7 +541,7 @@ def nabla(a, geom, into=None):
             dj = jet.partial(b)
             if dj.is_zero():
                 continue
-            ins = _insert_left(b, beta)
+            ins = _wedge((b,), beta)
             if ins is None:
                 continue
             sign, beta2 = ins
@@ -550,7 +550,7 @@ def nabla(a, geom, into=None):
             if not e:
                 continue
             for x, b, g in geom.gamma_up.get(i, ()):
-                ins = _insert_left(b, beta)
+                ins = _wedge((b,), beta)
                 if ins is None:
                     continue
                 sign, beta2 = ins

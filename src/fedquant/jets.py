@@ -3,8 +3,9 @@
 A :class:`Jet` stands in for a smooth function near the base point of a
 coordinate chart.  Coefficients are complex rationals; ``valid_order`` tracks
 how many orders of the expansion are trustworthy, and every operation reports
-the correct (usually minimal) validity of its result.  Differentiation costs
-one order; nothing here ever rounds.
+the correct (usually minimal) validity of its result.  It is the one order a
+jet carries, and it bounds every stored degree.  Differentiation costs one
+order; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class Chart:
             raise JetError(f"unknown chart variable {name!r}") from None
 
 
-# the width of one field of a packed monomial key; max_order stays below
-# 2**_KEY_BITS, so no field of a key or of a sum of keys carries
+# the width of one field of a packed monomial key; valid_order stays below
+# 2**_KEY_BITS and bounds every stored degree, so no field of a key or of a
+# sum of keys carries
 _KEY_BITS = 16
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
@@ -112,21 +114,24 @@ class Jet:
     (``pack_key``) is ``key``.  A key holds |alpha| in its top field and
     alpha_i in field dim-1-i, 16 bits each, so the key of a product
     monomial is the sum of the keys and key order is (degree, alpha)
-    order; ``max_order`` must stay below 2**16 so that no field carries.
+    order.  ``valid_order`` is the one order a jet carries and bounds every
+    stored degree, so it must stay below 2**16 for no field to carry.
     The store is canonical (no zero entry, no degree beyond
     ``valid_order``, and no factor common to den and all numerators), so
     equal jets have equal stores.  ``coeffs`` is a read-only
     ``{alpha: CRat}`` view of it.
     """
 
-    __slots__ = ("chart", "max_order", "valid_order", "den", "terms",
-                 "_imag")
+    __slots__ = ("chart", "valid_order", "den", "terms", "_imag")
 
     def __init__(self, chart, max_order, valid_order, coeffs):
         """``coeffs`` maps multi-indices to values ``CRat()`` takes;
-        zeros and terms of degree beyond ``valid_order`` are dropped."""
-        if not 0 <= valid_order <= max_order:
-            raise JetError(f"need 0 <= valid_order <= max_order, "
+        zeros and terms of degree beyond ``valid_order`` are dropped.
+        ``max_order`` is only checked: 0 <= valid_order <= max_order <
+        2**16; the jet keeps ``valid_order`` alone."""
+        if not 0 <= valid_order <= max_order < 1 << _KEY_BITS:
+            raise JetError(f"need 0 <= valid_order <= max_order < "
+                           f"2**{_KEY_BITS}, the packed key bound, "
                            f"got {valid_order}, {max_order}")
         clean = []
         den = 1
@@ -144,29 +149,28 @@ class Jet:
         # is already coprime to the numerators jointly
         terms = sorted((d, key, c.re_num * (den // c.den),
                         c.im_num * (den // c.den)) for d, key, c in clean)
-        self._init(chart, max_order, valid_order, den, tuple(terms))
+        self._init(chart, valid_order, den, tuple(terms))
 
-    def _init(self, chart, max_order, valid_order, den, terms):
-        if max_order >= 1 << _KEY_BITS:
-            raise JetError(f"max_order {max_order} is not below "
+    def _init(self, chart, valid_order, den, terms):
+        if valid_order >= 1 << _KEY_BITS:
+            raise JetError(f"valid_order {valid_order} is not below "
                            f"2**{_KEY_BITS}, the packed key bound")
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "valid_order", valid_order)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_imag", None)
 
     @classmethod
-    def _make(cls, chart, max_order, valid_order, den, terms):
+    def _make(cls, chart, valid_order, den, terms):
         """Internal fast path: ``den`` and the tuple ``terms`` must already
         be a canonical store."""
         self = object.__new__(cls)
-        self._init(chart, max_order, valid_order, den, terms)
+        self._init(chart, valid_order, den, terms)
         return self
 
     @classmethod
-    def from_terms(cls, chart, max_order, valid_order, den, terms):
+    def from_terms(cls, chart, valid_order, den, terms):
         """The jet of sorted, nonzero ``(degree, key, re, im)`` terms of
         degree <= valid_order over ``den``; a factor common to den and all
         numerators is divided out."""
@@ -174,15 +178,22 @@ class Jet:
         if g != 1:
             den //= g
             terms = [(d, a, re // g, im // g) for d, a, re, im in terms]
-        return cls._make(chart, max_order, valid_order, den, tuple(terms))
+        return cls._make(chart, valid_order, den, tuple(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
     def __reduce__(self):
         # rebuilt from the canonical store, past the guard above
-        return Jet._make, (self.chart, self.max_order, self.valid_order,
-                           self.den, self.terms)
+        return Jet._make, (self.chart, self.valid_order, self.den,
+                           self.terms)
+
+    @property
+    def max_order(self):
+        """``valid_order``: a jet carries one order.  Read by callers that
+        rebuild a jet through the public constructor, which still takes
+        ``max_order`` as a checked argument."""
+        return self.valid_order
 
     @property
     def coeffs(self):
@@ -195,13 +206,13 @@ class Jet:
 
     @classmethod
     def zero(cls, chart, order):
-        return cls._make(chart, order, order, 1, ())
+        return cls._make(chart, order, 1, ())
 
     @classmethod
     def constant(cls, chart, value, order):
         c = CRat(value)
         terms = ((0, 0, c.re_num, c.im_num),) if c else ()
-        return cls._make(chart, order, order, c.den, terms)
+        return cls._make(chart, order, c.den, terms)
 
     @classmethod
     def variable(cls, chart, var, order):
@@ -224,8 +235,7 @@ class Jet:
         if order < 0:
             raise JetError(f"cannot truncate to order {order}")
         kept = self.terms[:bisect_left(self.terms, (order + 1,))]
-        return Jet.from_terms(self.chart, self.max_order, order, self.den,
-                              kept)
+        return Jet.from_terms(self.chart, order, self.den, kept)
 
     def is_zero(self):
         return not self.terms
@@ -293,7 +303,7 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CRat)):
-            other = Jet.constant(self.chart, other, self.max_order)
+            other = Jet.constant(self.chart, other, self.valid_order)
         if not isinstance(other, Jet):
             return NotImplemented
         acc = JetSum()
@@ -304,9 +314,9 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._make(self.chart, self.max_order, self.valid_order,
-                         self.den, tuple((d, k, -re, -im)
-                                         for d, k, re, im in self.terms))
+        return Jet._make(self.chart, self.valid_order, self.den,
+                         tuple((d, k, -re, -im)
+                               for d, k, re, im in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -332,7 +342,7 @@ class Jet:
             return NotImplemented
         if k < 0:
             return self.invert() ** (-k)
-        out = Jet.constant(self.chart, 1, self.max_order).truncate(self.valid_order)
+        out = Jet.constant(self.chart, 1, self.valid_order)
         base = self
         while k:
             if k & 1:
@@ -364,8 +374,8 @@ class Jet:
             e = key >> shift & _KEY_MASK
             if e:
                 out.append((d - 1, key - step, re * e, im * e))
-        return Jet.from_terms(self.chart, self.max_order, self.valid_order - 1,
-                              self.den, out)
+        return Jet.from_terms(self.chart, self.valid_order - 1, self.den,
+                              out)
 
     def mul_variable(self, var):
         """Multiply by a displacement variable; gains one order of validity.
@@ -377,8 +387,7 @@ class Jet:
         _, step = self._field(var)
         out = tuple((d + 1, key + step, re, im)
                     for d, key, re, im in self.terms)
-        return Jet._make(self.chart, self.max_order + 1, self.valid_order + 1,
-                         self.den, out)
+        return Jet._make(self.chart, self.valid_order + 1, self.den, out)
 
     def _field(self, var):
         """The shift of ``var``'s key field, and the key step that raises
@@ -398,7 +407,7 @@ class Jet:
         v = self.valid_order
         inv = ONE / c0
         u = (self - c0) * inv      # u has no constant term
-        t = Jet.constant(self.chart, 1, self.max_order).truncate(v)
+        t = Jet.constant(self.chart, 1, v)
         acc = JetSum()
         acc.add(t, s=inv)
         for _ in range(v):
@@ -414,9 +423,9 @@ class Jet:
         if c is None:
             raise DomainError("chart has no conjugation pairing")
         swapped = self._rekeyed(self.chart, c)
-        return Jet._make(self.chart, self.max_order, self.valid_order,
-                         self.den, tuple((d, key, re, -im)
-                                         for d, key, re, im in swapped.terms))
+        return Jet._make(self.chart, self.valid_order, self.den,
+                         tuple((d, key, re, -im)
+                               for d, key, re, im in swapped.terms))
 
     def _rekeyed(self, chart, sources):
         """The same coefficients on ``chart``, whose variable j is this
@@ -435,8 +444,7 @@ class Jet:
                     new |= key >> shift & _KEY_MASK
             out.append((d, new, re, im))
         out.sort()
-        return Jet._make(chart, self.max_order, self.valid_order, self.den,
-                         tuple(out))
+        return Jet._make(chart, self.valid_order, self.den, tuple(out))
 
     # -- chart surgery ----------------------------------------------------
 
@@ -475,35 +483,33 @@ class JetSum:
     field carries: degrees stay within validity, below 2**16).  The
     denominator is raised to an lcm only when a term's own does not
     divide it.  ``jet()`` sorts and reduces the map once.  ``valid_order``
-    and ``max_order`` are the minimum over all terms, exactly as a left
-    fold of ``*`` and ``+`` gives them, and a term is convolved only up to
-    the running minimum.
+    is the minimum over all terms, exactly as a left fold of ``*`` and
+    ``+`` gives it, and a term is convolved only up to the running minimum.
     """
 
-    __slots__ = ("chart", "max_order", "valid_order", "den", "acc")
+    __slots__ = ("chart", "valid_order", "den", "acc")
 
     def __init__(self):
         self.chart = None
-        self.max_order = self.valid_order = None
+        self.valid_order = None
         self.den = 1
         self.acc = {}
 
     def add(self, a, b=None, s=1):
         """Add s*a*b, or s*a when ``b`` is None; s is an int or anything
         ``CRat()`` takes."""
-        v, m = a.valid_order, a.max_order
+        v = a.valid_order
         if b is not None:
             if a.chart is not b.chart and a.chart != b.chart:
                 raise ChartMismatch("jets live on different charts")
-            v, m = min(v, b.valid_order), min(m, b.max_order)
+            if b.valid_order < v:
+                v = b.valid_order
         acc = self.acc
         if self.chart is None:
-            self.chart, self.max_order, self.valid_order = a.chart, m, v
+            self.chart, self.valid_order = a.chart, v
         else:
             if a.chart is not self.chart and a.chart != self.chart:
                 raise ChartMismatch("jets live on different charts")
-            if m < self.max_order:
-                self.max_order = m
             if v < self.valid_order:
                 self.valid_order = v
                 # the keys of degree above v are those from this one up
@@ -587,8 +593,7 @@ class JetSum:
         shift = _KEY_BITS * self.chart.dim
         terms = [(key >> shift, key, re, im)
                  for key, (re, im) in sorted(self.acc.items()) if re or im]
-        return Jet.from_terms(self.chart, self.max_order, self.valid_order,
-                              self.den, terms)
+        return Jet.from_terms(self.chart, self.valid_order, self.den, terms)
 
 
 def product_vanishes(a, b):
@@ -623,8 +628,8 @@ def _compose_series(a, series_coeffs):
     """sum_k c_k * a^k truncated; a must have zero constant term."""
     v = a.valid_order
     acc = JetSum()
-    acc.add(Jet.constant(a.chart, series_coeffs[0], a.max_order).truncate(v))
-    p = Jet.constant(a.chart, 1, a.max_order).truncate(v)
+    acc.add(Jet.constant(a.chart, series_coeffs[0], v))
+    p = Jet.constant(a.chart, 1, v)
     for k in range(1, min(v, len(series_coeffs) - 1) + 1):
         p = p * a
         if p.is_zero():

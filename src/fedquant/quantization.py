@@ -29,10 +29,9 @@ class QuantizationError(JetError):
 class HbarSeries:
     """A polynomial in hbar with jet coefficients."""
 
-    __slots__ = ("chart", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, chart, coeffs):
-        self.chart = chart
+    def __init__(self, coeffs):
         self.coeffs = {k: j for k, j in coeffs.items() if not j.is_zero()}
         for k in self.coeffs:
             if k < 0:
@@ -72,12 +71,12 @@ class DiffOp:
     @classmethod
     def mult(cls, jet):
         z = (0,) * jet.chart.dim
-        return cls(jet.chart, {z: HbarSeries(jet.chart, {0: jet})})
+        return cls(jet.chart, {z: HbarSeries({0: jet})})
 
     @classmethod
     def deriv(cls, chart, i, coeff, hbar_power):
         e = tuple(1 if k == i else 0 for k in range(chart.dim))
-        return cls(chart, {e: HbarSeries(chart, {hbar_power: coeff})})
+        return cls(chart, {e: HbarSeries({hbar_power: coeff})})
 
     @classmethod
     def identity(cls, chart, order):
@@ -87,6 +86,8 @@ class DiffOp:
         return max((sum(idx) for idx in self.terms), default=0)
 
     def __add__(self, other):
+        if not isinstance(other, DiffOp):
+            return NotImplemented
         if self.chart != other.chart:
             raise ChartMismatch("operators on different charts")
         return _diffop_sum(self.chart, ((self, 1, 0), (other, 1, 0)))
@@ -103,7 +104,7 @@ class DiffOp:
         for idx, s in self.terms.items():
             kept = {k: j for k, j in s.coeffs.items() if k <= n}
             if kept:
-                out[idx] = HbarSeries(self.chart, kept)
+                out[idx] = HbarSeries(kept)
         return DiffOp(self.chart, out)
 
     def agrees_with(self, other):
@@ -125,7 +126,7 @@ def _diffop_of(chart, sums):
     terms = {}
     for (idx, k), acc in sums.items():
         terms.setdefault(idx, {})[k] = acc.jet()
-    return DiffOp(chart, {idx: HbarSeries(chart, coeffs)
+    return DiffOp(chart, {idx: HbarSeries(coeffs)
                           for idx, coeffs in terms.items()})
 
 
@@ -159,7 +160,7 @@ def diffop_apply(op, psi):
             continue
         for k, jet in series.coeffs.items():
             sums[k].add(jet, d)
-    return HbarSeries(op.chart, {k: acc.jet() for k, acc in sums.items()})
+    return HbarSeries({k: acc.jet() for k, acc in sums.items()})
 
 
 def diffop_compose(a, b):
@@ -210,8 +211,7 @@ def fiber_decompose(f, geom):
         pieces.setdefault(fib, []).append(
             (d - sum(fib), pack_key(alpha[:n]), re, im))
     # a fixed fiber part keeps the (degree, alpha) order of f's terms
-    return {fib: Jet.from_terms(sub, f.max_order, f.valid_order - sum(fib),
-                                f.den, terms)
+    return {fib: Jet.from_terms(sub, f.valid_order - sum(fib), f.den, terms)
             for fib, terms in pieces.items()}
 
 

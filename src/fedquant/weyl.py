@@ -75,16 +75,6 @@ def _wedge(beta1, beta2):
     return sign, tuple(merged)
 
 
-def _insert_left(b, beta):
-    """dx^b wedge dx^beta; returns (sign, merged) or None."""
-    if b in beta:
-        return None
-    smaller = sum(1 for x in beta if x < b)
-    sign = -1 if smaller % 2 else 1
-    out = tuple(sorted(beta + (b,)))
-    return sign, out
-
-
 class WeylForm:
     """A truncated element of the fiber-polynomial form algebra.
 
@@ -408,7 +398,7 @@ def op_delta(a):
         for i, e in enumerate(alpha):
             if not e:
                 continue
-            ins = _insert_left(i, beta)
+            ins = _wedge((i,), beta)
             if ins is None:
                 continue
             sign, beta2 = ins

@@ -3,6 +3,7 @@ the one-term product against a direct Fraction convolution, and the jet
 operations on the integer store against pairwise Fraction arithmetic on the
 ``coeffs`` view."""
 
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -67,12 +68,13 @@ def direct_product(a, b):
         key = tuple(x + y for x, y in zip(ka, kb))
         if sum(key) <= v:
             out[key] = out.get(key, CRat(0)) + ca * cb
-    return Jet(a.chart, min(a.max_order, b.max_order), v, out)
+    return Jet(a.chart, v, v, out)
 
 
 def same(x, y):
-    return (x.coeffs == y.coeffs and x.valid_order == y.valid_order
-            and x.max_order == y.max_order)
+    """Equal coefficients and one order, the same on both sides."""
+    return (x.coeffs == y.coeffs
+            and x.max_order == x.valid_order == y.valid_order == y.max_order)
 
 
 @given(sums())
@@ -92,7 +94,7 @@ def test_single_term_product_matches_direct_convolution(pair, s):
     assert product_vanishes(a, b) == ab.is_zero()
     scaled = a * s
     want = {k: c * s for k, c in a.coeffs.items()}
-    assert same(scaled, Jet(a.chart, a.max_order, a.valid_order, want))
+    assert same(scaled, Jet(a.chart, a.valid_order, a.valid_order, want))
 
 
 def test_empty_sum_returns_the_given_default():
@@ -113,6 +115,39 @@ def test_cancelling_sum_keeps_the_smallest_validity():
     assert out.is_zero() and out.valid_order == 2 and out.max_order == 2
 
 
+# -- one order per jet --------------------------------------------------------
+
+@st.composite
+def twin_jets(draw, dim):
+    """A jet, and its coefficients built again through the public
+    constructor at another max order, up to 2**16 - 1."""
+    j = draw(jets(dim))
+    v = j.valid_order
+    top = draw(st.integers(v, v + 3) | st.just(2 ** 16 - 1))
+    return j, Jet(j.chart, top, v, j.coeffs)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.tuples(twin_jets(d), twin_jets(d))), scalars, st.data())
+def test_max_order_is_not_carried(twins, s, data):
+    (a1, a2), (b1, b2) = twins
+    i = data.draw(st.integers(0, a1.chart.dim - 1))
+    k = data.draw(st.integers(0, a1.valid_order))
+    ops = [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a * s,
+           lambda a, b: a.truncate(k), lambda a, b: a.mul_variable(i)]
+    if a1.valid_order:
+        ops.append(lambda a, b: a.partial(i))
+    if a1.constant_term:
+        ops.append(lambda a, b: a.invert())
+    for x, y in [(a1, a2), (b1, b2)] + [(op(a1, b1), op(a2, b2))
+                                        for op in ops]:
+        assert x == y and hash(x) == hash(y)
+        assert x.max_order == x.valid_order == y.max_order
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and hash(back) == hash(x)
+        assert back.max_order == back.valid_order
+
+
 # -- the single integer store ------------------------------------------------
 
 def assert_canonical(j):
@@ -127,9 +162,9 @@ def assert_canonical(j):
     assert gcd(j.den, *[x for t in j.terms for x in t[2:]]) == 1
 
 
-def from_view(chart, max_order, valid_order, coeffs):
+def from_view(chart, valid_order, coeffs):
     """The reference result: a jet built from Fraction-valued coefficients."""
-    return Jet(chart, max_order, valid_order,
+    return Jet(chart, valid_order, valid_order,
                {k: c for k, c in coeffs.items() if sum(k) <= valid_order})
 
 
@@ -137,8 +172,7 @@ def pairwise_sum(a, b, sign):
     out = dict(a.coeffs)
     for k, c in b.coeffs.items():
         out[k] = out.get(k, CRat(0)) + c * sign
-    return from_view(a.chart, min(a.max_order, b.max_order),
-                     min(a.valid_order, b.valid_order), out)
+    return from_view(a.chart, min(a.valid_order, b.valid_order), out)
 
 
 def shifted(key, i, by):
@@ -158,7 +192,7 @@ def test_sums_match_pairwise_fractions(pair):
     a, b = pair
     for got, want in ((a + b, pairwise_sum(a, b, 1)),
                       (a - b, pairwise_sum(a, b, -1)),
-                      (-a, from_view(a.chart, a.max_order, a.valid_order,
+                      (-a, from_view(a.chart, a.valid_order,
                                      {k: -c for k, c in a.coeffs.items()}))):
         assert_canonical(got)
         assert same(got, want) and got == want
@@ -171,19 +205,18 @@ def test_unary_operations_match_pairwise_fractions(j, data):
     k = data.draw(st.integers(0, j.valid_order))
     view = j.coeffs
     cases = [
-        (j.truncate(k),
-         from_view(chart, j.max_order, k, view)),
+        (j.truncate(k), from_view(chart, k, view)),
         (j.mul_variable(i),
-         from_view(chart, j.max_order + 1, j.valid_order + 1,
+         from_view(chart, j.valid_order + 1,
                    {shifted(a, i, 1): c for a, c in view.items()})),
         (j.conjugate(),
-         from_view(chart, j.max_order, j.valid_order,
+         from_view(chart, j.valid_order,
                    {tuple(a[p] for p in chart.conj): c.conjugate()
                     for a, c in view.items()})),
     ]
     if j.valid_order:
         cases.append((j.partial(i), from_view(
-            chart, j.max_order, j.valid_order - 1,
+            chart, j.valid_order - 1,
             {shifted(a, i, -1): c * a[i] for a, c in view.items() if a[i]})))
     for got, want in cases:
         assert_canonical(got)
@@ -204,7 +237,7 @@ def test_embed_and_restrict_round_trip(j, data):
         for old, e in enumerate(a):
             b[slots[old]] = e
         want[tuple(b)] = c
-    assert same(up, from_view(big, j.max_order, j.valid_order, want))
+    assert same(up, from_view(big, j.valid_order, want))
     down = up.restrict(slots)
     assert_canonical(down)
     assert down.coeffs == j.coeffs and down.den == j.den
@@ -224,7 +257,7 @@ def test_agreement_ignores_terms_above_the_order(j, data):
     first = next(iter(extra))
     extra[first] = extra[first] + Fraction(1, 97)
     coeffs = {a: c for a, c in j.coeffs.items() if sum(a) <= k}
-    other = Jet(j.chart, j.max_order, j.valid_order, {**coeffs, **extra})
+    other = Jet(j.chart, j.valid_order, j.valid_order, {**coeffs, **extra})
     assert other.den != j.den
     # truncating one side compares through order k, across the two stores'
     # different denominators
@@ -232,7 +265,7 @@ def test_agreement_ignores_terms_above_the_order(j, data):
     assert low_j.agrees_with(other) and other.agrees_with(low_j)
     assert not j.agrees_with(other)
     low = (0,) * j.chart.dim
-    bumped = Jet(j.chart, j.max_order, j.valid_order,
+    bumped = Jet(j.chart, j.valid_order, j.valid_order,
                  {**j.coeffs, low: j.coeffs.get(low, 0) + Fraction(1, 97)})
     assert not low_j.agrees_with(bumped)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedquant.jets import Chart, Jet
+from fedquant.jets import Chart, ChartMismatch, Jet
 from fedquant.rational import CRat, I
 from fedquant.geometry import (build_flat, build_kaehler, complex_chart,
                                lift_cotangent)
@@ -49,7 +49,24 @@ def test_compose_matches_iterated_apply(flat):
     once = diffop_apply(d, psi).coeffs[0]
     twice = diffop_apply(d, once).coeffs[0]
     assert diffop_apply(diffop_compose(d, d), psi).agrees_with(
-        HbarSeries(sub, {0: twice}))
+        HbarSeries({0: twice}))
+
+
+def test_diffop_arithmetic_rejects_foreign_operands(flat):
+    """A number or a string is no operator: Python raises TypeError. An
+    operator on another chart is a ChartMismatch."""
+    sub = config_chart(flat)
+    op = DiffOp.identity(sub, ORDER)
+    for bad in (1, Fraction(1, 2), "x"):
+        with pytest.raises(TypeError):
+            op + bad
+        with pytest.raises(TypeError):
+            bad + op
+        with pytest.raises(TypeError):
+            op - bad
+    other = Chart(("w",), (0,))
+    with pytest.raises(ChartMismatch):
+        op + DiffOp.identity(other, ORDER)
 
 
 def test_flat_momentum_operator(flat):
@@ -150,7 +167,7 @@ def test_kaehler_affine_observable():
     op = gq_kaehler(f, geom)
     sub = Chart(cc.names[:1], cc.base[:1])
     zc = Jet.variable(sub, 0, order)
-    half = HbarSeries(sub, {1: Jet.constant(sub, Fraction(1, 2), order)})
+    half = HbarSeries({1: Jet.constant(sub, Fraction(1, 2), order)})
     want = DiffOp.deriv(sub, 0, zc, 1) + DiffOp.mult(zc * zc) \
         + DiffOp(sub, {(0,): half})
     assert op.agrees_with(want)
@@ -182,7 +199,7 @@ def test_flat_representations(flat):
         c = Jet.constant(sub, scale, order)
         op = weyl_quantize(geom, {((1,), (1,)): CRat(1)},
                            [DiffOp.deriv(sub, 0, c, 1)])
-        half = HbarSeries(sub, {1: c * Fraction(1, 2)})
+        half = HbarSeries({1: c * Fraction(1, 2)})
         want = DiffOp.deriv(sub, 0, c * x, 1) + DiffOp(sub, {(0,): half})
         assert op.agrees_with(want)
     for seed in (0, 1):

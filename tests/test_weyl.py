@@ -5,7 +5,7 @@ import pickle
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (GradingError, WeylForm, _expansion,
+from fedquant.weyl import (GradingError, WeylForm, _expansion, _wedge,
                            graded_commutator, op_delta, op_delta_inv,
                            op_delta_star, pi_weight, scalar_part, symbol_mul,
                            weyl_mul)
@@ -98,6 +98,19 @@ def test_graded_commutator_sign():
     # both are 1-forms, so the graded bracket is the anticommutator
     assert graded_commutator(a, b).agrees_with(
         weyl_mul(a, b) + weyl_mul(b, a))
+
+
+def test_wedge_inserts_one_index_by_the_sign_rule():
+    """dx^b wedge dx^beta is (-1)^#{x in beta : x < b} times the sorted
+    merge, or nothing when b is already in beta."""
+    for dim in range(7):
+        for size in range(dim + 1):
+            for beta in combinations(range(dim), size):
+                for b in range(dim):
+                    want = None if b in beta else (
+                        (-1) ** sum(x < b for x in beta),
+                        tuple(sorted(beta + (b,))))
+                    assert _wedge((b,), beta) == want
 
 
 def test_delta_squares_to_zero():
