@@ -31,11 +31,13 @@ def default_degree_cap(n_hbar):
 
     ``symbol_mul`` pairs a section term hbar^ka y^alpha only with a term
     hbar^kb y^alpha and lands at hbar^(ka + kb + |alpha|), so a star
-    product through hbar^N reads only the terms with k + |alpha| <= N
-    (``flat_section``).  Their doubled weight 2k + |alpha| is at most 2N,
-    so full sections are filled through weight 2N; that recursion consumes
-    r through weight 2N + 1, and the weight-by-weight solve makes every r
-    component below the cap exact, so cap = 2N + 2.
+    product through hbar^n reads only the section terms with
+    k + |alpha| <= n (``flat_section``).  A bounded section through hbar^n
+    stops at weight 2n - 1 and reads r_w with w <= 2n - 1; a full section
+    is filled through weight 2N and reads r_w with w <= 2N.  The flatness
+    certificate at weight 2N reads r_(2N+1), so ``solve_r`` stops there.
+    The products in X_2N, whose delta^-1 is r_(2N+1), reach weight 2N + 2
+    before (i/hbar) lowers them, so cap = 2N + 2.
     """
     return 2 * n_hbar + 2
 
@@ -76,16 +78,16 @@ SECTION_CACHE_SIZE = 32
 class FedosovState:
     """Converged solution of the flatness equation for one geometry."""
 
-    def __init__(self, geometry, n_hbar, degree_cap, r, r_parts, residual):
+    def __init__(self, geometry, n_hbar, r, r_parts, residual):
         """``r_parts`` holds the nonzero weight components of ``r``, keyed
-        by doubled weight."""
+        by doubled weight; the caps follow from N."""
         self.geometry = geometry
         self.n_hbar = n_hbar
-        self.degree_cap = degree_cap
+        self.degree_cap = default_degree_cap(n_hbar)
         self.r = r
         self.r_parts = r_parts
         self.residual = residual
-        self.section_cap = degree_cap - 2
+        self.section_cap = 2 * n_hbar
         self._section_cache = OrderedDict()
         self._rows = {}
 
@@ -123,13 +125,17 @@ def _geometry_validity(geom):
 
 
 def solve_r(geom, n_hbar):
-    """Solve the flatness equation through the working degree cap.
+    """Solve the flatness equation for r_3 ... r_(2N+1).
 
     The weight-(w+1) component of r is determined by the weight-w data,
-    so the recursion fills one weight per step:
+    so the recursion fills one weight per step, for w = 3 ... 2N:
 
         r_3 = delta^-1 Rhat,   r_(w+1) = delta^-1 X_w,
         X_w = nabla r_w + (i/hbar) sum over w1 + w2 = w + 2 of r_w1 o r_w2.
+
+    It stops at r_(2N+1), the last weight anything reads
+    (``default_degree_cap``), and every weight it keeps is exact.  One more
+    step would give an r_(2N+2) whose quadratic pairs the cap all drops.
 
     r is a 1-form, so r_a o r_b + r_b o r_a is the graded commutator
     [r_a, r_b]: each unequal weight pair is taken once, as a commutator.
@@ -142,24 +148,25 @@ def solve_r(geom, n_hbar):
     the finished jets of its nabla map and of its product map apart, zero
     jets included, so a cancelling term still lowers the validity of the
     X_w they add up to.  Keys of different weights never meet, so the
-    union of the nabla maps plus nabla r_cap is nabla r, and the union of
-    the product maps is (i/hbar) r o r: the cap already drops every pair
-    with w1 + w2 > cap.  With Rhat taken as X_2, the residual
+    unions of the nabla maps and of the product maps are nabla r and
+    (i/hbar) r o r through weight 2N.  With Rhat taken as X_2, the residual
 
         delta r - Rhat - nabla r - (i/hbar) r o r
 
-    at weight w is delta r_(w+1) - X_w = -delta^-1 delta X_w, because
-    delta delta^-1 + delta^-1 delta is the identity on 2-forms.  So it is
-    nonzero exactly when X_w is not delta-closed.  The Bianchi identity
-    makes X_w closed when the lower weights solve the equation, and for
-    n >= 2 nothing makes it closed when they do not, so reusing the sums
-    leaves the certificate a real test.  For n = 1 every 2-form has top
+    holds for N >= 1 exactly the weights w <= 2N, and at weight w it is
+    delta r_(w+1) - X_w = -delta^-1 delta X_w, because delta delta^-1 +
+    delta^-1 delta is the identity on 2-forms.  So it is nonzero exactly
+    when X_w is not delta-closed.  The Bianchi identity makes X_w closed
+    when the lower weights solve the equation, and for n >= 2 nothing
+    makes it closed when they do not, so reusing the sums leaves the
+    certificate a real test.  For n = 1 every 2-form has top
     form degree and is closed, so there the residual vanishes whatever
     the recursion summed.  The residual is kept on the state for
     ``check_flatness``, and a nonzero one is returned, not raised, until
     zero terms keep their validity.  The last chart of
     ``tests/test_digest.py`` (n = 2 Darboux, seed 0, N = 2, also the
-    ``solve-n2`` benchmark's) has ``{4: 209}``.
+    ``solve-n2`` benchmark's) has ``{4: 209}``.  At N = 0 no r_w is
+    solved and the residual is -Rhat, at weight 2.
     """
     cap = default_degree_cap(n_hbar)
     if _geometry_validity(geom) < 2 * n_hbar + 3:
@@ -170,7 +177,7 @@ def solve_r(geom, n_hbar):
     parts = {3: op_delta_inv(rhat)}
     # the finished jets of nabla r and of (i/hbar) r o r, zero ones kept
     nr, quad = {}, {}
-    for w in range(3, cap):
+    for w in range(3, cap - 1):
         nsums = nabla(parts[w], geom, defaultdict(JetSum))
         qsums = defaultdict(JetSum)
         for w1 in range(3, w // 2 + 2):
@@ -183,11 +190,10 @@ def solve_r(geom, n_hbar):
                 xsums[key].add(jet)
         # every term has weight w, so delta^{-1} gives weight w + 1 only
         parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, cap, xsums))
-    nr.update(nabla(parts[cap], geom).terms)
     r = WeylForm(geom, cap, {key: jet for part in parts.values()
                              for key, jet in part.terms.items()})
     nr, quad = WeylForm(geom, cap, nr), WeylForm(geom, cap, quad)
-    return FedosovState(geom, n_hbar, cap, r,
+    return FedosovState(geom, n_hbar, r,
                         {w: p for w, p in parts.items() if not p.is_zero()},
                         op_delta(r) - rhat - nr - quad)
 
@@ -197,10 +203,12 @@ def check_flatness(state):
 
     The residual at weight w is -delta^-1 delta X_w (``solve_r``): zero
     exactly when the weight-w right-hand side of the recursion is
-    delta-closed.  The top working weight is excluded, since the cap
-    truncates its quadratic term.  A flat state reports an empty map, but
-    ``solve_r`` returns a state whatever its residual, so the map can be
-    nonempty (see ``solve_r``).
+    delta-closed.  The weights counted are w <= 2N; the one at weight 2N
+    reads r_(2N+1), the top weight ``solve_r`` solves.  For N >= 1 they
+    are all the residual holds; at N = 0 the residual is the unbalanced
+    Rhat at weight 2, which is not counted.  A flat state reports an empty
+    map, but ``solve_r`` returns a state whatever its residual, so the map
+    can be nonempty (see ``solve_r``).
     """
     return _count_by_weight(state.residual, state.degree_cap - 1)
 

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 import fedquant.geometry
-from fedquant.cli import MAX_N, MAX_NUMBER_CHARS, MAX_ORDER, _emit, main
+from fedquant.cli import (MAX_N, MAX_NUMBER_CHARS, MAX_ORDER, _emit,
+                          _jet_table, load_geometry, main)
+from fedquant.exprparse import jet_of
 from fedquant.geometry import CheckReport
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,6 +72,26 @@ def test_star_order_too_high_for_file(tmp_path, capsys):
     path.write_text('{"kind": "flat", "n": 1, "order": 5}')
     assert main(["star", str(path), "--f", "q1", "--g", "p1",
                  "--order", "3"]) == 2
+
+
+def test_star_at_hbar_order_0_is_the_pointwise_product(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["star", SPHERE, "--f", "q1*p1", "--g", "p2^2",
+                 "--order", "0", "--json", str(out)]) == 0
+    assert "hbar^0" in capsys.readouterr().out
+    geom = load_geometry(SPHERE)
+    fg = jet_of("q1*p1", geom.chart, geom.order) \
+        * jet_of("p2^2", geom.chart, geom.order)
+    assert json.loads(out.read_text())["coefficients"] \
+        == {"hbar^0": _jet_table(fg)}
+
+
+def test_quantize_at_hbar_order_0(capsys):
+    assert main(["quantize", SPHERE, "--f", "q1*p1", "--order", "0"]) == 2
+    assert "momentum degree 1 needs a state certified through hbar^1" \
+        in capsys.readouterr().err
+    assert main(["quantize", SPHERE, "--f", "q1^2", "--order", "0",
+                 "--quiet"]) == 0
 
 
 def test_quantize_momentum_square(flat_file, capsys):

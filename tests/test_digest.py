@@ -23,21 +23,21 @@ PINNED = {
     ("flat", 1, 9, 3, ("flat", 1, 0)):
         "8af22bc90192a997268b00d55a2415113fec836c1aee3ddc89ec95d2595534f2",
     ("darboux", 1, 9, 3, ("darboux", 1, 0)):
-        "27c776ede0a0b6bf88c170b383b76ffcd72892c93d5a21885c6a0a24ea0547e3",
+        "a981ec34445e1261af6aa13a594804012a76a73bd73584c7d674356cc46da5a5",
     ("cotangent", 1, 11, 3, ("cotangent", 1, 0)):
         "8085c0d9a581b581ffd04fd5c48f7d92519edfd1e88ec03b928c4568fbd90872",
     ("kaehler", 1, 12, 3, ("kaehler", 1, 0)):
-        "a3ca596f500f2cf57a05a1922f0d182ab0cc7dfa14aa1ef4554dbbf7b402cc70",
+        "bf82834e69e86896e579c2e17975a8993c4a4af9c5afc4bd80faef3dbf46baf1",
     ("flat", 2, 7, 2, ("flat", 2, 0)):
         "57452647a54d666149c9ff5a74e4ddadf292b86e6b67481785793d5fd9a86adf",
     ("darboux", 2, 9, 2, ("darboux", 2, 0)):
-        "46b20fc705daeeb5ecfe9c3dfd0bf066ccd7fc74f8c7140fbd015c97c0404593",
+        "91dd1370567f94e18020a772d4a2c1147fc3cdf1852ec9e04b771faf267d5117",
     ("cotangent", 2, 9, 2, ("cotangent", 2, 0)):
-        "7426b7b139d40c135317c0930f0ea92f7c5850321c3b1bb819e6e5c4cba4cb7f",
+        "cf36fa18f695aea25b72dd90eb5e3af957e2d8997cb7184f30bf8efc00be5a7c",
     ("kaehler", 2, 11, 2, ("kaehler", 2, 0)):
-        "e6e5b03e96fc5d45d0dd4cc26bd5fd738f8d1cad42310b7a67f1170b676d311a",
+        "84ce224620851b08642fbd607f4961ed6b75b0ad6a09d2284af4709f00ddb414",
     ("darboux", 2, 9, 2, ("darb", 0)):
-        "d860d39c5d66c371534bd8c2ac3c7883bbc35f43f5005826015f21ea3c670dee",
+        "579e04e00dd5a04d91566a726f810ae106b6f6df367e18e927e0f64588d01ab3",
 }
 
 

@@ -123,15 +123,47 @@ def full_pass(st):
 @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
     map(str, c[:4] + c[4])))
 def test_full_pass_reproduces_r_and_the_residual(case):
-    """The full iteration gives r back below the top weight, and the
-    residual from its sums is ``solve_r``'s, store for store, although
+    """The full iteration gives r back on every weight r holds, 3 ... 2N+1,
+    and the residual from its sums is ``solve_r``'s, store for store, on
+    the weights w <= 2N that ``solve_r``'s residual holds, although
     ``solve_r`` builds both from the recursion's own sums."""
     kind, n, order, n_hbar, tag = case
     st = solve_r(_CHARTS[kind](sampling.make_rng(tag), n, order), n_hbar)
     again, residual = full_pass(st)
-    top = st.degree_cap - 1
-    assert weight_at_most(again, top).agrees_with(weight_at_most(st.r, top))
-    assert residual == st.residual
+    assert weight_at_most(again, 2 * n_hbar + 1).agrees_with(st.r)
+    assert weight_at_most(residual, 2 * n_hbar) == st.residual
+
+
+# (kind, n, jet order, N): each chart's order admits a solve at N + 1
+ORDER_RAISE = [("darboux", 1, 13, 3), ("kaehler", 1, 14, 3),
+               ("cotangent", 2, 11, 2), ("kaehler", 2, 13, 2),
+               ("darboux", 2, 11, 2)]
+
+
+@pytest.mark.parametrize("case", ORDER_RAISE,
+                         ids=lambda c: "-".join(map(str, c)))
+def test_r_is_the_low_weights_of_a_higher_order_solve(case):
+    """r holds weights 3 ... 2N+1 only, each one exact: the solve at
+    N + 1 gives the same terms there.  On n = 1 the certificate is blind
+    to a broken recursion, so this is checked apart from it."""
+    kind, n, order, n_hbar = case
+    geom = _CHARTS[kind](sampling.make_rng((kind, n, 0)), n, order)
+    st, up = solve_r(geom, n_hbar), solve_r(geom, n_hbar + 1)
+    assert all(2 * k + sum(alpha) <= 2 * n_hbar + 1
+               for k, alpha, _ in st.r.terms)
+    assert all(2 * k + sum(alpha) <= 2 * n_hbar
+               for k, alpha, _ in st.residual.terms)
+    assert st.r.agrees_with(WeylForm(geom, st.degree_cap, weight_at_most(
+        up.r, 2 * n_hbar + 1).terms))
+
+
+@pytest.mark.parametrize("kind", list(_CHARTS))
+def test_hbar_order_0_star_is_the_pointwise_product(kind):
+    st = solve_r(_CHARTS[kind](sampling.make_rng((kind, 1, 0)), 1, 9), 0)
+    assert st.r.is_zero() and check_flatness(st) == {}
+    f, g, _ = observables(st)
+    s = star(f, g, st)
+    assert s.valid_hbar_order == 0 and s.coefficient(0) == f * g
 
 
 @pytest.mark.parametrize("n_hbar", [2, 3])
@@ -256,8 +288,7 @@ def kind_state(request):
 
 def fresh_copy(st):
     """The same solution of the flatness equation with empty caches."""
-    return FedosovState(st.geometry, st.n_hbar, st.degree_cap, st.r,
-                        st.r_parts, st.residual)
+    return FedosovState(st.geometry, st.n_hbar, st.r, st.r_parts, st.residual)
 
 
 def observables(st):
