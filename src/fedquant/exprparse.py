@@ -151,6 +151,8 @@ class _Parser:
             e = self.expr()
             self.expect_op(")")
             return e
+        if kind is None:
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
 

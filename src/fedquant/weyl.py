@@ -30,6 +30,14 @@ unordered pair of terms gives a_s o a_t + a_t o a_s = [a_s, a_t], so the
 square is the odd part of the pairs s < t, doubled.  The expansions are
 cached per contraction parity, so neither a commutator nor a square builds
 an even order, and a term pair with no odd contraction forms no product.
+
+``symbol_mul`` splits each nonconstant pairing into a content scalar times
+a primitive jet, P divided by its first stored coefficient
+(``_pair_parts``).  Primitives are interned per geometry, and on n = 1
+charts every nonzero pairing at level l is a multiple of (omega^{12})^l,
+so the pairs of one hbar power share a few primitives: their scaled jet
+products are summed first and each group sum is convolved with its
+primitive once.
 """
 
 from __future__ import annotations
@@ -343,17 +351,51 @@ def _pair_contraction(geom, alpha_a, alpha_b):
     return out
 
 
+def _pair_parts(geom, alpha_a, alpha_b):
+    """P(alpha_a, alpha_b) split as (content, primitive), cached per geometry.
+
+    A nonconstant pairing is content * primitive, where the content is the
+    coefficient of its first stored term and the primitive is P divided by
+    it.  Primitives are interned per geometry, so proportional pairings
+    share one jet object.  A constant pairing, zero included, is (its
+    value, None).
+    """
+    key = ("parts", alpha_a, alpha_b)
+    cached = geom._cache.get(key)
+    if cached is not None:
+        return cached
+    pairing = _pair_contraction(geom, alpha_a, alpha_b)
+    if pairing.is_constant():
+        out = pairing.constant_term, None
+    else:
+        _, _, re, im = pairing.terms[0]
+        content = CRat.from_ints(re, im, pairing.den)
+        primitive = pairing * (1 / content)
+        primitives = geom._cache.setdefault("primitives", {})
+        out = content, primitives.setdefault(primitive, primitive)
+    geom._cache[key] = out
+    return out
+
+
 def symbol_mul(a, b, max_hbar):
     """The y-free, form-free part of a o b through hbar^max_hbar, as a map
     hbar power -> jet.
 
     Only complete contractions (gamma = alpha_a, delta = alpha_b, where
     both binomial factors are 1) survive in the symbol, so this skips
-    every other term of the full product.
+    every other term of the full product.  A term pair with a constant
+    pairing adds its jets' product directly.  A nonconstant pairing is
+    content * primitive (``_pair_parts``): the pairs of one hbar power and
+    one primitive are summed as scale * content * jet_a * jet_b first, and
+    each finished group is convolved with its primitive once.  A pair is
+    left out exactly when its product with the pairing vanishes by
+    truncation, and a group that cancels to zero still lowers the
+    validity, so the result is the per-pair sum's, store for store.
     """
     a._check(b)
     geom = a.geometry
     out = defaultdict(JetSum)
+    groups = defaultdict(JetSum)
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
         if beta_a:
             continue
@@ -365,16 +407,20 @@ def symbol_mul(a, b, max_hbar):
             k = ka + kb + la
             if k > max_hbar:
                 continue
-            pairing = _pair_contraction(geom, alpha_a, alpha_b)
-            if pairing.is_zero():
+            content, primitive = _pair_parts(geom, alpha_a, alpha_b)
+            if not content or product_vanishes(jet_a, jet_b):
                 continue
-            if pairing.is_constant():
-                if not product_vanishes(jet_a, jet_b):
-                    out[k].add(jet_a, jet_b, scale * pairing.constant_term)
-            else:
-                ab = jet_a * jet_b
-                if not product_vanishes(ab, pairing):
-                    out[k].add(ab, pairing, scale)
+            if primitive is None:
+                out[k].add(jet_a, jet_b, scale * content)
+            # not product_vanishes(jet_a * jet_b, pairing), since the
+            # lowest parts of a product multiply to a nonzero part
+            elif (jet_a.terms[0][0] + jet_b.terms[0][0]
+                  + primitive.terms[0][0]
+                  <= min(jet_a.valid_order, jet_b.valid_order,
+                         primitive.valid_order)):
+                groups[k, primitive].add(jet_a, jet_b, scale * content)
+    for (k, primitive), acc in groups.items():
+        out[k].add(acc.jet(), primitive)
     sym = {k: acc.jet() for k, acc in out.items()}
     return {k: jet for k, jet in sym.items() if not jet.is_zero()}
 

@@ -365,7 +365,11 @@ def test_base_point_accepts_ints_fractions_and_decimals(tmp_path, capsys,
 @pytest.mark.parametrize("argv,message", [
     (["star", "--f", "q1 $", "--g", "p1"], "unexpected character"),
     (["quantize", "--f", "(q1"], "expected ')'"),
-], ids=["star", "quantize"])
+    (["star", "--f", "", "--g", "p1"],
+     "unexpected end of input (at position 0)"),
+    (["star", "--f", "q1", "--g", "p1 +"],
+     "unexpected end of input (at position 4)"),
+], ids=["star", "quantize", "star-empty", "star-cut-short"])
 def test_unparsable_observable_is_input_error(flat_file, capsys, argv,
                                               message):
     assert main([argv[0], flat_file, *argv[1:]]) == 2

@@ -69,6 +69,13 @@ def test_syntax_error_has_position():
     assert err.value.pos == 5
 
 
+@pytest.mark.parametrize("src", ["q1+", "", "(", "-", "exp(", "q1 * ("])
+def test_input_that_stops_short_names_its_end(src):
+    with pytest.raises(ParseError, match="unexpected end of input") as err:
+        jet_of(src, CH, 4)
+    assert err.value.pos == len(src)
+
+
 def test_fractional_power_rejected():
     with pytest.raises(ParseError):
         jet_of("q1^(1/2)", CH, 4)

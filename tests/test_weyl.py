@@ -11,14 +11,15 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from fedquant.jets import Jet, JetSum
+from fedquant.jets import Jet, JetSum, product_vanishes
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (GradingError, WeylForm, _expansion, _wedge,
+from fedquant.weyl import (GradingError, WeylForm, _expansion,
+                           _pair_contraction, _pair_parts, _wedge,
                            graded_commutator, op_delta, op_delta_inv,
                            op_delta_star, pi_weight, scalar_part, symbol_mul,
                            weyl_mul)
 from fedquant import sampling
-from fedquant.fedosov import solve_r
+from fedquant.fedosov import flat_section, solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
 from fedquant.suites import _CHARTS
@@ -419,3 +420,166 @@ def test_forms_copy_and_pickle():
                    for proto in range(2, pickle.HIGHEST_PROTOCOL + 1))):
         assert back == a and back.degree_cap == CAP
         assert weyl_mul(back, back) == weyl_mul(a, a)
+
+
+# -- the symbol, grouped by pairing primitive ------------------------------
+
+def _symbol_mul_by_pairs(a, b, max_hbar):
+    """The symbol of a o b as one fold per term pair: each nonconstant
+    pairing is convolved with the pair's own jet product."""
+    geom = a.geometry
+    out = defaultdict(JetSum)
+    for (ka, alpha_a, beta_a), jet_a in a.terms.items():
+        if beta_a:
+            continue
+        la = sum(alpha_a)
+        scale = HALF_I ** la
+        for (kb, alpha_b, beta_b), jet_b in b.terms.items():
+            if beta_b or sum(alpha_b) != la:
+                continue
+            k = ka + kb + la
+            if k > max_hbar:
+                continue
+            pairing = _pair_contraction(geom, alpha_a, alpha_b)
+            if pairing.is_zero():
+                continue
+            if pairing.is_constant():
+                if not product_vanishes(jet_a, jet_b):
+                    out[k].add(jet_a, jet_b, scale * pairing.constant_term)
+            else:
+                ab = jet_a * jet_b
+                if not product_vanishes(ab, pairing):
+                    out[k].add(ab, pairing, scale)
+    sym = {k: acc.jet() for k, acc in out.items()}
+    return {k: jet for k, jet in sym.items() if not jet.is_zero()}
+
+
+def _observables(geom, tag):
+    """Seeded polynomials, two of them valid beyond the chart's order."""
+    rng = sampling.make_rng(("symbol", tag))
+    chart, order = geom.chart, geom.order
+    return [sampling.random_polynomial(rng, chart, v, degree=3, terms=4)
+            for v in (order, order, order + 2, order + 2)]
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
+    map(str, c[:4] + c[4])))
+def test_symbol_mul_matches_the_per_pair_fold(case):
+    """Store for store, validity included, on full and bounded sections;
+    the last pair is valid beyond the chart's order, where a constant
+    pairing must not cap the validity at that order."""
+    state = digest_state(case)
+    f, g, fh, gh = _observables(state.geometry, case)
+    for x, y in ((f, g), (g, f), (f, gh), (fh, gh)):
+        full = flat_section(x, state), flat_section(y, state)
+        for n in range(state.n_hbar + 1):
+            bounded = flat_section(x, state, n), flat_section(y, state, n)
+            for a, b in (full, bounded):
+                assert symbol_mul(a, b, n) == _symbol_mul_by_pairs(a, b, n)
+    sym = symbol_mul(flat_section(fh, state), flat_section(gh, state), 0)
+    assert sym[0] == fh * gh and sym[0].valid_order > state.geometry.order
+
+
+def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
+    """On the Kaehler n = 1 chart every level-1 pairing is a multiple of
+    omega^{12}, a nonconstant jet.  A pair whose jet product is nonzero
+    but vanishes once multiplied by it is skipped, and a group that
+    cancels to zero is still added: either way the hbar^1 coefficient,
+    whose y-free pair is valid beyond the pairing, keeps the per-pair
+    fold's validity."""
+    geom = CURVED["kaehler", 1]
+    vp = _pair_contraction(geom, (1, 0), (0, 1)).valid_order
+    v = vp + 3
+    q = Jet.variable(geom.chart, 0, v)
+    one = Jet.constant(geom.chart, 1, v)
+    free = {(1, (0, 0), ()): q + 1}
+    # q^2 * q^(vp - 1) is nonzero, but not below the pairing's order
+    vanishing = (WeylForm(geom, CAP, {**free, (0, (1, 0), ()): q ** 2}),
+                 WeylForm(geom, CAP, {(0, (0, 0), ()): one,
+                                      (0, (0, 1), ()): q ** (vp - 1)}))
+    # y1 y2 pairs to -omega^{12} + omega^{12}: the group sum cancels
+    cancelling = (WeylForm(geom, CAP, {**free, (0, (1, 0), ()): q,
+                                       (0, (0, 1), ()): q}),
+                  WeylForm(geom, CAP, {(0, (0, 0), ()): one,
+                                       (0, (1, 0), ()): q,
+                                       (0, (0, 1), ()): q}))
+    for a, b, cut in (vanishing + (v,), cancelling + (vp,)):
+        sym = symbol_mul(a, b, 1)
+        assert sym == _symbol_mul_by_pairs(a, b, 1)
+        assert sym[1] == (q + 1).truncate(cut)
+
+
+@pytest.mark.parametrize("where", [("kaehler", 1), ("darboux", 1)])
+def test_pairings_of_one_level_share_one_primitive(where):
+    geom = CURVED[where]
+    for level in range(5):
+        alphas = [(j, level - j) for j in range(level + 1)]
+        primitives = set()
+        for alpha_a, alpha_b in product(alphas, repeat=2):
+            pairing = _pair_contraction(geom, alpha_a, alpha_b)
+            content, primitive = _pair_parts(geom, alpha_a, alpha_b)
+            if primitive is None:
+                assert pairing.is_constant()
+                assert pairing.constant_term == content
+            else:
+                assert primitive * content == pairing
+            if content:
+                primitives.add(id(primitive))
+        assert len(primitives) == 1
+        # level 0 pairs nothing, and Darboux charts have a constant omega
+        assert (primitives == {id(None)}) \
+            == (level == 0 or where[0] == "darboux")
+
+
+def test_each_group_convolves_its_primitive_once(monkeypatch):
+    """One add per (hbar power, primitive) on the Kaehler n = 1 chart of an
+    associativity check, where the per-pair fold adds one per term pair."""
+    case = ("kaehler", 1, 12, 3, ("kaehler", 1, 0))
+    state = digest_state(case)
+    geom = state.geometry
+    rng = sampling.make_rng(("assoc-groups", 0))
+    f, g = (sampling.random_polynomial(rng, geom.chart, 12, degree=2,
+                                       terms=3) for _ in range(2))
+    a, b = flat_section(f, state), flat_section(g, state)
+    n = state.n_hbar
+    want = symbol_mul(a, b, n)
+    groups, pairs = set(), 0
+    for (ka, alpha_a, beta_a), jet_a in a.terms.items():
+        for (kb, alpha_b, beta_b), jet_b in b.terms.items():
+            k = ka + kb + sum(alpha_a)
+            if (beta_a or beta_b or sum(alpha_b) != sum(alpha_a)
+                    or k > n):
+                continue
+            _, primitive = _pair_parts(geom, alpha_a, alpha_b)
+            pairing = _pair_contraction(geom, alpha_a, alpha_b)
+            if primitive is not None \
+                    and not product_vanishes(jet_a * jet_b, pairing):
+                groups.add((k, primitive))
+                pairs += 1
+    interned = {id(p) for p in geom._cache["primitives"].values()}
+    adds = []
+    real = JetSum.add
+
+    def counted(self, x, y=None, s=1):
+        if id(y) in interned:
+            adds.append(y)
+        return real(self, x, y, s)
+
+    monkeypatch.setattr(JetSum, "add", counted)
+    assert symbol_mul(a, b, n) == want
+    assert len(adds) == len(groups) < pairs
+
+
+@given(st.one_of([forms(geom) for _, geom in sorted(CURVED.items())]))
+def test_symbol_mul_is_the_scalar_part_on_zero_forms(a):
+    geom = a.geometry
+    zero_forms = WeylForm(geom, REF_CAP, {key: jet for key, jet
+                                          in a.terms.items() if not key[2]})
+    b = WeylForm(geom, REF_CAP, {(k, alpha[::-1], ()): jet * (k + 2)
+                                 for (k, alpha, _), jet in a.terms.items()})
+    for x, y in ((zero_forms, b), (b, zero_forms), (b, b)):
+        sym = symbol_mul(x, y, REF_CAP // 2)
+        zero = (0,) * geom.dim
+        got = WeylForm(geom, REF_CAP,
+                       {(k, zero, ()): jet for k, jet in sym.items()})
+        assert got.agrees_with(scalar_part(weyl_mul(x, y)))
