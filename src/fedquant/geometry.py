@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 from .jets import Chart, ChartMismatch, Jet, JetError, JetSum
 from .rational import CRat, I
@@ -261,22 +262,46 @@ def _curvature_of(gamma, dim):
 
     summed over the stored entries of ``gamma`` only, so the cost follows
     the connection's support; keys come out in (i, j, k, l) order.
+
+    Many entries are one jet up to sign: G^i_{km} = G^i_{mk} on a
+    torsion-free connection, and a cotangent lift stores -G in its momentum
+    block.  Each entry is therefore read as a sign times a jet interned up
+    to sign, each unordered pair of interned jets counts its net
+    multiplicity in every component, and each pair's product is convolved
+    once and added once per component with that multiplicity.  A
+    multiplicity of zero is still added: the cancelled products cap the
+    component's validity, as the term-by-term fold does, so every output
+    jet equals the fold's, validity included.
     """
-    by_upper = defaultdict(list)     # m -> [(x, j, G^m_{xj})]
-    for (m, x, j), g in gamma.items():
-        by_upper[m].append((x, j, g))
+    interned = {}                    # jet up to sign -> its index
+    ref = {}                         # gamma key -> (index, sign)
+    for key, g in gamma.items():
+        t = g.terms
+        sign = -1 if t and (t[0][2] or t[0][3]) < 0 else 1
+        ref[key] = (interned.setdefault(g if sign > 0 else -g,
+                                        len(interned)), sign)
+    jets = list(interned)
+    by_upper = defaultdict(list)     # m -> [(x, j, ref of G^m_{xj})]
+    for (m, x, j), r in ref.items():
+        by_upper[m].append((x, j, r))
     sums = defaultdict(JetSum)       # (i, j, k, l) with k < l
     for (i, x, j), g in gamma.items():
         for k in range(x):
             sums[i, j, k, x].add(g.partial(k))
         for l in range(x + 1, dim):
             sums[i, j, x, l].add(g.partial(l), s=-1)
-    for (i, x, m), g1 in gamma.items():
-        for y, j, g2 in by_upper.get(m, ()):
+    # (index, index) -> {(i, j, k, l) with k < l: net multiplicity}
+    uses = defaultdict(lambda: defaultdict(int))
+    for (i, x, m), (u, su) in ref.items():
+        for y, j, (v, sv) in by_upper.get(m, ()):
             if x < y:
-                sums[i, j, x, y].add(g1, g2)
+                uses[min(u, v), max(u, v)][i, j, x, y] += su * sv
             elif y < x:
-                sums[i, j, y, x].add(g1, g2, -1)
+                uses[min(u, v), max(u, v)][i, j, y, x] -= su * sv
+    for (u, v), counts in uses.items():
+        prod = jets[u] * jets[v]
+        for key, s in counts.items():
+            sums[key].add(prod, s=s)
     out = {}
     for (i, j, k, l) in sorted(sums):
         acc = sums[i, j, k, l].jet()
@@ -289,18 +314,28 @@ def _curvature_of(gamma, dim):
 def lift_cotangent(metric, order):
     """Lift the Levi-Civita connection of a base metric to phase space.
 
-    ``metric`` is an n x n matrix of jets on a base chart in the position
-    variables only.  The result is a 2n-chart with Darboux omega whose
+    ``metric`` is a symmetric n x n matrix of jets on a base chart in the
+    position variables only; an asymmetric one raises ``GeometryError``.
+    The result is a 2n-chart with Darboux omega whose
     connection is torsion-free, symplectic, and reproduces the base
     connection on position indices; its momentum-valued block is exactly
     linear in p.  Its ``source`` holds, on the base chart, ``metric`` and
     its inverse ``metric_inv``; on the phase chart, the base Christoffel
     symbols ``gamma_base`` and curvature ``curvature_base``.
+
+    The p-linear block Gamma^{p_k}_{ij} cyclically symmetrizes
+    sum_l G^a_{yl} G^l_{zx} over (x, y, z) = (i, j, k).  That sum is
+    symmetric in (z, x), so it is formed once per (a, y, {z, x}) and read
+    by every cyclic triple and every (k, i, j) class that needs it.
     """
     n = len(metric)
     base_chart = metric[0][0].chart
     if base_chart.dim != n:
         raise GeometryError("metric must live on an n-variable base chart")
+    for a, b in combinations(range(n), 2):
+        if not metric[a][b].agrees_with(metric[b][a]):
+            raise GeometryError(f"metric is not symmetric: metric[{a}][{b}] "
+                                f"differs from metric[{b}][{a}]")
     chart = Chart(base_chart.names + tuple(f"p{i+1}" for i in range(n)),
                   base_chart.base + (CRat(0),) * n)
     emb = tuple(range(n))
@@ -329,6 +364,17 @@ def lift_cotangent(metric, order):
                     continue
                 gamma[(n + a, b, n + c)] = -val
                 gamma[(n + a, n + c, b)] = -val
+    chains = {}     # (a, y, min(z, x), max(z, x)) -> sum_l G^a_{yl} G^l_{zx}
+
+    def chain(a, y, z, x):
+        key = (a, y, min(z, x), max(z, x))
+        if key not in chains:
+            acc = JetSum()
+            for l in range(n):
+                acc.add(gt_at(a, y, l), gt_at(l, z, x))
+            chains[key] = acc.jet()
+        return chains[key]
+
     # p-linear block, cyclically symmetrized over (i, j, k)
     third = Fraction(1, 3)
     for k in range(n):
@@ -339,8 +385,7 @@ def lift_cotangent(metric, order):
                     pa = Jet.variable(chart, n + a, order)
                     inner = JetSum()
                     for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l in range(n):
-                            inner.add(gt_at(a, y, l), gt_at(l, z, x), 2)
+                        inner.add(chain(a, y, z, x), s=2)
                         d = gt.get((a, z, x))
                         if d is not None:
                             inner.add(d.partial(y), s=-1)
@@ -713,25 +758,41 @@ def _cotangent_checks(geom, curv, rep):
             if (m, i, k) in g:
                 acc.add(g[(m, i, k)], rt.get((a, j, l, m), zero), -1)
 
-    def p_linear():
-        for ii, j, k, l in quads:
-            acc = JetSum()
-            for a in range(n):
-                pa = Jet.variable(geom.chart, n + a, geom.order)
-                inner = JetSum()
-                for (x, y) in ((ii, j), (j, ii)):
-                    cov_rt(inner, x, a, y, l, k)
-                    for m in range(n):
-                        if (a, x, m) in gt:
-                            inner.add(gt[(a, x, m)],
-                                      rt.get((m, y, l, k), zero), -3)
-                        if (a, l, m) in gt:
-                            inner.add(gt[(a, l, m)],
-                                      rt.get((m, x, y, k), zero), -1)
-                        if (a, k, m) in gt:
-                            inner.add(gt[(a, k, m)],
-                                      rt.get((m, x, y, l), zero))
-                acc.add(pa, inner.jet(), third)
-            got = curv.r_up.get((n + ii, j, k, l), zero)
-            yield f"(i,j,k,l)=({ii},{j},{k},{l})", got.agrees_with(acc.jet())
-    rep.expect("p-linear curvature display cross-check", p_linear())
+    def display(ii, j, k, l):
+        acc = JetSum()
+        for a in range(n):
+            pa = Jet.variable(geom.chart, n + a, geom.order)
+            inner = JetSum()
+            for (x, y) in ((ii, j), (j, ii)):
+                cov_rt(inner, x, a, y, l, k)
+                for m in range(n):
+                    if (a, x, m) in gt:
+                        inner.add(gt[(a, x, m)],
+                                  rt.get((m, y, l, k), zero), -3)
+                    if (a, l, m) in gt:
+                        inner.add(gt[(a, l, m)],
+                                  rt.get((m, x, y, k), zero), -1)
+                    if (a, k, m) in gt:
+                        inner.add(gt[(a, k, m)],
+                                  rt.get((m, x, y, l), zero))
+            acc.add(pa, inner.jet(), third)
+        return acc.jet()
+
+    # The display sums the same terms for (i, j) and (j, i), and ``rt``
+    # holds (k, l) and (l, k) as exact negatives or not at all, so swapping
+    # k and l negates every term and leaves its validity: the display is
+    # exactly symmetric in (i, j) and antisymmetric in (k, l), and it is
+    # formed once per class i <= j, k < l.  At k = l its terms cancel
+    # exactly, and r_up, from _curvature_of, has no such key, so those
+    # cases pass and are not read.
+    want = {}
+    for ii, j in combinations_with_replacement(range(n), 2):
+        for k, l in combinations(range(n), 2):
+            d = display(ii, j, k, l)
+            want[ii, j, k, l] = want[j, ii, k, l] = d
+            want[ii, j, l, k] = want[j, ii, l, k] = -d
+    rep.expect("p-linear curvature display cross-check", (
+        (f"(i,j,k,l)=({ii},{j},{k},{l})",
+         curv.r_up.get((n + ii, j, k, l), zero).agrees_with(
+             want[ii, j, k, l]))
+        for ii, j, k, l in quads if k != l))

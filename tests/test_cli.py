@@ -53,6 +53,16 @@ def test_asymmetric_gamma_is_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_asymmetric_metric_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "cotangent", "n": 2, "order": 7,'
+                    ' "metric": [["1", "q1"], ["0", "1"]]}')
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "metric is not symmetric" in captured.err
+    assert captured.out == ""      # a builder precondition, not a report
+
+
 def test_broken_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

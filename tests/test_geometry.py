@@ -2,19 +2,24 @@
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from fedquant.jets import Chart, Jet, JetSum
 from fedquant.rational import CRat, I
 from fedquant.weyl import WeylForm, graded_commutator
-from fedquant.geometry import (ChartGeometry, CheckReport, ValidationFailure,
+from fedquant.exprparse import jet_of
+from fedquant.geometry import (ChartGeometry, CheckReport, GeometryError,
+                               ValidationFailure, _curvature_of,
                                build_darboux, build_flat, build_kaehler,
                                build_rhat, complex_chart,
                                hamiltonian_vf, invert_jet_matrix,
                                lift_cotangent, nabla, omega_pair, phase_chart,
                                poisson, validate_connection)
 from fedquant import sampling
+from fedquant.suites import _CHARTS
+from test_digest import PINNED
 
 
 ORDER = 6
@@ -225,3 +230,196 @@ def test_curvature_square_of_connection():
     rhs = WeylForm.from_sums(geom, cap, graded_commutator(
         rhat, a, defaultdict(JetSum)))
     assert lhs.agrees_with(rhs)
+
+
+def test_cotangent_rejects_asymmetric_metric():
+    """A builder precondition, like a Kaehler potential's reality: no
+    report is formed."""
+    chart = Chart(("q1", "q2"), (0, 0))
+    one = Jet.constant(chart, 1, ORDER)
+    zero = Jet.zero(chart, ORDER)
+    q1 = Jet.variable(chart, 0, ORDER)
+    with pytest.raises(GeometryError, match="metric is not symmetric") as exc:
+        lift_cotangent([[one, q1], [zero, one]], ORDER)
+    assert not isinstance(exc.value, ValidationFailure)
+
+
+# -- curvature: the shared-product sum against the per-pair fold ----------
+
+def _curvature_by_pair(gamma, dim):
+    """R^i_{jkl} summed as one product per pair of stored entries, in
+    ``_curvature_of``'s key order: the reference for its shared products."""
+    by_upper = defaultdict(list)
+    for (m, x, j), g in gamma.items():
+        by_upper[m].append((x, j, g))
+    sums = defaultdict(JetSum)
+    for (i, x, j), g in gamma.items():
+        for k in range(x):
+            sums[i, j, k, x].add(g.partial(k))
+        for l in range(x + 1, dim):
+            sums[i, j, x, l].add(g.partial(l), s=-1)
+    for (i, x, m), g1 in gamma.items():
+        for y, j, g2 in by_upper.get(m, ()):
+            if x < y:
+                sums[i, j, x, y].add(g1, g2)
+            elif y < x:
+                sums[i, j, y, x].add(g1, g2, -1)
+    out = {}
+    for (i, j, k, l) in sorted(sums):
+        acc = sums[i, j, k, l].jet()
+        if not acc.is_zero():
+            out[(i, j, k, l)] = acc
+            out[(i, j, l, k)] = -acc
+    return out
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
+    map(str, c[:4] + c[4])))
+def test_curvature_equals_the_per_pair_fold(case):
+    kind, n, order, _, tag = case
+    geom = _CHARTS[kind](sampling.make_rng(tag), n, order)
+    got = _curvature_of(geom.gamma, geom.dim)
+    want = _curvature_by_pair(geom.gamma, geom.dim)
+    assert list(got) == list(want)
+    assert got == want            # store and validity of every entry
+
+
+def test_curvature_forms_each_product_once_up_to_sign_and_order(monkeypatch):
+    """An n = 2 lift stores 128 ordered entry pairs with a shared index,
+    but only 32 distinct products up to sign and factor order."""
+    geom = _CHARTS["cotangent"](sampling.make_rng(("cotangent", 2, 0)), 2, 9)
+    products = []
+    add = JetSum.add
+
+    def counting_add(self, a, b=None, s=1):
+        if b is not None:
+            products.append((a, b))
+        return add(self, a, b, s)
+
+    monkeypatch.setattr(JetSum, "add", counting_add)
+    _curvature_of(geom.gamma, geom.dim)
+    assert len(products) == 32
+
+
+# -- cotangent validation: mutated lifts -----------------------------------
+
+def _p_linear_by_quad(geom):
+    """The location of the first quad (i, j, k, l) whose lifted r_up entry
+    disagrees with the p-linear display, forming the display anew for
+    every quad, or None: the reference for the check's symmetry classes."""
+    n = geom.n
+    curv = geom.curvature()
+    rt = geom.source["curvature_base"]
+    gt = geom.source["gamma_base"]
+    zero = Jet.zero(geom.chart, min([geom.order] + [
+        j.valid_order for table in (curv.r_up, rt) for j in table.values()]))
+    third = Fraction(1, 3)
+
+    def cov_rt(acc, i, a, j, l, k):
+        acc.add(rt.get((a, j, l, k), zero).partial(i))
+        for m in range(n):
+            if (a, i, m) in gt:
+                acc.add(gt[(a, i, m)], rt.get((m, j, l, k), zero))
+            if (m, i, j) in gt:
+                acc.add(gt[(m, i, j)], rt.get((a, m, l, k), zero), -1)
+            if (m, i, l) in gt:
+                acc.add(gt[(m, i, l)], rt.get((a, j, m, k), zero), -1)
+            if (m, i, k) in gt:
+                acc.add(gt[(m, i, k)], rt.get((a, j, l, m), zero), -1)
+
+    for ii, j, k, l in product(range(n), repeat=4):
+        acc = JetSum()
+        for a in range(n):
+            pa = Jet.variable(geom.chart, n + a, geom.order)
+            inner = JetSum()
+            for (x, y) in ((ii, j), (j, ii)):
+                cov_rt(inner, x, a, y, l, k)
+                for m in range(n):
+                    if (a, x, m) in gt:
+                        inner.add(gt[(a, x, m)],
+                                  rt.get((m, y, l, k), zero), -3)
+                    if (a, l, m) in gt:
+                        inner.add(gt[(a, l, m)],
+                                  rt.get((m, x, y, k), zero), -1)
+                    if (a, k, m) in gt:
+                        inner.add(gt[(a, k, m)], rt.get((m, x, y, l), zero))
+            acc.add(pa, inner.jet(), third)
+        got = curv.r_up.get((n + ii, j, k, l), zero)
+        if not got.agrees_with(acc.jet()):
+            return f"(i,j,k,l)=({ii},{j},{k},{l})"
+    return None
+
+
+SYMPLECTIC = "connection symplectic (nabla omega = 0)"
+LOWERED = "lowered Gamma totally symmetric"
+PAIR = "lowered curvature symmetric in first pair"
+RESTRICTS = "lifted curvature restricts to the base"
+MIXED = "mixed lifted curvature identity"
+P_LINEAR = "p-linear curvature display cross-check"
+
+# (n, Gamma entry, added term) -> the failing (check, location) entries of
+# validate_connection once the order-9 lift of random_metric(("mut", n))
+# has the term added to that entry and its torsion partner; one entry per
+# block: base, momentum, p-linear
+MUTATIONS = {
+    (2, (0, 0, 1), "q1^2"): [
+        (SYMPLECTIC, "(c,a,b)=(0,1,2)"),
+        (LOWERED, "indices (2, 1, 0) vs (1, 2, 0)"),
+        (PAIR, "indices (2, 0, 0, 1)"),
+        (RESTRICTS, "(l,k,i,j)=(0,0,0,1)"),
+        (MIXED, "(l,k,i,j)=(0,0,1,0)"),
+        (P_LINEAR, "(i,j,k,l)=(0,0,0,1)")],
+    (2, (3, 0, 2), "q2^2"): [
+        (SYMPLECTIC, "(c,a,b)=(0,1,2)"),
+        (LOWERED, "indices (2, 1, 0) vs (1, 2, 0)"),
+        (PAIR, "indices (2, 0, 0, 1)"),
+        (MIXED, "(l,k,i,j)=(0,0,0,0)"),
+        (P_LINEAR, "(i,j,k,l)=(1,0,0,1)")],
+    (2, (3, 1, 1), "q1*q2"): [
+        (P_LINEAR, "(i,j,k,l)=(0,1,0,1)")],
+    # not p-linear any more, and no other check sees it
+    (2, (2, 0, 0), "q1^2"): [
+        (P_LINEAR, "(i,j,k,l)=(0,0,0,1)")],
+    (3, (1, 1, 2), "q3^2"): [
+        (SYMPLECTIC, "(c,a,b)=(1,2,4)"),
+        (LOWERED, "indices (1, 4, 2) vs (4, 1, 2)"),
+        (PAIR, "indices (3, 1, 0, 2)"),
+        (RESTRICTS, "(l,k,i,j)=(0,1,0,2)"),
+        (MIXED, "(l,k,i,j)=(0,1,2,0)"),
+        (P_LINEAR, "(i,j,k,l)=(0,1,0,2)")],
+    (3, (5, 2, 4), "q3^2"): [
+        (SYMPLECTIC, "(c,a,b)=(2,2,4)"),
+        (LOWERED, "indices (4, 2, 2) vs (2, 4, 2)"),
+        (PAIR, "indices (3, 2, 0, 2)"),
+        (MIXED, "(l,k,i,j)=(0,2,0,1)"),
+        (P_LINEAR, "(i,j,k,l)=(2,0,0,2)")],
+    (3, (5, 1, 2), "q2*q3"): [
+        (SYMPLECTIC, "(c,a,b)=(2,1,2)"),
+        (LOWERED, "indices (1, 2, 2) vs (2, 1, 2)"),
+        (PAIR, "indices (0, 1, 0, 2)"),
+        (P_LINEAR, "(i,j,k,l)=(0,1,0,2)")],
+}
+
+
+@pytest.fixture(scope="module")
+def mutation_lifts():
+    return {n: lift_cotangent(sampling.random_metric(
+        sampling.make_rng(("mut", n)), n, 9), 9) for n in (2, 3)}
+
+
+@pytest.mark.parametrize("case", list(MUTATIONS), ids=lambda c: "-".join(
+    map(str, (c[0],) + c[1] + (c[2],))))
+def test_mutated_lift_fails_where_the_per_quad_display_does(
+        case, mutation_lifts):
+    n, (u, a, b), term = case
+    lift = mutation_lifts[n]
+    gamma = dict(lift.gamma)
+    for key in {(u, a, b), (u, b, a)}:
+        gamma[key] = gamma[key] + jet_of(term, lift.chart, lift.order)
+    geom = ChartGeometry("cotangent", n, lift.chart, lift.order, lift.omega,
+                         lift.omega_inv, gamma, lift.source)
+    rep = validate_connection(geom)
+    assert [(c["name"], c["location"]) for c in rep.checks
+            if not c["passed"]] == MUTATIONS[case]
+    assert rep.checks[-1]["name"] == P_LINEAR
+    assert rep.checks[-1]["location"] == _p_linear_by_quad(geom)
