@@ -16,8 +16,7 @@ from .geometry import (ChartGeometry, CheckReport, GeometryError,
                        build_kaehler, complex_chart, lift_cotangent, nabla,
                        phase_chart, poisson, validate_connection)
 from .fedosov import (FedosovError, FedosovState, StarSeries, check_flatness,
-                      flat_section, moyal_reference, section_defect, solve_r,
-                      star)
+                      flat_section, moyal_reference, solve_r, star)
 from .quantization import (DiffOp, HbarSeries, QuantizationError,
                            diffop_apply, diffop_compose, gq_cotangent,
                            gq_kaehler, kinetic_alpha,

@@ -241,8 +241,8 @@ def cmd_star(args):
 
 
 def cmd_check(args):
-    fn = SUITES.get(args.suite)
-    if fn is None:
+    runner = SUITES.get(args.suite)
+    if runner is None:
         raise InputError(f"unknown suite {args.suite!r}; choose from "
                          + ", ".join(sorted(SUITES)))
     kwargs = {"seed": args.seed}
@@ -253,7 +253,7 @@ def cmd_check(args):
                 f"--order must be >= 0 and <= {MAX_ORDER}, got {order}")
         kwargs["order"] = order
     if args.geometry:
-        if "geometry" not in inspect.signature(fn).parameters:
+        if "geometry" not in inspect.signature(runner).parameters:
             raise InputError(
                 f"suite {args.suite!r} builds its own seeded geometries; "
                 "omit the geometry file")
@@ -263,7 +263,7 @@ def cmd_check(args):
                 f"{args.geometry}: the geometry file sets the jet order")
         kwargs["geometry"] = load_geometry(args.geometry)
     try:
-        report = fn(**kwargs)
+        report = runner(**kwargs)
     except JetError as exc:
         # a geometry file can be too short for the suite's hbar order; on
         # its own geometries at its own order a JetError is a library fault

@@ -32,10 +32,10 @@ def default_degree_cap(n_hbar):
     ``symbol_mul`` pairs a section term hbar^ka y^alpha only with a term
     hbar^kb y^alpha and lands at hbar^(ka + kb + |alpha|), so a star
     product through hbar^n reads only the section terms with
-    k + |alpha| <= n (``flat_section``).  A bounded section through hbar^n
-    stops at weight 2n - 1 and reads r_w with w <= 2n - 1; a full section
-    is filled through weight 2N and reads r_w with w <= 2N.  The flatness
-    certificate at weight 2N reads r_(2N+1), so ``solve_r`` stops there.
+    k + |alpha| <= n (``flat_section``).  A flat section through
+    hbar^n <= hbar^N stops at weight 2n - 1 and reads r_w with
+    w <= 2n - 1.  The flatness certificate at weight 2N reads r_(2N+1),
+    so ``solve_r`` stops there.
     The products in X_2N, whose delta^-1 is r_(2N+1), reach weight 2N + 2
     before (i/hbar) lowers them, so cap = 2N + 2.
     """
@@ -78,16 +78,14 @@ SECTION_CACHE_SIZE = 32
 class FedosovState:
     """Converged solution of the flatness equation for one geometry."""
 
-    def __init__(self, geometry, n_hbar, r, r_parts, residual):
-        """``r_parts`` holds the nonzero weight components of ``r``, keyed
-        by doubled weight; the caps follow from N."""
+    def __init__(self, geometry, n_hbar, r_parts, residual):
+        """``r_parts`` holds the nonzero weight components of r, keyed by
+        doubled weight, and r is their sum; the cap follows from N."""
         self.geometry = geometry
         self.n_hbar = n_hbar
         self.degree_cap = default_degree_cap(n_hbar)
-        self.r = r
         self.r_parts = r_parts
         self.residual = residual
-        self.section_cap = 2 * n_hbar
         self._section_cache = OrderedDict()
         self._rows = {}
 
@@ -193,7 +191,7 @@ def solve_r(geom, n_hbar):
     r = WeylForm(geom, cap, {key: jet for part in parts.values()
                              for key, jet in part.terms.items()})
     nr, quad = WeylForm(geom, cap, nr), WeylForm(geom, cap, quad)
-    return FedosovState(geom, n_hbar, r,
+    return FedosovState(geom, n_hbar,
                         {w: p for w, p in parts.items() if not p.is_zero()},
                         op_delta(r) - rhat - nr - quad)
 
@@ -210,63 +208,51 @@ def check_flatness(state):
     map, but ``solve_r`` returns a state whatever its residual, so the map
     can be nonempty (see ``solve_r``).
     """
-    return _count_by_weight(state.residual, state.degree_cap - 1)
-
-
-def _count_by_weight(form, cutoff):
-    """Terms of a form per doubled weight below ``cutoff``; a WeylForm
-    keeps no zero jets, so every term is a nonzero one."""
     out = {}
-    for k, alpha, _ in form.terms:
+    for k, alpha, _ in state.residual.terms:
         w = 2 * k + sum(alpha)
-        if w < cutoff:
+        if w < state.degree_cap - 1:
             out[w] = out.get(w, 0) + 1
     return out
 
 
 def flat_section(f, state, n_hbar=None):
-    """Lift a scalar jet to a section annihilated by the flat connection.
+    """Lift a scalar jet to a section annihilated by the flat connection,
+    through hbar^n: n is the state's N by default, and at most that.
 
-    With no bound the section is filled through doubled weight
-    ``state.section_cap``.  With ``n_hbar`` = n (at most the state's N) it
-    holds exactly the terms hbar^k y^alpha with k + |alpha| <= n, the only
-    ones a star product through hbar^n reads (``default_degree_cap``), and
-    each is store-equal to the same term of the full section.  That is
-    because the level k + |alpha| never goes down in the recursion
+    The section holds exactly the terms hbar^k y^alpha with
+    k + |alpha| <= n, the only ones a star product through hbar^n reads
+    (``default_degree_cap``), and each is store-equal to the same term of
+    the section filled through weight 2N with no bound.  That is because
+    the level k + |alpha| never goes down in the recursion
 
         a_(s+1) = delta^-1 (nabla a_s + sum_w (i/hbar) [r_w, a_(s+2-w)]):
 
     nabla keeps k and alpha, and delta^-1 adds one to |alpha|; a commutator
     term of contraction order m <= |alpha_r| moves the level by
     k_r + |alpha_r| - m - 1 >= -1, which the following delta^-1 adds back.
-    So a kept term gets exactly the sums the full fill gives it, and the
-    bounded fill skips nabla inputs of level n or more and commutator
-    terms that land above level n - 1.  It stops at weight 2n - 1: a
-    weight-2n term of level <= n would be a y-free hbar^n, which delta^-1
-    never makes.
-
-    The unbounded mode is kept as the reference the bounded fill is
-    tested against, and as the input of ``section_defect``, which checks
-    the flatness of a section on every trusted weight.
+    So a kept term gets exactly the sums the unbounded fill gives it, and
+    the fill skips nabla inputs of level n or more and commutator terms
+    that land above level n - 1.  It stops at weight 2n - 1: a weight-2n
+    term of level <= n would be a y-free hbar^n, which delta^-1 never
+    makes.  The unbounded fill is kept as a test-side reference
+    (``tests/reference.py``).
 
     The sections of the last ``SECTION_CACHE_SIZE`` new jets are cached
-    with the bound they were built to (None for a full section).  An entry
-    serves a request for an equal or smaller bound, restricted to that
-    bound, and is rebuilt for any other.
+    with the bound they were built to.  An entry serves a request for an
+    equal or smaller bound, restricted to that bound, and is rebuilt for a
+    larger one.
     """
     geom = state.geometry
     if f.chart != geom.chart:
         raise ChartMismatch("observable lives on a different chart")
-    n = n_hbar
-    if n is not None:
-        if n < 0:
-            raise FedosovError(f"hbar order {n} is negative")
-        n = min(n, state.n_hbar)
+    n = state.n_hbar if n_hbar is None else n_hbar
+    if n < 0:
+        raise FedosovError(f"hbar order {n} is negative")
+    n = min(n, state.n_hbar)
     cache = state._section_cache
     entry = cache.get(f)
-    # a full entry serves any bound, a bounded one its own and smaller
-    if entry is None or not (entry[0] is None
-                             or n is not None and n <= entry[0]):
+    if entry is None or n > entry[0]:
         if entry is None and len(cache) >= SECTION_CACHE_SIZE:
             cache.popitem(last=False)
         entry = cache[f] = (n, _fill_section(f, state, n))
@@ -275,24 +261,22 @@ def flat_section(f, state, n_hbar=None):
 
 
 def _fill_section(f, state, n):
-    """The section of ``flat_section``, built from scratch."""
+    """The section of ``flat_section`` through hbar^n, built from
+    scratch."""
     geom = state.geometry
     cap = state.degree_cap
-    # no term's level exceeds its doubled weight, which the cap bounds
-    top, lim = (state.section_cap, cap) if n is None else (2 * n - 1, n - 1)
     parts = {0: WeylForm.from_jet(geom, cap, f)}
-    for s in range(top):
+    for s in range(2 * n - 1):
         # nabla a_s + sum over w of (i/hbar)[r_w, a_(s+2-w)], all of
         # weight s, in one map
         sums = defaultdict(JetSum)
         if s in parts:
-            nabla(parts[s] if n is None else _restrict_level(parts[s], lim),
-                  geom, sums)
+            nabla(_restrict_level(parts[s], n - 1), geom, sums)
         for w in state.r_parts:
             s2 = s + 2 - w
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
-                add_commutator(state, w, parts[s2], sums, lim)
+                add_commutator(state, w, parts[s2], sums, n - 1)
         nxt = op_delta_inv(WeylForm.from_sums(geom, cap, sums))
         if not nxt.is_zero():
             parts[s + 1] = nxt
@@ -318,15 +302,6 @@ def add_commutator(state, w, part, acc, max_level):
                 acc[out_key].add(jet, row_jet)
 
 
-def section_defect(section, state):
-    """Apply the flat connection to a section; zero on trusted weights."""
-    geom = state.geometry
-    sums = nabla(section, geom, defaultdict(JetSum))
-    graded_commutator(state.r, section, sums)
-    d = WeylForm.from_sums(geom, state.degree_cap, sums) - op_delta(section)
-    return _count_by_weight(d, state.section_cap)
-
-
 def star(f, g, state, n_hbar=None):
     """Star product through hbar^n (the state's N by default, and at most
     that): the symbol of f-hat o g-hat.
@@ -334,8 +309,8 @@ def star(f, g, state, n_hbar=None):
     The symbol pairs hbar^ka y^alpha only with hbar^kb y^alpha and lands
     at hbar^(ka + kb + |alpha|), so each section is built with only its
     terms of k + |alpha| <= n (``flat_section``), which are equal to those
-    of the full sections; the coefficients and their validity are those of
-    the full sections' symbol through hbar^n.
+    of the sections filled with no bound; the coefficients and their
+    validity are those of the unbounded sections' symbol through hbar^n.
     """
     geom = state.geometry
     n = state.n_hbar if n_hbar is None else min(n_hbar, state.n_hbar)

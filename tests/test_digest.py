@@ -1,11 +1,12 @@
 """A pinned digest of exact Fedosov outputs on seeded charts of every kind.
 
 Each case solves one seeded chart and hashes a canonical dump of r, of
-``check_flatness``, of one flat section and of the star coefficients of two
-seeded observables.  A jet enters the dump as its key, ``valid_order``,
-``den`` and ``terms`` (each packed monomial key unpacked to its
-multi-index), so any changed coefficient or claimed validity moves the
-digest.  A change that moves one on purpose re-pins it and says why.
+``check_flatness``, of one full flat section (the reference fill through
+weight 2N) and of the star coefficients of two seeded observables.  A jet
+enters the dump as its key, ``valid_order``, ``den`` and ``terms`` (each
+packed monomial key unpacked to its multi-index), so any changed
+coefficient or claimed validity moves the digest.  A change that moves
+one on purpose re-pins it and says why.
 """
 
 import hashlib
@@ -13,9 +14,10 @@ import hashlib
 import pytest
 
 from fedquant import sampling
-from fedquant.fedosov import check_flatness, flat_section, solve_r, star
+from fedquant.fedosov import check_flatness, solve_r, star
 from fedquant.jets import unpack_key
 from fedquant.suites import _CHARTS
+from reference import full_section, r_union
 
 # (kind, n, jet order, N, chart rng tag) -> sha256 of the canonical dump;
 # the last chart is the Darboux n = 2 one whose residual does not vanish
@@ -60,8 +62,8 @@ def canonical_dump(kind, n, order, n_hbar, tag):
     f, g = (sampling.random_polynomial(rng, chart, order, degree=2, terms=3)
             for _ in range(2))
     s = star(f, g, state)
-    return repr((_form(state.r), sorted(check_flatness(state).items()),
-                 _form(flat_section(f, state)),
+    return repr((_form(r_union(state)), sorted(check_flatness(state).items()),
+                 _form(full_section(f, state)),
                  [_jet(c) for c in s.coefficients]))
 
 

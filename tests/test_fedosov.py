@@ -9,17 +9,19 @@ import pytest
 
 from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (WeylForm, graded_commutator, op_delta,
-                          op_delta_inv, pi_weight, symbol_mul, weyl_mul)
+from fedquant.weyl import (WeylForm, graded_commutator, op_delta, pi_weight,
+                          symbol_mul)
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
-                               build_rhat, hamiltonian_vf, lift_cotangent,
-                               nabla, omega_pair, poisson)
+                               hamiltonian_vf, lift_cotangent, omega_pair,
+                               poisson)
 from fedquant import fedosov
 from fedquant.fedosov import (SECTION_CACHE_SIZE, FedosovError, FedosovState,
                               add_commutator, check_flatness, flat_section,
-                              moyal_reference, section_defect, solve_r, star)
+                              moyal_reference, solve_r, star)
 from fedquant import sampling
 from fedquant.suites import _CHARTS, _r3_oracle, _r4_oracle
+from reference import (connection, count_by_weight, full_pass, full_section,
+                       r_union, section_defect)
 from test_digest import PINNED
 
 
@@ -35,7 +37,7 @@ def darboux_state(tag, n_hbar=3, order=9):
 
 def test_flat_r_vanishes():
     st = solve_r(build_flat(1, ORDER), 4)
-    assert st.r.is_zero()
+    assert st.r_parts == {}
     assert check_flatness(st) == {}
 
 
@@ -96,28 +98,15 @@ def test_recursion_reaches_fixed_point():
 def test_r_series_leading_terms():
     st = darboux_state("r34")
     geom = st.geometry
-    assert pi_weight(st.r, 3).agrees_with(_r3_oracle(geom, st.degree_cap))
-    assert pi_weight(st.r, 4).agrees_with(_r4_oracle(geom, st.degree_cap))
+    r = r_union(st)
+    assert pi_weight(r, 3).agrees_with(_r3_oracle(geom, st.degree_cap))
+    assert pi_weight(r, 4).agrees_with(_r4_oracle(geom, st.degree_cap))
 
 
 def weight_at_most(form, w):
     return WeylForm(form.geometry, form.degree_cap,
                     {key: jet for key, jet in form.terms.items()
                      if 2 * key[0] + sum(key[1]) <= w})
-
-
-def full_pass(st):
-    """delta^-1 (Rhat + nabla r + (i/hbar) r o r) and the flatness
-    residual, recomputed from scratch on the whole of r."""
-    geom, cap = st.geometry, st.degree_cap
-    rhat = build_rhat(geom, cap)
-    nr = nabla(st.r, geom)
-    # an equal copy of r, so that the product takes every ordered term
-    # pair instead of the square's unordered ones
-    twin = WeylForm(geom, cap, dict(st.r.terms))
-    quad = WeylForm.from_sums(geom, cap,
-                              weyl_mul(st.r, twin, defaultdict(JetSum)))
-    return op_delta_inv(rhat + nr + quad), op_delta(st.r) - rhat - nr - quad
 
 
 @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
@@ -130,7 +119,7 @@ def test_full_pass_reproduces_r_and_the_residual(case):
     kind, n, order, n_hbar, tag = case
     st = solve_r(_CHARTS[kind](sampling.make_rng(tag), n, order), n_hbar)
     again, residual = full_pass(st)
-    assert weight_at_most(again, 2 * n_hbar + 1).agrees_with(st.r)
+    assert weight_at_most(again, 2 * n_hbar + 1).agrees_with(r_union(st))
     assert weight_at_most(residual, 2 * n_hbar) == st.residual
 
 
@@ -149,18 +138,19 @@ def test_r_is_the_low_weights_of_a_higher_order_solve(case):
     kind, n, order, n_hbar = case
     geom = _CHARTS[kind](sampling.make_rng((kind, n, 0)), n, order)
     st, up = solve_r(geom, n_hbar), solve_r(geom, n_hbar + 1)
+    r = r_union(st)
     assert all(2 * k + sum(alpha) <= 2 * n_hbar + 1
-               for k, alpha, _ in st.r.terms)
+               for k, alpha, _ in r.terms)
     assert all(2 * k + sum(alpha) <= 2 * n_hbar
                for k, alpha, _ in st.residual.terms)
-    assert st.r.agrees_with(WeylForm(geom, st.degree_cap, weight_at_most(
-        up.r, 2 * n_hbar + 1).terms))
+    assert r.agrees_with(WeylForm(geom, st.degree_cap, weight_at_most(
+        r_union(up), 2 * n_hbar + 1).terms))
 
 
 @pytest.mark.parametrize("kind", list(_CHARTS))
 def test_hbar_order_0_star_is_the_pointwise_product(kind):
     st = solve_r(_CHARTS[kind](sampling.make_rng((kind, 1, 0)), 1, 9), 0)
-    assert st.r.is_zero() and check_flatness(st) == {}
+    assert st.r_parts == {} and check_flatness(st) == {}
     f, g, _ = observables(st)
     s = star(f, g, st)
     assert s.valid_hbar_order == 0 and s.coefficient(0) == f * g
@@ -259,7 +249,7 @@ def test_dropped_weight_pair_on_a_surface_shows_only_in_the_full_pass(
     st = solve_without_pair_3_4(monkeypatch, "kaehler")
     assert check_flatness(st) == {}
     _, residual = full_pass(st)
-    assert fedosov._count_by_weight(residual, st.degree_cap - 1).get(5)
+    assert count_by_weight(residual, st.degree_cap - 1).get(5)
 
 
 KINDS = ("flat", "darboux", "cotangent", "kaehler")
@@ -288,7 +278,7 @@ def kind_state(request):
 
 def fresh_copy(st):
     """The same solution of the flatness equation with empty caches."""
-    return FedosovState(st.geometry, st.n_hbar, st.r, st.r_parts, st.residual)
+    return FedosovState(st.geometry, st.n_hbar, st.r_parts, st.residual)
 
 
 def observables(st):
@@ -300,7 +290,7 @@ def observables(st):
 
 def test_section_is_flat(kind_state):
     st = fresh_copy(kind_state)
-    sec = flat_section(observables(st)[0], st)
+    sec = full_section(observables(st)[0], st)
     assert section_defect(sec, st) == {}
 
 
@@ -337,10 +327,10 @@ def test_section_cache_is_bounded():
 def test_commutator_rows_match_graded_commutator(kind_state):
     st = fresh_copy(kind_state)
     geom = st.geometry
-    sec = flat_section(observables(st)[0], st)
+    sec = full_section(observables(st)[0], st)
     checked = 0
     for w, rp in st.r_parts.items():
-        for s2 in range(1, st.section_cap + 3 - w):
+        for s2 in range(1, 2 * st.n_hbar + 3 - w):
             part = pi_weight(sec, s2)
             if part.is_zero():
                 continue
@@ -350,33 +340,75 @@ def test_commutator_rows_match_graded_commutator(kind_state):
                 == WeylForm.from_sums(geom, st.degree_cap, graded_commutator(
                     rp, part, defaultdict(JetSum)))
             checked += 1
-    assert checked or st.r.is_zero()
+    assert checked or st.r_parts == {}
+
+
+def level(key):
+    """The level k + |alpha| of a term hbar^k y^alpha dx^beta."""
+    return key[0] + sum(key[1])
 
 
 def restrict_level(form, n):
     """The terms hbar^k y^alpha of ``form`` with k + |alpha| <= n."""
     return WeylForm(form.geometry, form.degree_cap,
                     {key: jet for key, jet in form.terms.items()
-                     if key[0] + sum(key[1]) <= n})
+                     if level(key) <= n})
 
 
-def test_bounded_section_is_restricted_full_section(kind_state):
-    f = observables(kind_state)[0]
-    full = flat_section(f, fresh_copy(kind_state))
-    for n in range(kind_state.n_hbar + 1):
-        bounded = flat_section(f, fresh_copy(kind_state), n)
-        assert bounded == restrict_level(full, n)
-    # a bound above the state's order is the state's order
-    assert flat_section(f, fresh_copy(kind_state), kind_state.n_hbar + 1) \
-        == restrict_level(full, kind_state.n_hbar)
+def section_observables(st, tag):
+    """Seeded polynomials valid at the chart's order and beyond it."""
+    rng = sampling.make_rng(("section", tag))
+    chart, order = st.geometry.chart, st.geometry.order
+    return [sampling.random_polynomial(rng, chart, v, degree=3, terms=4)
+            for v in (order, order + 2, order + 3)]
+
+
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
+    map(str, c[:4] + c[4])))
+def test_bounded_section_is_the_restricted_reference_fill(case):
+    """For every bound n = 0 ... N + 1, the section through hbar^n is store
+    for store, validity included, the terms of level <= min(n, N) of the
+    reference fill, which uses no commutator row, cache or level bound."""
+    kind, n, order, n_hbar, tag = case
+    st = solve_r(_CHARTS[kind](sampling.make_rng(tag), n, order), n_hbar)
+    for f in section_observables(st, tag):
+        full = full_section(f, st)
+        for bound in range(n_hbar + 2):
+            assert flat_section(f, fresh_copy(st), bound) \
+                == restrict_level(full, min(bound, n_hbar))
+
+
+def low_defect(section, st, n):
+    """The terms of D(section) of level <= n - 1."""
+    return [key for key in connection(section, st).terms if level(key) < n]
+
+
+def test_bounded_section_is_flat_below_its_top_level(kind_state):
+    """nabla keeps the level, delta lowers it by one and (i/hbar)[r, .]
+    lowers it by at most one, so the terms of D(a_n) of level <= n - 1
+    read only the levels <= n that the section through hbar^n holds: they
+    vanish, with no reference fill to compare against.  Dropping a term of
+    any level <= n from the section shows there."""
+    st = fresh_copy(kind_state)
+    for f in observables(st):
+        # at n = 0 no level lies below the section's top one
+        for n in range(1, st.n_hbar + 1):
+            sec = flat_section(f, st, n)
+            assert low_defect(sec, st, n) == []
+            for lev in range(n + 1):
+                key = min(key for key in sec.terms if level(key) == lev)
+                cut = WeylForm(st.geometry, st.degree_cap,
+                               {k: jet for k, jet in sec.terms.items()
+                                if k != key})
+                assert low_defect(cut, st, n), (n, key)
 
 
 def test_star_matches_symbol_of_full_sections(kind_state):
     st = fresh_copy(kind_state)
     f, g, _ = observables(st)
-    fhat, ghat = flat_section(f, st), flat_section(g, st)
+    fhat, ghat = full_section(f, st), full_section(g, st)
     for n in range(st.n_hbar + 1):
-        # the unbounded path: the symbol of the two full sections
+        # the symbol of the two reference sections
         sym = symbol_mul(fhat, ghat, max_hbar=n)
         v = min(j.valid_order for j in list(sym.values()) + [f, g])
         zero = Jet.zero(st.geometry.chart, v)
@@ -389,6 +421,9 @@ def test_star_matches_symbol_of_full_sections(kind_state):
                          ids=["truncated-full", "full-truncated",
                               "small-large"])
 def test_section_cache_call_orders(kind_state, bounds):
+    """None is the default bound, the state's N ("full"), so the bounds
+    are (1, N), (N, 1) and (0, 2): a larger bound rebuilds the one entry,
+    a smaller one restricts it."""
     f = observables(kind_state)[0]
     st = fresh_copy(kind_state)
     for n in bounds:

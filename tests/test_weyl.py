@@ -23,6 +23,7 @@ from fedquant.fedosov import flat_section, solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
 from fedquant.suites import _CHARTS
+from reference import full_section, r_union
 from test_digest import PINNED
 
 
@@ -326,7 +327,7 @@ def odd_forms(case):
     """r and each of its weight parts on a ``tests/test_digest.py`` chart:
     every term is a 1-form."""
     st = digest_state(case)
-    return [st.r, *st.r_parts.values()]
+    return [r_union(st), *st.r_parts.values()]
 
 
 def finished(sums):
@@ -471,12 +472,12 @@ def test_symbol_mul_matches_the_per_pair_fold(case):
     state = digest_state(case)
     f, g, fh, gh = _observables(state.geometry, case)
     for x, y in ((f, g), (g, f), (f, gh), (fh, gh)):
-        full = flat_section(x, state), flat_section(y, state)
+        full = full_section(x, state), full_section(y, state)
         for n in range(state.n_hbar + 1):
             bounded = flat_section(x, state, n), flat_section(y, state, n)
             for a, b in (full, bounded):
                 assert symbol_mul(a, b, n) == _symbol_mul_by_pairs(a, b, n)
-    sym = symbol_mul(flat_section(fh, state), flat_section(gh, state), 0)
+    sym = symbol_mul(full_section(fh, state), full_section(gh, state), 0)
     assert sym[0] == fh * gh and sym[0].valid_order > state.geometry.order
 
 
@@ -540,7 +541,7 @@ def test_each_group_convolves_its_primitive_once(monkeypatch):
     rng = sampling.make_rng(("assoc-groups", 0))
     f, g = (sampling.random_polynomial(rng, geom.chart, 12, degree=2,
                                        terms=3) for _ in range(2))
-    a, b = flat_section(f, state), flat_section(g, state)
+    a, b = full_section(f, state), full_section(g, state)
     n = state.n_hbar
     want = symbol_mul(a, b, n)
     groups, pairs = set(), 0
