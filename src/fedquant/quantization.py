@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree, pack_key, unpack_key)
-from .rational import HALF_I, I
+from .rational import I
 from .weyl import sub_degrees
 from .geometry import christoffels, _curvature_of
 from .fedosov import FedosovError, star
@@ -195,12 +195,15 @@ def config_chart(geom):
 
 
 def fiber_decompose(f, geom):
-    """Split a jet into {fiber multidegree: configuration jet}.
+    """Split a jet on the geometry's chart into {fiber multidegree:
+    configuration jet}.
 
     A piece of fiber degree d collects the total-degree k + d coefficients
     of f at base degree k, so its certified order drops by d: the top base
     degrees of a high-fiber-degree piece fall outside f's truncation.
     """
+    if f.chart != geom.chart:
+        raise ChartMismatch("observable lives on a different chart")
     n = geom.n
     sub = config_chart(geom)
     dim = f.chart.dim
@@ -261,44 +264,46 @@ def _log_vol_gradient(geom):
     return geom._cache["log vol gradient"]
 
 
+def _first_order(sums, u, j, scale, geom):
+    """Add scale * hbar (u d_j + (1/2) d_j u + (1/2) u g_j) into ``sums``,
+    a ``{(derivative index, hbar power): JetSum}`` map.
+
+    This is the half-form-corrected operator of the vector field u d_j:
+    (1/2)(d_j u + u g_j) is half its divergence for the volume the
+    half-forms are taken against, and g_j is the gradient of that volume's
+    log density.  Cotangent charts take the metric volume
+    (``_log_vol_gradient``); flat charts and the holomorphic polarization
+    take the coordinate volume, whose g_j vanishes and is left out.  A
+    zero d_j u is still added, so that it caps the validity of the sum.
+    """
+    n = geom.n
+    half = scale * Fraction(1, 2)
+    sums[tuple(int(k == j) for k in range(n)), 1].add(u, s=scale)
+    sums[(0,) * n, 1].add(u.partial(j), s=half)
+    if geom.kind == "cotangent":
+        sums[(0,) * n, 1].add(u, _log_vol_gradient(geom)[j], half)
+
+
 def gq_cotangent(f, geom):
     """Quantize an observable affine in the momenta.
 
     For f = a^j(q) p_j + b(q) the operator is
     -i hbar (a^j d_j + (1/2) div a) + b, with the divergence taken with
-    respect to the metric volume; the b term carries no hbar factor.
+    respect to the metric volume: each a^j p_j is ``_first_order`` at
+    scale -i, and the b term carries no hbar factor.
     """
     if geom.kind not in ("cotangent", "flat"):
         raise QuantizationError("vertical polarization needs a cotangent "
                                 "or flat geometry")
-    n = geom.n
-    pieces = fiber_decompose(f, geom)
-    zero_fib = (0,) * n
-    for fib in pieces:
+    sums = defaultdict(JetSum)
+    for fib, c in fiber_decompose(f, geom).items():
         if sum(fib) > 1:
             raise DomainError("observable is not affine in the momenta")
-    sub = config_chart(geom)
-    b = pieces.get(zero_fib, Jet.zero(sub, f.valid_order))
-    a_vec = []
-    for j in range(n):
-        e = tuple(1 if k == j else 0 for k in range(n))
-        a_vec.append(pieces.get(e, Jet.zero(sub, f.valid_order)))
-
-    sums = defaultdict(JetSum)
-    zero_idx = (0,) * n
-    for j in range(n):
-        if a_vec[j].is_zero():
-            continue
-        e = tuple(1 if k == j else 0 for k in range(n))
-        sums[e, 1].add(a_vec[j], s=-I)
-        # -(i/2) div a
-        sums[zero_idx, 1].add(a_vec[j].partial(j), s=-HALF_I)
-        if geom.kind == "cotangent":
-            sums[zero_idx, 1].add(a_vec[j], _log_vol_gradient(geom)[j],
-                                  -HALF_I)
-    if not b.is_zero():
-        sums[zero_idx, 0].add(b)
-    return _diffop_of(sub, sums)
+        if any(fib):
+            _first_order(sums, c, fib.index(1), -I, geom)
+        else:
+            sums[fib, 0].add(c)
+    return _diffop_of(config_chart(geom), sums)
 
 
 # -- holomorphic-polarization operators ------------------------------------
@@ -307,7 +312,8 @@ def gq_kaehler(f, geom):
     """Quantize an observable affine in the dK block.
 
     Writes f = u^a(z) d_a K + v(z) with holomorphic u, v and returns
-    hbar (u^a d_a + (1/2) d_a u^a) + v on holomorphic jets.
+    hbar (u^a d_a + (1/2) d_a u^a) + v on holomorphic jets: each u^a d_a
+    is ``_first_order`` at scale 1, with the coordinate volume.
     """
     if geom.kind != "kaehler":
         raise QuantizationError("holomorphic polarization needs a complex "
@@ -338,17 +344,11 @@ def gq_kaehler(f, geom):
             "coefficients") from None
 
     sums = defaultdict(JetSum)
-    zero_idx = (0,) * n
     for a in range(n):
-        if u_sub[a].is_zero():
-            continue
-        e = tuple(1 if k == a else 0 for k in range(n))
-        sums[e, 1].add(u_sub[a])
-        du = u_sub[a].partial(a)
-        if not du.is_zero():
-            sums[zero_idx, 1].add(du, s=Fraction(1, 2))
+        if not u_sub[a].is_zero():
+            _first_order(sums, u_sub[a], a, 1, geom)
     if not v_sub.is_zero():
-        sums[zero_idx, 0].add(v_sub)
+        sums[(0,) * n, 0].add(v_sub)
     return _diffop_of(sub, sums)
 
 
@@ -360,9 +360,10 @@ def rho_extend(f, state, split="first"):
     A monomial c(q) p^I is split as (c p_{i1}) * p^{I - e_{i1}}; the star
     product of the factors equals the monomial plus hbar corrections of
     lower momentum degree, so the operator is defined recursively by
-    rho(u) rho(w) minus the quantized corrections.  Requires the star
-    product's homogeneity in (p, hbar), which holds for flat charts and
-    lifted cotangent connections.
+    rho(u) rho(w) minus the quantized corrections, where rho(u) of the
+    first-order factor u = c p_{i1} is ``gq_cotangent(u)``.  Requires the
+    star product's homogeneity in (p, hbar), which holds for flat charts
+    and lifted cotangent connections.
     """
     geom = state.geometry
     if geom.kind not in ("flat", "cotangent"):
@@ -383,25 +384,25 @@ def rho_extend(f, state, split="first"):
 
 
 def _rho_monomial(c, fib, state, geom, split):
-    n = geom.n
     sub = config_chart(geom)
     d = sum(fib)
     if d == 0:
         return DiffOp.mult(c)
-    full_c = _embed_config(c, geom)
-    if d == 1:
-        return gq_cotangent(_attach_fiber(full_c, geom, fib), geom)
     nz = [a for a, e in enumerate(fib) if e]
     i1 = nz[0] if split == "first" else nz[-1]
+    # u = c p_i1 is affine in the momenta: rho(u) is its quantization
+    u = _embed_config(c, geom).mul_variable(geom.n + i1)
+    first = gq_cotangent(u, geom)
+    if d == 1:
+        return first
     rest = list(fib)
     rest[i1] -= 1
     rest = tuple(rest)
     order = geom.order
-    u = full_c.mul_variable(n + i1)
     w = _attach_fiber(Jet.constant(geom.chart, 1, order), geom, rest)
     s = star(u, w, state, n_hbar=d)
     # rho(u) rho(w) minus the quantized hbar^j corrections
-    parts = [(diffop_compose(gq_cotangent(u, geom),
+    parts = [(diffop_compose(first,
                              _rho_monomial(Jet.constant(sub, 1, order), rest,
                                            state, geom, split)), 1, 0)]
     for j in range(1, d + 1):

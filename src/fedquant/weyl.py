@@ -20,9 +20,13 @@ On monomials it has the closed form
 
 where C(alpha, gamma) = prod_i binom(alpha_i, gamma_i) and P(gamma, delta)
 is the sum over complete pairings of the m generators in gamma with those
-in delta of the product of omega^{ij} (``_pair_contraction``).  That one
-kernel serves ``weyl_mul``, ``graded_commutator`` (odd m, doubled) and
-``symbol_mul`` (gamma = alpha, delta = beta).
+in delta of the product of omega^{ij}.  One table, ``_pairing``, holds
+every P, split as a content scalar times a primitive jet (P divided by its
+first stored coefficient; None where P is constant).  Its three readers
+take the split as it is: ``_expansion`` folds the content into each
+entry's scale for ``weyl_mul`` and ``graded_commutator`` (odd m,
+doubled), and ``symbol_mul`` (gamma = alpha, delta = beta) groups its term
+pairs by primitive.
 
 ``weyl_mul(a, a)``, the same form given twice, with every term of odd form
 degree is the square: each term squares to zero under the wedge, and each
@@ -31,13 +35,10 @@ square is the odd part of the pairs s < t, doubled.  The expansions are
 cached per contraction parity, so neither a commutator nor a square builds
 an even order, and a term pair with no odd contraction forms no product.
 
-``symbol_mul`` splits each nonconstant pairing into a content scalar times
-a primitive jet, P divided by its first stored coefficient
-(``_pair_parts``).  Primitives are interned per geometry, and on n = 1
-charts every nonzero pairing at level l is a multiple of (omega^{12})^l,
-so the pairs of one hbar power share a few primitives: their scaled jet
-products are summed first and each group sum is convolved with its
-primitive once.
+Primitives are interned per geometry, and on n = 1 charts every nonzero
+pairing at level l is a multiple of (omega^{12})^l, so the symbol pairs of
+one hbar power share a few primitives: their scaled jet products are
+summed first and each group sum is convolved with its primitive once.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from math import comb, prod
 
 from .jets import (ChartMismatch, Jet, JetError, JetSum, jet_maps_agree,
                    product_vanishes)
-from .rational import CRat, HALF_I
+from .rational import CRat, HALF_I, ONE
 
 # form-index subsets are sorted tuples; fiber multidegrees are dense tuples
 
@@ -202,7 +203,9 @@ def _mul_contract(a, b, parity, into=None):
 
     Each pair of terms adds the cached closed-form expansion of its fiber
     monomials (``_expansion``, built for the parity alone) times the
-    product of its jets; a pair whose expansion is empty forms no product.
+    product of its jets: one add of scale * jets * primitive per entry, or
+    of scale * jets where the pairing is constant.  A pair whose expansion
+    is empty forms no product.
     With parity 1 the result is doubled, which turns it into the graded
     commutator: the antisymmetry of omega^{-1} flips each contraction's
     sign on reversal, so the even orders cancel in [a, b] and the odd
@@ -255,10 +258,10 @@ def _mul_contract(a, b, parity, into=None):
             s = emit if sign == 1 else -emit
             # one add per contraction term, so that a term cancelling
             # another still lowers the key's validity as its own
-            for m, alpha, pairing, scale in expansion:
-                if pairing is None or not product_vanishes(base, pairing):
+            for m, alpha, primitive, scale in expansion:
+                if primitive is None or not product_vanishes(base, primitive):
                     out[ka + kb + m - lower, alpha, beta].add(
-                        base, pairing, scale * s)
+                        base, primitive, scale * s)
     if into is not None:
         return out
     return WeylForm.from_sums(geom, cap, out)
@@ -267,13 +270,14 @@ def _mul_contract(a, b, parity, into=None):
 def _expansion(geom, alpha_a, alpha_b, parity=None):
     """The terms of y^alpha_a o y^alpha_b, cached per geometry and parity.
 
-    Entries are (m, alpha, pairing, scale) for each pair gamma <= alpha_a,
-    delta <= alpha_b with |gamma| = |delta| = m and a nonzero pairing:
-    the term  scale * pairing * hbar^m * y^alpha, with ``scale`` a CRat.
-    A constant pairing is folded into ``scale`` and stored as None.  With
-    ``parity`` 0 or 1 only the orders m of that parity are built, in the
-    order the full list has them; a commutator or a square asks for the
-    odd ones and never builds an even entry.
+    Entries are (m, alpha, primitive, scale) for each pair gamma <= alpha_a,
+    delta <= alpha_b with |gamma| = |delta| = m and P(gamma, delta) != 0:
+    the term  scale * primitive * hbar^m * y^alpha, with the pairing's
+    content folded into the CRat ``scale`` and the primitive None where the
+    pairing is constant (``_pairing``).  With ``parity`` 0 or 1 only the
+    orders m of that parity are built, in the order the full list has
+    them; a commutator or a square asks for the odd ones and never builds
+    an even entry.
     """
     key = ("expansion", alpha_a, alpha_b, parity)
     cached = geom._cache.get(key)
@@ -288,16 +292,14 @@ def _expansion(geom, alpha_a, alpha_b, parity=None):
         power = HALF_I ** m
         for gamma, binom_a in subs_a[m]:
             for delta, binom_b in subs_b[m]:
-                pairing = _pair_contraction(geom, gamma, delta)
-                if pairing.is_zero():
+                content, primitive = _pairing(geom, gamma, delta)
+                if not content:
                     continue
-                scale = power * (binom_a * binom_b)
-                if pairing.is_constant():
-                    pairing, scale = None, scale * pairing.constant_term
+                scale = power * (binom_a * binom_b) * content
                 scale = scales.setdefault(scale, scale)
                 alpha = tuple(a - g + b - d for a, g, b, d
                               in zip(alpha_a, gamma, alpha_b, delta))
-                out.append((m, alpha, pairing, scale))
+                out.append((m, alpha, primitive, scale))
     geom._cache[key] = out
     return out
 
@@ -310,19 +312,25 @@ def sub_degrees(alpha):
     return out
 
 
-def _pair_contraction(geom, alpha_a, alpha_b):
-    """P(alpha_a, alpha_b): the complete pairings through omega.
+def _pairing(geom, alpha_a, alpha_b):
+    """P(alpha_a, alpha_b), the complete pairings through omega, as
+    (content, primitive), cached per geometry.
 
-    Returns the jet  sum over bijections pi  of  prod omega^{i, pi(i)},
-    cached per geometry since it depends only on the multidegrees.  Every
+    P is the sum over bijections pi of prod omega^{i, pi(i)}, built by the
+    recursion P(alpha_a, alpha_b) = sum_j (alpha_b)_j omega^{ij}
+    P(alpha_a - e_i, alpha_b - e_j), with i the first generator of alpha_a.
+    A constant P, zero included, is (its value, None).  Any other P is
+    content * primitive: the content is the coefficient of its first
+    stored term and the primitive is P divided by it, interned per
+    geometry, so proportional pairings share one jet object.  Every
     contraction coefficient of the fiberwise product comes from here.
     """
-    key = ("contraction", alpha_a, alpha_b)
+    key = ("pairing", alpha_a, alpha_b)
     cached = geom._cache.get(key)
     if cached is not None:
         return cached
     if not any(alpha_a):
-        out = Jet.constant(geom.chart, 1, geom.order)
+        out = ONE, None
     else:
         i = next(k for k, e in enumerate(alpha_a) if e)
         ra = list(alpha_a)
@@ -338,41 +346,18 @@ def _pair_contraction(geom, alpha_a, alpha_b):
                 continue
             rb = list(alpha_b)
             rb[j] -= 1
-            inner = _pair_contraction(geom, ra, tuple(rb))
-            if inner.is_zero():
-                continue
-            acc.add(om, inner, e)
-        out = acc.jet()
-        if out.is_zero():
-            # most pairings vanish on sparse omega^{-1}; every caller skips
-            # them, so they share one zero jet
-            out = geom._cache.setdefault("zero pairing", out)
-    geom._cache[key] = out
-    return out
-
-
-def _pair_parts(geom, alpha_a, alpha_b):
-    """P(alpha_a, alpha_b) split as (content, primitive), cached per geometry.
-
-    A nonconstant pairing is content * primitive, where the content is the
-    coefficient of its first stored term and the primitive is P divided by
-    it.  Primitives are interned per geometry, so proportional pairings
-    share one jet object.  A constant pairing, zero included, is (its
-    value, None).
-    """
-    key = ("parts", alpha_a, alpha_b)
-    cached = geom._cache.get(key)
-    if cached is not None:
-        return cached
-    pairing = _pair_contraction(geom, alpha_a, alpha_b)
-    if pairing.is_constant():
-        out = pairing.constant_term, None
-    else:
-        _, _, re, im = pairing.terms[0]
-        content = CRat.from_ints(re, im, pairing.den)
-        primitive = pairing * (1 / content)
-        primitives = geom._cache.setdefault("primitives", {})
-        out = content, primitives.setdefault(primitive, primitive)
+            content, primitive = _pairing(geom, ra, tuple(rb))
+            if content:
+                acc.add(om, primitive, content * e)
+        pairing = acc.jet()
+        if pairing.is_constant():
+            out = pairing.constant_term, None
+        else:
+            _, _, re, im = pairing.terms[0]
+            content = CRat.from_ints(re, im, pairing.den)
+            primitive = pairing * (1 / content)
+            primitives = geom._cache.setdefault("primitives", {})
+            out = content, primitives.setdefault(primitive, primitive)
     geom._cache[key] = out
     return out
 
@@ -383,9 +368,9 @@ def symbol_mul(a, b, max_hbar):
 
     Only complete contractions (gamma = alpha_a, delta = alpha_b, where
     both binomial factors are 1) survive in the symbol, so this skips
-    every other term of the full product.  A term pair with a constant
-    pairing adds its jets' product directly.  A nonconstant pairing is
-    content * primitive (``_pair_parts``): the pairs of one hbar power and
+    every other term of the full product.  Each pairing is read from
+    ``_pairing`` as content * primitive.  A term pair with a constant
+    pairing adds its jets' product directly; the pairs of one hbar power and
     one primitive are summed as scale * content * jet_a * jet_b first, and
     each finished group is convolved with its primitive once.  A pair is
     left out exactly when its product with the pairing vanishes by
@@ -407,7 +392,7 @@ def symbol_mul(a, b, max_hbar):
             k = ka + kb + la
             if k > max_hbar:
                 continue
-            content, primitive = _pair_parts(geom, alpha_a, alpha_b)
+            content, primitive = _pairing(geom, alpha_a, alpha_b)
             if not content or product_vanishes(jet_a, jet_b):
                 continue
             if primitive is None:

@@ -1,21 +1,82 @@
-"""Test-side references for the flat connection, built straight from the
-equations.
+"""Test-side references for the fiber pairing and the flat connection,
+built straight from the equations.
 
-The engine fills flat sections only through a level bound, from cached
-commutator rows, and certifies r from the recursion's own sums.  The
-functions here take none of those shortcuts: ``full_section`` fills a
-section through doubled weight 2N with ``graded_commutator`` applied
-directly, ``section_defect`` applies the whole flat connection to a
-section, and ``full_pass`` recomputes the flatness recursion on the whole
-of r.
+The engine builds each pairing of omega^{-1} by a cached recursion, split
+as content times an interned primitive; it fills flat sections only
+through a level bound, from cached commutator rows, and certifies r from
+the recursion's own sums.  The functions here take none of those
+shortcuts: ``pairing`` sums the products over every bijection,
+``symbol_mul_by_pairs`` folds the symbol of a product one term pair at a
+time, ``full_section`` fills a section through doubled weight 2N with
+``graded_commutator`` applied directly, ``section_defect`` applies the
+whole flat connection to a section, and ``full_pass`` recomputes the
+flatness recursion on the whole of r.
 """
 
 from collections import defaultdict
+from itertools import permutations
 
 from fedquant.geometry import build_rhat, nabla
-from fedquant.jets import JetSum
+from fedquant.jets import Jet, JetSum, product_vanishes
+from fedquant.rational import HALF_I
 from fedquant.weyl import (WeylForm, graded_commutator, op_delta,
                            op_delta_inv, weyl_mul)
+
+
+def pairing(geom, alpha_a, alpha_b):
+    """P(alpha_a, alpha_b) from its definition: the sum, over bijections
+    pi from the generators of alpha_a to those of alpha_b, of
+    prod_i omega^{i, pi(i)}.  A product with a zero factor is skipped, as
+    it adds nothing."""
+    left = [i for i, e in enumerate(alpha_a) for _ in range(e)]
+    right = [j for j, e in enumerate(alpha_b) for _ in range(e)]
+    out = Jet.zero(geom.chart, geom.order)
+    if len(left) != len(right):
+        return out
+    for pi in permutations(right):
+        factors = [geom.omega_inv[i][j] for i, j in zip(left, pi)]
+        if any(om.is_zero() for om in factors):
+            continue
+        term = Jet.constant(geom.chart, 1, geom.order)
+        for om in factors:
+            term = term * om
+        out = out + term
+    return out
+
+
+def symbol_mul_by_pairs(a, b, max_hbar):
+    """The symbol of a o b as one fold per term pair: each nonconstant
+    pairing, from ``pairing``, is convolved with the pair's own jet
+    product.  The pairings are kept for the length of one call."""
+    geom = a.geometry
+    pairings = {}
+    out = defaultdict(JetSum)
+    for (ka, alpha_a, beta_a), jet_a in a.terms.items():
+        if beta_a:
+            continue
+        la = sum(alpha_a)
+        scale = HALF_I ** la
+        for (kb, alpha_b, beta_b), jet_b in b.terms.items():
+            if beta_b or sum(alpha_b) != la:
+                continue
+            k = ka + kb + la
+            if k > max_hbar:
+                continue
+            p = pairings.get((alpha_a, alpha_b))
+            if p is None:
+                p = pairings[alpha_a, alpha_b] = pairing(geom, alpha_a,
+                                                         alpha_b)
+            if p.is_zero():
+                continue
+            if p.is_constant():
+                if not product_vanishes(jet_a, jet_b):
+                    out[k].add(jet_a, jet_b, scale * p.constant_term)
+            else:
+                ab = jet_a * jet_b
+                if not product_vanishes(ab, p):
+                    out[k].add(ab, p, scale)
+    sym = {k: acc.jet() for k, acc in out.items()}
+    return {k: jet for k, jet in sym.items() if not jet.is_zero()}
 
 
 def r_union(state):

@@ -478,12 +478,20 @@ GOLDEN_COEFFICIENTS = [
      "1643b031c44219b0868a9a59c6557cb336a2031b2a58ff58f5a4b00deef4f44e"),
     (SPHERE, ["quantize", "--f", "kinetic", "--order", "2"],
      "d90b3df1499ebb6a0d0241b86ebebaaf5ff3512cd2b71c599f33722a42a051d7"),
+    # u = z1, v = z1^2: the first-order rule on the holomorphic side
+    ("kaehler", ["quantize", "--f",
+                 "z1*(zb1 + 2/3*z1*zb1^2 - 3/5*z1^2*zb1^3) + z1^2"],
+     "188a8685b068951cd1d0377c4448042055e1d2b85f3f8b1902cdd584b2f9c2d7"),
+    # affine in p: the first-order rule with the metric volume, through rho
+    (SPHERE, ["quantize", "--f", "q1*p2 + p1 + q2^2", "--order", "2"],
+     "5d7ed849ced8d6783072e873867bc03927dcbef94aa2115c3bbc27edd46e708d"),
 ]
 
 
 @pytest.mark.parametrize("geometry,argv,digest", GOLDEN_COEFFICIENTS,
                          ids=["kaehler-star", "sphere-star",
-                              "sphere-quantize-kinetic"])
+                              "sphere-quantize-kinetic", "kaehler-quantize",
+                              "sphere-quantize-affine"])
 def test_curved_chart_coefficients_are_pinned(tmp_path, geometry, argv,
                                               digest):
     if geometry == "kaehler":

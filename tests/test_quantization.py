@@ -7,7 +7,7 @@ import pytest
 from fedquant.jets import Chart, ChartMismatch, Jet
 from fedquant.rational import CRat, I
 from fedquant.geometry import (build_flat, build_kaehler, complex_chart,
-                               lift_cotangent)
+                               lift_cotangent, phase_chart)
 from fedquant.fedosov import solve_r
 from fedquant.quantization import (DiffOp, HbarSeries, QuantizationError,
                                    config_chart, diffop_apply, diffop_compose,
@@ -117,6 +117,20 @@ def test_momentum_degree_above_state_order_rejected(flat, flat_state):
     p = Jet.variable(flat.chart, 1, ORDER)
     with pytest.raises(FedosovError):
         rho_extend(p ** 4, flat_state)
+
+
+def test_observable_from_another_chart_is_rejected():
+    """Taylor data about q = 0 read as if about q = 1/2 would be a wrong
+    operator, so both quantizations refuse the observable."""
+    geom = build_flat(1, ORDER, base_q=(Fraction(1, 2),))
+    chart = phase_chart(1)
+    q, p = (Jet.variable(chart, i, ORDER) for i in range(2))
+    with pytest.raises(ChartMismatch):
+        gq_cotangent(q * p, geom)
+    state = solve_r(geom, 2)
+    for f in (q * p, q * p * p):
+        with pytest.raises(ChartMismatch):
+            rho_extend(f, state)
 
 
 @pytest.fixture(scope="module")

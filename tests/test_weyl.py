@@ -13,9 +13,8 @@ from hypothesis import given, strategies as st
 
 from fedquant.jets import Jet, JetSum, product_vanishes
 from fedquant.rational import CRat, HALF_I, I
-from fedquant.weyl import (GradingError, WeylForm, _expansion,
-                           _pair_contraction, _pair_parts, _wedge,
-                           graded_commutator, op_delta, op_delta_inv,
+from fedquant.weyl import (GradingError, WeylForm, _expansion, _pairing,
+                           _wedge, graded_commutator, op_delta, op_delta_inv,
                            op_delta_star, pi_weight, scalar_part, symbol_mul,
                            weyl_mul)
 from fedquant import sampling
@@ -23,7 +22,8 @@ from fedquant.fedosov import flat_section, solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
 from fedquant.suites import _CHARTS
-from reference import full_section, r_union
+from reference import (full_section, pairing, r_union,
+                       symbol_mul_by_pairs)
 from test_digest import PINNED
 
 
@@ -423,36 +423,30 @@ def test_forms_copy_and_pickle():
         assert weyl_mul(back, back) == weyl_mul(a, a)
 
 
-# -- the symbol, grouped by pairing primitive ------------------------------
+# -- the pairing table, and the symbol grouped by primitive ----------------
 
-def _symbol_mul_by_pairs(a, b, max_hbar):
-    """The symbol of a o b as one fold per term pair: each nonconstant
-    pairing is convolved with the pair's own jet product."""
-    geom = a.geometry
-    out = defaultdict(JetSum)
-    for (ka, alpha_a, beta_a), jet_a in a.terms.items():
-        if beta_a:
-            continue
-        la = sum(alpha_a)
-        scale = HALF_I ** la
-        for (kb, alpha_b, beta_b), jet_b in b.terms.items():
-            if beta_b or sum(alpha_b) != la:
-                continue
-            k = ka + kb + la
-            if k > max_hbar:
-                continue
-            pairing = _pair_contraction(geom, alpha_a, alpha_b)
-            if pairing.is_zero():
-                continue
-            if pairing.is_constant():
-                if not product_vanishes(jet_a, jet_b):
-                    out[k].add(jet_a, jet_b, scale * pairing.constant_term)
-            else:
-                ab = jet_a * jet_b
-                if not product_vanishes(ab, pairing):
-                    out[k].add(ab, pairing, scale)
-    sym = {k: acc.jet() for k, acc in out.items()}
-    return {k: jet for k, jet in sym.items() if not jet.is_zero()}
+@pytest.mark.parametrize("where", sorted(CURVED),
+                         ids=lambda w: f"{w[0]}-{w[1]}")
+def test_pairing_table_is_the_sum_over_bijections(where):
+    """Every pairing with |alpha| = |beta| <= 3 against the reference sum:
+    the content is zero exactly where the sum is, content * primitive is
+    the sum store for store, and a pairing with no primitive is the sum's
+    constant."""
+    geom = CURVED[where]
+    alphas = [e for e in product(range(4), repeat=geom.dim) if sum(e) <= 3]
+    for alpha_a, alpha_b in product(alphas, repeat=2):
+        if sum(alpha_a) == sum(alpha_b):
+            _assert_pairing_is_the_sum(geom, alpha_a, alpha_b)
+
+
+def _assert_pairing_is_the_sum(geom, alpha_a, alpha_b):
+    want = pairing(geom, alpha_a, alpha_b)
+    content, primitive = _pairing(geom, alpha_a, alpha_b)
+    assert (not content) == want.is_zero()
+    if primitive is None:
+        assert want.is_constant() and content == want.constant_term
+    else:
+        assert primitive * content == want
 
 
 def _observables(geom, tag):
@@ -476,7 +470,7 @@ def test_symbol_mul_matches_the_per_pair_fold(case):
         for n in range(state.n_hbar + 1):
             bounded = flat_section(x, state, n), flat_section(y, state, n)
             for a, b in (full, bounded):
-                assert symbol_mul(a, b, n) == _symbol_mul_by_pairs(a, b, n)
+                assert symbol_mul(a, b, n) == symbol_mul_by_pairs(a, b, n)
     sym = symbol_mul(full_section(fh, state), full_section(gh, state), 0)
     assert sym[0] == fh * gh and sym[0].valid_order > state.geometry.order
 
@@ -489,7 +483,7 @@ def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
     whose y-free pair is valid beyond the pairing, keeps the per-pair
     fold's validity."""
     geom = CURVED["kaehler", 1]
-    vp = _pair_contraction(geom, (1, 0), (0, 1)).valid_order
+    vp = pairing(geom, (1, 0), (0, 1)).valid_order
     v = vp + 3
     q = Jet.variable(geom.chart, 0, v)
     one = Jet.constant(geom.chart, 1, v)
@@ -506,24 +500,21 @@ def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
                                        (0, (0, 1), ()): q}))
     for a, b, cut in (vanishing + (v,), cancelling + (vp,)):
         sym = symbol_mul(a, b, 1)
-        assert sym == _symbol_mul_by_pairs(a, b, 1)
+        assert sym == symbol_mul_by_pairs(a, b, 1)
         assert sym[1] == (q + 1).truncate(cut)
 
 
 @pytest.mark.parametrize("where", [("kaehler", 1), ("darboux", 1)])
 def test_pairings_of_one_level_share_one_primitive(where):
+    """Levels 0 to 4: every pairing is the reference sum, and the nonzero
+    pairings of one level share one primitive."""
     geom = CURVED[where]
     for level in range(5):
         alphas = [(j, level - j) for j in range(level + 1)]
         primitives = set()
         for alpha_a, alpha_b in product(alphas, repeat=2):
-            pairing = _pair_contraction(geom, alpha_a, alpha_b)
-            content, primitive = _pair_parts(geom, alpha_a, alpha_b)
-            if primitive is None:
-                assert pairing.is_constant()
-                assert pairing.constant_term == content
-            else:
-                assert primitive * content == pairing
+            _assert_pairing_is_the_sum(geom, alpha_a, alpha_b)
+            content, primitive = _pairing(geom, alpha_a, alpha_b)
             if content:
                 primitives.add(id(primitive))
         assert len(primitives) == 1
@@ -551,10 +542,9 @@ def test_each_group_convolves_its_primitive_once(monkeypatch):
             if (beta_a or beta_b or sum(alpha_b) != sum(alpha_a)
                     or k > n):
                 continue
-            _, primitive = _pair_parts(geom, alpha_a, alpha_b)
-            pairing = _pair_contraction(geom, alpha_a, alpha_b)
+            _, primitive = _pairing(geom, alpha_a, alpha_b)
             if primitive is not None \
-                    and not product_vanishes(jet_a * jet_b, pairing):
+                    and not product_vanishes(jet_a * jet_b, primitive):
                 groups.add((k, primitive))
                 pairs += 1
     interned = {id(p) for p in geom._cache["primitives"].values()}
