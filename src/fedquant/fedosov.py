@@ -26,22 +26,6 @@ class FedosovError(JetError):
     pass
 
 
-def default_degree_cap(n_hbar):
-    """Doubled working weight for a star product certified through hbar^N.
-
-    ``symbol_mul`` pairs a section term hbar^ka y^alpha only with a term
-    hbar^kb y^alpha and lands at hbar^(ka + kb + |alpha|), so a star
-    product through hbar^n reads only the section terms with
-    k + |alpha| <= n (``flat_section``).  A flat section through
-    hbar^n <= hbar^N stops at weight 2n - 1 and reads r_w with
-    w <= 2n - 1.  The flatness certificate at weight 2N reads r_(2N+1),
-    so ``solve_r`` stops there.
-    The products in X_2N, whose delta^-1 is r_(2N+1), reach weight 2N + 2
-    before (i/hbar) lowers them, so cap = 2N + 2.
-    """
-    return 2 * n_hbar + 2
-
-
 class StarSeries:
     """Coefficient jets of a star product, indexed by hbar power."""
 
@@ -80,10 +64,9 @@ class FedosovState:
 
     def __init__(self, geometry, n_hbar, r_parts, residual):
         """``r_parts`` holds the nonzero weight components of r, keyed by
-        doubled weight, and r is their sum; the cap follows from N."""
+        doubled weight, and r is their sum."""
         self.geometry = geometry
         self.n_hbar = n_hbar
-        self.degree_cap = default_degree_cap(n_hbar)
         self.r_parts = r_parts
         self.residual = residual
         self._section_cache = OrderedDict()
@@ -100,18 +83,18 @@ class FedosovState:
         row = self._rows.get((w, key))
         if row is None:
             geom = self.geometry
-            unit = WeylForm(geom, self.degree_cap,
-                            {key: Jet.constant(geom.chart, 1, geom.order)})
+            unit = WeylForm(
+                geom, {key: Jet.constant(geom.chart, 1, geom.order)})
             sums = graded_commutator(self.r_parts[w], unit,
                                      defaultdict(JetSum))
             row = tuple((k + sum(alpha), (k, alpha, beta), jet)
                         for (k, alpha, beta), jet in WeylForm.from_sums(
-                            geom, self.degree_cap, sums).terms.items())
+                            geom, sums).terms.items())
             self._rows[(w, key)] = row
         return row
 
     def __repr__(self):
-        return f"FedosovState(N={self.n_hbar}, cap={self.degree_cap})"
+        return f"FedosovState(N={self.n_hbar})"
 
 
 def _geometry_validity(geom):
@@ -131,9 +114,15 @@ def solve_r(geom, n_hbar):
         r_3 = delta^-1 Rhat,   r_(w+1) = delta^-1 X_w,
         X_w = nabla r_w + (i/hbar) sum over w1 + w2 = w + 2 of r_w1 o r_w2.
 
-    It stops at r_(2N+1), the last weight anything reads
-    (``default_degree_cap``), and every weight it keeps is exact.  One more
-    step would give an r_(2N+2) whose quadratic pairs the cap all drops.
+    It stops at r_(2N+1), the last weight anything reads, and every weight
+    it keeps is exact.  ``symbol_mul`` pairs a section term hbar^ka y^alpha
+    only with a term hbar^kb y^alpha and lands at hbar^(ka + kb + |alpha|),
+    so a star product through hbar^n reads only the section terms with
+    k + |alpha| <= n (``flat_section``).  A flat section through
+    hbar^n <= hbar^N stops at weight 2n - 1 and reads r_w with
+    w <= 2n - 1.  The flatness certificate at weight 2N reads r_(2N+1).
+    Every product in X_w pairs weights w1 + w2 = w + 2 <= 2N + 2, and the
+    product adds weights, so no product of higher weight is formed.
 
     r is a 1-form, so r_a o r_b + r_b o r_a is the graded commutator
     [r_a, r_b]: each unequal weight pair is taken once, as a commutator.
@@ -166,16 +155,15 @@ def solve_r(geom, n_hbar):
     ``solve-n2`` benchmark's) has ``{4: 209}``.  At N = 0 no r_w is
     solved and the residual is -Rhat, at weight 2.
     """
-    cap = default_degree_cap(n_hbar)
     if _geometry_validity(geom) < 2 * n_hbar + 3:
         raise FedosovError(
             f"geometry jets need valid_order >= {2 * n_hbar + 3} "
             f"for a star product through hbar^{n_hbar}")
-    rhat = build_rhat(geom, cap)
-    parts = {3: op_delta_inv(rhat)}
+    rhat = build_rhat(geom)
+    parts = {3: op_delta_inv(rhat)} if n_hbar else {}
     # the finished jets of nabla r and of (i/hbar) r o r, zero ones kept
     nr, quad = {}, {}
-    for w in range(3, cap - 1):
+    for w in range(3, 2 * n_hbar + 1):
         nsums = nabla(parts[w], geom, defaultdict(JetSum))
         qsums = defaultdict(JetSum)
         for w1 in range(3, w // 2 + 2):
@@ -187,10 +175,10 @@ def solve_r(geom, n_hbar):
                 done[key] = jet = acc.jet()
                 xsums[key].add(jet)
         # every term has weight w, so delta^{-1} gives weight w + 1 only
-        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, cap, xsums))
-    r = WeylForm(geom, cap, {key: jet for part in parts.values()
-                             for key, jet in part.terms.items()})
-    nr, quad = WeylForm(geom, cap, nr), WeylForm(geom, cap, quad)
+        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, xsums))
+    r = WeylForm(geom, {key: jet for part in parts.values()
+                        for key, jet in part.terms.items()})
+    nr, quad = WeylForm(geom, nr), WeylForm(geom, quad)
     return FedosovState(geom, n_hbar,
                         {w: p for w, p in parts.items() if not p.is_zero()},
                         op_delta(r) - rhat - nr - quad)
@@ -211,7 +199,7 @@ def check_flatness(state):
     out = {}
     for k, alpha, _ in state.residual.terms:
         w = 2 * k + sum(alpha)
-        if w < state.degree_cap - 1:
+        if w <= 2 * state.n_hbar:
             out[w] = out.get(w, 0) + 1
     return out
 
@@ -222,8 +210,8 @@ def flat_section(f, state, n_hbar=None):
 
     The section holds exactly the terms hbar^k y^alpha with
     k + |alpha| <= n, the only ones a star product through hbar^n reads
-    (``default_degree_cap``), and each is store-equal to the same term of
-    the section filled through weight 2N with no bound.  That is because
+    (``star``), and each is store-equal to the same term of the section
+    filled through weight 2N with no level bound.  That is because
     the level k + |alpha| never goes down in the recursion
 
         a_(s+1) = delta^-1 (nabla a_s + sum_w (i/hbar) [r_w, a_(s+2-w)]):
@@ -235,8 +223,9 @@ def flat_section(f, state, n_hbar=None):
     the fill skips nabla inputs of level n or more and commutator terms
     that land above level n - 1.  It stops at weight 2n - 1: a weight-2n
     term of level <= n would be a y-free hbar^n, which delta^-1 never
-    makes.  The unbounded fill is kept as a test-side reference
-    (``tests/reference.py``).
+    makes.  So each commutator it forms has weight s + 2 <= 2n and reads
+    an r_w with w <= 2n - 1.  The unbounded fill is kept as a test-side
+    reference (``tests/reference.py``).
 
     The sections of the last ``SECTION_CACHE_SIZE`` new jets are cached
     with the bound they were built to.  An entry serves a request for an
@@ -264,8 +253,7 @@ def _fill_section(f, state, n):
     """The section of ``flat_section`` through hbar^n, built from
     scratch."""
     geom = state.geometry
-    cap = state.degree_cap
-    parts = {0: WeylForm.from_jet(geom, cap, f)}
+    parts = {0: WeylForm.from_jet(geom, f)}
     for s in range(2 * n - 1):
         # nabla a_s + sum over w of (i/hbar)[r_w, a_(s+2-w)], all of
         # weight s, in one map
@@ -277,16 +265,16 @@ def _fill_section(f, state, n):
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
                 add_commutator(state, w, parts[s2], sums, n - 1)
-        nxt = op_delta_inv(WeylForm.from_sums(geom, cap, sums))
+        nxt = op_delta_inv(WeylForm.from_sums(geom, sums))
         if not nxt.is_zero():
             parts[s + 1] = nxt
-    return WeylForm(geom, cap, {key: jet for part in parts.values()
-                                for key, jet in part.terms.items()})
+    return WeylForm(geom, {key: jet for part in parts.values()
+                           for key, jet in part.terms.items()})
 
 
 def _restrict_level(form, lim):
     """The terms of ``form`` with k + |alpha| <= lim."""
-    return WeylForm(form.geometry, form.degree_cap,
+    return WeylForm(form.geometry,
                     {key: jet for key, jet in form.terms.items()
                      if key[0] + sum(key[1]) <= lim})
 
@@ -308,9 +296,10 @@ def star(f, g, state, n_hbar=None):
 
     The symbol pairs hbar^ka y^alpha only with hbar^kb y^alpha and lands
     at hbar^(ka + kb + |alpha|), so each section is built with only its
-    terms of k + |alpha| <= n (``flat_section``), which are equal to those
-    of the sections filled with no bound; the coefficients and their
-    validity are those of the unbounded sections' symbol through hbar^n.
+    terms of k + |alpha| <= n, through weight 2n - 1 (``flat_section``),
+    which are equal to those of the sections filled with no level bound;
+    the coefficients and their validity are those of the unbounded
+    sections' symbol through hbar^n.
     """
     geom = state.geometry
     n = state.n_hbar if n_hbar is None else min(n_hbar, state.n_hbar)
@@ -329,6 +318,8 @@ def moyal_reference(f, g, geom, n_hbar):
     Independent of the flatness machinery; requires every entry of the
     inverse symplectic form to be a constant jet.
     """
+    if f.chart != geom.chart or g.chart != geom.chart:
+        raise ChartMismatch("operands live on a different chart")
     dim = geom.dim
     oinv = {}
     for a in range(dim):

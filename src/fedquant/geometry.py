@@ -315,7 +315,8 @@ def lift_cotangent(metric, order):
     """Lift the Levi-Civita connection of a base metric to phase space.
 
     ``metric`` is a symmetric n x n matrix of jets on a base chart in the
-    position variables only; an asymmetric one raises ``GeometryError``.
+    position variables only; an asymmetric one, or one with a non-real
+    coefficient, raises ``GeometryError``.
     The result is a 2n-chart with Darboux omega whose
     connection is torsion-free, symplectic, and reproduces the base
     connection on position indices; its momentum-valued block is exactly
@@ -336,6 +337,8 @@ def lift_cotangent(metric, order):
         if not metric[a][b].agrees_with(metric[b][a]):
             raise GeometryError(f"metric is not symmetric: metric[{a}][{b}] "
                                 f"differs from metric[{b}][{a}]")
+    if any(jet.has_imag() for row in metric for jet in row):
+        raise GeometryError("metric has a non-real coefficient")
     chart = Chart(base_chart.names + tuple(f"p{i+1}" for i in range(n)),
                   base_chart.base + (CRat(0),) * n)
     emb = tuple(range(n))
@@ -482,7 +485,7 @@ def curvature(geom):
     return CurvatureData(r_up, _contract_first(geom.omega, r_up))
 
 
-def build_rhat(geom, degree_cap):
+def build_rhat(geom):
     """-1/4 R_{ijkl} y^i y^j dx^k wedge dx^l as a WeylForm."""
     curv = geom.curvature()
     dim = geom.dim
@@ -495,7 +498,7 @@ def build_rhat(geom, degree_cap):
         alpha[i] += 1
         alpha[j] += 1
         terms[0, tuple(alpha), (k, l)].add(jet, s=quarter * 2)
-    return WeylForm.from_sums(geom, degree_cap, terms)
+    return WeylForm.from_sums(geom, terms)
 
 
 # -- scalar calculus -------------------------------------------------------
@@ -605,7 +608,7 @@ def nabla(a, geom, into=None):
                 out[k, tuple(alpha2), beta2].add(g, jet, -e * sign)
     if into is not None:
         return out
-    return WeylForm.from_sums(geom, a.degree_cap, out)
+    return WeylForm.from_sums(geom, out)
 
 
 # -- validation ------------------------------------------------------------

@@ -117,7 +117,7 @@ def second_order_suite(order=9, seed=0):
 
 # -- r-series closed forms -------------------------------------------------
 
-def _r3_oracle(geom, cap):
+def _r3_oracle(geom):
     curv = geom.curvature()
     dim = 2 * geom.n
     terms = {}
@@ -131,7 +131,7 @@ def _r3_oracle(geom, cap):
         alpha[k] += 1
         key = (0, tuple(alpha), (l,))
         terms[key] = terms[key] + jet if key in terms else jet
-    return WeylForm(geom, cap, terms)
+    return WeylForm(geom, terms)
 
 
 def _cov_rlow(geom, m, i, j, k, l):
@@ -153,7 +153,7 @@ def _cov_rlow(geom, m, i, j, k, l):
     return acc
 
 
-def _r4_oracle(geom, cap):
+def _r4_oracle(geom):
     dim = 2 * geom.n
     terms = {}
     for i in range(dim):
@@ -169,7 +169,7 @@ def _r4_oracle(geom, cap):
                             alpha[idx] += 1
                         key = (0, tuple(alpha), (l,))
                         terms[key] = terms[key] + jet if key in terms else jet
-    return WeylForm(geom, cap, terms)
+    return WeylForm(geom, terms)
 
 
 def r_terms_suite(order=9, seed=0):
@@ -179,13 +179,11 @@ def r_terms_suite(order=9, seed=0):
     for t in range(3):
         state = _state("darboux", 1, order, 3, (seed, "r", t))
         geom = state.geometry
-        cap = state.degree_cap
-        r3, r4 = (state.r_parts.get(w, WeylForm(geom, cap, {}))
-                  for w in (3, 4))
+        r3, r4 = (state.r_parts.get(w, WeylForm(geom, {})) for w in (3, 4))
         rep.add("r_(3) = -(1/8) R y^3 dx",
-                r3.agrees_with(_r3_oracle(geom, cap)), f"sample {t}")
+                r3.agrees_with(_r3_oracle(geom)), f"sample {t}")
         rep.add("r_(4) = -(1/40) nabla R y^4 dx",
-                r4.agrees_with(_r4_oracle(geom, cap)), f"sample {t}")
+                r4.agrees_with(_r4_oracle(geom)), f"sample {t}")
     return rep
 
 
@@ -557,7 +555,7 @@ def flat_reps_suite(order=11, seed=0):
 
 # -- structural identities -------------------------------------------------
 
-def _random_form(rng, geom, cap, order, terms=6):
+def _random_form(rng, geom, order, terms=6):
     dim = 2 * geom.n
     out = {}
     for _ in range(terms):
@@ -566,13 +564,11 @@ def _random_form(rng, geom, cap, order, terms=6):
         for _ in range(rng.randint(0, 3)):
             alpha[rng.randrange(dim)] += 1
         beta = tuple(sorted(rng.sample(range(dim), rng.randint(0, 2))))
-        if 2 * k + sum(alpha) > cap:
-            continue
         key = (k, tuple(alpha), beta)
         jet = sampling.random_polynomial(rng, geom.chart, order, degree=2,
                                          terms=2)
         out[key] = out[key] + jet if key in out else jet
-    return WeylForm(geom, cap, out)
+    return WeylForm(geom, out)
 
 
 def _number_op(a):
@@ -581,12 +577,11 @@ def _number_op(a):
         w = sum(alpha) + len(beta)
         if w:
             terms[(k, alpha, beta)] = jet * w
-    return WeylForm(a.geometry, a.degree_cap, terms)
+    return WeylForm(a.geometry, terms)
 
 
 def structural_suite(order=6, seed=0):
     """Chain identities of delta, its adjoint, and the curvature square."""
-    cap = 8
     rep = CheckReport()
     rng = sampling.make_rng(("structural", seed))
     geoms = [
@@ -600,9 +595,9 @@ def structural_suite(order=6, seed=0):
         kind = geom.kind + f" n={geom.n}"
         rep.add(f"{kind} connection validation",
                 validate_connection(geom).passed)
-        rhat = build_rhat(geom, cap)
+        rhat = build_rhat(geom)
         for t in range(4):
-            a = _random_form(rng, geom, cap, order)
+            a = _random_form(rng, geom, order)
             rep.add(f"{kind} delta^2 = 0", op_delta(op_delta(a)).is_zero(),
                     f"sample {t}")
             rep.add(f"{kind} delta*^2 = 0",
@@ -614,9 +609,9 @@ def structural_suite(order=6, seed=0):
                 + scalar_part(a)
             rep.add(f"{kind} homotopy decomposition", dec.agrees_with(a),
                     f"sample {t}")
-        a = _random_form(rng, geom, cap, order, terms=3)
+        a = _random_form(rng, geom, order, terms=3)
         lhs = nabla(nabla(a, geom), geom)
-        rhs = WeylForm.from_sums(geom, cap, graded_commutator(
+        rhs = WeylForm.from_sums(geom, graded_commutator(
             rhat, a, defaultdict(JetSum)))
         rep.add(f"{kind} nabla^2 = (i/hbar)[Rhat, .]", lhs.agrees_with(rhs))
     return rep

@@ -1,4 +1,4 @@
-"""The truncated graded algebra of fiber-polynomial forms.
+"""The graded algebra of fiber-polynomial forms.
 
 Elements are finite sums of terms
 
@@ -10,8 +10,11 @@ grading weight of a term is k + |alpha|/2; it is stored doubled
 (``2k + |alpha|``) so that half-integers stay integral.
 
 The fiberwise product is the exponential contraction against the inverse
-symplectic form, truncated at the element's ``degree_cap`` (also doubled).
-On monomials it has the closed form
+symplectic form.  It adds grading weights, since each contraction trades
+two fiber generators for one hbar, and it is kept whole: a form holds
+every nonzero term it is given.  The recursions of ``fedosov.solve_r``
+and ``fedosov.flat_section`` stop by weight, and that is the only
+truncation.  On monomials the product has the closed form
 
     y^alpha o y^beta = sum over gamma <= alpha, delta <= beta with
                        |gamma| = |delta| = m  of
@@ -85,18 +88,17 @@ def _wedge(beta1, beta2):
 
 
 class WeylForm:
-    """A truncated element of the fiber-polynomial form algebra.
+    """An element of the fiber-polynomial form algebra.
 
     ``terms`` maps (hbar_power, y_multidegree, form_subset) to jet
-    coefficients; terms whose doubled weight exceeds ``degree_cap`` are
-    dropped on construction, and so are zero jets.  A nonzero term at a
-    negative hbar power raises ``GradingError``: it is what (i/hbar) leaves
-    of an hbar^0 layer that should have cancelled.
+    coefficients; zero jets are dropped on construction.  A nonzero term
+    at a negative hbar power raises ``GradingError``: it is what (i/hbar)
+    leaves of an hbar^0 layer that should have cancelled.
     """
 
-    __slots__ = ("geometry", "degree_cap", "terms")
+    __slots__ = ("geometry", "terms")
 
-    def __init__(self, geometry, degree_cap, terms):
+    def __init__(self, geometry, terms):
         clean = {}
         dim = geometry.dim
         for (k, alpha, beta), jet in terms.items():
@@ -104,8 +106,6 @@ class WeylForm:
                 raise JetError("fiber multidegree does not match geometry dim")
             if list(beta) != sorted(set(beta)):
                 raise JetError("form subset must be strictly increasing")
-            if 2 * k + sum(alpha) > degree_cap:
-                continue
             if jet.is_zero():
                 continue
             if k < 0:
@@ -114,7 +114,6 @@ class WeylForm:
                     "was violated upstream")
             clean[(k, alpha, beta)] = jet
         object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "degree_cap", degree_cap)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -122,33 +121,30 @@ class WeylForm:
 
     def __reduce__(self):
         # rebuilt by the constructor, past the guard above
-        return WeylForm, (self.geometry, self.degree_cap, self.terms)
+        return WeylForm, (self.geometry, self.terms)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_jet(cls, geometry, degree_cap, jet):
-        return cls(geometry, degree_cap, {(0, (0,) * geometry.dim, ()): jet})
+    def from_jet(cls, geometry, jet):
+        return cls(geometry, {(0, (0,) * geometry.dim, ()): jet})
 
     @classmethod
-    def from_sums(cls, geometry, degree_cap, sums):
+    def from_sums(cls, geometry, sums):
         """The form whose terms are the finished ``{key: JetSum}`` sums."""
-        return cls(geometry, degree_cap,
-                   {key: acc.jet() for key, acc in sums.items()})
+        return cls(geometry, {key: acc.jet() for key, acc in sums.items()})
 
     # -- bookkeeping ------------------------------------------------------
 
     def _check(self, other):
         if self.geometry is not other.geometry and self.geometry != other.geometry:
             raise ChartMismatch("operands live on different geometries")
-        if self.degree_cap != other.degree_cap:
-            raise GradingError("operands have different degree caps")
 
     def is_zero(self):
         return not self.terms
 
     def map_jets(self, fn):
-        return WeylForm(self.geometry, self.degree_cap,
+        return WeylForm(self.geometry,
                         {key: fn(jet) for key, jet in self.terms.items()})
 
     def agrees_with(self, other):
@@ -160,11 +156,10 @@ class WeylForm:
         if not isinstance(other, WeylForm):
             return NotImplemented
         return (self.geometry == other.geometry
-                and self.degree_cap == other.degree_cap
                 and self.terms == other.terms)
 
     def __repr__(self):
-        return f"WeylForm({len(self.terms)} terms, cap {self.degree_cap})"
+        return f"WeylForm({len(self.terms)} terms)"
 
     # -- linear structure -------------------------------------------------
 
@@ -176,7 +171,7 @@ class WeylForm:
         for key, jet in other.terms.items():
             prev = out.get(key)
             out[key] = jet if prev is None else prev + jet
-        return WeylForm(self.geometry, self.degree_cap, out)
+        return WeylForm(self.geometry, out)
 
     def __neg__(self):
         return self.map_jets(lambda j: -j)
@@ -224,7 +219,6 @@ def _mul_contract(a, b, parity, into=None):
     """
     a._check(b)
     geom = a.geometry
-    cap = a.degree_cap
     square = (parity is None and a is b
               and all(len(beta) % 2 for _, _, beta in a.terms))
     if square:
@@ -236,15 +230,10 @@ def _mul_contract(a, b, parity, into=None):
         out, lower, emit = defaultdict(JetSum), 0, CRat(emit)
     else:
         out, lower, emit = into, 1, CRat(0, emit)
-    # the doubled weight of each b term, read once per call
-    b_terms = [(2 * kb + sum(alpha_b), kb, alpha_b, beta_b, jet_b)
-               for (kb, alpha_b, beta_b), jet_b in b.terms.items()]
+    b_terms = list(b.terms.items())
     for i, ((ka, alpha_a, beta_a), jet_a) in enumerate(a.terms.items()):
-        room = cap - 2 * ka - sum(alpha_a)
-        for db, kb, alpha_b, beta_b, jet_b in (b_terms[i + 1:] if square
-                                               else b_terms):
-            if db > room:
-                continue
+        for (kb, alpha_b, beta_b), jet_b in (b_terms[i + 1:] if square
+                                             else b_terms):
             w = _wedge(beta_a, beta_b)
             if w is None:
                 continue
@@ -264,7 +253,7 @@ def _mul_contract(a, b, parity, into=None):
                         base, primitive, scale * s)
     if into is not None:
         return out
-    return WeylForm.from_sums(geom, cap, out)
+    return WeylForm.from_sums(geom, out)
 
 
 def _expansion(geom, alpha_a, alpha_b, parity=None):
@@ -436,7 +425,7 @@ def op_delta(a):
             alpha2 = list(alpha)
             alpha2[i] -= 1
             out[k, tuple(alpha2), beta2].add(jet, s=e * sign)
-    return WeylForm.from_sums(a.geometry, a.degree_cap, out)
+    return WeylForm.from_sums(a.geometry, out)
 
 
 def op_delta_star(a):
@@ -468,20 +457,20 @@ def _delta_star(a, normalized):
             alpha2[i] += 1
             out[k, tuple(alpha2), beta[:pos] + beta[pos + 1:]].add(
                 jet, s=signs[pos % 2])
-    return WeylForm.from_sums(a.geometry, a.degree_cap, out)
+    return WeylForm.from_sums(a.geometry, out)
 
 
 def scalar_part(a):
     """The y-free, form-free component (an hbar series of jets)."""
     dim = a.geometry.dim
     zero_alpha = (0,) * dim
-    return WeylForm(a.geometry, a.degree_cap,
+    return WeylForm(a.geometry,
                     {key: jet for key, jet in a.terms.items()
                      if key[1] == zero_alpha and key[2] == ()})
 
 
 def pi_weight(a, doubled_degree):
     """Project onto doubled grading weight 2k + |alpha|."""
-    return WeylForm(a.geometry, a.degree_cap,
+    return WeylForm(a.geometry,
                     {key: jet for key, jet in a.terms.items()
                      if 2 * key[0] + sum(key[1]) == doubled_degree})

@@ -11,6 +11,11 @@ time, ``full_section`` fills a section through doubled weight 2N with
 ``graded_commutator`` applied directly, ``section_defect`` applies the
 whole flat connection to a section, and ``full_pass`` recomputes the
 flatness recursion on the whole of r.
+
+A Weyl form keeps every term of a product, so the connection and the full
+pass form only the products of weight at most 2N + 2.  Lowered by
+(i/hbar), those reach weight 2N, the highest weight the tests read them
+at; the products above it would cost many times more.
 """
 
 from collections import defaultdict
@@ -81,9 +86,16 @@ def symbol_mul_by_pairs(a, b, max_hbar):
 
 def r_union(state):
     """r as one form, the sum of the state's weight parts."""
-    return WeylForm(state.geometry, state.degree_cap,
+    return WeylForm(state.geometry,
                     {key: jet for part in state.r_parts.values()
                      for key, jet in part.terms.items()})
+
+
+def weight_at_most(form, w):
+    """The terms of ``form`` of doubled weight 2k + |alpha| <= w."""
+    return WeylForm(form.geometry,
+                    {key: jet for key, jet in form.terms.items()
+                     if 2 * key[0] + sum(key[1]) <= w})
 
 
 def full_section(f, state):
@@ -92,25 +104,29 @@ def full_section(f, state):
 
         a_(s+1) = delta^-1 (nabla a_s + sum_w (i/hbar) [r_w, a_(s+2-w)]).
     """
-    geom, cap = state.geometry, state.degree_cap
-    parts = [WeylForm.from_jet(geom, cap, f)]
+    geom = state.geometry
+    parts = [WeylForm.from_jet(geom, f)]
     for s in range(2 * state.n_hbar):
         sums = nabla(parts[s], geom, defaultdict(JetSum))
         for w, rw in state.r_parts.items():
             if w <= s + 2:
                 graded_commutator(rw, parts[s + 2 - w], sums)
-        parts.append(op_delta_inv(WeylForm.from_sums(geom, cap, sums)))
-    return WeylForm(geom, cap, {key: jet for part in parts
-                                for key, jet in part.terms.items()})
+        parts.append(op_delta_inv(WeylForm.from_sums(geom, sums)))
+    return WeylForm(geom, {key: jet for part in parts
+                           for key, jet in part.terms.items()})
 
 
 def connection(section, state):
-    """D a = nabla a - delta a + (i/hbar) [r, a], the flat connection."""
+    """D a = nabla a - delta a + (i/hbar) [r, a], the flat connection,
+    with the commutator [r_w, a_s] taken for w + s <= 2N + 2 only: its
+    terms have weight w + s - 2 <= 2N, the highest weight r holds an
+    equation for."""
     geom = state.geometry
     sums = nabla(section, geom, defaultdict(JetSum))
-    graded_commutator(r_union(state), section, sums)
-    return WeylForm.from_sums(geom, state.degree_cap, sums) \
-        - op_delta(section)
+    top = 2 * state.n_hbar + 2
+    for w, rw in state.r_parts.items():
+        graded_commutator(rw, weight_at_most(section, top - w), sums)
+    return WeylForm.from_sums(geom, sums) - op_delta(section)
 
 
 def count_by_weight(form, cutoff):
@@ -132,14 +148,20 @@ def section_defect(section, state):
 
 def full_pass(state):
     """delta^-1 (Rhat + nabla r + (i/hbar) r o r) and the flatness
-    residual, recomputed from scratch on the whole of r."""
-    geom, cap = state.geometry, state.degree_cap
+    residual, recomputed from scratch on the whole of r, with r o r summed
+    over the ordered weight pairs w1 + w2 <= 2N + 2: their products,
+    lowered by (i/hbar), are the weights w <= 2N that r_(w+1) and the
+    residual read."""
+    geom = state.geometry
     r = r_union(state)
-    rhat = build_rhat(geom, cap)
+    rhat = build_rhat(geom)
     nr = nabla(r, geom)
-    # an equal copy of r, so that the product takes every ordered term
-    # pair instead of the square's unordered ones
-    twin = WeylForm(geom, cap, dict(r.terms))
-    quad = WeylForm.from_sums(geom, cap,
-                              weyl_mul(r, twin, defaultdict(JetSum)))
+    sums = defaultdict(JetSum)
+    for w1, r1 in state.r_parts.items():
+        for w2, r2 in state.r_parts.items():
+            if w1 + w2 <= 2 * state.n_hbar + 2:
+                # an equal copy of r2, so that the product takes every
+                # ordered term pair instead of the square's unordered ones
+                weyl_mul(r1, WeylForm(geom, dict(r2.terms)), sums)
+    quad = WeylForm.from_sums(geom, sums)
     return op_delta_inv(rhat + nr + quad), op_delta(r) - rhat - nr - quad

@@ -63,6 +63,16 @@ def test_asymmetric_metric_is_input_error(tmp_path, capsys):
     assert captured.out == ""      # a builder precondition, not a report
 
 
+def test_non_real_metric_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "cotangent", "n": 1, "order": 5,'
+                    ' "metric": [["1+i*q1"]]}')
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "metric has a non-real coefficient" in captured.err
+    assert captured.out == ""
+
+
 def test_broken_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

@@ -12,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # sha256 of each demo's stdout
 DEMO_STDOUT = {
     "flat_star.py":
-        "cb3cf663ab4566f1593249e93db5a5b65373a9c4c513c3cd1543c178e7e86ec8",
+        "f1eefcf98366f91320c690f583da1ae33297f60a66e22332440dfced3bd5e345",
     "holomorphic_ops.py":
         "0902d2c5514178d5617a8244c6bc546b1cf25330453bfe7cc41b70fdfc4e76bc",
     "sphere_kinetic.py":

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from fedquant.jets import Jet, JetSum
+from fedquant.jets import ChartMismatch, Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
 from fedquant.weyl import (WeylForm, graded_commutator, op_delta, pi_weight,
                           symbol_mul)
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
-                               hamiltonian_vf, lift_cotangent, omega_pair,
-                               poisson)
+                               build_rhat, hamiltonian_vf, lift_cotangent,
+                               omega_pair, poisson)
 from fedquant import fedosov
 from fedquant.fedosov import (SECTION_CACHE_SIZE, FedosovError, FedosovState,
                               add_commutator, check_flatness, flat_section,
@@ -21,7 +21,7 @@ from fedquant.fedosov import (SECTION_CACHE_SIZE, FedosovError, FedosovState,
 from fedquant import sampling
 from fedquant.suites import _CHARTS, _r3_oracle, _r4_oracle
 from reference import (connection, count_by_weight, full_pass, full_section,
-                       r_union, section_defect)
+                       r_union, section_defect, weight_at_most)
 from test_digest import PINNED
 
 
@@ -49,6 +49,16 @@ def test_flat_star_is_direct_product():
     f = q * q * p + p * p * p - q * 2 + 3
     g = q * p * p + q * q * q + p
     assert star(f, g, st).agrees_with(moyal_reference(f, g, flat, 4))
+
+
+def test_moyal_reference_rejects_an_operand_from_another_chart():
+    flat = build_flat(1, 9)
+    moved = build_flat(1, 9, base_q=(Fraction(1, 2),))
+    q, p = (Jet.variable(moved.chart, i, 9) for i in range(2))
+    here = Jet.variable(flat.chart, 1, 9)
+    for f, g in ((q * p, p), (q * p, here), (here, p)):
+        with pytest.raises(ChartMismatch):
+            moyal_reference(f, g, flat, 2)
 
 
 def test_flat_first_order_coefficient():
@@ -99,14 +109,8 @@ def test_r_series_leading_terms():
     st = darboux_state("r34")
     geom = st.geometry
     r = r_union(st)
-    assert pi_weight(r, 3).agrees_with(_r3_oracle(geom, st.degree_cap))
-    assert pi_weight(r, 4).agrees_with(_r4_oracle(geom, st.degree_cap))
-
-
-def weight_at_most(form, w):
-    return WeylForm(form.geometry, form.degree_cap,
-                    {key: jet for key, jet in form.terms.items()
-                     if 2 * key[0] + sum(key[1]) <= w})
+    assert pi_weight(r, 3).agrees_with(_r3_oracle(geom))
+    assert pi_weight(r, 4).agrees_with(_r4_oracle(geom))
 
 
 @pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
@@ -143,14 +147,18 @@ def test_r_is_the_low_weights_of_a_higher_order_solve(case):
                for k, alpha, _ in r.terms)
     assert all(2 * k + sum(alpha) <= 2 * n_hbar
                for k, alpha, _ in st.residual.terms)
-    assert r.agrees_with(WeylForm(geom, st.degree_cap, weight_at_most(
-        r_union(up), 2 * n_hbar + 1).terms))
+    assert r.agrees_with(weight_at_most(r_union(up), 2 * n_hbar + 1))
 
 
 @pytest.mark.parametrize("kind", list(_CHARTS))
 def test_hbar_order_0_star_is_the_pointwise_product(kind):
-    st = solve_r(_CHARTS[kind](sampling.make_rng((kind, 1, 0)), 1, 9), 0)
+    """At N = 0 no r_w is solved, and the residual is -Rhat store for
+    store, which ``check_flatness`` does not count.  On n = 2 every curved
+    kind has a nonzero Rhat."""
+    st = solve_r(_CHARTS[kind](sampling.make_rng((kind, 2, 0)), 2, 9), 0)
     assert st.r_parts == {} and check_flatness(st) == {}
+    assert st.residual == -build_rhat(st.geometry)
+    assert st.residual.is_zero() == (kind == "flat")
     f, g, _ = observables(st)
     s = star(f, g, st)
     assert s.valid_hbar_order == 0 and s.coefficient(0) == f * g
@@ -158,8 +166,9 @@ def test_hbar_order_0_star_is_the_pointwise_product(kind):
 
 @pytest.mark.parametrize("n_hbar", [2, 3])
 def test_solve_r_squares_each_weight_through_weyl_mul(monkeypatch, n_hbar):
-    """From N = 2 on, the cap admits r_w o r_w; each such square goes
-    through ``weyl_mul`` with the weight part given twice."""
+    """From N = 2 on, X_w at an even weight w <= 2N reads r_w' o r_w'
+    with w' = w/2 + 1; each such square goes through ``weyl_mul`` with
+    the weight part given twice."""
     real = fedosov.weyl_mul
     calls = []
 
@@ -170,13 +179,13 @@ def test_solve_r_squares_each_weight_through_weyl_mul(monkeypatch, n_hbar):
     monkeypatch.setattr(fedosov, "weyl_mul", counted)
     solve_r(_CHARTS["kaehler"](sampling.make_rng(("kaehler", 1, 0)), 1, 12),
             n_hbar)
-    # each even weight w = 4 .. cap - 2 squares r_(w/2 + 1)
+    # each even weight w = 4 .. 2N squares r_(w/2 + 1)
     assert calls == [True] * (n_hbar - 1)
 
 
 # flat charts, solved at N = 3: the Kaehler n = 1 digest chart, and the
-# cotangent n = 2 one at order 11, where the cap lets the unequal pair
-# (3, 4) reach the residual
+# cotangent n = 2 one at order 11, where the unequal pair (3, 4) enters
+# X_5, which the residual holds
 MUTATED = {
     "kaehler": lambda: _CHARTS["kaehler"](
         sampling.make_rng(("kaehler", 1, 0)), 1, 12),
@@ -206,10 +215,8 @@ def test_changed_r_coefficient_shows_in_the_residual(monkeypatch, kind, w):
         if len(calls) != w - 2:
             return out
         for key, jet in out.terms.items():
-            if not op_delta(WeylForm(out.geometry, out.degree_cap,
-                                     {key: jet})).is_zero():
-                return WeylForm(out.geometry, out.degree_cap,
-                                {**out.terms, key: jet + 1})
+            if not op_delta(WeylForm(out.geometry, {key: jet})).is_zero():
+                return WeylForm(out.geometry, {**out.terms, key: jet + 1})
         pytest.fail(f"r_{w} has no term with nonzero delta")
 
     monkeypatch.setattr(fedosov, "op_delta_inv", bumped)
@@ -249,7 +256,7 @@ def test_dropped_weight_pair_on_a_surface_shows_only_in_the_full_pass(
     st = solve_without_pair_3_4(monkeypatch, "kaehler")
     assert check_flatness(st) == {}
     _, residual = full_pass(st)
-    assert count_by_weight(residual, st.degree_cap - 1).get(5)
+    assert count_by_weight(residual, 2 * st.n_hbar + 1).get(5)
 
 
 KINDS = ("flat", "darboux", "cotangent", "kaehler")
@@ -335,9 +342,10 @@ def test_commutator_rows_match_graded_commutator(kind_state):
             if part.is_zero():
                 continue
             acc = defaultdict(JetSum)
-            add_commutator(st, w, part, acc, st.degree_cap)
-            assert WeylForm.from_sums(geom, st.degree_cap, acc) \
-                == WeylForm.from_sums(geom, st.degree_cap, graded_commutator(
+            # no level bound: a level is at most the weight, here 2N
+            add_commutator(st, w, part, acc, 2 * st.n_hbar)
+            assert WeylForm.from_sums(geom, acc) \
+                == WeylForm.from_sums(geom, graded_commutator(
                     rp, part, defaultdict(JetSum)))
             checked += 1
     assert checked or st.r_parts == {}
@@ -350,7 +358,7 @@ def level(key):
 
 def restrict_level(form, n):
     """The terms hbar^k y^alpha of ``form`` with k + |alpha| <= n."""
-    return WeylForm(form.geometry, form.degree_cap,
+    return WeylForm(form.geometry,
                     {key: jet for key, jet in form.terms.items()
                      if level(key) <= n})
 
@@ -397,7 +405,7 @@ def test_bounded_section_is_flat_below_its_top_level(kind_state):
             assert low_defect(sec, st, n) == []
             for lev in range(n + 1):
                 key = min(key for key in sec.terms if level(key) == lev)
-                cut = WeylForm(st.geometry, st.degree_cap,
+                cut = WeylForm(st.geometry,
                                {k: jet for k, jet in sec.terms.items()
                                 if k != key})
                 assert low_defect(cut, st, n), (n, key)

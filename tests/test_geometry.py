@@ -205,14 +205,13 @@ def test_nabla_leibniz():
     rng = sampling.make_rng("geo-leibniz")
     geom = build_darboux(1, sampling.random_darboux_gamma(rng, 1, ORDER),
                          ORDER)
-    cap = 6
     q = Jet.variable(geom.chart, 0, ORDER)
-    a = WeylForm(geom, cap, {(0, (1, 0), ()): q})
+    a = WeylForm(geom, {(0, (1, 0), ()): q})
     f = q * q + 2
     lhs = nabla(a.map_jets(lambda j: j * f), geom)
     # nabla(f a) = df a + f nabla a; the df term inserts the form on the left
-    df = WeylForm(geom, cap, {(0, (0, 0), (0,)): f.partial(0),
-                              (0, (0, 0), (1,)): f.partial(1)})
+    df = WeylForm(geom, {(0, (0, 0), (0,)): f.partial(0),
+                         (0, (0, 0), (1,)): f.partial(1)})
     from fedquant.weyl import weyl_mul
     rhs = weyl_mul(df, a) + nabla(a, geom).map_jets(lambda j: j * f)
     assert lhs.agrees_with(rhs)
@@ -222,12 +221,10 @@ def test_curvature_square_of_connection():
     rng = sampling.make_rng("geo-sq")
     geom = build_darboux(1, sampling.random_darboux_gamma(rng, 1, ORDER),
                          ORDER)
-    cap = 8
-    rhat = build_rhat(geom, cap)
-    a = WeylForm(geom, cap, {(0, (0, 1), ()): Jet.variable(geom.chart, 0,
-                                                           ORDER)})
+    rhat = build_rhat(geom)
+    a = WeylForm(geom, {(0, (0, 1), ()): Jet.variable(geom.chart, 0, ORDER)})
     lhs = nabla(nabla(a, geom), geom)
-    rhs = WeylForm.from_sums(geom, cap, graded_commutator(
+    rhs = WeylForm.from_sums(geom, graded_commutator(
         rhat, a, defaultdict(JetSum)))
     assert lhs.agrees_with(rhs)
 
@@ -241,6 +238,16 @@ def test_cotangent_rejects_asymmetric_metric():
     q1 = Jet.variable(chart, 0, ORDER)
     with pytest.raises(GeometryError, match="metric is not symmetric") as exc:
         lift_cotangent([[one, q1], [zero, one]], ORDER)
+    assert not isinstance(exc.value, ValidationFailure)
+
+
+def test_cotangent_rejects_non_real_metric():
+    """A metric is real, as a Kaehler potential is: a coefficient with an
+    imaginary part is rejected before any report is formed."""
+    chart = Chart(("q1",), (0,))
+    metric = Jet.constant(chart, 1, ORDER) + Jet.variable(chart, 0, ORDER) * I
+    with pytest.raises(GeometryError, match="non-real") as exc:
+        lift_cotangent([[metric]], ORDER)
     assert not isinstance(exc.value, ValidationFailure)
 
 

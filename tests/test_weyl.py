@@ -22,13 +22,11 @@ from fedquant.fedosov import flat_section, solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
 from fedquant.suites import _CHARTS
-from reference import (full_section, pairing, r_union,
-                       symbol_mul_by_pairs)
+from reference import full_section, pairing, symbol_mul_by_pairs
 from test_digest import PINNED
 
 
 ORDER = 6
-CAP = 8
 FLAT = build_flat(1, ORDER)
 
 
@@ -52,7 +50,7 @@ CURVED = curved_geometries()
 def gen(i):
     """The fiber generator y^i with unit coefficient."""
     alpha = tuple(int(k == i) for k in range(FLAT.dim))
-    return WeylForm(FLAT, CAP, {(0, alpha, ()): jconst(1)})
+    return WeylForm(FLAT, {(0, alpha, ()): jconst(1)})
 
 
 def jconst(c):
@@ -62,7 +60,7 @@ def jconst(c):
 def test_canonical_commutator():
     yq, yp = gen(0), gen(1)
     comm = weyl_mul(yq, yp) - weyl_mul(yp, yq)
-    want = WeylForm(FLAT, CAP, {(1, (0, 0), ()): jconst(I)})
+    want = WeylForm(FLAT, {(1, (0, 0), ()): jconst(I)})
     assert comm.agrees_with(want)
 
 
@@ -80,23 +78,23 @@ def test_product_associative():
 
 def test_one_forms_anticommute():
     # identical fiber content, so only the wedge signs are in play
-    a = WeylForm(FLAT, CAP, {(0, (1, 0), (0,)): jconst(1)})
-    b = WeylForm(FLAT, CAP, {(0, (1, 0), (1,)): jconst(1)})
+    a = WeylForm(FLAT, {(0, (1, 0), (0,)): jconst(1)})
+    b = WeylForm(FLAT, {(0, (1, 0), (1,)): jconst(1)})
     assert (weyl_mul(a, b) + weyl_mul(b, a)).is_zero()
 
 
 def test_one_form_bracket_contracts():
     # paired fiber directions leave the hbar contraction behind
-    a = WeylForm(FLAT, CAP, {(0, (1, 0), (0,)): jconst(1)})
-    b = WeylForm(FLAT, CAP, {(0, (0, 1), (1,)): jconst(2)})
+    a = WeylForm(FLAT, {(0, (1, 0), (0,)): jconst(1)})
+    b = WeylForm(FLAT, {(0, (0, 1), (1,)): jconst(2)})
     got = weyl_mul(a, b) + weyl_mul(b, a)
-    want = WeylForm(FLAT, CAP, {(1, (0, 0), (0, 1)): jconst(CRat(0, 2))})
+    want = WeylForm(FLAT, {(1, (0, 0), (0, 1)): jconst(CRat(0, 2))})
     assert got.agrees_with(want)
 
 
 def test_graded_commutator_sign():
-    a = WeylForm(FLAT, CAP, {(0, (1, 0), (0,)): jconst(1)})
-    b = WeylForm(FLAT, CAP, {(0, (0, 1), (1,)): jconst(2)})
+    a = WeylForm(FLAT, {(0, (1, 0), (0,)): jconst(1)})
+    b = WeylForm(FLAT, {(0, (0, 1), (1,)): jconst(2)})
     # both are 1-forms, so the graded bracket is the anticommutator
     assert graded_commutator(a, b).agrees_with(
         weyl_mul(a, b) + weyl_mul(b, a))
@@ -116,7 +114,7 @@ def test_wedge_inserts_one_index_by_the_sign_rule():
 
 
 def test_delta_squares_to_zero():
-    a = WeylForm(FLAT, CAP, {
+    a = WeylForm(FLAT, {
         (0, (2, 1), ()): jconst(1),
         (1, (0, 1), (0,)): jconst(3),
         (0, (0, 0), (0, 1)): jconst(-2),
@@ -127,7 +125,7 @@ def test_delta_squares_to_zero():
 
 def test_homotopy_decomposition():
     q = Jet.variable(FLAT.chart, 0, ORDER)
-    a = WeylForm(FLAT, CAP, {
+    a = WeylForm(FLAT, {
         (0, (2, 1), ()): q * q,
         (1, (0, 1), (0,)): q + 1,
         (0, (0, 0), (0, 1)): q * 3,
@@ -139,39 +137,39 @@ def test_homotopy_decomposition():
 
 
 def test_number_operator_identity():
-    a = WeylForm(FLAT, CAP, {(0, (2, 1), (0,)): jconst(1)})
+    a = WeylForm(FLAT, {(0, (2, 1), (0,)): jconst(1)})
     anti = op_delta(op_delta_star(a)) + op_delta_star(op_delta(a))
     # |alpha| + |beta| = 3 + 1
     assert anti.agrees_with(a.map_jets(lambda j: j * 4))
 
 
 def test_weight_projection_and_truncation():
-    a = WeylForm(FLAT, CAP, {
+    a = WeylForm(FLAT, {
         (0, (2, 0), ()): jconst(1),      # weight 2
         (1, (1, 0), ()): jconst(1),      # weight 3
     })
     assert pi_weight(a, 2).agrees_with(
-        WeylForm(FLAT, CAP, {(0, (2, 0), ()): jconst(1)}))
+        WeylForm(FLAT, {(0, (2, 0), ()): jconst(1)}))
 
 
 def test_i_over_hbar_requires_a_vanishing_hbar0_layer():
-    y1 = WeylForm(FLAT, CAP, {(0, (1, 0), ()): jconst(1)})
-    y2 = WeylForm(FLAT, CAP, {(0, (0, 1), ()): jconst(1)})
+    y1 = WeylForm(FLAT, {(0, (1, 0), ()): jconst(1)})
+    y2 = WeylForm(FLAT, {(0, (0, 1), ()): jconst(1)})
     # [y1, y2] lives at hbar^1, so (i/hbar) moves it to hbar^0 times i
     ok = graded_commutator(y1, y2, defaultdict(JetSum))
-    assert WeylForm.from_sums(FLAT, CAP, ok).agrees_with(WeylForm(
-        FLAT, CAP, {(k - 1, alpha, beta): jet * I for (k, alpha, beta), jet
+    assert WeylForm.from_sums(FLAT, ok).agrees_with(WeylForm(
+        FLAT, {(k - 1, alpha, beta): jet * I for (k, alpha, beta), jet
                     in graded_commutator(y1, y2).terms.items()}))
     # y1 o y1 = y1^2 at hbar^0, which (i/hbar) cannot take
     bad = weyl_mul(y1, y1, defaultdict(JetSum))
     with pytest.raises(GradingError):
-        WeylForm.from_sums(FLAT, CAP, bad)
+        WeylForm.from_sums(FLAT, bad)
 
 
 def test_symbol_strips_fiber():
     q = Jet.variable(FLAT.chart, 0, ORDER)
-    a = WeylForm(FLAT, CAP, {(0, (0, 0), ()): q, (0, (2, 0), ()): q,
-                             (1, (0, 0), ()): q * 2})
+    a = WeylForm(FLAT, {(0, (0, 0), ()): q, (0, (2, 0), ()): q,
+                        (1, (0, 0), ()): q * 2})
     assert scalar_part(a).terms == {(0, (0, 0), ()): q, (1, (0, 0), ()): q * 2}
 
 
@@ -180,22 +178,26 @@ def test_symbol_mul_matches_full_product(kind):
     """The hbar-resolved scalar projection equals the full Weyl product."""
     geom = FLAT if kind == "flat" else CURVED[kind, 1]
     q = Jet.variable(geom.chart, 0, ORDER)
-    a = WeylForm(geom, CAP, {(0, (1, 0), ()): q, (0, (0, 2), ()): q + 1})
-    b = WeylForm(geom, CAP, {(0, (0, 1), ()): q * 2, (0, (2, 0), ()): q})
+    a = WeylForm(geom, {(0, (1, 0), ()): q, (0, (0, 2), ()): q + 1})
+    b = WeylForm(geom, {(0, (0, 1), ()): q * 2, (0, (2, 0), ()): q})
     sym = symbol_mul(a, b, max_hbar=3)
     full = scalar_part(weyl_mul(a, b))
     zero = (0,) * geom.dim
-    acc = WeylForm(geom, CAP, {(k, zero, ()): jet for k, jet in sym.items()})
+    acc = WeylForm(geom, {(k, zero, ()): jet for k, jet in sym.items()})
     assert acc.agrees_with(full)
 
 
-def test_degree_cap_truncates_products():
-    yq = gen(0)
-    high = yq
-    for _ in range(CAP):
-        high = weyl_mul(high, yq)
-    # y^(cap+1) exceeds the cap and must vanish
-    assert all(2 * k + sum(al) <= CAP for (k, al, _) in high.terms)
+def test_products_are_exact_at_every_weight():
+    """A form keeps every term of a product, whatever its weight: y_q
+    taken m times is y_q^m well past weight 8, and y_q o y_p is
+    y_q y_p + i hbar/2."""
+    yq, yp = gen(0), gen(1)
+    power = yq
+    for m in range(2, 13):
+        power = weyl_mul(power, yq)
+        assert power == WeylForm(FLAT, {(0, (m, 0), ()): jconst(1)})
+    assert weyl_mul(yq, yp) == WeylForm(
+        FLAT, {(0, (1, 1), ()): jconst(1), (1, (0, 0), ()): jconst(HALF_I)})
 
 
 # -- the exponential contraction, summed term by term -----------------------
@@ -252,25 +254,22 @@ def contraction_reference(a, b):
                  for da, db, w in level for i, j, om in omega]
         level = [(da, db, w) for da, db, w in level if da and db]
         m += 1
-    return WeylForm(geom, a.degree_cap, out)
+    return WeylForm(geom, out)
 
 
 def commutator_reference(a, b):
     """[a, b] = a o b - (-1)^{pq} b o a, term by term in form degree."""
-    geom, cap = a.geometry, a.degree_cap
-    out = WeylForm(geom, cap, {})
+    geom = a.geometry
+    out = WeylForm(geom, {})
     for key_a, ja in a.terms.items():
         for key_b, jb in b.terms.items():
-            ta = WeylForm(geom, cap, {key_a: ja})
-            tb = WeylForm(geom, cap, {key_b: jb})
+            ta = WeylForm(geom, {key_a: ja})
+            tb = WeylForm(geom, {key_b: jb})
             swap = contraction_reference(tb, ta)
             if len(key_a[2]) * len(key_b[2]) % 2:
                 swap = -swap
             out = out + contraction_reference(ta, tb) - swap
     return out
-
-
-REF_CAP = 6
 
 
 def forms(geom):
@@ -285,7 +284,7 @@ def forms(geom):
     keys = st.tuples(st.integers(0, 1), st.sampled_from(alphas),
                      st.sampled_from([()] + [(i,) for i in range(dim)]))
     return st.dictionaries(keys, jets, min_size=1, max_size=3).map(
-        lambda terms: WeylForm(geom, REF_CAP, terms))
+        lambda terms: WeylForm(geom, terms))
 
 
 FORMS = [forms(geom) for _, geom in sorted(CURVED.items())]
@@ -324,10 +323,13 @@ def digest_state(case):
 
 
 def odd_forms(case):
-    """r and each of its weight parts on a ``tests/test_digest.py`` chart:
+    """The weight parts r_w that ``solve_r`` squares on a
+    ``tests/test_digest.py`` chart, those with 2w <= 2N + 2, and their sum:
     every term is a 1-form."""
     st = digest_state(case)
-    return [r_union(st), *st.r_parts.values()]
+    parts = [p for w, p in st.r_parts.items() if w <= st.n_hbar + 1]
+    return parts + [WeylForm(st.geometry, {key: jet for p in parts
+                                           for key, jet in p.terms.items()})]
 
 
 def finished(sums):
@@ -342,7 +344,7 @@ def finished(sums):
 def assert_square_matches_ordered_product(p):
     # an equal copy is not ``p``, so the second product takes every
     # ordered term pair and every contraction order
-    twin = WeylForm(p.geometry, p.degree_cap, dict(p.terms))
+    twin = WeylForm(p.geometry, dict(p.terms))
     assert finished(weyl_mul(p, p, defaultdict(JetSum))) \
         == finished(weyl_mul(p, twin, defaultdict(JetSum)))
     assert weyl_mul(p, p) == weyl_mul(p, twin)
@@ -365,8 +367,7 @@ def test_a_zero_form_term_keeps_the_full_product(case):
     geom = digest_state(case).geometry
     q = Jet.variable(geom.chart, 0, geom.order)
     for p in odd_forms(case):
-        mixed = WeylForm(geom, p.degree_cap,
-                         {**p.terms, (1, (0,) * geom.dim, ()): q + 2})
+        mixed = WeylForm(geom, {**p.terms, (1, (0,) * geom.dim, ()): q + 2})
         assert_square_matches_ordered_product(mixed)
 
 
@@ -390,10 +391,10 @@ def test_q_only_commutator_forms_no_product(monkeypatch):
     assert all(geom.omega_inv[i][j].is_zero()
                for i in range(2) for j in range(2))
     q = Jet.variable(geom.chart, 0, ORDER)
-    a = WeylForm(geom, CAP, {(0, (1, 0, 0, 0), (0,)): q + 1,
-                             (0, (1, 2, 0, 0), (2,)): q * 3})
-    b = WeylForm(geom, CAP, {(0, (0, 1, 0, 0), (1,)): q - 1,
-                             (1, (2, 1, 0, 0), (3,)): q})
+    a = WeylForm(geom, {(0, (1, 0, 0, 0), (0,)): q + 1,
+                        (0, (1, 2, 0, 0), (2,)): q * 3})
+    b = WeylForm(geom, {(0, (0, 1, 0, 0), (1,)): q - 1,
+                        (1, (2, 1, 0, 0), (3,)): q})
     # pairings are built and cached on first use, through JetSum.add
     graded_commutator(a, b)
     adds = []
@@ -412,14 +413,14 @@ def test_q_only_commutator_forms_no_product(monkeypatch):
 def test_forms_copy_and_pickle():
     geom = CURVED["kaehler", 1]
     q = Jet.variable(geom.chart, 0, ORDER)
-    a = WeylForm(geom, CAP, {(0, (1, 0), (0,)): q * CRat(1, 2),
-                             (1, (0, 2), ()): q + 3})
+    a = WeylForm(geom, {(0, (1, 0), (0,)): q * CRat(1, 2),
+                        (1, (0, 2), ()): q + 3})
     shallow = copy.copy(a)
     assert shallow == a and shallow.geometry is geom
     for back in (copy.deepcopy(a),
                  *(pickle.loads(pickle.dumps(a, proto))
                    for proto in range(2, pickle.HIGHEST_PROTOCOL + 1))):
-        assert back == a and back.degree_cap == CAP
+        assert back == a
         assert weyl_mul(back, back) == weyl_mul(a, a)
 
 
@@ -489,15 +490,15 @@ def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
     one = Jet.constant(geom.chart, 1, v)
     free = {(1, (0, 0), ()): q + 1}
     # q^2 * q^(vp - 1) is nonzero, but not below the pairing's order
-    vanishing = (WeylForm(geom, CAP, {**free, (0, (1, 0), ()): q ** 2}),
-                 WeylForm(geom, CAP, {(0, (0, 0), ()): one,
-                                      (0, (0, 1), ()): q ** (vp - 1)}))
+    vanishing = (WeylForm(geom, {**free, (0, (1, 0), ()): q ** 2}),
+                 WeylForm(geom, {(0, (0, 0), ()): one,
+                                 (0, (0, 1), ()): q ** (vp - 1)}))
     # y1 y2 pairs to -omega^{12} + omega^{12}: the group sum cancels
-    cancelling = (WeylForm(geom, CAP, {**free, (0, (1, 0), ()): q,
-                                       (0, (0, 1), ()): q}),
-                  WeylForm(geom, CAP, {(0, (0, 0), ()): one,
-                                       (0, (1, 0), ()): q,
-                                       (0, (0, 1), ()): q}))
+    cancelling = (WeylForm(geom, {**free, (0, (1, 0), ()): q,
+                                  (0, (0, 1), ()): q}),
+                  WeylForm(geom, {(0, (0, 0), ()): one,
+                                  (0, (1, 0), ()): q,
+                                  (0, (0, 1), ()): q}))
     for a, b, cut in (vanishing + (v,), cancelling + (vp,)):
         sym = symbol_mul(a, b, 1)
         assert sym == symbol_mul_by_pairs(a, b, 1)
@@ -564,13 +565,13 @@ def test_each_group_convolves_its_primitive_once(monkeypatch):
 @given(st.one_of([forms(geom) for _, geom in sorted(CURVED.items())]))
 def test_symbol_mul_is_the_scalar_part_on_zero_forms(a):
     geom = a.geometry
-    zero_forms = WeylForm(geom, REF_CAP, {key: jet for key, jet
-                                          in a.terms.items() if not key[2]})
-    b = WeylForm(geom, REF_CAP, {(k, alpha[::-1], ()): jet * (k + 2)
-                                 for (k, alpha, _), jet in a.terms.items()})
+    zero_forms = WeylForm(geom, {key: jet for key, jet in a.terms.items()
+                                 if not key[2]})
+    b = WeylForm(geom, {(k, alpha[::-1], ()): jet * (k + 2)
+                        for (k, alpha, _), jet in a.terms.items()})
     for x, y in ((zero_forms, b), (b, zero_forms), (b, b)):
-        sym = symbol_mul(x, y, REF_CAP // 2)
+        # k <= 1 and |alpha| <= 3 on each side: the symbol reaches hbar^5
+        sym = symbol_mul(x, y, 5)
         zero = (0,) * geom.dim
-        got = WeylForm(geom, REF_CAP,
-                       {(k, zero, ()): jet for k, jet in sym.items()})
+        got = WeylForm(geom, {(k, zero, ()): jet for k, jet in sym.items()})
         assert got.agrees_with(scalar_part(weyl_mul(x, y)))
