@@ -125,8 +125,9 @@ class _Parser:
             k = _int(val, pos)
             # a^k has about k times the bits of a's denominator or of the
             # numerators of its constant term, whichever are longer
-            c = a.terms[0][2:] if a.terms and not a.terms[0][0] else (0, 0)
-            if k * max(a.den, *map(abs, c)).bit_length() > MAX_POWER_BITS:
+            c = a.constant_term * a.den   # its numerators over a.den
+            if (k * max(a.den, abs(c.re_num), abs(c.im_num)).bit_length()
+                    > MAX_POWER_BITS):
                 raise ParseError(f"power too large: coefficients would pass "
                                  f"{MAX_POWER_BITS} bits", pos)
             return a ** k

@@ -105,6 +105,11 @@ def _geometry_validity(geom):
     return min(orders)
 
 
+def _check_order(n):
+    if n < 0:
+        raise FedosovError(f"hbar order {n} is negative")
+
+
 def solve_r(geom, n_hbar):
     """Solve the flatness equation for r_3 ... r_(2N+1).
 
@@ -155,6 +160,7 @@ def solve_r(geom, n_hbar):
     ``solve-n2`` benchmark's) has ``{4: 209}``.  At N = 0 no r_w is
     solved and the residual is -Rhat, at weight 2.
     """
+    _check_order(n_hbar)
     if _geometry_validity(geom) < 2 * n_hbar + 3:
         raise FedosovError(
             f"geometry jets need valid_order >= {2 * n_hbar + 3} "
@@ -236,8 +242,7 @@ def flat_section(f, state, n_hbar=None):
     if f.chart != geom.chart:
         raise ChartMismatch("observable lives on a different chart")
     n = state.n_hbar if n_hbar is None else n_hbar
-    if n < 0:
-        raise FedosovError(f"hbar order {n} is negative")
+    _check_order(n)
     n = min(n, state.n_hbar)
     cache = state._section_cache
     entry = cache.get(f)
@@ -320,6 +325,7 @@ def moyal_reference(f, g, geom, n_hbar):
     """
     if f.chart != geom.chart or g.chart != geom.chart:
         raise ChartMismatch("operands live on a different chart")
+    _check_order(n_hbar)
     dim = geom.dim
     oinv = {}
     for a in range(dim):

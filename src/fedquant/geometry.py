@@ -254,6 +254,16 @@ def christoffels(metric, metric_inv):
     return out
 
 
+def _lead_sign(jet):
+    """The sign that makes the first stored coefficient of ``jet`` start
+    positive: -1 when its real part is negative, or when it is imaginary
+    with a negative imaginary part; 1 otherwise, a zero jet included.  A
+    jet and its negative get opposite signs, so the sign times the jet is
+    one representative of the pair."""
+    lead = jet.leading()
+    return -1 if lead and (lead[1].re_num or lead[1].im_num) < 0 else 1
+
+
 def _curvature_of(gamma, dim):
     """R^i_{jkl} from raised Christoffel data.
 
@@ -276,8 +286,7 @@ def _curvature_of(gamma, dim):
     interned = {}                    # jet up to sign -> its index
     ref = {}                         # gamma key -> (index, sign)
     for key, g in gamma.items():
-        t = g.terms
-        sign = -1 if t and (t[0][2] or t[0][3]) < 0 else 1
+        sign = _lead_sign(g)
         ref[key] = (interned.setdefault(g if sign > 0 else -g,
                                         len(interned)), sign)
     jets = list(interned)
@@ -315,8 +324,8 @@ def lift_cotangent(metric, order):
     """Lift the Levi-Civita connection of a base metric to phase space.
 
     ``metric`` is a symmetric n x n matrix of jets on a base chart in the
-    position variables only; an asymmetric one, or one with a non-real
-    coefficient, raises ``GeometryError``.
+    position variables only; one that is not n x n, an asymmetric one,
+    or one with a non-real coefficient raises ``GeometryError``.
     The result is a 2n-chart with Darboux omega whose
     connection is torsion-free, symplectic, and reproduces the base
     connection on position indices; its momentum-valued block is exactly
@@ -333,6 +342,8 @@ def lift_cotangent(metric, order):
     base_chart = metric[0][0].chart
     if base_chart.dim != n:
         raise GeometryError("metric must live on an n-variable base chart")
+    if any(len(row) != n for row in metric):
+        raise GeometryError(f"metric is not an {n} x {n} matrix")
     for a, b in combinations(range(n), 2):
         if not metric[a][b].agrees_with(metric[b][a]):
             raise GeometryError(f"metric is not symmetric: metric[{a}][{b}] "

@@ -274,6 +274,15 @@ class Jet:
             return CRat.from_ints(terms[0][2], terms[0][3], self.den)
         return ZERO
 
+    def leading(self):
+        """``(alpha, CRat)`` of the first stored term, the lowest in
+        (degree, alpha) order, or None for a zero jet."""
+        if not self.terms:
+            return None
+        _, key, re, im = self.terms[0]
+        return (unpack_key(key, self.chart.dim),
+                CRat.from_ints(re, im, self.den))
+
     def agrees_with(self, other):
         """Exact coefficient equality up to the shared order."""
         self._check_chart(other)
@@ -404,18 +413,11 @@ class Jet:
         c0 = self.constant_term
         if not c0:
             raise DomainError("cannot invert a jet with zero constant term")
-        v = self.valid_order
-        inv = ONE / c0
-        u = (self - c0) * inv      # u has no constant term
-        t = Jet.constant(self.chart, 1, v)
-        acc = JetSum()
-        acc.add(t, s=inv)
-        for _ in range(v):
-            t = -(t * u)
-            if t.is_zero():
-                break
-            acc.add(t, s=inv)
-        return acc.jet()
+        # 1/(c0 + u) = sum_k (-1)^k u^k / c0^(k+1)
+        coeffs = [ONE / c0]
+        for _ in range(self.valid_order):
+            coeffs.append(coeffs[-1] / -c0)
+        return _compose_series(self, coeffs)
 
     def conjugate(self):
         """Formal conjugation: swap paired variables, conjugate coefficients."""
@@ -447,6 +449,28 @@ class Jet:
         return Jet._make(chart, self.valid_order, self.den, tuple(out))
 
     # -- chart surgery ----------------------------------------------------
+
+    def split(self, head):
+        """``{exponents of the variables from head on: coefficient jet on
+        the first head variables}``.
+
+        A piece of tail degree d collects the total-degree k + d
+        coefficients at head degree k, so its validity drops by d: the top
+        head degrees of a high-tail-degree piece fall outside this jet's
+        truncation.
+        """
+        dim = self.chart.dim
+        sub = Chart(self.chart.names[:head], self.chart.base[:head])
+        pieces = {}
+        for d, key, re, im in self.terms:
+            alpha = unpack_key(key, dim)
+            tail = alpha[head:]
+            pieces.setdefault(tail, []).append(
+                (d - sum(tail), pack_key(alpha[:head]), re, im))
+        # a fixed tail keeps the (degree, alpha) order of the terms
+        return {tail: Jet.from_terms(sub, self.valid_order - sum(tail),
+                                     self.den, terms)
+                for tail, terms in pieces.items()}
 
     def restrict(self, indices):
         """Project onto a sub-chart; fails if the jet depends on dropped vars."""
@@ -596,16 +620,25 @@ class JetSum:
         return Jet.from_terms(self.chart, self.valid_order, self.den, terms)
 
 
-def product_vanishes(a, b):
-    """Whether the truncated product a*b is exactly zero, without forming it.
+def product_vanishes(a, b, c=None):
+    """Whether the truncated product a*b, times c when given, is exactly
+    zero, without forming it.
 
     Jets are polynomials over a field, so the lowest homogeneous part of a
-    product is the product of the lowest parts: a*b vanishes exactly when
-    a factor does or their lowest degrees add up past the shared validity.
+    product is the product of the lowest parts: a product vanishes exactly
+    when a factor does or their lowest degrees add up past the shared
+    validity.
     """
     if not a.terms or not b.terms:
         return True
-    return a.terms[0][0] + b.terms[0][0] > min(a.valid_order, b.valid_order)
+    low = a.terms[0][0] + b.terms[0][0]
+    v = min(a.valid_order, b.valid_order)
+    if c is not None:
+        if not c.terms:
+            return True
+        low += c.terms[0][0]
+        v = min(v, c.valid_order)
+    return low > v
 
 
 def jet_maps_agree(a, b):
@@ -624,39 +657,56 @@ def jet_maps_agree(a, b):
 
 # -- elementary functions --------------------------------------------------
 
-def _compose_series(a, series_coeffs):
-    """sum_k c_k * a^k truncated; a must have zero constant term."""
+def _compose_series(a, coeffs):
+    """sum_k c_k (a - a_0)^k, truncated, with a_0 the constant term of a;
+    ``coeffs`` holds c_0 ... c_v for v = a.valid_order.  Every power
+    series of a jet is summed here."""
+    c0 = a.constant_term
+    u = a - c0 if c0 else a
     v = a.valid_order
     acc = JetSum()
-    acc.add(Jet.constant(a.chart, series_coeffs[0], v))
+    acc.add(Jet.constant(a.chart, coeffs[0], v))
     p = Jet.constant(a.chart, 1, v)
-    for k in range(1, min(v, len(series_coeffs) - 1) + 1):
-        p = p * a
+    for ck in coeffs[1:]:
+        p = p * u
         if p.is_zero():
             break
-        ck = series_coeffs[k]
         if ck:
             acc.add(p, s=ck)
     return acc.jet()
 
 
-def jet_exp(a):
+def _cyclic_series(name, a, derivs):
+    """sum_k d_k a^k / k! for a function whose derivatives at 0 cycle
+    through ``derivs``, d_k = derivs[k % len(derivs)]."""
     if a.constant_term:
-        raise DomainError("exp needs a zero constant term to stay rational")
-    fact = [Fraction(1)]
-    for k in range(1, a.valid_order + 1):
-        fact.append(fact[-1] / k)
-    return _compose_series(a, fact)
+        raise DomainError(f"{name} needs a zero constant term to stay "
+                          "rational")
+    coeffs, f = [], Fraction(1)
+    for k in range(a.valid_order + 1):
+        if k:
+            f /= k
+        coeffs.append(f * derivs[k % len(derivs)])
+    return _compose_series(a, coeffs)
+
+
+def jet_exp(a):
+    return _cyclic_series("exp", a, (1,))
+
+
+def jet_sin(a):
+    return _cyclic_series("sin", a, (0, 1, 0, -1))
+
+
+def jet_cos(a):
+    return _cyclic_series("cos", a, (1, 0, -1, 0))
 
 
 def jet_log(a):
     if a.constant_term != ONE:
         raise DomainError("log needs constant term 1 to stay rational")
-    u = a - ONE
-    coeffs = [Fraction(0)]
-    for k in range(1, a.valid_order + 1):
-        coeffs.append(Fraction((-1) ** (k + 1), k))
-    return _compose_series(u, coeffs)
+    return _compose_series(a, [Fraction(0)] + [
+        Fraction((-1) ** (k + 1), k) for k in range(1, a.valid_order + 1)])
 
 
 def jet_sqrt(a):
@@ -667,35 +717,11 @@ def jet_sqrt(a):
     if root is None:
         raise DomainError(f"constant term {c0.re} is not a rational square; "
                           "rescale coordinates to avoid irrational constants")
-    u = (a - c0) / c0
-    coeffs = [Fraction(1)]
+    # sqrt(c0 + u) = sum_k binomial(1/2, k) sqrt(c0) (u / c0)^k, with
+    # binomial(1/2, k) = binomial(1/2, k - 1) * (3/2 - k) / k
+    coeffs = [root]
     for k in range(1, a.valid_order + 1):
-        # binomial(1/2, k) by the recurrence c_k = c_{k-1} * (3/2 - k) / k
-        coeffs.append(coeffs[-1] * (Fraction(3, 2) - k) / k)
-    return _compose_series(u, coeffs) * CRat(root)
-
-
-def jet_sin(a):
-    if a.constant_term:
-        raise DomainError("sin needs a zero constant term to stay rational")
-    coeffs = []
-    f = Fraction(1)
-    for k in range(a.valid_order + 1):
-        if k:
-            f /= k
-        coeffs.append(f * (-1) ** (k // 2) if k % 2 else Fraction(0))
-    return _compose_series(a, coeffs)
-
-
-def jet_cos(a):
-    if a.constant_term:
-        raise DomainError("cos needs a zero constant term to stay rational")
-    coeffs = []
-    f = Fraction(1)
-    for k in range(a.valid_order + 1):
-        if k:
-            f /= k
-        coeffs.append(f * (-1) ** (k // 2) if k % 2 == 0 else Fraction(0))
+        coeffs.append(coeffs[-1] * (Fraction(3, 2) - k) / (k * c0.re))
     return _compose_series(a, coeffs)
 
 

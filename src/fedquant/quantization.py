@@ -13,7 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
-                   jet_maps_agree, pack_key, unpack_key)
+                   jet_maps_agree)
 from .rational import I
 from .weyl import sub_degrees
 from .geometry import christoffels, _curvature_of
@@ -64,6 +64,9 @@ class DiffOp:
         for idx, series in terms.items():
             if len(idx) != chart.dim:
                 raise QuantizationError("derivative index does not match chart")
+            if min(idx, default=0) < 0:
+                raise QuantizationError(
+                    f"derivative index {tuple(idx)} has a negative entry")
             if not series.is_zero():
                 clean[tuple(idx)] = series
         self.terms = clean
@@ -75,6 +78,9 @@ class DiffOp:
 
     @classmethod
     def deriv(cls, chart, i, coeff, hbar_power):
+        if not 0 <= i < chart.dim:
+            raise QuantizationError(f"derivative variable {i} is outside "
+                                    f"the chart")
         e = tuple(1 if k == i else 0 for k in range(chart.dim))
         return cls(chart, {e: HbarSeries({hbar_power: coeff})})
 
@@ -204,18 +210,7 @@ def fiber_decompose(f, geom):
     """
     if f.chart != geom.chart:
         raise ChartMismatch("observable lives on a different chart")
-    n = geom.n
-    sub = config_chart(geom)
-    dim = f.chart.dim
-    pieces = {}
-    for d, key, re, im in f.terms:
-        alpha = unpack_key(key, dim)
-        fib = alpha[n:]
-        pieces.setdefault(fib, []).append(
-            (d - sum(fib), pack_key(alpha[:n]), re, im))
-    # a fixed fiber part keeps the (degree, alpha) order of f's terms
-    return {fib: Jet.from_terms(sub, f.valid_order - sum(fib), f.den, terms)
-            for fib, terms in pieces.items()}
+    return f.split(geom.n)
 
 
 def _attach_fiber(c_full, geom, fib):
@@ -506,10 +501,11 @@ def kinetic_alpha(geom, state):
     jet = series.coeffs[2]
     shared = min(jet.valid_order, curv.valid_order)
     # the lowest-degree term of the curvature, if it is certified
-    if curv.is_zero() or curv.terms[0][0] > shared:
+    lead = curv.leading()
+    if lead is None or sum(lead[0]) > shared:
         raise QuantizationError("scalar curvature vanishes through the "
                                 "certified order; cannot normalize")
-    pivot = unpack_key(curv.terms[0][1], curv.chart.dim)
+    pivot = lead[0]
     alpha = jet.coefficient(pivot) / curv.coefficient(pivot)
     if not alpha.is_real:
         raise QuantizationError("curvature coefficient is not real")

@@ -62,14 +62,14 @@ def random_p_polynomial(rng, chart, n, order, p_degree=3, q_degree=3,
     return Jet(chart, order, order, coeffs)
 
 
-def random_darboux_gamma(rng, n, order, terms=8):
+def random_darboux_gamma(rng, n, order):
     """Fully symmetric lowered Christoffel jets on a Darboux chart.
 
-    Generated as third partials of one random scalar, which makes the
-    total symmetry automatic.
+    Generated as third partials of one random scalar of 8 draws of degree
+    at most 5, which makes the total symmetry automatic.
     """
     chart = phase_chart(n)
-    s = random_polynomial(rng, chart, order + 3, degree=5, terms=terms)
+    s = random_polynomial(rng, chart, order + 3, degree=5, terms=8)
     dim = 2 * n
     out = {}
     for i in range(dim):
@@ -85,24 +85,24 @@ def random_darboux_gamma(rng, n, order, terms=8):
     return out
 
 
-def random_metric(rng, n, order, base=None, degree=3, terms=3):
+def random_metric(rng, n, order):
     """Identity plus a sparse symmetric perturbation vanishing at the base.
 
-    The perturbation has no constant term, so the matrix is invertible at
-    the base point regardless of the draw.
+    The base point is q_k = k/(k + 2), k = 1 ... n, and each entry draws 3
+    monomials of degree 1 to 3.  The perturbation has no constant term, so
+    the matrix is invertible at the base point regardless of the draw.
     """
-    if base is None:
-        base = tuple(Fraction(k + 1, k + 3) for k in range(n))
-    chart = Chart(tuple(f"q{i+1}" for i in range(n)), tuple(base))
+    chart = Chart(tuple(f"q{i+1}" for i in range(n)),
+                  tuple(Fraction(k + 1, k + 3) for k in range(n)))
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             coeffs = {}
             if i == j:
                 coeffs[(0,) * n] = Fraction(1)
-            for _ in range(terms):
+            for _ in range(3):
                 alpha = [0] * n
-                for _ in range(rng.randint(1, degree)):
+                for _ in range(rng.randint(1, 3)):
                     alpha[rng.randrange(n)] += 1
                 key = tuple(alpha)
                 coeffs[key] = coeffs.get(key, 0) + \
@@ -113,9 +113,10 @@ def random_metric(rng, n, order, base=None, degree=3, terms=3):
     return rows
 
 
-def sphere_metric(order, base=(Fraction(1, 2), Fraction(1, 3))):
-    """Round-sphere metric 4 delta_ij / (1 + x^2 + y^2)^2 about a point."""
-    chart = Chart(("q1", "q2"), tuple(base))
+def sphere_metric(order):
+    """Round-sphere metric 4 delta_ij / (1 + x^2 + y^2)^2 about the point
+    (1/2, 1/3)."""
+    chart = Chart(("q1", "q2"), (Fraction(1, 2), Fraction(1, 3)))
     x = Jet.variable(chart, 0, order)
     y = Jet.variable(chart, 1, order)
     conf = Jet.constant(chart, 1, order) + x * x + y * y
@@ -124,15 +125,16 @@ def sphere_metric(order, base=(Fraction(1, 2), Fraction(1, 3))):
     return [[fac, zero], [zero, fac]]
 
 
-def random_kaehler_potential(rng, n, order, terms=3, degree=4):
+def random_kaehler_potential(rng, n, order):
     """Real potential: flat part plus sparse conjugation-symmetric terms.
 
-    Perturbation monomials have total degree at least three, which keeps
-    the mixed Hessian invertible at the base point, and the first draw is
-    forced to mix a variable with its conjugate so the curvature is
-    nonzero.  For n > 1 each monomial stays within one conjugate pair:
-    that keeps the inverse Hessian sparse enough for exact arithmetic at
-    the top working orders, while the n = 1 draws remain generic.
+    There are max(3, n) perturbation monomials, of total degree 3 or 4,
+    which keeps the mixed Hessian invertible at the base point, and the
+    first draw is forced to mix a variable with its conjugate so the
+    curvature is nonzero.  For n > 1 each monomial stays within one
+    conjugate pair: that keeps the inverse Hessian sparse enough for exact
+    arithmetic at the top working orders, while the n = 1 draws remain
+    generic.
     """
     chart = complex_chart(n)
     coeffs = {}
@@ -147,13 +149,13 @@ def random_kaehler_potential(rng, n, order, terms=3, degree=4):
         coeffs[key] = coeffs.get(key, 0) + c
         coeffs[conj_key] = coeffs.get(conj_key, 0) + c
 
-    for t in range(max(terms, n)):
+    for t in range(max(3, n)):
         alpha = [0] * n
         beta = [0] * n
         block = t % n if n > 1 else 0
         alpha[block] += 1
         beta[block] += 1
-        extra = rng.randint(1, degree - 2)
+        extra = rng.randint(1, 2)
         for _ in range(extra):
             if n > 1:
                 slot = block

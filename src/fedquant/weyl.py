@@ -342,8 +342,7 @@ def _pairing(geom, alpha_a, alpha_b):
         if pairing.is_constant():
             out = pairing.constant_term, None
         else:
-            _, _, re, im = pairing.terms[0]
-            content = CRat.from_ints(re, im, pairing.den)
+            content = pairing.leading()[1]
             primitive = pairing * (1 / content)
             primitives = geom._cache.setdefault("primitives", {})
             out = content, primitives.setdefault(primitive, primitive)
@@ -382,17 +381,10 @@ def symbol_mul(a, b, max_hbar):
             if k > max_hbar:
                 continue
             content, primitive = _pairing(geom, alpha_a, alpha_b)
-            if not content or product_vanishes(jet_a, jet_b):
+            if not content or product_vanishes(jet_a, jet_b, primitive):
                 continue
-            if primitive is None:
-                out[k].add(jet_a, jet_b, scale * content)
-            # not product_vanishes(jet_a * jet_b, pairing), since the
-            # lowest parts of a product multiply to a nonzero part
-            elif (jet_a.terms[0][0] + jet_b.terms[0][0]
-                  + primitive.terms[0][0]
-                  <= min(jet_a.valid_order, jet_b.valid_order,
-                         primitive.valid_order)):
-                groups[k, primitive].add(jet_a, jet_b, scale * content)
+            (out[k] if primitive is None else groups[k, primitive]).add(
+                jet_a, jet_b, scale * content)
     for (k, primitive), acc in groups.items():
         out[k].add(acc.jet(), primitive)
     sym = {k: acc.jet() for k, acc in out.items()}

@@ -16,14 +16,24 @@ A Weyl form keeps every term of a product, so the connection and the full
 pass form only the products of weight at most 2N + 2.  Lowered by
 (i/hbar), those reach weight 2N, the highest weight the tests read them
 at; the products above it would cost many times more.
+
+The jet layer owns its packed store, and it sums every power series
+through one composition.  The functions at the end are the older forms of
+those reads, straight on the store: the fiber split loop, the geometric
+series of an inverse, the five elementary series as they were written
+one by one, the three-factor vanishing test of ``symbol_mul``, the
+sign rule that interns curvature entries up to sign and the parser's
+power bound.
 """
 
 from collections import defaultdict
+from fractions import Fraction
 from itertools import permutations
 
 from fedquant.geometry import build_rhat, nabla
-from fedquant.jets import Jet, JetSum, product_vanishes
-from fedquant.rational import HALF_I
+from fedquant.jets import (Chart, DomainError, Jet, JetSum, pack_key,
+                           product_vanishes, unpack_key)
+from fedquant.rational import CRat, HALF_I, ONE, rational_sqrt
 from fedquant.weyl import (WeylForm, graded_commutator, op_delta,
                            op_delta_inv, weyl_mul)
 
@@ -165,3 +175,150 @@ def full_pass(state):
                 weyl_mul(r1, WeylForm(geom, dict(r2.terms)), sums)
     quad = WeylForm.from_sums(geom, sums)
     return op_delta_inv(rhat + nr + quad), op_delta(r) - rhat - nr - quad
+
+
+# -- reads of the packed jet store ------------------------------------------
+
+def split_by_keys(f, head):
+    """{tail exponents: head jet}, one packed term at a time: a piece of
+    tail degree d keeps f's validity minus d."""
+    sub = Chart(f.chart.names[:head], f.chart.base[:head])
+    dim = f.chart.dim
+    pieces = {}
+    for d, key, re, im in f.terms:
+        alpha = unpack_key(key, dim)
+        fib = alpha[head:]
+        pieces.setdefault(fib, []).append(
+            (d - sum(fib), pack_key(alpha[:head]), re, im))
+    return {fib: Jet.from_terms(sub, f.valid_order - sum(fib), f.den, terms)
+            for fib, terms in pieces.items()}
+
+
+def first_term(f):
+    """(alpha, CRat) of the first packed term, or None."""
+    if not f.terms:
+        return None
+    return (unpack_key(f.terms[0][1], f.chart.dim),
+            CRat.from_ints(f.terms[0][2], f.terms[0][3], f.den))
+
+
+def power_bits(a):
+    """The bit length the parser's power bound multiplies by the
+    exponent: that of a's denominator or of the numerators of its constant
+    term, whichever is longer."""
+    c = a.terms[0][2:] if a.terms and not a.terms[0][0] else (0, 0)
+    return max(a.den, *map(abs, c)).bit_length()
+
+
+def symbol_pair_vanishes(jet_a, jet_b, primitive):
+    """Whether ``symbol_mul`` leaves a term pair out: the pair's product
+    vanishes, or, for a nonconstant pairing, the lowest degrees of the
+    pair and the primitive add up past the three validities."""
+    if not jet_a.terms or not jet_b.terms:
+        return True
+    if (jet_a.terms[0][0] + jet_b.terms[0][0]
+            > min(jet_a.valid_order, jet_b.valid_order)):
+        return True
+    return primitive is not None and not (
+        jet_a.terms[0][0] + jet_b.terms[0][0] + primitive.terms[0][0]
+        <= min(jet_a.valid_order, jet_b.valid_order, primitive.valid_order))
+
+
+def interning_sign(g):
+    """-1 when the first packed numerator that is nonzero, real part
+    first, is negative; 1 otherwise."""
+    t = g.terms
+    return -1 if t and (t[0][2] or t[0][3]) < 0 else 1
+
+
+def invert(a):
+    """1/a as the geometric series sum_k (-u)^k / c0, u = (a - c0) / c0."""
+    c0 = a.constant_term
+    if not c0:
+        raise DomainError("cannot invert a jet with zero constant term")
+    v = a.valid_order
+    inv = ONE / c0
+    u = (a - c0) * inv
+    t = Jet.constant(a.chart, 1, v)
+    acc = JetSum()
+    acc.add(t, s=inv)
+    for _ in range(v):
+        t = -(t * u)
+        if t.is_zero():
+            break
+        acc.add(t, s=inv)
+    return acc.jet()
+
+
+def _compose_series(a, series_coeffs):
+    """sum_k c_k * a^k truncated; a must have zero constant term."""
+    v = a.valid_order
+    acc = JetSum()
+    acc.add(Jet.constant(a.chart, series_coeffs[0], v))
+    p = Jet.constant(a.chart, 1, v)
+    for k in range(1, min(v, len(series_coeffs) - 1) + 1):
+        p = p * a
+        if p.is_zero():
+            break
+        ck = series_coeffs[k]
+        if ck:
+            acc.add(p, s=ck)
+    return acc.jet()
+
+
+def jet_exp(a):
+    if a.constant_term:
+        raise DomainError("exp needs a zero constant term to stay rational")
+    fact = [Fraction(1)]
+    for k in range(1, a.valid_order + 1):
+        fact.append(fact[-1] / k)
+    return _compose_series(a, fact)
+
+
+def jet_log(a):
+    if a.constant_term != ONE:
+        raise DomainError("log needs constant term 1 to stay rational")
+    u = a - ONE
+    coeffs = [Fraction(0)]
+    for k in range(1, a.valid_order + 1):
+        coeffs.append(Fraction((-1) ** (k + 1), k))
+    return _compose_series(u, coeffs)
+
+
+def jet_sqrt(a):
+    c0 = a.constant_term
+    if not c0.is_real or c0.re <= 0:
+        raise DomainError("sqrt needs a positive real rational constant term")
+    root = rational_sqrt(c0.re)
+    if root is None:
+        raise DomainError(f"constant term {c0.re} is not a rational square; "
+                          "rescale coordinates to avoid irrational constants")
+    u = (a - c0) / c0
+    coeffs = [Fraction(1)]
+    for k in range(1, a.valid_order + 1):
+        coeffs.append(coeffs[-1] * (Fraction(3, 2) - k) / k)
+    return _compose_series(u, coeffs) * CRat(root)
+
+
+def jet_sin(a):
+    if a.constant_term:
+        raise DomainError("sin needs a zero constant term to stay rational")
+    coeffs = []
+    f = Fraction(1)
+    for k in range(a.valid_order + 1):
+        if k:
+            f /= k
+        coeffs.append(f * (-1) ** (k // 2) if k % 2 else Fraction(0))
+    return _compose_series(a, coeffs)
+
+
+def jet_cos(a):
+    if a.constant_term:
+        raise DomainError("cos needs a zero constant term to stay rational")
+    coeffs = []
+    f = Fraction(1)
+    for k in range(a.valid_order + 1):
+        if k:
+            f /= k
+        coeffs.append(f * (-1) ** (k // 2) if k % 2 == 0 else Fraction(0))
+    return _compose_series(a, coeffs)

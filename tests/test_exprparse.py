@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from fedquant.cli import main
-from fedquant.exprparse import FUNCTIONS, ParseError, jet_of
+from fedquant.exprparse import FUNCTIONS, MAX_POWER_BITS, ParseError, jet_of
 from fedquant.jets import Chart, DomainError, Jet, JetError, jet_elem
 from fedquant.rational import CRat, I
 
@@ -30,6 +31,18 @@ def test_precedence_and_parentheses():
     assert a == b
     c = jet_of("(q1 + p1)*q1^2", CH, 5)
     assert a != c
+
+
+@pytest.mark.parametrize("base", ["q1", "5 + q1/7", "1/3 + p1", "-12 + q1",
+                                  "(3 + 4*i)/5 + q1", "2*i + q1/9"])
+def test_power_bound_reads_the_constant_numerators_over_the_denominator(
+        base):
+    """The largest exponent the bound lets through is the one the packed
+    numerators give, and one more is refused before it is computed."""
+    top = MAX_POWER_BITS // reference.power_bits(jet_of(base, CH, 2))
+    jet_of(f"({base})^{top}", CH, 2)
+    with pytest.raises(ParseError, match="power too large"):
+        jet_of(f"({base})^{top + 1}", CH, 2)
 
 
 def test_unary_minus_binds_correctly():

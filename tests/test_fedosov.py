@@ -446,6 +446,19 @@ def test_negative_section_bound_rejected():
         flat_section(observables(st)[0], st, -1)
 
 
+def test_negative_hbar_order_rejected_by_solve_and_reference():
+    """A negative order is no truncation: ``solve_r`` built r_3 at N = -1
+    and ``moyal_reference`` returned a series through hbar^-1."""
+    rng = sampling.make_rng(("darb", 0))
+    darb = build_darboux(1, sampling.random_darboux_gamma(rng, 1, 9), 9)
+    with pytest.raises(FedosovError, match="hbar order -1 is negative"):
+        solve_r(darb, -1)
+    flat = build_flat(1, 9)
+    q, p = (Jet.variable(flat.chart, i, 9) for i in range(2))
+    with pytest.raises(FedosovError, match="hbar order -1 is negative"):
+        moyal_reference(q, p, flat, -1)
+
+
 def test_low_order_star_coefficients():
     st = darboux_state("low")
     geom = st.geometry

@@ -176,7 +176,7 @@ def test_order_5_lift_reads_an_absent_curvature_entry_at_table_validity():
     degree-3 terms, which the order-9 lift has too."""
     def lift(order):
         rng = sampling.make_rng(("sweep", 2, 5, 1, 3))
-        metric = sampling.random_metric(rng, 2, order, degree=3, terms=3)
+        metric = sampling.random_metric(rng, 2, order)
         return lift_cotangent(metric, order)   # validates, or raises
 
     r_low = lift(5).curvature().r_up
@@ -239,6 +239,17 @@ def test_cotangent_rejects_asymmetric_metric():
     with pytest.raises(GeometryError, match="metric is not symmetric") as exc:
         lift_cotangent([[one, q1], [zero, one]], ORDER)
     assert not isinstance(exc.value, ValidationFailure)
+
+
+def test_cotangent_rejects_a_metric_that_is_not_square():
+    """An extra column was ignored, and a missing one raised a bare
+    IndexError."""
+    for n in (1, 2):
+        chart = Chart(tuple(f"q{i+1}" for i in range(n)), (0,) * n)
+        one = Jet.constant(chart, 1, ORDER)
+        bad = [[one, one]] if n == 1 else [[one], [one]]
+        with pytest.raises(GeometryError, match=f"not an {n} x {n} matrix"):
+            lift_cotangent(bad, ORDER)
 
 
 def test_cotangent_rejects_non_real_metric():

@@ -69,6 +69,20 @@ def test_diffop_arithmetic_rejects_foreign_operands(flat):
         op + DiffOp.identity(other, ORDER)
 
 
+def test_diffop_rejects_bad_derivative_indices(flat):
+    """A negative exponent or a variable outside the chart is no
+    derivative: ``deriv`` built the multiplication operator for one, and
+    the constructor took the other with order -1."""
+    sub = config_chart(flat)
+    c = Jet.constant(sub, 1, ORDER)
+    for i in (-1, 1, 5):
+        with pytest.raises(QuantizationError, match="outside the chart"):
+            DiffOp.deriv(sub, i, c, 1)
+    with pytest.raises(QuantizationError, match="negative entry"):
+        DiffOp(sub, {(-1,): HbarSeries({0: c})})
+    assert DiffOp.deriv(sub, 0, c, 1).order() == 1
+
+
 def test_flat_momentum_operator(flat):
     sub = config_chart(flat)
     p = Jet.variable(flat.chart, 1, ORDER)

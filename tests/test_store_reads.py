@@ -1,0 +1,135 @@
+"""The reads of a jet's packed store that other modules make through the
+jet layer (``Jet.split``, ``Jet.leading``, the three-factor
+``product_vanishes``, the interning sign of curvature entries) and the one
+power-series composition, against the older inline forms kept in
+``tests/reference.py``.  Results are compared with ``==``, validity
+included, on jets of the n = 1 and n = 2 phase charts, with complex
+coefficients, validity 0 and zero jets among the draws."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, strategies as st
+
+import reference
+from fedquant.geometry import _lead_sign, build_flat, phase_chart
+from fedquant.jets import (ChartMismatch, Jet, jet_cos, jet_exp, jet_log,
+                           jet_sin, jet_sqrt, product_vanishes)
+from fedquant.quantization import fiber_decompose
+from fedquant.rational import CRat
+
+CHARTS = {n: phase_chart(n) for n in (1, 2)}
+
+fractions = st.builds(Fraction, st.integers(-9, 9),
+                      st.sampled_from([1, 2, 3, 4, 9]))
+crats = st.builds(CRat, fractions, fractions | st.just(Fraction(0)))
+# constant terms that pass or fail each domain check: zero (the only one
+# exp, sin and cos take), one, rational squares, a negative, a non-square
+# and complex values
+constants = st.one_of(
+    st.just(CRat(0)),
+    st.sampled_from([1, Fraction(9, 4), Fraction(1, 4), -4, 2]).map(CRat),
+    crats)
+
+
+@st.composite
+def jets(draw, n, constant=None):
+    valid = draw(st.integers(0, 4))
+    dim = 2 * n
+    keys = [k for k in product(range(valid + 1), repeat=dim)
+            if sum(k) <= valid]
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), crats,
+                                  max_size=6))
+    if constant is not None:
+        coeffs[(0,) * dim] = draw(constant)
+    return Jet(CHARTS[n], valid, valid, coeffs)
+
+
+phase_jets = st.sampled_from((1, 2)).flatmap(jets)
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(phase_jets, st.data())
+def test_split_equals_the_packed_loop(f, data):
+    head = data.draw(st.integers(0, f.chart.dim))
+    assert f.split(head) == reference.split_by_keys(f, head)
+
+
+@given(phase_jets)
+def test_fiber_decompose_is_the_split_at_the_fiber(f):
+    n = f.chart.dim // 2
+    geom = build_flat(n, 4)
+    assert fiber_decompose(f, geom) == reference.split_by_keys(f, n)
+    with pytest.raises(ChartMismatch):
+        fiber_decompose(f, build_flat(3 - n, 4))
+
+
+def test_split_lowers_the_validity_by_the_tail_degree():
+    q, p = (Jet.variable(CHARTS[1], i, 5) for i in range(2))
+    pieces = (q * p * p + p + 3).split(1)
+    assert {tail: j.valid_order for tail, j in pieces.items()} \
+        == {(0,): 5, (1,): 4, (2,): 3}
+    assert pieces[(2,)] == Jet.variable(pieces[(0,)].chart, 0, 3)
+
+
+@given(phase_jets)
+def test_leading_is_the_first_stored_term(f):
+    assert f.leading() == reference.first_term(f)
+
+
+def test_leading_is_the_lowest_term_in_degree_then_index_order():
+    q, p = (Jet.variable(CHARTS[1], i, 4) for i in range(2))
+    assert (p * p * 3 + q * p - p * 2).leading() == ((0, 1), CRat(-2))
+    assert Jet.zero(CHARTS[1], 4).leading() is None
+
+
+@given(phase_jets)
+def test_interning_sign_equals_the_packed_rule(g):
+    sign = _lead_sign(g)
+    assert sign == reference.interning_sign(g)
+    assert _lead_sign(-g) == (sign if g.is_zero() else -sign)
+
+
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda n: st.tuples(jets(n), jets(n), st.none() | jets(n))))
+def test_three_factor_vanishing_equals_the_symbol_mul_test(triple):
+    a, b, p = triple
+    if p is not None and p.is_zero():
+        p = None     # a pairing primitive is never zero
+    assert product_vanishes(a, b, p) \
+        == reference.symbol_pair_vanishes(a, b, p)
+    product_ = a * b if p is None else a * b * p
+    assert product_vanishes(a, b, p) == product_.is_zero()
+
+
+def test_third_factor_counts_with_its_degree_and_its_validity():
+    q, p = (Jet.variable(CHARTS[1], i, 4) for i in range(2))
+    for c in (q * p * p, (q * 2).truncate(2)):
+        assert product_vanishes(q, p, c)
+        assert reference.symbol_pair_vanishes(q, p, c)
+    assert product_vanishes(q, p, Jet.zero(CHARTS[1], 4))
+    assert not product_vanishes(q, p, q.truncate(3))
+
+
+ELEMENTARY = [(Jet.invert, reference.invert), (jet_exp, reference.jet_exp),
+              (jet_log, reference.jet_log), (jet_sqrt, reference.jet_sqrt),
+              (jet_sin, reference.jet_sin), (jet_cos, reference.jet_cos)]
+
+
+@pytest.mark.parametrize("new, old", ELEMENTARY,
+                         ids=[old.__name__ for _, old in ELEMENTARY])
+@given(st.sampled_from((1, 2)).flatmap(
+    lambda n: jets(n, constant=constants)))
+def test_series_equal_their_own_loops(new, old, a):
+    """The value, validity included, or the domain error and its
+    message."""
+    assert outcome(new, a) == outcome(old, a)
+
