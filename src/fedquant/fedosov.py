@@ -71,6 +71,9 @@ class FedosovState:
         self.residual = residual
         self._section_cache = OrderedDict()
         self._rows = {}
+        # rho(q^gamma p^beta) by (unit monomial jet, beta, split), filled by
+        # ``quantization._rho_monomial``
+        self._rho_table = {}
 
     def _commutator_row(self, w, key):
         """(i/hbar)[r_w, t] for the unit-coefficient term t at ``key``.

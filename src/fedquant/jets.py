@@ -274,6 +274,17 @@ class Jet:
             return CRat.from_ints(terms[0][2], terms[0][3], self.den)
         return ZERO
 
+    def as_monomial(self):
+        """``(c, unit)`` for a jet of one stored term c x^alpha, where
+        ``unit`` is x^alpha with this jet's validity; None for any other
+        jet, the zero jet included."""
+        if len(self.terms) != 1:
+            return None
+        d, key, re, im = self.terms[0]
+        return (CRat.from_ints(re, im, self.den),
+                Jet._make(self.chart, self.valid_order, 1,
+                          ((d, key, 1, 0),)))
+
     def leading(self):
         """``(alpha, CRat)`` of the first stored term, the lowest in
         (degree, alpha) order, or None for a zero jet."""

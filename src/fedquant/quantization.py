@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree)
-from .rational import I
+from .rational import I, ONE
 from .weyl import sub_degrees
 from .geometry import christoffels, _curvature_of
 from .fedosov import FedosovError, star
@@ -358,7 +358,8 @@ def rho_extend(f, state, split="first"):
     rho(u) rho(w) minus the quantized corrections, where rho(u) of the
     first-order factor u = c p_{i1} is ``gq_cotangent(u)``.  Requires the
     star product's homogeneity in (p, hbar), which holds for flat charts
-    and lifted cotangent connections.
+    and lifted cotangent connections.  The state keeps each monomial
+    operator it builds (``_rho_monomial``).
     """
     geom = state.geometry
     if geom.kind not in ("flat", "cotangent"):
@@ -379,10 +380,47 @@ def rho_extend(f, state, split="first"):
 
 
 def _rho_monomial(c, fib, state, geom, split):
+    """rho(c p^fib), read from the state's table when c is one term.
+
+    Every step of ``_rho_build`` is homogeneous in c: the first-order
+    factor, its star product with the unit p^rest, the fiber pieces of
+    each correction and every operator sum are linear in c.  A product
+    is skipped when it vanishes by the lowest degrees and validities of
+    its factors, and scaling c by lambda != 0 scales every intermediate
+    jet, so a scaled jet is nonzero exactly when the original is and
+    keeps its validity.  Hence rho(lambda c p^beta) and
+    lambda rho(c p^beta) have equal stores.
+
+    So a coefficient lambda q^gamma is looked up as its unit monomial
+    q^gamma, a jet key that carries c's validity, and the entry is scaled
+    by lambda; a miss builds the entry with ``_rho_build``.  The table
+    holds at most one entry per q^gamma of degree within the chart's
+    order, validity, fiber multidegree of degree 1 ... N and split, a
+    bound set by the chart and not by the length of the query stream.
+    A coefficient of several terms, such as a dense g^{ab}, is built
+    afresh: tabling its monomials would multiply the entries, and a sum
+    whose terms cancel can carry a lower validity than its parts.
+    Degree 0 is the multiplication operator and is not tabled.
+    """
+    if not any(fib):
+        return DiffOp.mult(c)
+    mono = c.as_monomial()
+    if mono is None:
+        return _rho_build(c, fib, state, geom, split)
+    scale, unit = mono
+    table = state._rho_table
+    key = (unit, fib, split)
+    op = table.get(key)
+    if op is None:
+        op = table[key] = _rho_build(unit, fib, state, geom, split)
+    return op if scale == ONE else _diffop_sum(op.chart, ((op, scale, 0),))
+
+
+def _rho_build(c, fib, state, geom, split):
+    """rho(c p^fib) for |fib| >= 1 by star factorization
+    (``rho_extend``)."""
     sub = config_chart(geom)
     d = sum(fib)
-    if d == 0:
-        return DiffOp.mult(c)
     nz = [a for a, e in enumerate(fib) if e]
     i1 = nz[0] if split == "first" else nz[-1]
     # u = c p_i1 is affine in the momenta: rho(u) is its quantization

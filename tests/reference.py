@@ -9,8 +9,9 @@ shortcuts: ``pairing`` sums the products over every bijection,
 ``symbol_mul_by_pairs`` folds the symbol of a product one term pair at a
 time, ``full_section`` fills a section through doubled weight 2N with
 ``graded_commutator`` applied directly, ``section_defect`` applies the
-whole flat connection to a section, and ``full_pass`` recomputes the
-flatness recursion on the whole of r.
+whole flat connection to a section, ``full_pass`` recomputes the
+flatness recursion on the whole of r, and ``rho_extend`` builds every
+monomial operator by star factorization with no per-state table.
 
 A Weyl form keeps every term of a product, so the connection and the full
 pass form only the products of weight at most 2N + 2.  Lowered by
@@ -30,9 +31,14 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 
+from fedquant.fedosov import star
 from fedquant.geometry import build_rhat, nabla
 from fedquant.jets import (Chart, DomainError, Jet, JetSum, pack_key,
                            product_vanishes, unpack_key)
+from fedquant.quantization import (DiffOp, _attach_fiber, _diffop_sum,
+                                   _embed_config, config_chart,
+                                   diffop_compose, fiber_decompose,
+                                   gq_cotangent)
 from fedquant.rational import CRat, HALF_I, ONE, rational_sqrt
 from fedquant.weyl import (WeylForm, graded_commutator, op_delta,
                            op_delta_inv, weyl_mul)
@@ -175,6 +181,46 @@ def full_pass(state):
                 weyl_mul(r1, WeylForm(geom, dict(r2.terms)), sums)
     quad = WeylForm.from_sums(geom, sums)
     return op_delta_inv(rhat + nr + quad), op_delta(r) - rhat - nr - quad
+
+
+def rho_extend(f, state, split="first"):
+    """rho(f) on a flat or cotangent state, each fiber piece c p^I built
+    by ``rho_monomial``; the argument checks of the engine's
+    ``rho_extend`` are left out."""
+    geom = state.geometry
+    return _diffop_sum(config_chart(geom),
+                       ((rho_monomial(c, fib, state, geom, split), 1, 0)
+                        for fib, c in fiber_decompose(f, geom).items()))
+
+
+def rho_monomial(c, fib, state, geom, split):
+    """rho(c p^I) by star factorization, rebuilt on every call: c p^I is
+    (c p_i1) * p^(I - e_i1) minus the quantized hbar corrections."""
+    sub = config_chart(geom)
+    d = sum(fib)
+    if d == 0:
+        return DiffOp.mult(c)
+    nz = [a for a, e in enumerate(fib) if e]
+    i1 = nz[0] if split == "first" else nz[-1]
+    u = _embed_config(c, geom).mul_variable(geom.n + i1)
+    first = gq_cotangent(u, geom)
+    if d == 1:
+        return first
+    rest = list(fib)
+    rest[i1] -= 1
+    rest = tuple(rest)
+    order = geom.order
+    w = _attach_fiber(Jet.constant(geom.chart, 1, order), geom, rest)
+    s = star(u, w, state, n_hbar=d)
+    parts = [(diffop_compose(first,
+                             rho_monomial(Jet.constant(sub, 1, order), rest,
+                                          state, geom, split)), 1, 0)]
+    for j in range(1, d + 1):
+        sj = s.coefficient(j)
+        if not sj.is_zero():
+            parts.extend((rho_monomial(cc, fb, state, geom, split), -1, j)
+                         for fb, cc in fiber_decompose(sj, geom).items())
+    return _diffop_sum(sub, parts)
 
 
 # -- reads of the packed jet store ------------------------------------------

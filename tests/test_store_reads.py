@@ -1,8 +1,8 @@
 """The reads of a jet's packed store that other modules make through the
-jet layer (``Jet.split``, ``Jet.leading``, the three-factor
-``product_vanishes``, the interning sign of curvature entries) and the one
-power-series composition, against the older inline forms kept in
-``tests/reference.py``.  Results are compared with ``==``, validity
+jet layer (``Jet.split``, ``Jet.leading``, ``Jet.as_monomial``, the
+three-factor ``product_vanishes``, the interning sign of curvature
+entries) and the one power-series composition, against the older inline
+forms kept in ``tests/reference.py`` or the ``coeffs`` view.  Results are compared with ``==``, validity
 included, on jets of the n = 1 and n = 2 phase charts, with complex
 coefficients, validity 0 and zero jets among the draws."""
 
@@ -89,6 +89,21 @@ def test_leading_is_the_lowest_term_in_degree_then_index_order():
     q, p = (Jet.variable(CHARTS[1], i, 4) for i in range(2))
     assert (p * p * 3 + q * p - p * 2).leading() == ((0, 1), CRat(-2))
     assert Jet.zero(CHARTS[1], 4).leading() is None
+
+
+@given(phase_jets)
+def test_as_monomial_is_the_one_stored_term(f):
+    """A one-term jet is its coefficient times a unit monomial of the same
+    validity; any other jet, zero included, is no monomial."""
+    mono = f.as_monomial()
+    if len(f.coeffs) != 1:
+        assert mono is None
+        return
+    c, unit = mono
+    ((alpha, value),) = f.coeffs.items()
+    assert c == value
+    assert unit == Jet(f.chart, f.valid_order, f.valid_order, {alpha: 1})
+    assert unit * c == f
 
 
 @given(phase_jets)
