@@ -75,26 +75,33 @@ class FedosovState:
         # ``quantization._rho_monomial``
         self._rho_table = {}
 
-    def _commutator_row(self, w, key):
-        """(i/hbar)[r_w, t] for the unit-coefficient term t at ``key``.
+    def add_commutator(self, w, part, acc, max_level):
+        """Accumulate (i/hbar)[r_w, part] into ``acc``, a
+        ``defaultdict(JetSum)`` keyed by term; products that vanish are
+        skipped, and so are terms whose level k + |alpha| exceeds
+        ``max_level``.
 
         r is fixed, so the commutator with its weight-w part is a linear
-        map over jets; each row is filled once and returned as a tuple of
-        (level, output key, jet) triples, the level being k + |alpha| of
-        the output key.
+        map over jets.  Its row at a term key, the commutator with the
+        unit-coefficient term there, is filled once and kept as a tuple of
+        (level, output key, jet) triples.
         """
-        row = self._rows.get((w, key))
-        if row is None:
-            geom = self.geometry
-            unit = WeylForm(
-                geom, {key: Jet.constant(geom.chart, 1, geom.order)})
-            sums = graded_commutator(self.r_parts[w], unit,
-                                     defaultdict(JetSum))
-            row = tuple((k + sum(alpha), (k, alpha, beta), jet)
-                        for (k, alpha, beta), jet in WeylForm.from_sums(
-                            geom, sums).terms.items())
-            self._rows[(w, key)] = row
-        return row
+        rows = self._rows
+        for key, jet in part.terms.items():
+            row = rows.get((w, key))
+            if row is None:
+                geom = self.geometry
+                unit = WeylForm(
+                    geom, {key: Jet.constant(geom.chart, 1, geom.order)})
+                sums = graded_commutator(self.r_parts[w], unit,
+                                         defaultdict(JetSum))
+                row = rows[w, key] = tuple(
+                    (k + sum(alpha), (k, alpha, beta), unit_jet)
+                    for (k, alpha, beta), unit_jet
+                    in WeylForm.from_sums(geom, sums).terms.items())
+            for level, out_key, row_jet in row:
+                if level <= max_level and not product_vanishes(jet, row_jet):
+                    acc[out_key].add(jet, row_jet)
 
     def __repr__(self):
         return f"FedosovState(N={self.n_hbar})"
@@ -272,7 +279,7 @@ def _fill_section(f, state, n):
             s2 = s + 2 - w
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
-                add_commutator(state, w, parts[s2], sums, n - 1)
+                state.add_commutator(w, parts[s2], sums, n - 1)
         nxt = op_delta_inv(WeylForm.from_sums(geom, sums))
         if not nxt.is_zero():
             parts[s + 1] = nxt
@@ -285,17 +292,6 @@ def _restrict_level(form, lim):
     return WeylForm(form.geometry,
                     {key: jet for key, jet in form.terms.items()
                      if key[0] + sum(key[1]) <= lim})
-
-
-def add_commutator(state, w, part, acc, max_level):
-    """Accumulate (i/hbar)[r_w, part] from the state's rows into ``acc``,
-    a ``defaultdict(JetSum)`` keyed by term; products that vanish are
-    skipped, and so are terms whose level k + |alpha| exceeds
-    ``max_level``."""
-    for key, jet in part.terms.items():
-        for level, out_key, row_jet in state._commutator_row(w, key):
-            if level <= max_level and not product_vanishes(jet, row_jet):
-                acc[out_key].add(jet, row_jet)
 
 
 def star(f, g, state, n_hbar=None):

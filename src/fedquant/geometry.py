@@ -120,8 +120,11 @@ class ChartGeometry:
     # -- derived data (memoized) -----------------------------------------
 
     def curvature(self):
+        """The ``CurvatureData`` of the connection, computed once."""
         if "curvature" not in self._cache:
-            self._cache["curvature"] = curvature(self)
+            r_up = _curvature_of(self.gamma, self.dim)
+            self._cache["curvature"] = CurvatureData(
+                r_up, _contract_first(self.omega, r_up))
         return self._cache["curvature"]
 
     def validation(self):
@@ -490,11 +493,6 @@ def complex_chart(n, base_z=None):
 
 
 # -- curvature -------------------------------------------------------------
-
-def curvature(geom):
-    r_up = _curvature_of(geom.gamma, geom.dim)
-    return CurvatureData(r_up, _contract_first(geom.omega, r_up))
-
 
 def build_rhat(geom):
     """-1/4 R_{ijkl} y^i y^j dx^k wedge dx^l as a WeylForm."""

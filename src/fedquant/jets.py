@@ -397,21 +397,28 @@ class Jet:
         return Jet.from_terms(self.chart, self.valid_order - 1, self.den,
                               out)
 
-    def mul_variable(self, var):
-        """Multiply by a displacement variable; gains one order of validity.
+    def mul_monomial(self, alpha):
+        """Multiply by the monomial x^alpha; gains |alpha| orders of
+        validity.
 
-        The variable is exact and of degree one, so each certified
-        coefficient just moves up one degree: unlike a generic product,
-        nothing is truncated away and the certified order rises.
+        The monomial is exact, so each certified coefficient just moves up
+        |alpha| degrees, its key by ``pack_key(alpha)``: unlike a generic
+        product, nothing is truncated away and the certified order rises.
         """
+        _check_index(alpha, self.chart.dim)
+        d, step = sum(alpha), pack_key(alpha)
+        return Jet._make(self.chart, self.valid_order + d, self.den, tuple(
+            (e + d, key + step, re, im) for e, key, re, im in self.terms))
+
+    def mul_variable(self, var):
+        """``mul_monomial`` by one displacement variable."""
         _, step = self._field(var)
-        out = tuple((d + 1, key + step, re, im)
-                    for d, key, re, im in self.terms)
-        return Jet._make(self.chart, self.valid_order + 1, self.den, out)
+        return self.mul_monomial(unpack_key(step, self.chart.dim))
 
     def _field(self, var):
         """The shift of ``var``'s key field, and the key step that raises
-        its exponent (and so the degree) by one."""
+        its exponent (and so the degree) by one: the ``pack_key`` of its
+        unit multi-index."""
         dim = self.chart.dim
         i = self.chart.index(var) if isinstance(var, str) else var
         if not 0 <= i < dim:

@@ -213,15 +213,6 @@ def fiber_decompose(f, geom):
     return f.split(geom.n)
 
 
-def _attach_fiber(c_full, geom, fib):
-    """c(q) p^I as an exact product; keeps c's certified order per degree."""
-    out = c_full
-    for a, e in enumerate(fib):
-        for _ in range(e):
-            out = out.mul_variable(geom.n + a)
-    return out
-
-
 def _embed_config(jet, geom):
     return jet.embed(geom.chart, tuple(range(geom.n)))
 
@@ -428,11 +419,9 @@ def _rho_build(c, fib, state, geom, split):
     first = gq_cotangent(u, geom)
     if d == 1:
         return first
-    rest = list(fib)
-    rest[i1] -= 1
-    rest = tuple(rest)
+    rest = tuple(e - (a == i1) for a, e in enumerate(fib))
     order = geom.order
-    w = _attach_fiber(Jet.constant(geom.chart, 1, order), geom, rest)
+    w = Jet.constant(geom.chart, 1, order).mul_monomial((0,) * geom.n + rest)
     s = star(u, w, state, n_hbar=d)
     # rho(u) rho(w) minus the quantized hbar^j corrections
     parts = [(diffop_compose(first,
@@ -503,8 +492,8 @@ def kinetic_energy_observable(geom):
     acc = JetSum()
     for a in range(n):
         for b in range(n):
-            gab = _embed_config(ginv[a][b], geom)
-            acc.add(gab.mul_variable(n + a).mul_variable(n + b))
+            acc.add(_embed_config(ginv[a][b], geom).mul_monomial(
+                [0] * n + [(k == a) + (k == b) for k in range(n)]))
     return acc.jet()
 
 
@@ -515,6 +504,8 @@ def kinetic_alpha(geom, state):
     the residual after removing -h^2 Delta must be a pure hbar^2
     multiplication operator proportional to the scalar curvature.
     """
+    if state.geometry != geom:
+        raise QuantizationError("the state was solved on another geometry")
     ke = kinetic_energy_observable(geom)
     op = rho_extend(ke, state)
     # op + hbar^2 Delta

@@ -486,16 +486,6 @@ def weyl_quantize(geom, fib_coeffs, base_ops):
     return _diffop_sum(sub, terms)
 
 
-def _monomial_jet(geom, mono):
-    """q^beta p^fib as a jet, for ``mono`` = (beta, fib)."""
-    beta, fib = mono
-    out = Jet.constant(geom.chart, 1, geom.order)
-    for i, e in enumerate(beta + fib):
-        for _ in range(e):
-            out = out.mul_variable(i)
-    return out
-
-
 def _as_monomials(jet, geom):
     """Exact monomial expansion {(beta, fib): coefficient} of a jet."""
     n = geom.n
@@ -530,8 +520,9 @@ def flat_reps_suite(order=11, seed=0):
         sub = config_chart(geom)
         base_ops = [DiffOp.deriv(sub, 0, Jet.constant(sub, scale, order), 1)]
         for mono1, mono2 in monomials:
-            f = _monomial_jet(geom, mono1)
-            g = _monomial_jet(geom, mono2)
+            # q^beta p^fib for each (beta, fib)
+            f, g = (Jet.constant(geom.chart, 1, order).mul_monomial(b + p)
+                    for b, p in (mono1, mono2))
             of = weyl_quantize(geom, {mono1: CRat(1)}, base_ops)
             og = weyl_quantize(geom, {mono2: CRat(1)}, base_ops)
             lhs = diffop_compose(of, og)

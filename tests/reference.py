@@ -35,10 +35,9 @@ from fedquant.fedosov import star
 from fedquant.geometry import build_rhat, nabla
 from fedquant.jets import (Chart, DomainError, Jet, JetSum, pack_key,
                            product_vanishes, unpack_key)
-from fedquant.quantization import (DiffOp, _attach_fiber, _diffop_sum,
-                                   _embed_config, config_chart,
-                                   diffop_compose, fiber_decompose,
-                                   gq_cotangent)
+from fedquant.quantization import (DiffOp, _diffop_sum, _embed_config,
+                                   config_chart, diffop_compose,
+                                   fiber_decompose, gq_cotangent)
 from fedquant.rational import CRat, HALF_I, ONE, rational_sqrt
 from fedquant.weyl import (WeylForm, graded_commutator, op_delta,
                            op_delta_inv, weyl_mul)
@@ -210,7 +209,7 @@ def rho_monomial(c, fib, state, geom, split):
     rest[i1] -= 1
     rest = tuple(rest)
     order = geom.order
-    w = _attach_fiber(Jet.constant(geom.chart, 1, order), geom, rest)
+    w = Jet.constant(geom.chart, 1, order).mul_monomial((0,) * geom.n + rest)
     s = star(u, w, state, n_hbar=d)
     parts = [(diffop_compose(first,
                              rho_monomial(Jet.constant(sub, 1, order), rest,

@@ -16,8 +16,8 @@ from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                omega_pair, poisson)
 from fedquant import fedosov
 from fedquant.fedosov import (SECTION_CACHE_SIZE, FedosovError, FedosovState,
-                              add_commutator, check_flatness, flat_section,
-                              moyal_reference, solve_r, star)
+                              check_flatness, flat_section, moyal_reference,
+                              solve_r, star)
 from fedquant import sampling
 from fedquant.suites import _CHARTS, _r3_oracle, _r4_oracle
 from reference import (connection, count_by_weight, full_pass, full_section,
@@ -343,7 +343,7 @@ def test_commutator_rows_match_graded_commutator(kind_state):
                 continue
             acc = defaultdict(JetSum)
             # no level bound: a level is at most the weight, here 2N
-            add_commutator(st, w, part, acc, 2 * st.n_hbar)
+            st.add_commutator(w, part, acc, 2 * st.n_hbar)
             assert WeylForm.from_sums(geom, acc) \
                 == WeylForm.from_sums(geom, graded_commutator(
                     rp, part, defaultdict(JetSum)))

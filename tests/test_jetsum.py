@@ -203,12 +203,17 @@ def test_unary_operations_match_pairwise_fractions(j, data):
     chart, dim = j.chart, j.chart.dim
     i = data.draw(st.integers(0, dim - 1))
     k = data.draw(st.integers(0, j.valid_order))
+    alpha = data.draw(st.tuples(*[st.integers(0, 2)] * dim))
     view = j.coeffs
     cases = [
         (j.truncate(k), from_view(chart, k, view)),
         (j.mul_variable(i),
          from_view(chart, j.valid_order + 1,
                    {shifted(a, i, 1): c for a, c in view.items()})),
+        (j.mul_monomial(alpha),
+         from_view(chart, j.valid_order + sum(alpha),
+                   {tuple(x + y for x, y in zip(a, alpha)): c
+                    for a, c in view.items()})),
         (j.conjugate(),
          from_view(chart, j.valid_order,
                    {tuple(a[p] for p in chart.conj): c.conjugate()
@@ -375,3 +380,5 @@ def test_orders_and_multi_indices_are_bounded():
             Jet(chart, 3, 3, {bad: 1})
         with pytest.raises(JetError):
             top.coefficient(bad)
+        with pytest.raises(JetError):
+            top.mul_monomial(bad)

@@ -163,6 +163,17 @@ def test_half_form_scalar_curvature_coefficient(sphere):
     assert kinetic_alpha(sphere, state) == Fraction(1, 4)
 
 
+def test_kinetic_alpha_rejects_a_state_of_another_geometry():
+    """Two metric draws on one chart: the state of one cannot quantize the
+    kinetic energy of the other, and the error says so."""
+    geoms = [lift_cotangent(sampling.random_metric(
+        sampling.make_rng(("kinetic", 0, t)), 2, ORDER), ORDER)
+        for t in range(2)]
+    assert geoms[0].chart == geoms[1].chart
+    with pytest.raises(QuantizationError, match="another geometry"):
+        kinetic_alpha(geoms[0], solve_r(geoms[1], 2))
+
+
 def test_laplace_beltrami_flat_is_plain(flat):
     sub = config_chart(flat)
     q = Jet.variable(sub, 0, ORDER)
