@@ -18,7 +18,7 @@ from fractions import Fraction
 from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
 from .rational import HALF_I, ONE
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
-                   symbol_mul, weyl_mul)
+                   op_delta_inv_sums, symbol_mul, weyl_mul)
 from .geometry import build_rhat, nabla
 
 
@@ -266,7 +266,8 @@ def flat_section(f, state, n_hbar=None):
 
 def _fill_section(f, state, n):
     """The section of ``flat_section`` through hbar^n, built from
-    scratch."""
+    scratch.  Each weight's sums are read by delta^-1 alone, so they go
+    to it unfinished (``op_delta_inv_sums``)."""
     geom = state.geometry
     parts = {0: WeylForm.from_jet(geom, f)}
     for s in range(2 * n - 1):
@@ -280,7 +281,7 @@ def _fill_section(f, state, n):
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
                 state.add_commutator(w, parts[s2], sums, n - 1)
-        nxt = op_delta_inv(WeylForm.from_sums(geom, sums))
+        nxt = op_delta_inv_sums(geom, sums)
         if not nxt.is_zero():
             parts[s + 1] = nxt
     return WeylForm(geom, {key: jet for part in parts.values()

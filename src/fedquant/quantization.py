@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree)
-from .rational import I, ONE
+from .rational import I
 from .weyl import sub_degrees
 from .geometry import christoffels, _curvature_of
 from .fedosov import FedosovError, star
@@ -351,6 +351,13 @@ def rho_extend(f, state, split="first"):
     star product's homogeneity in (p, hbar), which holds for flat charts
     and lifted cotangent connections.  The state keeps each monomial
     operator it builds (``_rho_monomial``).
+
+    Each piece enters the one operator sum as an operator and a scale: a
+    table entry T of lambda q^gamma p^beta is summed as T's jets times
+    lambda.  That is store-identical to summing the jets of lambda T: the
+    exact values are the same, each jet keeps T's validity, and
+    lambda != 0 leaves no jet zero that was not, so no scaled copy of an
+    entry is built.
     """
     geom = state.geometry
     if geom.kind not in ("flat", "cotangent"):
@@ -366,26 +373,24 @@ def rho_extend(f, state, split="first"):
             f"momentum degree {deg} needs a state certified through "
             f"hbar^{deg}")
     return _diffop_sum(config_chart(geom),
-                      ((_rho_monomial(c, fib, state, geom, split), 1, 0)
+                      ((*_rho_monomial(c, fib, state, geom, split), 0)
                        for fib, c in pieces.items()))
 
 
 def _rho_monomial(c, fib, state, geom, split):
-    """rho(c p^fib), read from the state's table when c is one term.
+    """rho(c p^fib) as (operator, scale), whose product it is; the
+    operator is read from the state's table when c is one term.
 
-    Every step of ``_rho_build`` is homogeneous in c: the first-order
-    factor, its star product with the unit p^rest, the fiber pieces of
-    each correction and every operator sum are linear in c.  A product
-    is skipped when it vanishes by the lowest degrees and validities of
-    its factors, and scaling c by lambda != 0 scales every intermediate
-    jet, so a scaled jet is nonzero exactly when the original is and
-    keeps its validity.  Hence rho(lambda c p^beta) and
+    Every step of ``_rho_build`` is linear in c, and a product is skipped
+    by the lowest degrees and validities of its factors, which scaling c
+    by lambda != 0 keeps.  Hence rho(lambda c p^beta) and
     lambda rho(c p^beta) have equal stores.
 
     So a coefficient lambda q^gamma is looked up as its unit monomial
-    q^gamma, a jet key that carries c's validity, and the entry is scaled
-    by lambda; a miss builds the entry with ``_rho_build``.  The table
-    holds at most one entry per q^gamma of degree within the chart's
+    q^gamma, a jet key that carries c's validity, and the entry comes
+    back with scale lambda, for the caller's sum to apply; a miss builds
+    the entry with ``_rho_build``.  Any other operator has scale 1.  The
+    table holds at most one entry per q^gamma of degree within the chart's
     order, validity, fiber multidegree of degree 1 ... N and split, a
     bound set by the chart and not by the length of the query stream.
     A coefficient of several terms, such as a dense g^{ab}, is built
@@ -394,22 +399,23 @@ def _rho_monomial(c, fib, state, geom, split):
     Degree 0 is the multiplication operator and is not tabled.
     """
     if not any(fib):
-        return DiffOp.mult(c)
+        return DiffOp.mult(c), 1
     mono = c.as_monomial()
     if mono is None:
-        return _rho_build(c, fib, state, geom, split)
+        return _rho_build(c, fib, state, geom, split), 1
     scale, unit = mono
     table = state._rho_table
     key = (unit, fib, split)
     op = table.get(key)
     if op is None:
         op = table[key] = _rho_build(unit, fib, state, geom, split)
-    return op if scale == ONE else _diffop_sum(op.chart, ((op, scale, 0),))
+    return op, scale
 
 
 def _rho_build(c, fib, state, geom, split):
     """rho(c p^fib) for |fib| >= 1 by star factorization
-    (``rho_extend``)."""
+    (``rho_extend``); each lower operator enters the sum with its scale,
+    negated at hbar^j for the corrections."""
     sub = config_chart(geom)
     d = sum(fib)
     nz = [a for a, e in enumerate(fib) if e]
@@ -424,9 +430,9 @@ def _rho_build(c, fib, state, geom, split):
     w = Jet.constant(geom.chart, 1, order).mul_monomial((0,) * geom.n + rest)
     s = star(u, w, state, n_hbar=d)
     # rho(u) rho(w) minus the quantized hbar^j corrections
-    parts = [(diffop_compose(first,
-                             _rho_monomial(Jet.constant(sub, 1, order), rest,
-                                           state, geom, split)), 1, 0)]
+    op, scale = _rho_monomial(Jet.constant(sub, 1, order), rest, state,
+                              geom, split)
+    parts = [(diffop_compose(first, op), scale, 0)]
     for j in range(1, d + 1):
         sj = s.coefficient(j)
         if sj.is_zero():
@@ -436,8 +442,9 @@ def _rho_build(c, fib, state, geom, split):
             raise QuantizationError(
                 "star correction does not lower the momentum degree; the "
                 "connection is not homogeneous")
-        parts.extend((_rho_monomial(cc, fb, state, geom, split), -1, j)
-                     for fb, cc in sub_pieces.items())
+        for fb, cc in sub_pieces.items():
+            op, scale = _rho_monomial(cc, fb, state, geom, split)
+            parts.append((op, -scale, j))
     return _diffop_sum(sub, parts)
 
 

@@ -2,11 +2,13 @@
 
 Each case solves one seeded chart and hashes a canonical dump of r, of
 ``check_flatness``, of one full flat section (the reference fill through
-weight 2N) and of the star coefficients of two seeded observables.  A jet
-enters the dump as its key, ``valid_order``, ``den`` and ``terms`` (each
-packed monomial key unpacked to its multi-index), so any changed
-coefficient or claimed validity moves the digest.  A change that moves
-one on purpose re-pins it and says why.
+weight 2N) and of the star coefficients of two seeded observables.  The
+rho cases hash the operators ``rho_extend`` gives under both splits on
+the cotangent charts and the flat n = 1 chart.  A jet enters a dump as
+its key, ``valid_order``, ``den`` and ``terms`` (each packed monomial key
+unpacked to its multi-index), so any changed coefficient or claimed
+validity moves the digest.  A change that moves one on purpose re-pins it
+and says why.
 """
 
 import hashlib
@@ -15,7 +17,9 @@ import pytest
 
 from fedquant import sampling
 from fedquant.fedosov import check_flatness, solve_r, star
-from fedquant.jets import unpack_key
+from fedquant.jets import Jet, unpack_key
+from fedquant.quantization import kinetic_energy_observable, rho_extend
+from fedquant.rational import CRat
 from fedquant.suites import _CHARTS
 from reference import full_section, r_union
 
@@ -72,3 +76,68 @@ def canonical_dump(kind, n, order, n_hbar, tag):
 def test_outputs_match_pinned_digest(case):
     dump = canonical_dump(*case)
     assert hashlib.sha256(dump.encode()).hexdigest() == PINNED[case]
+
+
+# the charts of the rho cases, as in PINNED -> sha256 of the canonical dump
+RHO_PINNED = {
+    ("cotangent", 1, 11, 3, ("cotangent", 1, 0)):
+        "edfaabd9e1dc796e288b8dbd1585ed5087be564059e6edc1e187203ff92a732c",
+    ("cotangent", 2, 9, 2, ("cotangent", 2, 0)):
+        "5dfe114772cc731b9da3d277499fdfddd49b5165a70d0a24913f8f7bc54e5481",
+    ("flat", 1, 9, 3, ("flat", 1, 0)):
+        "52a252e7d8bc07cbc28694912944cf6cb6f2d3dd282ea6e0af6c497da75e0663",
+}
+
+
+def _operator(op):
+    return sorted((idx, k, _jet(jet)) for idx, series in op.terms.items()
+                  for k, jet in series.coeffs.items())
+
+
+def _scale(rng, complex_part):
+    """A rational outside {0, 1}, with a nonzero imaginary part when
+    ``complex_part``."""
+    re = 1
+    while re == 1:
+        re = sampling.random_rational(rng)
+    return CRat(re, sampling.random_rational(rng) if complex_part else 0)
+
+
+def rho_observables(rng, geom, n_hbar):
+    """Three observables of momentum degree at most N: one whose momentum
+    pieces are one term each, lambda q^gamma p^beta with lambda outside
+    {0, 1} (complex at degree N) and beta of each degree 0 ... N; one
+    whose pieces have several terms; and the kinetic energy."""
+    n, chart, order = geom.n, geom.chart, geom.order
+    one, several = {}, {}
+    for d in range(n_hbar + 1):
+        beta = [0] * n
+        for _ in range(d):
+            beta[rng.randrange(n)] += 1
+        gamma = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            gamma[rng.randrange(n)] += 1
+        one[tuple(gamma + beta)] = _scale(rng, d == n_hbar)
+        for _ in range(3):
+            gamma = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                gamma[rng.randrange(n)] += 1
+            key = tuple(gamma + beta)
+            several[key] = several.get(key, 0) + sampling.random_rational(rng)
+    return (Jet(chart, order, order, one), Jet(chart, order, order, several),
+            kinetic_energy_observable(geom))
+
+
+def rho_dump(kind, n, order, n_hbar, tag):
+    state = solve_r(_CHARTS[kind](sampling.make_rng(tag), n, order), n_hbar)
+    rng = sampling.make_rng(("rho digest", kind, n))
+    return repr([_operator(rho_extend(f, state, split))
+                 for f in rho_observables(rng, state.geometry, n_hbar)
+                 for split in ("first", "last")])
+
+
+@pytest.mark.parametrize("case", list(RHO_PINNED), ids=lambda c: "-".join(
+    map(str, c[:4])))
+def test_rho_operators_match_pinned_digest(case):
+    dump = rho_dump(*case)
+    assert hashlib.sha256(dump.encode()).hexdigest() == RHO_PINNED[case]

@@ -1,7 +1,7 @@
 """The per-state table of monomial operators behind ``rho_extend``.
 
 Each operator rho(q^gamma p^beta) is built once per state and split, and a
-one-term coefficient lambda q^gamma reads it scaled by lambda.  The
+one-term coefficient lambda q^gamma reads it with scale lambda.  The
 operators must be store-identical (``==`` on every coefficient jet,
 validity included) to those of the recursion with no table,
 ``reference.rho_extend``, and the table must stay within the monomials
