@@ -149,9 +149,10 @@ def solve_r(geom, n_hbar):
     The flatness certificate comes from the same sums.  Each weight keeps
     the finished jets of its nabla map and of its product map apart, zero
     jets included, so a cancelling term still lowers the validity of the
-    X_w they add up to.  Keys of different weights never meet, so the
-    unions of the nabla maps and of the product maps are nabla r and
-    (i/hbar) r o r through weight 2N.  With Rhat taken as X_2, the residual
+    X_w they add up to; X_w itself is read by delta^-1 alone, so its sums
+    go to it unfinished (``op_delta_inv_sums``).  Keys of different
+    weights never meet, so the unions of the nabla maps and of the
+    product maps are nabla r and (i/hbar) r o r through weight 2N.  With Rhat taken as X_2, the residual
 
         delta r - Rhat - nabla r - (i/hbar) r o r
 
@@ -191,7 +192,7 @@ def solve_r(geom, n_hbar):
                 done[key] = jet = acc.jet()
                 xsums[key].add(jet)
         # every term has weight w, so delta^{-1} gives weight w + 1 only
-        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, xsums))
+        parts[w + 1] = op_delta_inv_sums(geom, xsums)
     r = WeylForm(geom, {key: jet for part in parts.values()
                         for key, jet in part.terms.items()})
     nr, quad = WeylForm(geom, nr), WeylForm(geom, quad)

@@ -249,12 +249,15 @@ def christoffels(metric, metric_inv):
                     acc.add(metric[l][i].partial(j), g, half)
                     acc.add(metric[l][j].partial(i), g, half)
                     acc.add(metric[i][j].partial(l), g, -half)
-                acc = acc.jet()
-                if not acc.is_zero():
-                    out[(k, i, j)] = acc
-                    if i != j:
-                        out[(k, j, i)] = acc
+                _store_symmetric(out, k, i, j, acc.jet())
     return out
+
+
+def _store_symmetric(gamma, k, i, j, jet):
+    """Store a torsion-free Gamma^k_ij at (k, i, j) and then at (k, j, i),
+    unless it is None or zero: an absent entry reads as an exact zero."""
+    if jet is not None and not jet.is_zero():
+        gamma[(k, i, j)] = gamma[(k, j, i)] = jet
 
 
 def _lead_sign(jet):
@@ -379,8 +382,7 @@ def lift_cotangent(metric, order):
                 val = gt.get((c, a, b))
                 if val is None:
                     continue
-                gamma[(n + a, b, n + c)] = -val
-                gamma[(n + a, n + c, b)] = -val
+                _store_symmetric(gamma, n + a, b, n + c, -val)
     chains = {}     # (a, y, min(z, x), max(z, x)) -> sum_l G^a_{yl} G^l_{zx}
 
     def chain(a, y, z, x):
@@ -409,11 +411,7 @@ def lift_cotangent(metric, order):
                     inner = inner.jet()
                     if not inner.is_zero():
                         acc.add(pa, inner, third)
-                acc = acc.jet()
-                if acc is not None and not acc.is_zero():
-                    gamma[(n + k, i, j)] = acc
-                    if i != j:
-                        gamma[(n + k, j, i)] = acc
+                _store_symmetric(gamma, n + k, i, j, acc.jet())
     source = {"metric": tuple(tuple(r) for r in metric),
               "metric_inv": tuple(ginv_base),
               "gamma_base": gt,
@@ -464,15 +462,8 @@ def build_kaehler(potential, order):
                 for l in range(n):
                     acc.add(a_inv[l][k], a_mat[i][l].partial(j))
                 acc = acc.jet()
-                if not acc.is_zero():
-                    gamma[(k, i, j)] = acc
-                    if i != j:
-                        gamma[(k, j, i)] = acc
-                conj = acc.conjugate()
-                if not conj.is_zero():
-                    gamma[(n + k, n + i, n + j)] = conj
-                    if i != j:
-                        gamma[(n + k, n + j, n + i)] = conj
+                _store_symmetric(gamma, k, i, j, acc)
+                _store_symmetric(gamma, n + k, n + i, n + j, acc.conjugate())
     source = {"potential": potential,
               "A": tuple(tuple(r) for r in a_mat),
               "A_inv": tuple(tuple(r) for r in a_inv)}

@@ -67,11 +67,25 @@ class Chart:
     def dim(self):
         return len(self.names)
 
-    def index(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise JetError(f"unknown chart variable {name!r}") from None
+    def index(self, var):
+        """The position of ``var``, a variable name or an index; anything
+        off the chart is a ``JetError``."""
+        i = var
+        if isinstance(var, str):
+            i = self.names.index(var) if var in self.names else -1
+        if not 0 <= i < len(self.names):
+            raise JetError(f"{var!r} is not a variable of the chart")
+        return i
+
+    def sub(self, indices):
+        """The chart of the variables at ``indices`` (``index`` takes
+        each), in that order, with no conjugation pairing; a variable
+        given twice is a ``JetError``."""
+        indices = [self.index(i) for i in indices]
+        if len(set(indices)) != len(indices):
+            raise JetError(f"sub-chart repeats a variable: {indices}")
+        return Chart(tuple(self.names[i] for i in indices),
+                     tuple(self.base[i] for i in indices))
 
 
 # the width of one field of a packed monomial key; valid_order stays below
@@ -217,7 +231,7 @@ class Jet:
     @classmethod
     def variable(cls, chart, var, order):
         """The coordinate function itself: base value plus first-order term."""
-        i = chart.index(var) if isinstance(var, str) else var
+        i = chart.index(var)
         z = (0,) * chart.dim
         e = tuple(1 if k == i else 0 for k in range(chart.dim))
         return cls(chart, order, order, {z: chart.base[i], e: ONE})
@@ -420,10 +434,7 @@ class Jet:
         its exponent (and so the degree) by one: the ``pack_key`` of its
         unit multi-index."""
         dim = self.chart.dim
-        i = self.chart.index(var) if isinstance(var, str) else var
-        if not 0 <= i < dim:
-            raise JetError(f"variable index {i} is outside the chart")
-        shift = _KEY_BITS * (dim - 1 - i)
+        shift = _KEY_BITS * (dim - 1 - self.chart.index(var))
         return shift, (1 << _KEY_BITS * dim) + (1 << shift)
 
     def invert(self):
@@ -450,8 +461,20 @@ class Jet:
     def _rekeyed(self, chart, sources):
         """The same coefficients on ``chart``, whose variable j is this
         jet's variable ``sources[j]``, or one it does not depend on where
-        that is None; every variable it depends on must have one place."""
+        that is None.  A source off this jet's chart or used twice is a
+        ``JetError``, and a variable the jet depends on left without a
+        place a ``DomainError``."""
         dim = self.chart.dim
+        sources = [None if i is None else self.chart.index(i)
+                   for i in sources]
+        placed = [i for i in sources if i is not None]
+        if len(set(placed)) < len(placed):
+            raise JetError(f"a variable has two places: {sources}")
+        if len(placed) < dim:
+            dropped = sum(_KEY_MASK << _KEY_BITS * (dim - 1 - i)
+                          for i in range(dim) if i not in placed)
+            if any(key & dropped for _, key, _, _ in self.terms):
+                raise DomainError("jet depends on a variable with no place")
         shifts = [None if i is None else _KEY_BITS * (dim - 1 - i)
                   for i in sources]
         out = []
@@ -478,7 +501,9 @@ class Jet:
         truncation.
         """
         dim = self.chart.dim
-        sub = Chart(self.chart.names[:head], self.chart.base[:head])
+        if not 0 <= head <= dim:
+            raise JetError(f"split point {head} is outside 0 ... {dim}")
+        sub = self.chart.sub(range(head))
         pieces = {}
         for d, key, re, im in self.terms:
             alpha = unpack_key(key, dim)
@@ -491,25 +516,19 @@ class Jet:
                 for tail, terms in pieces.items()}
 
     def restrict(self, indices):
-        """Project onto a sub-chart; fails if the jet depends on dropped vars."""
+        """Project onto the sub-chart ``Chart.sub(indices)``; fails if the
+        jet depends on a dropped variable."""
         indices = tuple(indices)
-        sub = Chart(tuple(self.chart.names[i] for i in indices),
-                    tuple(self.chart.base[i] for i in indices))
-        keep = set(indices)
-        dim = self.chart.dim
-        dropped = sum(_KEY_MASK << _KEY_BITS * (dim - 1 - i)
-                      for i in range(dim) if i not in keep)
-        if any(key & dropped for _, key, _, _ in self.terms):
-            raise DomainError("jet depends on a variable outside the sub-chart")
-        return self._rekeyed(sub, indices)
+        return self._rekeyed(self.chart.sub(indices), indices)
 
     def embed(self, chart, index_map):
-        """View this jet on a larger chart; index_map sends old to new indices."""
+        """View this jet on a larger chart; index_map sends each old index
+        to its own new one, with the same base value."""
+        if chart.sub(index_map).base != self.chart.base:
+            raise ChartMismatch("index map does not fit this jet's chart")
         sources = [None] * chart.dim
         for old, new in enumerate(index_map):
-            if chart.base[new] != self.chart.base[old]:
-                raise ChartMismatch("base point differs under embedding")
-            sources[new] = old
+            sources[chart.index(new)] = old
         return self._rekeyed(chart, sources)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from .jets import (Chart, ChartMismatch, DomainError, Jet, JetError, JetSum,
+from .jets import (ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree)
 from .rational import I
 from .weyl import sub_degrees
@@ -196,8 +196,7 @@ def diffop_compose(a, b):
 
 def config_chart(geom):
     """The configuration sub-chart (first block) of a phase-space chart."""
-    n = geom.n
-    return Chart(geom.chart.names[:n], geom.chart.base[:n])
+    return geom.chart.sub(range(geom.n))
 
 
 def fiber_decompose(f, geom):

@@ -9,10 +9,18 @@ coefficient computed at the high order must agree with it through that
 validity, and must itself claim at least as much, so the claim is checked
 against a run that knows more of the geometry.
 
+The cases are the nine charts and one more: the seeded n = 1 cotangent
+chart of ``test_digest`` has the flat metric g = 1 (its three
+perturbation draws cancel), so an n = 1 lift with Gamma != 0 is added, the
+metric g = 1 + 3q + q^3 of the draw ``("cotangent", 1, 1)``.  No n = 1
+lift has curvature, since its base is a curve, so that case tests Gamma
+only.
+
 A ``star`` that claimed one degree more than it computed would fail here
-on seven of the nine charts.  On the n = 1 flat and cotangent charts no
-seeded coefficient has a term one degree above its validity, so there the
-raised claim would happen to be true.
+on eight of the ten cases, the added n = 1 lift among them.  On the
+pinned n = 1 flat and cotangent charts no seeded coefficient has a term
+one degree above its validity, so there the raised claim would happen to
+be true.
 """
 
 import pytest
@@ -25,6 +33,9 @@ from test_digest import PINNED
 # the order raise per chart dimension n; n = 2 solves grow fastest
 RAISE = {1: 4, 2: 3}
 PAIRS = 3
+# an n = 1 lift whose Christoffel symbols do not vanish
+CURVED_N1 = ("cotangent", 1, 11, 3, ("cotangent", 1, 1))
+CASES = list(PINNED) + [CURVED_N1]
 
 
 def _solve(kind, n, order, n_hbar, tag):
@@ -38,7 +49,7 @@ def _pairs(chart, order, kind, n):
                   for _ in range(2)) for _ in range(PAIRS)]
 
 
-@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(
     map(str, c[:4] + c[4])))
 def test_star_validity_survives_an_order_raise(case):
     kind, n, order, n_hbar, tag = case
@@ -47,6 +58,8 @@ def test_star_validity_survives_an_order_raise(case):
     high = _solve(kind, n, high_order, n_hbar, tag)
     chart = low.geometry.chart
     assert high.geometry.chart == chart
+    if case == CURVED_N1:
+        assert low.geometry.gamma
     for (f, g), (fh, gh) in zip(_pairs(chart, order, kind, n),
                                 _pairs(chart, high_order, kind, n)):
         assert fh.truncate(order) == f and gh.truncate(order) == g

@@ -262,6 +262,23 @@ def test_cotangent_rejects_non_real_metric():
     assert not isinstance(exc.value, ValidationFailure)
 
 
+# the order-2 lift fails; strict, so the run fails once the lift is fixed
+# and the marker must go then
+ORDER_TWO_LIFT = pytest.mark.xfail(strict=True, raises=ValidationFailure,
+                                   reason=(
+    "an order-2, n = 1 cotangent lift of 1+q1^2 fails 'mixed lifted "
+    "curvature identity (l,k,i,j)=(0,0,0,0)': in lift_cotangent's p-linear "
+    "block inner has validity 0 (a derivative of an order-1 Christoffel "
+    "symbol), so Gamma^p_qq = -p truncates to nothing, the entry is "
+    "dropped, and an absent entry reads as an exact zero"))
+
+
+@pytest.mark.parametrize("order", [1, pytest.param(2, marks=ORDER_TWO_LIFT),
+                                   3])
+def test_low_order_lifts_of_a_curved_metric_build(order):
+    lift_cotangent([[jet_of("1+q1^2", Chart(("q1",), (0,)), order)]], order)
+
+
 # -- curvature: the shared-product sum against the per-pair fold ----------
 
 def _curvature_by_pair(gamma, dim):

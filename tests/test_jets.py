@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fedquant.jets import (Chart, ChartMismatch, DomainError, Jet,
+from fedquant.jets import (Chart, ChartMismatch, DomainError, Jet, JetError,
                            OrderExhausted, jet_cos, jet_exp, jet_log,
                            jet_sin, jet_sqrt)
 from fedquant.rational import CRat
@@ -160,6 +160,76 @@ def test_restrict_rejects_dropped_dependence():
     f = var(0) * var(1)
     with pytest.raises(DomainError):
         f.restrict((0,))
+
+
+def test_chart_index_and_sub():
+    c = Chart(("x", "y", "z"), (1, 2, 3))
+    assert [c.index(v) for v in ("x", "z", 1)] == [0, 2, 1]
+    for bad in ("w", -1, 3):
+        with pytest.raises(JetError):
+            c.index(bad)
+    assert c.sub((2, "x")) == Chart(("z", "x"), (3, 1))
+    assert c.sub(()) == Chart((), ())
+    with pytest.raises(JetError):
+        c.sub((1, "y"))
+
+
+C3 = Chart(("u", "v", "w"), (0, 0, 0))
+C1 = Chart(("x",), (0,))
+
+
+def _x():
+    return var(0, 3)
+
+
+def _j():
+    return var(0, 3) + var(1, 3) ** 2
+
+
+def _x1():
+    return Jet.variable(C1, 0, 3)
+
+
+@pytest.mark.parametrize("call", [
+    # without the check: a jet with its exponents in the wrong place
+    lambda: Jet.variable(CH, -1, 3),
+    lambda: _x().restrict((0, 0)),
+    lambda: _x1().embed(CH, (-1,)),
+    lambda: _j().embed(C3, (0,)),
+    lambda: _j().embed(C3, (1, 1)),
+    # without the check: a bare IndexError
+    lambda: Jet.variable(CH, 2, 3),
+    lambda: _x().restrict((2,)),
+    lambda: _x1().embed(CH, (5,)),
+    # without the check: a split at a point off the chart
+    lambda: _j().split(-1),
+    lambda: _j().split(3),
+], ids=["variable-1", "restrict-twice", "embed-1", "embed-short",
+        "embed-twice", "variable-2", "restrict-2", "embed-5", "split-1",
+        "split-3"])
+def test_variable_positions_off_the_chart_raise(call):
+    """Every variable position goes through ``Chart.index`` or
+    ``Chart.sub``: one off the chart, or one given twice, is an error,
+    never a jet with its exponents in the wrong place."""
+    with pytest.raises(JetError):
+        call()
+
+
+def test_rekeyed_checks_its_sources():
+    j = _j()
+    with pytest.raises(JetError):
+        j._rekeyed(C3, (0, 0, None))
+    with pytest.raises(JetError):
+        j._rekeyed(C3, (0, 2, None))
+    with pytest.raises(DomainError):
+        j._rekeyed(C3, (None, 1, None))
+    # a variable the jet does not depend on may go without a place
+    assert _x()._rekeyed(C3, (None, 0, None)) == Jet.variable(C3, 1, 3)
+
+
+def test_split_points_are_zero_to_dim():
+    assert _j().split(0)[(1, 0)].chart == Chart((), ())
+    assert list(_j().split(2)) == [()]
 
 
 # -- identities of the elementary functions on random jets -----------------
