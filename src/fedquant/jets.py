@@ -11,7 +11,7 @@ order; nothing here ever rounds.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -46,6 +46,10 @@ class Chart:
     names: tuple
     base: tuple
     conj: tuple = None
+    # index tuple -> sub-chart, so that each sub-chart is one object and
+    # jets on it pass the ``is`` test of every chart check
+    _subs: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -80,18 +84,26 @@ class Chart:
     def sub(self, indices):
         """The chart of the variables at ``indices`` (``index`` takes
         each), in that order, with no conjugation pairing; a variable
-        given twice is a ``JetError``."""
-        indices = [self.index(i) for i in indices]
-        if len(set(indices)) != len(indices):
-            raise JetError(f"sub-chart repeats a variable: {indices}")
-        return Chart(tuple(self.names[i] for i in indices),
-                     tuple(self.base[i] for i in indices))
+        given twice is a ``JetError``.  The same indices give the same
+        object."""
+        indices = tuple(self.index(i) for i in indices)
+        sub = self._subs.get(indices)
+        if sub is None:
+            if len(set(indices)) != len(indices):
+                raise JetError(f"sub-chart repeats a variable: "
+                               f"{list(indices)}")
+            sub = self._subs[indices] = Chart(
+                tuple(self.names[i] for i in indices),
+                tuple(self.base[i] for i in indices))
+        return sub
 
 
-# the width of one field of a packed monomial key; valid_order stays below
-# 2**_KEY_BITS and bounds every stored degree, so no field of a key or of a
-# sum of keys carries
-_KEY_BITS = 16
+# the width of one field of a packed monomial key.  A key has dim + 1
+# fields, so on a chart of dimension <= 4 it is below 2**30: one CPython
+# digit in every convolution pair and dict probe.  valid_order stays below
+# 2**_KEY_BITS = 64 and bounds every stored degree, so no field of a key
+# or of a sum of keys carries.
+_KEY_BITS = 6
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
 
@@ -126,10 +138,11 @@ class Jet:
     ``(degree, key, re, im)`` sorted by key, each standing for
     (re + im*i)/den times the monomial alpha whose packed int key
     (``pack_key``) is ``key``.  A key holds |alpha| in its top field and
-    alpha_i in field dim-1-i, 16 bits each, so the key of a product
+    alpha_i in field dim-1-i, 6 bits each, so the key of a product
     monomial is the sum of the keys and key order is (degree, alpha)
-    order.  ``valid_order`` is the one order a jet carries and bounds every
-    stored degree, so it must stay below 2**16 for no field to carry.
+    order; up to dimension 4 a key is one CPython digit.  ``valid_order``
+    is the one order a jet carries and bounds every stored degree, so it
+    must stay below 2**6 = 64 for no field to carry.
     The store is canonical (no zero entry, no degree beyond
     ``valid_order``, and no factor common to den and all numerators), so
     equal jets have equal stores.  ``coeffs`` is a read-only
@@ -142,7 +155,8 @@ class Jet:
         """``coeffs`` maps multi-indices to values ``CRat()`` takes;
         zeros and terms of degree beyond ``valid_order`` are dropped.
         ``max_order`` is only checked: 0 <= valid_order <= max_order <
-        2**16; the jet keeps ``valid_order`` alone."""
+        2**6 = 64, the packed key bound; the jet keeps ``valid_order``
+        alone."""
         if not 0 <= valid_order <= max_order < 1 << _KEY_BITS:
             raise JetError(f"need 0 <= valid_order <= max_order < "
                            f"2**{_KEY_BITS}, the packed key bound, "
@@ -166,6 +180,8 @@ class Jet:
         self._init(chart, valid_order, den, tuple(terms))
 
     def _init(self, chart, valid_order, den, terms):
+        # every jet passes here: an order of 2**_KEY_BITS = 64 or more
+        # would let the degree field of a key carry
         if valid_order >= 1 << _KEY_BITS:
             raise JetError(f"valid_order {valid_order} is not below "
                            f"2**{_KEY_BITS}, the packed key bound")
@@ -239,7 +255,7 @@ class Jet:
     # -- bookkeeping ------------------------------------------------------
 
     def _check_chart(self, other):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch("jets live on different charts")
 
     def truncate(self, order):
@@ -309,15 +325,21 @@ class Jet:
                 CRat.from_ints(re, im, self.den))
 
     def agrees_with(self, other):
-        """Exact coefficient equality up to the shared order."""
+        """Exact coefficient equality up to the shared order.
+
+        The two stores are compared term by term up to that order: as
+        they stand when their denominators match, cross-multiplied when
+        they do not."""
         self._check_chart(other)
-        v = min(self.valid_order, other.valid_order)
-        # cross-multiplied, so the two stores need not share a denominator
+        top = (min(self.valid_order, other.valid_order) + 1,)
+        a = self.terms[:bisect_left(self.terms, top)]
+        b = other.terms[:bisect_left(other.terms, top)]
         da, db = self.den, other.den
-        return ({k: (re * db, im * db) for d, k, re, im in self.terms
-                 if d <= v}
-                == {k: (re * da, im * da) for d, k, re, im in other.terms
-                    if d <= v})
+        if da == db:
+            return a == b
+        return len(a) == len(b) and all(
+            ka == kb and ar * db == br * da and ai * db == bi * da
+            for (_, ka, ar, ai), (_, kb, br, bi) in zip(a, b))
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -504,16 +526,24 @@ class Jet:
         if not 0 <= head <= dim:
             raise JetError(f"split point {head} is outside 0 ... {dim}")
         sub = self.chart.sub(range(head))
+        # the low fields of a key hold the tail; the rest, shifted down, is
+        # the head key with the tail degree still in its degree field
+        shift = _KEY_BITS * (dim - head)
+        mask = (1 << shift) - 1
         pieces = {}
         for d, key, re, im in self.terms:
-            alpha = unpack_key(key, dim)
-            tail = alpha[head:]
-            pieces.setdefault(tail, []).append(
-                (d - sum(tail), pack_key(alpha[:head]), re, im))
+            tail = key & mask
+            piece = pieces.get(tail)
+            if piece is None:
+                alpha = unpack_key(tail, dim - head)
+                piece = pieces[tail] = (alpha, sum(alpha), [])
+            td = piece[1]
+            piece[2].append((d - td, (key >> shift) - (td << _KEY_BITS * head),
+                             re, im))
         # a fixed tail keeps the (degree, alpha) order of the terms
-        return {tail: Jet.from_terms(sub, self.valid_order - sum(tail),
-                                     self.den, terms)
-                for tail, terms in pieces.items()}
+        return {tail: Jet.from_terms(sub, self.valid_order - td, self.den,
+                                     terms)
+                for tail, td, terms in pieces.values()}
 
     def restrict(self, indices):
         """Project onto the sub-chart ``Chart.sub(indices)``; fails if the
@@ -541,7 +571,7 @@ class JetSum:
     added into one map from packed key to [re, im] numerators over a
     common denominator; a product monomial's key is the sum of its
     factors' keys, so each coefficient pair costs one int addition (no
-    field carries: degrees stay within validity, below 2**16).  The
+    field carries: degrees stay within validity, below 2**6 = 64).  The
     denominator is raised to an lcm only when a term's own does not
     divide it.  ``jet()`` sorts and reduces the map once, and ``merge``
     adds another sum's map as it stands, for a sum whose only reader is

@@ -23,8 +23,8 @@ through one composition.  The functions at the end are the older forms of
 those reads, straight on the store: the fiber split loop, the geometric
 series of an inverse, the five elementary series as they were written
 one by one, the three-factor vanishing test of ``symbol_mul``, the
-sign rule that interns curvature entries up to sign and the parser's
-power bound.
+sign rule that interns curvature entries up to sign, the parser's power
+bound and the comparison of two jets up to their shared order.
 """
 
 from collections import defaultdict
@@ -237,6 +237,16 @@ def split_by_keys(f, head):
             (d - sum(fib), pack_key(alpha[:head]), re, im))
     return {fib: Jet.from_terms(sub, f.valid_order - sum(fib), f.den, terms)
             for fib, terms in pieces.items()}
+
+
+def agrees_with(a, b):
+    """Equality up to the shared order, as two dicts of cross-multiplied
+    numerators keyed by packed monomial."""
+    v = min(a.valid_order, b.valid_order)
+    da, db = a.den, b.den
+    return ({k: (re * db, im * db) for d, k, re, im in a.terms if d <= v}
+            == {k: (re * da, im * da) for d, k, re, im in b.terms
+                if d <= v})
 
 
 def first_term(f):

@@ -172,6 +172,9 @@ def test_chart_index_and_sub():
     assert c.sub(()) == Chart((), ())
     with pytest.raises(JetError):
         c.sub((1, "y"))
+    # one object per index tuple, however the indices are named
+    assert c.sub((2, "x")) is c.sub(["z", 0])
+    assert c.sub(range(2)) is c.sub(("x", "y")) is not c.sub((1, 0))
 
 
 C3 = Chart(("u", "v", "w"), (0, 0, 0))

@@ -10,16 +10,20 @@ from math import gcd
 
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from fedquant.jets import (Chart, Jet, JetError, JetSum, jet_maps_agree,
-                           pack_key, product_vanishes, unpack_key)
+from fedquant.jets import (Chart, Jet, JetError, JetSum, _KEY_BITS,
+                           jet_maps_agree, pack_key, product_vanishes,
+                           unpack_key)
 from fedquant.rational import CRat
 
 # each chart pairs x0 with x1 for conjugation where it has both
 CHARTS = {d: Chart(tuple(f"x{i}" for i in range(d)), (0,) * d,
                    ((0,), (1, 0), (1, 0, 2))[d - 1])
           for d in (1, 2, 3)}
+
+# the highest order a jet may have, one below the packed key bound
+TOP = (1 << _KEY_BITS) - 1
 
 # denominators with unrelated prime factors, so the common denominator of a
 # sum has to grow part way through it
@@ -155,10 +159,10 @@ def test_cancelling_sum_keeps_the_smallest_validity():
 @st.composite
 def twin_jets(draw, dim):
     """A jet, and its coefficients built again through the public
-    constructor at another max order, up to 2**16 - 1."""
+    constructor at another max order, up to the packed key bound."""
     j = draw(jets(dim))
     v = j.valid_order
-    top = draw(st.integers(v, v + 3) | st.just(2 ** 16 - 1))
+    top = draw(st.integers(v, v + 3) | st.just(TOP))
     return j, Jet(j.chart, top, v, j.coeffs)
 
 
@@ -357,16 +361,23 @@ def test_constancy_and_coefficients_read_the_store():
 
 # -- the packed monomial key -------------------------------------------------
 
-def multi_indices(dim, top=2 ** 12):
-    return st.lists(st.integers(0, top), min_size=dim,
-                    max_size=dim).map(tuple)
+@st.composite
+def multi_indices(draw, dim, top=TOP):
+    """A multi-index of degree at most ``top``, as the cuts of its degree
+    into ``dim`` parts."""
+    d = draw(st.integers(0, top))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=dim - 1,
+                                max_size=dim - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
 
 
-index_pairs = st.integers(1, 4).flatmap(
-    lambda d: st.tuples(multi_indices(d), multi_indices(d)))
+# pairs whose sum is still within the bound
+index_pairs = st.integers(1, 4).flatmap(lambda d: multi_indices(d).flatmap(
+    lambda a: st.tuples(st.just(a), multi_indices(d, TOP - sum(a)))))
 
 
 @given(index_pairs)
+@example(((TOP - 1, 0, 0, 0), (0, 0, 0, 1)))
 def test_keys_add_as_multi_indices(pair):
     a, b = pair
     total = tuple(x + y for x, y in zip(a, b))
@@ -374,7 +385,9 @@ def test_keys_add_as_multi_indices(pair):
     assert unpack_key(pack_key(a) + pack_key(b), len(a)) == total
 
 
-@given(index_pairs)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(multi_indices(d), multi_indices(d))))
+@example(((TOP, 0, 0, 0), (0, 0, 0, TOP)))
 def test_key_order_is_degree_then_multi_index(pair):
     a, b = pair
     assert (pack_key(a) < pack_key(b)) == ((sum(a), a) < (sum(b), b))
@@ -382,11 +395,11 @@ def test_key_order_is_degree_then_multi_index(pair):
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
-    st.just(d), st.dictionaries(multi_indices(d, 300), crats, max_size=6))))
+    st.just(d), st.dictionaries(multi_indices(d), crats, max_size=6))))
 def test_keys_round_trip_through_the_view(case):
     dim, coeffs = case
     chart = Chart(tuple(f"x{i}" for i in range(dim)), (0,) * dim)
-    j = Jet(chart, 1200, 1200, coeffs)
+    j = Jet(chart, TOP, TOP, coeffs)
     assert_canonical(j)
     want = {a: c for a, c in coeffs.items() if c}
     assert j.coeffs == want
@@ -394,13 +407,22 @@ def test_keys_round_trip_through_the_view(case):
     assert all(j.coefficient(a) == c for a, c in want.items())
 
 
+def test_a_key_is_one_digit_up_to_dimension_4():
+    """On a chart of dimension 4 at the order bound the top key, and so
+    every key, is below 2**30: one CPython digit."""
+    chart = Chart(("x0", "x1", "x2", "x3"), (0,) * 4)
+    j = Jet(chart, TOP, TOP, {(TOP, 0, 0, 0): 1, (0, 0, 0, TOP): 1})
+    assert max(key for _, key, _, _ in j.terms) == pack_key((TOP, 0, 0, 0))
+    assert pack_key((TOP, 0, 0, 0)) < 2 ** 30
+
+
 def test_orders_and_multi_indices_are_bounded():
     chart = CHARTS[2]
     with pytest.raises(JetError):
-        Jet(chart, 2 ** 16, 0, {})
+        Jet(chart, TOP + 1, 0, {})
     with pytest.raises(JetError):
-        Jet.zero(chart, 2 ** 16)
-    top = Jet.variable(chart, 0, 2 ** 16 - 1)
+        Jet.zero(chart, TOP + 1)
+    top = Jet.variable(chart, 0, TOP)
     assert top.coefficient((1, 0)) == CRat(1)
     with pytest.raises(JetError):
         top.mul_variable(1)

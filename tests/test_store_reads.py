@@ -1,10 +1,11 @@
 """The reads of a jet's packed store that other modules make through the
 jet layer (``Jet.split``, ``Jet.leading``, ``Jet.as_monomial``, the
 three-factor ``product_vanishes``, the interning sign of curvature
-entries) and the one power-series composition, against the older inline
-forms kept in ``tests/reference.py`` or the ``coeffs`` view.  Results are compared with ``==``, validity
-included, on jets of the n = 1 and n = 2 phase charts, with complex
-coefficients, validity 0 and zero jets among the draws."""
+entries, ``Jet.agrees_with``) and the one power-series composition,
+against the older inline forms kept in ``tests/reference.py`` or the
+``coeffs`` view.  Results are compared with ``==``, validity included, on
+jets of the n = 1 and n = 2 phase charts, with complex coefficients,
+validity 0 and zero jets among the draws."""
 
 from fractions import Fraction
 from itertools import product
@@ -60,7 +61,9 @@ def outcome(fn, *args):
 @given(phase_jets, st.data())
 def test_split_equals_the_packed_loop(f, data):
     head = data.draw(st.integers(0, f.chart.dim))
-    assert f.split(head) == reference.split_by_keys(f, head)
+    pieces = f.split(head)
+    assert pieces == reference.split_by_keys(f, head)
+    assert all(j.chart is f.chart.sub(range(head)) for j in pieces.values())
 
 
 @given(phase_jets)
@@ -78,6 +81,50 @@ def test_split_lowers_the_validity_by_the_tail_degree():
     assert {tail: j.valid_order for tail, j in pieces.items()} \
         == {(0,): 5, (1,): 4, (2,): 3}
     assert pieces[(2,)] == Jet.variable(pieces[(0,)].chart, 0, 3)
+
+
+@st.composite
+def jet_pairs(draw):
+    """Two jets on one phase chart, each of its own validity: drawn apart,
+    or the second one the first up to a shared order with terms over 5 or
+    7 added above it, and maybe one coefficient moved by 1/5 or i/7."""
+    n = draw(st.sampled_from((1, 2)))
+    a = draw(jets(n))
+    how = draw(st.sampled_from(["apart", "above", "moved"]))
+    if how == "apart":
+        return how, a, draw(jets(n))
+    vb = draw(st.integers(0, 5))
+    shared = min(a.valid_order, vb)
+    coeffs = {k: c for k, c in a.coeffs.items() if sum(k) <= shared}
+    keys = [k for k in product(range(vb + 1), repeat=2 * n)
+            if shared < sum(k) <= vb]
+    if keys:
+        extra = st.builds(CRat, st.integers(-9, 9).map(
+            lambda x: Fraction(x, 5)), st.integers(-9, 9).map(
+            lambda x: Fraction(x, 7)))
+        coeffs.update(draw(st.dictionaries(st.sampled_from(keys), extra,
+                                           max_size=4)))
+    if how == "moved":
+        keys = [k for k in product(range(shared + 1), repeat=2 * n)
+                if sum(k) <= shared]
+        k = draw(st.sampled_from(keys))
+        step = draw(st.sampled_from([CRat(Fraction(1, 5)),
+                                     CRat(0, Fraction(1, 7))]))
+        coeffs[k] = coeffs.get(k, CRat(0)) + step
+    return how, a, Jet(CHARTS[n], vb, vb, coeffs)
+
+
+@given(jet_pairs())
+def test_agrees_with_equals_the_dict_comparison(case):
+    """Coprime denominators (up to 4 or 9 against 5 or 7), unequal
+    validities, complex coefficients and zero jets; a jet rebuilt up to
+    the shared order agrees whatever lies above it, and one moved
+    coefficient breaks the agreement."""
+    how, a, b = case
+    for x, y in [(a, b), (b, a), (a, a), (b, b)]:
+        assert x.agrees_with(y) == reference.agrees_with(x, y)
+    if how != "apart":
+        assert a.agrees_with(b) == (how == "above")
 
 
 @given(phase_jets)

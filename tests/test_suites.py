@@ -2,10 +2,12 @@
 options."""
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
-from fedquant import suites
+from fedquant import quantization, suites
+from fedquant.cli import main
 
 
 def test_suite_cost_does_not_depend_on_earlier_suites(monkeypatch):
@@ -29,3 +31,27 @@ def test_suite_cost_does_not_depend_on_earlier_suites(monkeypatch):
 def test_suites_take_only_order_seed_and_geometry(name):
     params = tuple(inspect.signature(suites.SUITES[name]).parameters)
     assert params in (("order", "seed"), ("order", "seed", "geometry"))
+
+
+def test_a_rejected_kinetic_residual_fails_the_suite(monkeypatch, capsys):
+    """With the log-volume term left out of the first-order operators,
+    ``kinetic_alpha`` rejects the kinetic residual: each entry it rejects
+    fails, naming its chart and the error, and the command exits 1 on a
+    FAIL line instead of a traceback."""
+    def without_log_volume(sums, u, j, scale, geom):
+        n = geom.n
+        sums[tuple(int(k == j) for k in range(n)), 1].add(u, s=scale)
+        sums[(0,) * n, 1].add(u.partial(j), s=scale * Fraction(1, 2))
+
+    monkeypatch.setattr(quantization, "_first_order", without_log_volume)
+    rep = suites.kinetic_alpha_suite()
+    assert not rep.passed
+    failed = [c["location"].split(": ", 1) for c in rep.checks
+              if not c["passed"]]
+    assert [chart for chart, _ in failed] \
+        == ["round sphere", "sample 0", "sample 1", "sample 2"]
+    assert all(error.startswith("kinetic residual contains")
+               for _, error in failed)
+    assert main(["check", "kinetic-alpha"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "kinetic residual contains" in out
