@@ -21,7 +21,7 @@ from .quantization import (DiffOp, HbarSeries, QuantizationError,
                            diffop_apply, diffop_compose, gq_cotangent,
                            gq_kaehler, kinetic_alpha,
                            kinetic_energy_observable, laplace_beltrami,
-                           rho_extend, scalar_curvature)
+                           polarization, rho_extend, scalar_curvature)
 from .suites import SUITES
 
 __version__ = "0.1.0"

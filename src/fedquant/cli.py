@@ -31,8 +31,8 @@ from .geometry import (CheckReport, GeometryError, ValidationFailure,
                        build_darboux, build_flat, build_kaehler, complex_chart,
                        lift_cotangent, phase_chart)
 from .fedosov import FedosovError, solve_r, star
-from .quantization import (QuantizationError, gq_kaehler,
-                           kinetic_energy_observable, rho_extend)
+from .quantization import (gq_kaehler, kinetic_energy_observable,
+                           polarization, rho_extend)
 from .suites import SUITES
 
 
@@ -225,11 +225,8 @@ def cmd_star(args):
     try:
         f = jet_of(args.f, geom.chart, geom.order)
         g = jet_of(args.g, geom.chart, geom.order)
-    except (ParseError, JetError) as exc:
-        raise InputError(str(exc)) from None
-    try:
         state = solve_r(geom, n)
-    except FedosovError as exc:
+    except (ParseError, JetError) as exc:
         raise InputError(str(exc)) from None
     series = star(f, g, state)
     report = CheckReport()
@@ -280,26 +277,20 @@ def cmd_check(args):
 def cmd_quantize(args):
     n = _order(args, 3)
     geom = load_geometry(args.geometry)
-    if geom.kind == "kaehler" and args.order is not None:
-        # the holomorphic operator is exact at first order in hbar
-        raise InputError(f"--order {args.order} does not apply to the "
-                         f"kaehler geometry {args.geometry}: its operator "
-                         "needs no star product")
     try:
-        if args.f.strip() == "kinetic":
-            if geom.kind not in ("flat", "cotangent"):
-                raise InputError(
-                    "the kinetic shorthand needs a flat or cotangent "
-                    "geometry")
-            f = kinetic_energy_observable(geom)
-        else:
-            f = jet_of(args.f, geom.chart, geom.order)
-        if geom.kind == "kaehler":
-            op = gq_kaehler(f, geom)
-        else:
-            state = solve_r(geom, n)
-            op = rho_extend(f, state)
-    except (ParseError, JetError, FedosovError, QuantizationError) as exc:
+        pol = polarization(geom)
+        if not pol.factorizes and args.order is not None:
+            # the holomorphic operator is exact at first order in hbar
+            raise InputError(f"--order {args.order} does not apply to "
+                             f"{args.geometry}: its operator needs no star "
+                             "product")
+        # the kinetic energy of a geometry with no base metric raises
+        # QuantizationError
+        f = (kinetic_energy_observable(geom) if args.f.strip() == "kinetic"
+             else jet_of(args.f, geom.chart, geom.order))
+        op = (rho_extend(f, solve_r(geom, n)) if pol.factorizes
+              else gq_kaehler(f, geom))
+    except (ParseError, JetError) as exc:
         raise InputError(str(exc)) from None
     report = CheckReport()
     report.add("operator computed", True)

@@ -335,9 +335,12 @@ def lift_cotangent(metric, order):
     The result is a 2n-chart with Darboux omega whose
     connection is torsion-free, symplectic, and reproduces the base
     connection on position indices; its momentum-valued block is exactly
-    linear in p.  Its ``source`` holds, on the base chart, ``metric`` and
-    its inverse ``metric_inv``; on the phase chart, the base Christoffel
-    symbols ``gamma_base`` and curvature ``curvature_base``.
+    linear in p.  Its ``source`` holds ``metric`` and its inverse
+    ``metric_inv`` on the phase chart's position sub-chart
+    ``chart.sub(range(n))``, the same object as every configuration jet of
+    the lift, and on the phase chart the base Christoffel symbols
+    ``gamma_base`` and curvature ``curvature_base``.  Entries on different
+    charts raise ``ChartMismatch``.
 
     The p-linear block Gamma^{p_k}_{ij} cyclically symmetrizes
     sum_l G^a_{yl} G^l_{zx} over (x, y, z) = (i, j, k).  That sum is
@@ -350,6 +353,8 @@ def lift_cotangent(metric, order):
         raise GeometryError("metric must live on an n-variable base chart")
     if any(len(row) != n for row in metric):
         raise GeometryError(f"metric is not an {n} x {n} matrix")
+    if any(jet.chart != base_chart for row in metric for jet in row):
+        raise ChartMismatch("metric entries live on different charts")
     for a, b in combinations(range(n), 2):
         if not metric[a][b].agrees_with(metric[b][a]):
             raise GeometryError(f"metric is not symmetric: metric[{a}][{b}] "
@@ -359,6 +364,10 @@ def lift_cotangent(metric, order):
     chart = Chart(base_chart.names + tuple(f"p{i+1}" for i in range(n)),
                   base_chart.base + (CRat(0),) * n)
     emb = tuple(range(n))
+    # on the position sub-chart itself, so that products with the lift's
+    # configuration jets pass the chart checks by ``is``
+    metric = [[jet.embed(chart.sub(emb), emb) for jet in row]
+              for row in metric]
 
     ginv_base = invert_jet_matrix(metric)
     gt_base = christoffels(metric, ginv_base)

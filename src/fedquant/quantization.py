@@ -5,12 +5,25 @@ cotangent charts, the holomorphic block for complex charts).  Operators are
 finite-order differential operators whose coefficients are polynomials in
 hbar with jet coefficients; the half-form correction appears as the familiar
 (1/4) g^{bc} d_a g_{bc} terms rather than as a separate object.
+
+Each geometry has one ``Polarization``, built on first use by
+``polarization(geom)`` and kept on the geometry.  It holds the
+configuration chart; ``decompose``, which splits an observable into
+configuration jets by fiber multidegree (the momenta for the vertical
+polarization of flat and cotangent charts, the dK block for the
+holomorphic polarization of Kaehler charts); the first-order volume term,
+the metric's log-gradient on cotangent lifts and none on flat and Kaehler
+charts; the first-order scale, -i (vertical) or 1 (holomorphic); and
+whether star factorization (``rho_extend``) applies, which it does on the
+vertical polarization.  Darboux charts have no polarization.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from .jets import (ChartMismatch, DomainError, Jet, JetError, JetSum,
                    jet_maps_agree)
@@ -192,7 +205,38 @@ def diffop_compose(a, b):
     return _diffop_of(a.chart, sums)
 
 
-# -- observable decomposition ----------------------------------------------
+# -- the polarization -----------------------------------------------------
+
+# chart: the configuration chart; decompose(f): {fiber multidegree:
+# configuration jet}; volume: the log-density gradient g_j of the volume
+# half-forms are taken against, None for the coordinate volume; scale: the
+# factor of every first-order operator; factorizes: whether ``rho_extend``
+# applies
+Polarization = namedtuple("Polarization",
+                          "chart decompose volume scale factorizes")
+
+
+def polarization(geom):
+    """The geometry's ``Polarization``, built on first use and kept on the
+    geometry: vertical on flat and cotangent charts, holomorphic on
+    Kaehler charts.  A Darboux chart has none and raises
+    ``QuantizationError``."""
+    if "polarization" not in geom._cache:
+        if geom.kind == "darboux":
+            raise QuantizationError(
+                "a Darboux chart has no polarization: quantization needs a "
+                "flat, cotangent or Kaehler geometry")
+        volume = None
+        if geom.kind == "cotangent":
+            volume = _log_vol_gradient(geom.source["metric"],
+                                       geom.source["metric_inv"])
+        vertical = geom.kind != "kaehler"
+        geom._cache["polarization"] = Polarization(
+            config_chart(geom), partial(
+                fiber_decompose if vertical else _holomorphic_pieces,
+                geom=geom), volume, -I if vertical else 1, vertical)
+    return geom._cache["polarization"]
+
 
 def config_chart(geom):
     """The configuration sub-chart (first block) of a phase-space chart."""
@@ -200,7 +244,7 @@ def config_chart(geom):
 
 
 def fiber_decompose(f, geom):
-    """Split a jet on the geometry's chart into {fiber multidegree:
+    """Split a jet on the geometry's chart into {momentum multidegree:
     configuration jet}.
 
     A piece of fiber degree d collects the total-degree k + d coefficients
@@ -212,129 +256,126 @@ def fiber_decompose(f, geom):
     return f.split(geom.n)
 
 
-def _embed_config(jet, geom):
-    return jet.embed(geom.chart, tuple(range(geom.n)))
-
-
-# -- vertical-polarization operators ---------------------------------------
-
-def base_metric(geom):
-    """Metric and inverse on the configuration chart: the matrices
-    ``lift_cotangent`` stored, or the identity on a flat chart."""
-    if geom.kind == "flat":
-        n = geom.n
-        sub = config_chart(geom)
-        eye = tuple(tuple(Jet.constant(sub, 1 if a == b else 0, geom.order)
-                          for b in range(n)) for a in range(n))
-        return eye, eye
-    if geom.kind != "cotangent":
-        raise QuantizationError("geometry has no base metric")
-    return geom.source["metric"], geom.source["metric_inv"]
-
-
-def _log_vol_gradient(geom):
-    """(1/2) g^{bc} d_a g_{bc} for each a, the exact gradient of
-    log sqrt(det g); it depends on the chart alone, so it is built on
-    first use and kept on the geometry."""
-    if "log vol gradient" not in geom._cache:
-        g, ginv = base_metric(geom)
-        grad = []
-        for a in range(geom.n):
-            acc = JetSum()
-            for b in range(geom.n):
-                for c in range(geom.n):
-                    acc.add(ginv[b][c], g[b][c].partial(a), Fraction(1, 2))
-            grad.append(acc.jet())
-        geom._cache["log vol gradient"] = tuple(grad)
-    return geom._cache["log vol gradient"]
-
-
-def _first_order(sums, u, j, scale, geom):
-    """Add scale * hbar (u d_j + (1/2) d_j u + (1/2) u g_j) into ``sums``,
-    a ``{(derivative index, hbar power): JetSum}`` map.
-
-    This is the half-form-corrected operator of the vector field u d_j:
-    (1/2)(d_j u + u g_j) is half its divergence for the volume the
-    half-forms are taken against, and g_j is the gradient of that volume's
-    log density.  Cotangent charts take the metric volume
-    (``_log_vol_gradient``); flat charts and the holomorphic polarization
-    take the coordinate volume, whose g_j vanishes and is left out.  A
-    zero d_j u is still added, so that it caps the validity of the sum.
-    """
+def _holomorphic_pieces(f, geom):
+    """Write f = u^a(z) d_a K + v(z) with holomorphic u, v and return
+    {e_a: u^a, 0: v} on the configuration chart, leaving out zero pieces;
+    an f of any other form is a ``DomainError``."""
     n = geom.n
-    half = scale * Fraction(1, 2)
-    sums[tuple(int(k == j) for k in range(n)), 1].add(u, s=scale)
-    sums[(0,) * n, 1].add(u.partial(j), s=half)
-    if geom.kind == "cotangent":
-        sums[(0,) * n, 1].add(u, _log_vol_gradient(geom)[j], half)
-
-
-def gq_cotangent(f, geom):
-    """Quantize an observable affine in the momenta.
-
-    For f = a^j(q) p_j + b(q) the operator is
-    -i hbar (a^j d_j + (1/2) div a) + b, with the divergence taken with
-    respect to the metric volume: each a^j p_j is ``_first_order`` at
-    scale -i, and the b term carries no hbar factor.
-    """
-    if geom.kind not in ("cotangent", "flat"):
-        raise QuantizationError("vertical polarization needs a cotangent "
-                                "or flat geometry")
-    sums = defaultdict(JetSum)
-    for fib, c in fiber_decompose(f, geom).items():
-        if sum(fib) > 1:
-            raise DomainError("observable is not affine in the momenta")
-        if any(fib):
-            _first_order(sums, c, fib.index(1), -I, geom)
-        else:
-            sums[fib, 0].add(c)
-    return _diffop_of(config_chart(geom), sums)
-
-
-# -- holomorphic-polarization operators ------------------------------------
-
-def gq_kaehler(f, geom):
-    """Quantize an observable affine in the dK block.
-
-    Writes f = u^a(z) d_a K + v(z) with holomorphic u, v and returns
-    hbar (u^a d_a + (1/2) d_a u^a) + v on holomorphic jets: each u^a d_a
-    is ``_first_order`` at scale 1, with the coordinate volume.
-    """
-    if geom.kind != "kaehler":
-        raise QuantizationError("holomorphic polarization needs a complex "
-                                "chart geometry")
-    n = geom.n
-    a_inv = geom.source["A_inv"]
-    potential = geom.source["potential"]
-    # u^a = (d_bbar f) A^{bbar a}
-    u = []
+    pieces, v = {}, f
     for a in range(n):
+        # u^a = (d_bbar f) A^{bbar a}
         acc = JetSum()
         for b in range(n):
-            acc.add(f.partial(n + b), a_inv[b][a])
-        u.append(acc.jet(Jet.zero(geom.chart, f.valid_order)))
-    v = f
-    for a in range(n):
-        if not u[a].is_zero():
-            v = v - u[a] * potential.partial(a)
-
-    idx = tuple(range(n))
-    sub = config_chart(geom)
+            acc.add(f.partial(n + b), geom.source["A_inv"][b][a])
+        u = acc.jet()
+        if not u.is_zero():
+            pieces[tuple(int(k == a) for k in range(n))] = u
+            v = v - u * geom.source["potential"].partial(a)
+    pieces[(0,) * n] = v
     try:
-        u_sub = [j.restrict(idx) for j in u]
-        v_sub = v.restrict(idx)
+        return {fib: c.restrict(range(n)) for fib, c in pieces.items()
+                if not c.is_zero()}
     except DomainError:
         raise DomainError(
             "observable is not affine in the dK block with holomorphic "
             "coefficients") from None
 
+
+def _embed_config(jet, geom):
+    return jet.embed(geom.chart, tuple(range(geom.n)))
+
+
+def base_metric(geom):
+    """Metric and inverse on the configuration chart of the vertical
+    polarization: the matrices ``lift_cotangent`` stored, or the identity
+    where the polarization takes the coordinate volume (a flat chart)."""
+    pol = polarization(geom)
+    if pol.scale != -I:
+        raise QuantizationError("only flat and cotangent geometries have a "
+                                "base metric")
+    if pol.volume is not None:
+        return geom.source["metric"], geom.source["metric_inv"]
+    eye = tuple(tuple(Jet.constant(pol.chart, int(a == b), geom.order)
+                      for b in range(geom.n)) for a in range(geom.n))
+    return eye, eye
+
+
+def _log_vol_gradient(g, ginv):
+    """(1/2) g^{bc} d_a g_{bc} for each a, the exact gradient of
+    log sqrt(det g)."""
+    grad = []
+    for a in range(len(g)):
+        acc = JetSum()
+        for b, c in product(range(len(g)), repeat=2):
+            acc.add(ginv[b][c], g[b][c].partial(a), Fraction(1, 2))
+        grad.append(acc.jet())
+    return tuple(grad)
+
+
+# -- first-order operators -------------------------------------------------
+
+def _first_order(sums, u, j, pol):
+    """Add scale * hbar (u d_j + (1/2) d_j u + (1/2) u g_j) into ``sums``,
+    a ``{(derivative index, hbar power): JetSum}`` map, with the
+    polarization's scale and volume term g_j.
+
+    This is the half-form-corrected operator of the vector field u d_j:
+    (1/2)(d_j u + u g_j) is half its divergence for the volume the
+    half-forms are taken against, and g_j is the gradient of that volume's
+    log density.  Cotangent charts take the metric volume; flat charts and
+    the holomorphic polarization take the coordinate volume, whose g_j
+    vanishes and is left out.  A zero d_j u is still added, so that it
+    caps the validity of the sum.
+    """
+    n = pol.chart.dim
+    half = pol.scale * Fraction(1, 2)
+    sums[tuple(int(k == j) for k in range(n)), 1].add(u, s=pol.scale)
+    sums[(0,) * n, 1].add(u.partial(j), s=half)
+    if pol.volume is not None:
+        sums[(0,) * n, 1].add(u, pol.volume[j], half)
+
+
+def _gq_affine(f, geom, scale, refusal):
+    """The operator of an observable of fiber degree <= 1 under the
+    geometry's polarization, which must have first-order ``scale`` (else
+    ``QuantizationError(refusal)``): each degree-1 piece is
+    ``_first_order`` and the degree-0 piece multiplies, with no hbar."""
+    pol = polarization(geom)
+    if pol.scale != scale:
+        raise QuantizationError(refusal)
     sums = defaultdict(JetSum)
-    for a in range(n):
-        if not u_sub[a].is_zero():
-            _first_order(sums, u_sub[a], a, 1, geom)
-    if not v_sub.is_zero():
-        sums[(0,) * n, 0].add(v_sub)
-    return _diffop_of(sub, sums)
+    for fib, c in pol.decompose(f).items():
+        if sum(fib) > 1:
+            raise DomainError("observable is not affine in the momenta")
+        if any(fib):
+            _first_order(sums, c, fib.index(1), pol)
+        else:
+            sums[fib, 0].add(c)
+    return _diffop_of(pol.chart, sums)
+
+
+def gq_cotangent(f, geom):
+    """Quantize an observable affine in the momenta (vertical
+    polarization).
+
+    For f = a^j(q) p_j + b(q) the operator is
+    -i hbar (a^j d_j + (1/2) div a) + b, with the divergence taken with
+    respect to the metric volume on a cotangent chart.
+    """
+    return _gq_affine(f, geom, -I, "vertical polarization needs a "
+                      "cotangent or flat geometry")
+
+
+def gq_kaehler(f, geom):
+    """Quantize an observable affine in the dK block (holomorphic
+    polarization).
+
+    Writes f = u^a(z) d_a K + v(z) with holomorphic u, v and returns
+    hbar (u^a d_a + (1/2) d_a u^a) + v on holomorphic jets, with the
+    coordinate volume.
+    """
+    return _gq_affine(f, geom, 1, "holomorphic polarization needs a "
+                      "complex chart geometry")
 
 
 # -- the star-homomorphism extension ---------------------------------------
@@ -359,19 +400,20 @@ def rho_extend(f, state, split="first"):
     entry is built.
     """
     geom = state.geometry
-    if geom.kind not in ("flat", "cotangent"):
+    pol = polarization(geom)
+    if not pol.factorizes:
         raise QuantizationError(
             "star factorization is supported on flat and cotangent "
             "geometries only")
     if split not in ("first", "last"):
         raise QuantizationError(f"unknown split rule {split!r}")
-    pieces = fiber_decompose(f, geom)
+    pieces = pol.decompose(f)
     deg = max((sum(fib) for fib in pieces), default=0)
     if deg > state.n_hbar:
         raise FedosovError(
             f"momentum degree {deg} needs a state certified through "
             f"hbar^{deg}")
-    return _diffop_sum(config_chart(geom),
+    return _diffop_sum(pol.chart,
                       ((*_rho_monomial(c, fib, state, geom, split), 0)
                        for fib, c in pieces.items()))
 
@@ -415,7 +457,7 @@ def _rho_build(c, fib, state, geom, split):
     """rho(c p^fib) for |fib| >= 1 by star factorization
     (``rho_extend``); each lower operator enters the sum with its scale,
     negated at hbar^j for the corrections."""
-    sub = config_chart(geom)
+    pol = polarization(geom)
     d = sum(fib)
     nz = [a for a, e in enumerate(fib) if e]
     i1 = nz[0] if split == "first" else nz[-1]
@@ -429,14 +471,14 @@ def _rho_build(c, fib, state, geom, split):
     w = Jet.constant(geom.chart, 1, order).mul_monomial((0,) * geom.n + rest)
     s = star(u, w, state, n_hbar=d)
     # rho(u) rho(w) minus the quantized hbar^j corrections
-    op, scale = _rho_monomial(Jet.constant(sub, 1, order), rest, state,
-                              geom, split)
+    op, scale = _rho_monomial(Jet.constant(pol.chart, 1, order), rest,
+                              state, geom, split)
     parts = [(diffop_compose(first, op), scale, 0)]
     for j in range(1, d + 1):
         sj = s.coefficient(j)
         if sj.is_zero():
             continue
-        sub_pieces = fiber_decompose(sj, geom)
+        sub_pieces = pol.decompose(sj)
         if max(sum(fb) for fb in sub_pieces) >= d:
             raise QuantizationError(
                 "star correction does not lower the momentum degree; the "
@@ -444,7 +486,7 @@ def _rho_build(c, fib, state, geom, split):
         for fb, cc in sub_pieces.items():
             op, scale = _rho_monomial(cc, fb, state, geom, split)
             parts.append((op, -scale, j))
-    return _diffop_sum(sub, parts)
+    return _diffop_sum(pol.chart, parts)
 
 
 # -- independent oracles for the kinetic operator --------------------------
@@ -452,24 +494,24 @@ def _rho_build(c, fib, state, geom, split):
 def laplace_beltrami(geom):
     """Delta = g^{ab} d_a d_b + (d_a g^{ab} + g^{ab} (1/2) g^{kl} d_a g_kl) d_b.
 
-    Built directly from the metric jets; no star-product machinery.
+    Built directly from the metric jets; no star-product machinery.  The
+    last term is the polarization's volume term, which vanishes on a flat
+    chart.
     """
     _, ginv = base_metric(geom)
+    volume = polarization(geom).volume
     n = geom.n
     sums = defaultdict(JetSum)
-    for a in range(n):
-        for b in range(n):
-            if ginv[a][b].is_zero():
-                continue
-            idx = [0] * n
-            idx[a] += 1
-            idx[b] += 1
-            sums[tuple(idx), 0].add(ginv[a][b])
+    for a, b in product(range(n), repeat=2):
+        if not ginv[a][b].is_zero():
+            sums[tuple((k == a) + (k == b) for k in range(n)), 0].add(
+                ginv[a][b])
     for b in range(n):
         e = tuple(1 if k == b else 0 for k in range(n))
         for a in range(n):
             sums[e, 0].add(ginv[a][b].partial(a))
-            sums[e, 0].add(ginv[a][b], _log_vol_gradient(geom)[a])
+            if volume is not None:
+                sums[e, 0].add(ginv[a][b], volume[a])
     return _diffop_of(config_chart(geom), sums)
 
 
@@ -481,12 +523,10 @@ def scalar_curvature(geom):
     riem = _curvature_of(gamma, n)
     sub = config_chart(geom)
     acc = Jet.zero(sub, min(e.valid_order for row in g for e in row) - 2)
-    for j in range(n):
-        for l in range(n):
-            for i in range(n):
-                r = riem.get((i, j, i, l))
-                if r is not None:
-                    acc = acc + ginv[j][l] * r
+    for j, l, i in product(range(n), repeat=3):
+        r = riem.get((i, j, i, l))
+        if r is not None:
+            acc = acc + ginv[j][l] * r
     return acc
 
 
@@ -496,10 +536,9 @@ def kinetic_energy_observable(geom):
     n = geom.n
     _, ginv = base_metric(geom)
     acc = JetSum()
-    for a in range(n):
-        for b in range(n):
-            acc.add(_embed_config(ginv[a][b], geom).mul_monomial(
-                [0] * n + [(k == a) + (k == b) for k in range(n)]))
+    for a, b in product(range(n), repeat=2):
+        acc.add(_embed_config(ginv[a][b], geom).mul_monomial(
+            [0] * n + [(k == a) + (k == b) for k in range(n)]))
     return acc.jet()
 
 

@@ -24,7 +24,7 @@ from .geometry import (CheckReport, build_darboux, build_flat, build_kaehler,
                        poisson, validate_connection)
 from .fedosov import flat_section, moyal_reference, solve_r, star
 from .quantization import (DiffOp, QuantizationError, _diffop_sum,
-                           config_chart, diffop_compose, kinetic_alpha,
+                           diffop_compose, kinetic_alpha, polarization,
                            rho_extend)
 from . import sampling
 
@@ -519,11 +519,12 @@ def flat_reps_suite(order=11, seed=0):
         Jet.variable(complex_chart(1), 0, order)
         * Jet.variable(complex_chart(1), 1, order), order)
     # position: q multiplies, p = -i hbar d_q; Fock: z multiplies,
-    # zbar = hbar d_z
-    for tag, geom, scale in (("position", geom_real, -I),
-                             ("Fock", geom_fock, 1)):
-        sub = config_chart(geom)
-        base_ops = [DiffOp.deriv(sub, 0, Jet.constant(sub, scale, order), 1)]
+    # zbar = hbar d_z; each scale is its polarization's
+    for tag, geom in (("position", geom_real), ("Fock", geom_fock)):
+        pol = polarization(geom)
+        sub = pol.chart
+        base_ops = [DiffOp.deriv(sub, 0, Jet.constant(sub, pol.scale, order),
+                                 1)]
         for mono1, mono2 in monomials:
             # q^beta p^fib for each (beta, fib)
             f, g = (Jet.constant(geom.chart, 1, order).mul_monomial(b + p)

@@ -137,6 +137,15 @@ def test_quantize_kinetic_on_a_flat_chart_is_p_squared(flat_file, tmp_path):
     assert coefficients[0] == {"d^(2)": {"hbar^2": {"0": "-1"}}}
 
 
+def test_quantize_on_a_darboux_chart_is_input_error(tmp_path, capsys):
+    """A Darboux chart has no polarization, and the command says so before
+    it solves the chart."""
+    path = tmp_path / "d.json"
+    path.write_text(FLAT_OFF_ORIGIN % "darboux")
+    assert main(["quantize", str(path), "--f", "q1*p1", "--quiet"]) == 2
+    assert "has no polarization" in capsys.readouterr().err
+
+
 def test_quantize_order_on_kaehler_is_input_error(tmp_path, capsys):
     # the holomorphic operator is computed without a star product, so an
     # --order would be ignored

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from fedquant.jets import Chart, Jet, JetSum
+from fedquant.jets import Chart, ChartMismatch, Jet, JetSum
 from fedquant.rational import CRat, I
 from fedquant.weyl import WeylForm, graded_commutator
 from fedquant.exprparse import jet_of
@@ -250,6 +250,16 @@ def test_cotangent_rejects_a_metric_that_is_not_square():
         bad = [[one, one]] if n == 1 else [[one], [one]]
         with pytest.raises(GeometryError, match=f"not an {n} x {n} matrix"):
             lift_cotangent(bad, ORDER)
+
+
+def test_cotangent_rejects_metric_entries_on_different_charts():
+    """Entries on two charts with the same base point would otherwise be
+    read as one chart's jets when the lift moves them onto its own."""
+    one = Jet.constant(Chart(("q1", "q2"), (0, 0)), 1, ORDER)
+    other = Jet.constant(Chart(("x", "y"), (0, 0)), 1, ORDER)
+    zero = one * 0
+    with pytest.raises(ChartMismatch):
+        lift_cotangent([[one, zero], [zero, other]], ORDER)
 
 
 def test_cotangent_rejects_non_real_metric():

@@ -1,25 +1,30 @@
 """Polarization operators: differential-operator algebra and closed forms."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
+from fedquant.cli import load_geometry
+from fedquant.exprparse import jet_of
 from fedquant.jets import Chart, ChartMismatch, Jet
 from fedquant.rational import CRat, I
-from fedquant.geometry import (build_flat, build_kaehler, complex_chart,
-                               lift_cotangent, phase_chart)
+from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
+                               complex_chart, lift_cotangent, phase_chart)
 from fedquant.fedosov import solve_r
 from fedquant.quantization import (DiffOp, HbarSeries, QuantizationError,
                                    config_chart, diffop_apply, diffop_compose,
                                    gq_cotangent, gq_kaehler, kinetic_alpha,
                                    kinetic_energy_observable,
-                                   laplace_beltrami, rho_extend,
-                                   scalar_curvature)
+                                   laplace_beltrami, polarization,
+                                   rho_extend, scalar_curvature)
 from fedquant.suites import flat_reps_suite, weyl_quantize
 from fedquant import sampling
 
 
 ORDER = 9
+SPHERE_FILE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "geometries", "round_sphere.json")
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +150,65 @@ def test_observable_from_another_chart_is_rejected():
     for f in (q * p, q * p * p):
         with pytest.raises(ChartMismatch):
             rho_extend(f, state)
+
+
+# each quantization map refuses the geometries of another polarization,
+# and a Darboux chart has none: (call, geometry kind)
+REFUSALS = [("gq_cotangent", "kaehler"), ("gq_kaehler", "flat"),
+            ("gq_kaehler", "cotangent"), ("rho_extend", "kaehler"),
+            ("gq_cotangent", "darboux"), ("gq_kaehler", "darboux"),
+            ("rho_extend", "darboux")]
+
+
+def _small_geometry(kind, order=8):
+    cc = complex_chart(1)
+    q1 = Chart(("q1",), (0,))
+    return {"flat": lambda: build_flat(1, order),
+            "darboux": lambda: build_darboux(1, {}, order),
+            "cotangent": lambda: lift_cotangent(
+                [[jet_of("1 + q1^2", q1, order)]], order),
+            "kaehler": lambda: build_kaehler(
+                Jet.variable(cc, 0, order) * Jet.variable(cc, 1, order),
+                order)}[kind]()
+
+
+@pytest.mark.parametrize("call,kind", REFUSALS)
+def test_a_quantization_map_refuses_another_polarization(call, kind):
+    geom = _small_geometry(kind)
+    f = Jet.variable(geom.chart, 0, geom.order)
+    quantize = {"gq_cotangent": gq_cotangent, "gq_kaehler": gq_kaehler,
+                "rho_extend": lambda f, geom: rho_extend(f,
+                                                         solve_r(geom, 1))}
+    with pytest.raises(QuantizationError):
+        quantize[call](f, geom)
+
+
+@pytest.mark.parametrize("kind,scale,has_volume,factorizes", [
+    ("flat", -I, False, True), ("cotangent", -I, True, True),
+    ("kaehler", 1, False, False)])
+def test_polarization_of_each_kind(kind, scale, has_volume, factorizes):
+    geom = _small_geometry(kind)
+    pol = polarization(geom)
+    assert polarization(geom) is pol
+    assert pol.chart is config_chart(geom)
+    assert pol.scale == scale and pol.factorizes is factorizes
+    assert (pol.volume is not None) is has_volume
+
+
+def test_a_darboux_chart_has_no_polarization():
+    with pytest.raises(QuantizationError, match="no polarization"):
+        polarization(_small_geometry("darboux"))
+
+
+def test_the_lifted_metric_lives_on_the_configuration_chart():
+    """The metric jets share the configuration chart object, so the
+    first-order products with them pass every chart check by ``is``."""
+    for geom in (lift_cotangent(sampling.sphere_metric(ORDER), ORDER),
+                 load_geometry(SPHERE_FILE)):
+        sub = config_chart(geom)
+        for key in ("metric", "metric_inv"):
+            assert all(jet.chart is sub for row in geom.source[key]
+                       for jet in row)
 
 
 @pytest.fixture(scope="module")

@@ -38,10 +38,10 @@ def test_a_rejected_kinetic_residual_fails_the_suite(monkeypatch, capsys):
     ``kinetic_alpha`` rejects the kinetic residual: each entry it rejects
     fails, naming its chart and the error, and the command exits 1 on a
     FAIL line instead of a traceback."""
-    def without_log_volume(sums, u, j, scale, geom):
-        n = geom.n
-        sums[tuple(int(k == j) for k in range(n)), 1].add(u, s=scale)
-        sums[(0,) * n, 1].add(u.partial(j), s=scale * Fraction(1, 2))
+    def without_log_volume(sums, u, j, pol):
+        n = pol.chart.dim
+        sums[tuple(int(k == j) for k in range(n)), 1].add(u, s=pol.scale)
+        sums[(0,) * n, 1].add(u.partial(j), s=pol.scale * Fraction(1, 2))
 
     monkeypatch.setattr(quantization, "_first_order", without_log_volume)
     rep = suites.kinetic_alpha_suite()
