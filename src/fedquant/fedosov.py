@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
 
-from .jets import ChartMismatch, Jet, JetError, JetSum, product_vanishes
+from .jets import ChartMismatch, Jet, JetError, JetSum
 from .rational import HALF_I, ONE
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
                    op_delta_inv_sums, symbol_mul, weyl_mul)
@@ -77,9 +77,9 @@ class FedosovState:
 
     def add_commutator(self, w, part, acc, max_level):
         """Accumulate (i/hbar)[r_w, part] into ``acc``, a
-        ``defaultdict(JetSum)`` keyed by term; products that vanish are
-        skipped, and so are terms whose level k + |alpha| exceeds
-        ``max_level``.
+        ``defaultdict(JetSum)`` keyed by term; terms whose level
+        k + |alpha| exceeds ``max_level`` are skipped, and every other
+        product is added, one that truncates to zero included.
 
         r is fixed, so the commutator with its weight-w part is a linear
         map over jets.  Its row at a term key, the commutator with the
@@ -100,7 +100,7 @@ class FedosovState:
                     for (k, alpha, beta), unit_jet
                     in WeylForm.from_sums(geom, sums).terms.items())
             for level, out_key, row_jet in row:
-                if level <= max_level and not product_vanishes(jet, row_jet):
+                if level <= max_level:
                     acc[out_key].add(jet, row_jet)
 
     def __repr__(self):

@@ -733,27 +733,6 @@ class JetSum:
         return Jet.from_terms(self.chart, self.valid_order, self.den, terms)
 
 
-def product_vanishes(a, b, c=None):
-    """Whether the truncated product a*b, times c when given, is exactly
-    zero, without forming it.
-
-    Jets are polynomials over a field, so the lowest homogeneous part of a
-    product is the product of the lowest parts: a product vanishes exactly
-    when a factor does or their lowest degrees add up past the shared
-    validity.
-    """
-    if not a.terms or not b.terms:
-        return True
-    low = a.terms[0][0] + b.terms[0][0]
-    v = min(a.valid_order, b.valid_order)
-    if c is not None:
-        if not c.terms:
-            return True
-        low += c.terms[0][0]
-        v = min(v, c.valid_order)
-    return low > v
-
-
 def jet_maps_agree(a, b):
     """Whether two ``{key: Jet}`` maps agree key by key, each pair to its
     shared order; a missing key stands for an exact zero, so the jet on the

@@ -422,10 +422,9 @@ def _rho_monomial(c, fib, state, geom, split):
     """rho(c p^fib) as (operator, scale), whose product it is; the
     operator is read from the state's table when c is one term.
 
-    Every step of ``_rho_build`` is linear in c, and a product is skipped
-    by the lowest degrees and validities of its factors, which scaling c
-    by lambda != 0 keeps.  Hence rho(lambda c p^beta) and
-    lambda rho(c p^beta) have equal stores.
+    Every step of ``_rho_build`` is linear in c, and a term is skipped
+    only where a jet is zero, which scaling c by lambda != 0 keeps.
+    Hence rho(lambda c p^beta) and lambda rho(c p^beta) have equal stores.
 
     So a coefficient lambda q^gamma is looked up as its unit monomial
     q^gamma, a jet key that carries c's validity, and the entry comes

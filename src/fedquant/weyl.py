@@ -42,6 +42,12 @@ Primitives are interned per geometry, and on n = 1 charts every nonzero
 pairing at level l is a multiple of (omega^{12})^l, so the symbol pairs of
 one hbar power share a few primitives: their scaled jet products are
 summed first and each group sum is convolved with its primitive once.
+
+Only exact zeros are left out: a term pair whose form indices collide,
+whose expansion is empty or, in the symbol, whose pairing is zero.  Every
+product formed goes into its ``JetSum``, one that truncates to zero
+included, so a coefficient's validity is the minimum over every product
+it is given.
 """
 
 from __future__ import annotations
@@ -50,8 +56,7 @@ from collections import defaultdict
 from itertools import product
 from math import comb, prod
 
-from .jets import (ChartMismatch, Jet, JetError, JetSum, jet_maps_agree,
-                   product_vanishes)
+from .jets import ChartMismatch, Jet, JetError, JetSum, jet_maps_agree
 from .rational import CRat, HALF_I, ONE
 
 # form-index subsets are sorted tuples; fiber multidegrees are dense tuples
@@ -203,7 +208,9 @@ def _mul_contract(a, b, parity, into=None):
     monomials (``_expansion``, built for the parity alone) times the
     product of its jets: one add of scale * jets * primitive per entry, or
     of scale * jets where the pairing is constant.  A pair whose expansion
-    is empty forms no product.
+    is empty, or whose form indices collide, forms no product; every other
+    product is added, one that truncates to zero included, so that it
+    caps its key's validity.
     With parity 1 the result is doubled, which turns it into the graded
     commutator: the antisymmetry of omega^{-1} flips each contraction's
     sign on reversal, so the even orders cancel in [a, b] and the odd
@@ -246,15 +253,13 @@ def _mul_contract(a, b, parity, into=None):
                 continue
             sign, beta = w
             base = jet_a * jet_b
-            if base.is_zero():
-                continue
             s = emit if sign == 1 else -emit
             # one add per contraction term, so that a term cancelling
-            # another still lowers the key's validity as its own
+            # another, or truncating to zero, still lowers the key's
+            # validity as its own
             for m, alpha, primitive, scale in expansion:
-                if primitive is None or not product_vanishes(base, primitive):
-                    out[ka + kb + m - lower, alpha, beta].add(
-                        base, primitive, scale * s)
+                out[ka + kb + m - lower, alpha, beta].add(
+                    base, primitive, scale * s)
     if into is not None:
         return out
     return WeylForm.from_sums(geom, out)
@@ -364,10 +369,10 @@ def symbol_mul(a, b, max_hbar):
     ``_pairing`` as content * primitive.  A term pair with a constant
     pairing adds its jets' product directly; the pairs of one hbar power and
     one primitive are summed as scale * content * jet_a * jet_b first, and
-    each finished group is convolved with its primitive once.  A pair is
-    left out exactly when its product with the pairing vanishes by
-    truncation, and a group that cancels to zero still lowers the
-    validity, so the result is the per-pair sum's, store for store.
+    each finished group is convolved with its primitive once.  Only a
+    pair with a zero pairing is left out; every formed product caps its
+    sum's validity, one that truncates to zero and a group that cancels
+    included.
     """
     a._check(b)
     geom = a.geometry
@@ -385,7 +390,7 @@ def symbol_mul(a, b, max_hbar):
             if k > max_hbar:
                 continue
             content, primitive = _pairing(geom, alpha_a, alpha_b)
-            if not content or product_vanishes(jet_a, jet_b, primitive):
+            if not content:
                 continue
             (out[k] if primitive is None else groups[k, primitive]).add(
                 jet_a, jet_b, scale * content)

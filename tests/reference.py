@@ -22,9 +22,9 @@ The jet layer owns its packed store, and it sums every power series
 through one composition.  The functions at the end are the older forms of
 those reads, straight on the store: the fiber split loop, the geometric
 series of an inverse, the five elementary series as they were written
-one by one, the three-factor vanishing test of ``symbol_mul``, the
-sign rule that interns curvature entries up to sign, the parser's power
-bound and the comparison of two jets up to their shared order.
+one by one, the sign rule that interns curvature entries up to sign, the
+parser's power bound and the comparison of two jets up to their shared
+order.
 """
 
 from collections import defaultdict
@@ -34,7 +34,7 @@ from itertools import permutations
 from fedquant.fedosov import star
 from fedquant.geometry import build_rhat, nabla
 from fedquant.jets import (Chart, DomainError, Jet, JetSum, pack_key,
-                           product_vanishes, unpack_key)
+                           unpack_key)
 from fedquant.quantization import (DiffOp, _diffop_sum, _embed_config,
                                    config_chart, diffop_compose,
                                    fiber_decompose, gq_cotangent)
@@ -67,7 +67,9 @@ def pairing(geom, alpha_a, alpha_b):
 def symbol_mul_by_pairs(a, b, max_hbar):
     """The symbol of a o b as one fold per term pair: each nonconstant
     pairing, from ``pairing``, is convolved with the pair's own jet
-    product.  The pairings are kept for the length of one call."""
+    product.  Only a zero pairing leaves its pair out; a product that
+    truncates to zero is still added, and caps its sum's validity.  The
+    pairings are kept for the length of one call."""
     geom = a.geometry
     pairings = {}
     out = defaultdict(JetSum)
@@ -89,12 +91,9 @@ def symbol_mul_by_pairs(a, b, max_hbar):
             if p.is_zero():
                 continue
             if p.is_constant():
-                if not product_vanishes(jet_a, jet_b):
-                    out[k].add(jet_a, jet_b, scale * p.constant_term)
+                out[k].add(jet_a, jet_b, scale * p.constant_term)
             else:
-                ab = jet_a * jet_b
-                if not product_vanishes(ab, p):
-                    out[k].add(ab, p, scale)
+                out[k].add(jet_a * jet_b, p, scale)
     sym = {k: acc.jet() for k, acc in out.items()}
     return {k: jet for k, jet in sym.items() if not jet.is_zero()}
 
@@ -263,20 +262,6 @@ def power_bits(a):
     term, whichever is longer."""
     c = a.terms[0][2:] if a.terms and not a.terms[0][0] else (0, 0)
     return max(a.den, *map(abs, c)).bit_length()
-
-
-def symbol_pair_vanishes(jet_a, jet_b, primitive):
-    """Whether ``symbol_mul`` leaves a term pair out: the pair's product
-    vanishes, or, for a nonconstant pairing, the lowest degrees of the
-    pair and the primitive add up past the three validities."""
-    if not jet_a.terms or not jet_b.terms:
-        return True
-    if (jet_a.terms[0][0] + jet_b.terms[0][0]
-            > min(jet_a.valid_order, jet_b.valid_order)):
-        return True
-    return primitive is not None and not (
-        jet_a.terms[0][0] + jet_b.terms[0][0] + primitive.terms[0][0]
-        <= min(jet_a.valid_order, jet_b.valid_order, primitive.valid_order))
 
 
 def interning_sign(g):

@@ -1,11 +1,10 @@
 """The reads of a jet's packed store that other modules make through the
 jet layer (``Jet.split``, ``Jet.leading``, ``Jet.as_monomial``, the
-three-factor ``product_vanishes``, the interning sign of curvature
-entries, ``Jet.agrees_with``) and the one power-series composition,
-against the older inline forms kept in ``tests/reference.py`` or the
-``coeffs`` view.  Results are compared with ``==``, validity included, on
-jets of the n = 1 and n = 2 phase charts, with complex coefficients,
-validity 0 and zero jets among the draws."""
+interning sign of curvature entries, ``Jet.agrees_with``) and the one
+power-series composition, against the older inline forms kept in
+``tests/reference.py`` or the ``coeffs`` view.  Results are compared with
+``==``, validity included, on jets of the n = 1 and n = 2 phase charts,
+with complex coefficients, validity 0 and zero jets among the draws."""
 
 from fractions import Fraction
 from itertools import product
@@ -16,7 +15,7 @@ from hypothesis import given, strategies as st
 import reference
 from fedquant.geometry import _lead_sign, build_flat, phase_chart
 from fedquant.jets import (ChartMismatch, Jet, jet_cos, jet_exp, jet_log,
-                           jet_sin, jet_sqrt, product_vanishes)
+                           jet_sin, jet_sqrt)
 from fedquant.quantization import fiber_decompose
 from fedquant.rational import CRat
 
@@ -158,27 +157,6 @@ def test_interning_sign_equals_the_packed_rule(g):
     sign = _lead_sign(g)
     assert sign == reference.interning_sign(g)
     assert _lead_sign(-g) == (sign if g.is_zero() else -sign)
-
-
-@given(st.sampled_from((1, 2)).flatmap(
-    lambda n: st.tuples(jets(n), jets(n), st.none() | jets(n))))
-def test_three_factor_vanishing_equals_the_symbol_mul_test(triple):
-    a, b, p = triple
-    if p is not None and p.is_zero():
-        p = None     # a pairing primitive is never zero
-    assert product_vanishes(a, b, p) \
-        == reference.symbol_pair_vanishes(a, b, p)
-    product_ = a * b if p is None else a * b * p
-    assert product_vanishes(a, b, p) == product_.is_zero()
-
-
-def test_third_factor_counts_with_its_degree_and_its_validity():
-    q, p = (Jet.variable(CHARTS[1], i, 4) for i in range(2))
-    for c in (q * p * p, (q * 2).truncate(2)):
-        assert product_vanishes(q, p, c)
-        assert reference.symbol_pair_vanishes(q, p, c)
-    assert product_vanishes(q, p, Jet.zero(CHARTS[1], 4))
-    assert not product_vanishes(q, p, q.truncate(3))
 
 
 ELEMENTARY = [(Jet.invert, reference.invert), (jet_exp, reference.jet_exp),

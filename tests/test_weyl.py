@@ -9,9 +9,9 @@ from itertools import combinations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from fedquant.jets import Jet, JetSum, product_vanishes
+from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
 from fedquant.weyl import (GradingError, WeylForm, _expansion, _pairing,
                            _wedge, graded_commutator, op_delta, op_delta_inv,
@@ -559,10 +559,10 @@ def test_symbol_mul_matches_the_per_pair_fold(case):
 def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
     """On the Kaehler n = 1 chart every level-1 pairing is a multiple of
     omega^{12}, a nonconstant jet.  A pair whose jet product is nonzero
-    but vanishes once multiplied by it is skipped, and a group that
-    cancels to zero is still added: either way the hbar^1 coefficient,
-    whose y-free pair is valid beyond the pairing, keeps the per-pair
-    fold's validity."""
+    but vanishes once multiplied by it, and a group that cancels to zero,
+    are both still added: either way the hbar^1 coefficient, whose y-free
+    pair is valid beyond the pairing, is certified through the pairing's
+    validity alone, as in the per-pair fold."""
     geom = CURVED["kaehler", 1]
     vp = pairing(geom, (1, 0), (0, 1)).valid_order
     v = vp + 3
@@ -579,10 +579,59 @@ def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
                   WeylForm(geom, {(0, (0, 0), ()): one,
                                   (0, (1, 0), ()): q,
                                   (0, (0, 1), ()): q}))
-    for a, b, cut in (vanishing + (v,), cancelling + (vp,)):
+    for a, b in (vanishing, cancelling):
         sym = symbol_mul(a, b, 1)
         assert sym == symbol_mul_by_pairs(a, b, 1)
-        assert sym[1] == (q + 1).truncate(cut)
+        assert sym[1] == (q + 1).truncate(vp)
+
+
+def test_a_product_that_truncates_to_zero_caps_its_sum():
+    """On the flat n = 1 chart at order 9, q^2 y^1 o q^2 y^2 adds
+    (i/2) q^4 hbar to the hbar^1 y-free coefficient.  With q valid through
+    3 that product truncates to zero, and the coefficient 1 + q is then
+    certified through 3 only: through 9 it would be 1 + q + (i/2) q^4."""
+    geom = build_flat(1, 9)
+    hbar_free = (1, (0, 0), ())
+
+    def pair(q):
+        one = Jet.constant(geom.chart, 1, 9)
+        q9 = Jet.variable(geom.chart, 0, 9)
+        a = WeylForm(geom, {(0, (1, 0), ()): q ** 2, hbar_free: one + q9})
+        b = WeylForm(geom, {(0, (0, 1), ()): q ** 2, (0, (0, 0), ()): one})
+        return a, b
+
+    q3, q9 = (Jet.variable(geom.chart, 0, v) for v in (3, 9))
+    full = weyl_mul(*pair(q9)).terms[hbar_free]
+    assert full == 1 + q9 + q9 ** 4 * CRat(0, Fraction(1, 2))
+    got = weyl_mul(*pair(q3)).terms[hbar_free]
+    assert got == (1 + q9).truncate(3)
+    assert got.agrees_with(full)
+
+
+def _assert_certified_by(got, full):
+    """Each jet of ``got`` agrees with the jet at its key in ``full``,
+    which is certified at least as far; a key absent from ``full`` is
+    zero there."""
+    for key, jet in got.items():
+        ref = full.get(key, Jet.zero(jet.chart, jet.valid_order))
+        assert jet.valid_order <= ref.valid_order and jet.agrees_with(ref)
+
+
+@given(st.one_of([st.tuples(f, f, st.integers(0, ORDER), st.integers(0, 2))
+                  for f in FORMS]))
+def test_a_truncated_factor_is_certified_only_as_far_as_it_holds(draw):
+    """Truncating one jet of a to validity v changes no coefficient of
+    a o b, [a, b] or the symbol through the validity each result claims."""
+    a, b, v, pick = draw
+    assume(a.terms)
+    key = sorted(a.terms)[pick % len(a.terms)]
+    cut = a.terms[key].truncate(v)
+    # a dropped term leaves absent entries, which certify nothing here
+    assume(not cut.is_zero())
+    cut_a = WeylForm(a.geometry, {**a.terms, key: cut})
+    for op in (weyl_mul, graded_commutator):
+        _assert_certified_by(op(cut_a, b).terms, op(a, b).terms)
+    _assert_certified_by(symbol_mul(cut_a, b, 5), symbol_mul(a, b, 5))
 
 
 @pytest.mark.parametrize("where", [("kaehler", 1), ("darboux", 1)])
@@ -624,8 +673,7 @@ def test_each_group_convolves_its_primitive_once(monkeypatch):
                     or k > n):
                 continue
             _, primitive = _pairing(geom, alpha_a, alpha_b)
-            if primitive is not None \
-                    and not product_vanishes(jet_a * jet_b, primitive):
+            if primitive is not None:
                 groups.add((k, primitive))
                 pairs += 1
     interned = {id(p) for p in geom._cache["primitives"].values()}
