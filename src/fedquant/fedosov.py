@@ -7,15 +7,18 @@ is flattened by solving
 
 degree by degree in the doubled weight 2k + |alpha|.  Flat sections are then
 built by the companion iteration, and the star product of two scalars is the
-symbol of the fiberwise product of their flat sections.
+symbol of the fiberwise product of their flat sections.  On small states it is
+summed from a per-state table of the bidifferential operators that symbol
+defines (``star``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
+from math import comb, factorial, prod
 
-from .jets import ChartMismatch, Jet, JetError, JetSum
+from .jets import EXACT_ORDER, ChartMismatch, Jet, JetError, JetSum
 from .rational import HALF_I, ONE
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
                    op_delta_inv_sums, symbol_mul, weyl_mul)
@@ -74,6 +77,13 @@ class FedosovState:
         # rho(q^gamma p^beta) by (unit monomial jet, beta, split), filled by
         # ``quantization._rho_monomial``
         self._rho_table = {}
+        # the bidifferential operators of ``star`` on a state under
+        # ``STAR_TABLE_MAX_INDICES``: the operator sections S_alpha by
+        # alpha, and the (hbar power, c^k_(alpha beta)) pairs by
+        # (alpha, beta), filled by ``_operator_section`` and
+        # ``_star_entries``
+        self._operator_sections = {}
+        self._star_table = {}
 
     def add_commutator(self, w, part, acc, max_level):
         """Accumulate (i/hbar)[r_w, part] into ``acc``, a
@@ -296,26 +306,186 @@ def _restrict_level(form, lim):
                      if key[0] + sum(key[1]) <= lim})
 
 
+# ``star`` reads the operator table on a state with at most this many
+# multi-indices |alpha| <= N over its 2n phase variables, C(2n + N, N):
+# n = 1 through N = 3, or any chart at N <= 1.  Above it the first fill,
+# C(2n + N, N) operator sections and their pairs, costs more than a
+# stream of queries wins back.  Measured on Python 3.11, 2 shared cores:
+# on the n = 1, N = 3 Kaehler associativity triples of the benchmark the
+# table halved the time per triple (about 20 -> 10 ms); with the table on
+# every chart, a first star on the seeded cotangent n = 2, N = 3 chart
+# went 0.20 -> 1.1 s (a second one 0.11 -> 0.013 s), and the fixed query
+# prefixes of the cotangent n = 2 quantization and n = 2 solve benchmarks
+# went 0.11 -> 0.26 s and 0.010 -> 0.19 s.
+STAR_TABLE_MAX_INDICES = 10
+
+
 def star(f, g, state, n_hbar=None):
     """Star product through hbar^n (the state's N by default, and at most
     that): the symbol of f-hat o g-hat.
 
-    The symbol pairs hbar^ka y^alpha only with hbar^kb y^alpha and lands
-    at hbar^(ka + kb + |alpha|), so each section is built with only its
-    terms of k + |alpha| <= n, through weight 2n - 1 (``flat_section``),
-    which are equal to those of the sections filled with no level bound;
-    the coefficients and their validity are those of the unbounded
-    sections' symbol through hbar^n.
+    Two paths give it, chosen by one rule: a state with at most
+    ``STAR_TABLE_MAX_INDICES`` multi-indices |alpha| <= N over its 2n
+    phase variables reads the operator table (``_star_operators``), and
+    every other state the flat sections (``_star_sections``).
+
+    The sections.  The symbol pairs hbar^ka y^alpha only with
+    hbar^kb y^alpha and lands at hbar^(ka + kb + |alpha|), so each section
+    is built with only its terms of k + |alpha| <= n, through weight
+    2n - 1 (``flat_section``), which are equal to those of the sections
+    filled with no level bound; the coefficients and their validity are
+    those of the unbounded sections' symbol through hbar^n.
+
+    The table.  The flat section is linear, f-hat = sum_alpha S_alpha
+    d^alpha f, and S_alpha depends only on the state, so
+
+        C_k(f, g) = sum_(alpha, beta) c^k_(alpha beta) d^alpha f d^beta g,
+
+    c^k_(alpha beta) = ``symbol_mul(S_alpha, S_beta)[k]``, summed as
+    sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g).  A term of
+    S_alpha has level k + |y-degree| >= |alpha|, so c^k_(alpha beta) is
+    absent for |alpha| > k or |beta| > k, and only the multi-indices with
+    |alpha| <= n are read.  Every product counts: a zero d^alpha f or
+    d^beta g still caps the validity of each hbar^k it enters, as a
+    zero product that convolves nothing.
+
+    On both paths a coefficient that sums to zero gets the lowest
+    validity of f, g and the nonzero coefficients.
     """
     geom = state.geometry
-    n = state.n_hbar if n_hbar is None else min(n_hbar, state.n_hbar)
-    fhat = flat_section(f, state, n)
-    ghat = flat_section(g, state, n)
-    sym = symbol_mul(fhat, ghat, max_hbar=n)
+    if f.chart != geom.chart or g.chart != geom.chart:
+        raise ChartMismatch("operands live on a different chart")
+    n = state.n_hbar if n_hbar is None else n_hbar
+    _check_order(n)
+    n = min(n, state.n_hbar)
+    body = _star_operators if _reads_table(state) else _star_sections
+    return _series(body(f, g, state, n), f, g, n)
+
+
+def _series(coefficients, f, g, n):
+    """The ``StarSeries`` through hbar^n of a map hbar power -> jet, a
+    missing or zero coefficient given the lowest validity of f, g and the
+    nonzero coefficients."""
+    sym = {k: jet for k, jet in coefficients.items() if not jet.is_zero()}
     v = min(j.valid_order
             for j in list(sym.values()) + [f, g])
-    zero = Jet.zero(geom.chart, v)
+    zero = Jet.zero(f.chart, v)
     return StarSeries([sym.get(k, zero) for k in range(n + 1)])
+
+
+def _reads_table(state):
+    """Whether ``star`` reads the operator table on ``state``."""
+    n = state.n_hbar
+    return comb(state.geometry.dim + n, n) <= STAR_TABLE_MAX_INDICES
+
+
+def _star_sections(f, g, state, n):
+    """``star``'s coefficients through hbar^n from the two flat sections,
+    as a map hbar power -> jet."""
+    return symbol_mul(flat_section(f, state, n), flat_section(g, state, n),
+                      max_hbar=n)
+
+
+def _star_operators(f, g, state, n):
+    """``star``'s coefficients through hbar^n from the operator table, as
+    a map hbar power -> jet.
+
+    Each hbar^k ends at the lowest validity of its products, so every sum
+    of that power starts at it and convolves nothing above it.  The outer
+    factor of sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g) is
+    the operand with more terms, so that the products of two long jets are
+    one per (k, outer multi-index), not one per table entry.
+    """
+    chart = state.geometry.chart
+    alphas = _multi_indices(chart.dim, n)
+    df, dg = _partials(f, alphas), _partials(g, alphas)
+    entries = [(k, a, b, c) for a in alphas for b in alphas
+               for k, c in _star_entries(state, a, b) if k <= n]
+    floor = {}
+    for k, a, b, c in entries:
+        v = min(c.valid_order, df[a].valid_order, dg[b].valid_order)
+        floor[k] = min(floor.get(k, v), v)
+    swap = f.term_count() < g.term_count()
+    outer, short = (dg, df) if swap else (df, dg)
+    sums = {}
+    for k, a, b, c in entries:
+        o, i = (b, a) if swap else (a, b)
+        acc = sums.get((k, o))
+        if acc is None:
+            acc = sums[k, o] = JetSum()
+            acc.add(Jet.zero(chart, floor[k]))
+        acc.add(short[i], c)
+    out = defaultdict(JetSum)
+    for (k, o), acc in sums.items():
+        out[k].add(outer[o], acc.jet())
+    return {k: acc.jet() for k, acc in out.items()}
+
+
+def _multi_indices(dim, n):
+    """The multi-indices over ``dim`` variables with |alpha| <= n, by
+    degree."""
+    out = [(0,) * dim]
+    for alpha in out:
+        if sum(alpha) < n:
+            # raise only the last nonzero entry or a later one, so each
+            # multi-index is made once
+            last = max((i for i, e in enumerate(alpha) if e), default=0)
+            out.extend(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                       for i in range(last, dim))
+    return out
+
+
+def _partials(f, alphas):
+    """{alpha: d^alpha f} over ``alphas``, listed by degree."""
+    out = {}
+    for alpha in alphas:
+        i = next((i for i, e in enumerate(alpha) if e), None)
+        out[alpha] = f if i is None else out[
+            alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]].partial(i)
+    return out
+
+
+def _star_entries(state, a, b):
+    """The nonzero (k, c^k_(a b)) through the state's N, kept on the
+    state."""
+    entries = state._star_table.get((a, b))
+    if entries is None:
+        entries = state._star_table[a, b] = tuple(sorted(symbol_mul(
+            _operator_section(state, a), _operator_section(state, b),
+            state.n_hbar).items()))
+    return entries
+
+
+def _operator_section(state, alpha):
+    """S_alpha through the state's N, kept on the state.
+
+    The seed x^alpha / alpha! is exact, carried at ``EXACT_ORDER``, and
+    d^b of it is x^(alpha - b) / (alpha - b)!, so its section is the sum
+    of S_b x^(alpha - b) / (alpha - b)! over b <= alpha; S_alpha is what
+    is left of it when the lower S_b are taken away.
+    """
+    ops = state._operator_sections
+    op = ops.get(alpha)
+    if op is None:
+        geom = state.geometry
+        sums = defaultdict(JetSum)
+        section = _fill_section(_seed(geom.chart, alpha), state, state.n_hbar)
+        for key, jet in section.terms.items():
+            sums[key].add(jet)
+        for b in _multi_indices(geom.dim, sum(alpha)):
+            gap = tuple(a - e for a, e in zip(alpha, b))
+            if any(gap) and min(gap) >= 0:
+                shift = _seed(geom.chart, gap)
+                for key, jet in _operator_section(state, b).terms.items():
+                    sums[key].add(shift, jet, -1)
+        op = ops[alpha] = WeylForm.from_sums(geom, sums)
+    return op
+
+
+def _seed(chart, alpha):
+    """x^alpha / alpha!, exact."""
+    return Jet(chart, EXACT_ORDER, EXACT_ORDER,
+               {alpha: Fraction(1, prod(map(factorial, alpha)))})
 
 
 def moyal_reference(f, g, geom, n_hbar):

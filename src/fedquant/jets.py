@@ -105,6 +105,9 @@ class Chart:
 # or of a sum of keys carries.
 _KEY_BITS = 6
 _KEY_MASK = (1 << _KEY_BITS) - 1
+# the highest valid_order a jet can carry: a polynomial known exactly,
+# such as a unit seed, is carried at it
+EXACT_ORDER = _KEY_MASK
 
 
 def pack_key(alpha):
@@ -269,6 +272,10 @@ class Jet:
 
     def is_zero(self):
         return not self.terms
+
+    def term_count(self):
+        """The number of stored terms."""
+        return len(self.terms)
 
     def has_imag(self):
         """Whether some coefficient has a nonzero imaginary part; the store

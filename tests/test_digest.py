@@ -28,8 +28,13 @@ from reference import full_section, r_union
 PINNED = {
     ("flat", 1, 9, 3, ("flat", 1, 0)):
         "8af22bc90192a997268b00d55a2415113fec836c1aee3ddc89ec95d2595534f2",
+    # star reads the operator table here, and it claims hbar^2 and hbar^3
+    # through degrees 7 and 6, where the sections claimed 8 and 7 with the
+    # same stored terms: the two inputs are linear, and their zero second
+    # and third derivatives cap those powers now; the sections' claims fail
+    # tests/test_star_operators.py::test_claims_survive_changes_above_the_inputs
     ("darboux", 1, 9, 3, ("darboux", 1, 0)):
-        "a981ec34445e1261af6aa13a594804012a76a73bd73584c7d674356cc46da5a5",
+        "f705d1ac3d39e454af0b5118840be09eb865a8efa7da7b88a91adcd1c60f30f5",
     ("cotangent", 1, 11, 3, ("cotangent", 1, 0)):
         "8085c0d9a581b581ffd04fd5c48f7d92519edfd1e88ec03b928c4568fbd90872",
     ("kaehler", 1, 12, 3, ("kaehler", 1, 0)):
