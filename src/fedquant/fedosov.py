@@ -308,15 +308,21 @@ def _restrict_level(form, lim):
 
 # ``star`` reads the operator table on a state with at most this many
 # multi-indices |alpha| <= N over its 2n phase variables, C(2n + N, N):
-# n = 1 through N = 3, or any chart at N <= 1.  Above it the first fill,
-# C(2n + N, N) operator sections and their pairs, costs more than a
-# stream of queries wins back.  Measured on Python 3.11, 2 shared cores:
-# on the n = 1, N = 3 Kaehler associativity triples of the benchmark the
-# table halved the time per triple (about 20 -> 10 ms); with the table on
-# every chart, a first star on the seeded cotangent n = 2, N = 3 chart
-# went 0.20 -> 1.1 s (a second one 0.11 -> 0.013 s), and the fixed query
-# prefixes of the cotangent n = 2 quantization and n = 2 solve benchmarks
-# went 0.11 -> 0.26 s and 0.010 -> 0.19 s.
+# n = 1 through N = 3, n <= 4 at N = 1, and every chart at N = 0.  The
+# table pays only over repeated stars on one state: a first star through
+# hbar^N fills C(2n + N, N) seed sections, the operator sections and their
+# pairs, and each later one sums the table.  Above the rule that first fill costs
+# more than a stream of queries wins back.  Measured on Python 3.11, 2
+# shared cores: the n = 1, N = 3 Kaehler associativity triples of the
+# benchmark make 97 stars on one state in their fixed prefix, and the
+# table halved the time per triple (about 20 -> 10 ms); a one-shot
+# ``fedquant star`` on an n = 1, N = 3 Kaehler chart, which pays the
+# fill whole, took about 25 ms more (0.15 -> 0.18 s, interpreter start
+# included).  With the table on every chart, a first star on the seeded
+# cotangent n = 2, N = 3 chart went 0.20 -> 1.1 s (a second one
+# 0.11 -> 0.013 s), and the fixed query prefixes of the cotangent n = 2
+# quantization and n = 2 solve benchmarks went 0.11 -> 0.26 s and
+# 0.010 -> 0.19 s.
 STAR_TABLE_MAX_INDICES = 10
 
 
@@ -342,7 +348,10 @@ def star(f, g, state, n_hbar=None):
         C_k(f, g) = sum_(alpha, beta) c^k_(alpha beta) d^alpha f d^beta g,
 
     c^k_(alpha beta) = ``symbol_mul(S_alpha, S_beta)[k]``, summed as
-    sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g).  A term of
+    sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g).  The S_alpha
+    come from the flat sections of the seeds x^alpha / alpha!
+    (``_operator_section``), so the first star on a state fills those
+    sections and every later one reads only the table.  A term of
     S_alpha has level k + |y-degree| >= |alpha|, so c^k_(alpha beta) is
     absent for |alpha| > k or |beta| > k, and only the multi-indices with
     |alpha| <= n are read.  Every product counts: a zero d^alpha f or
@@ -462,14 +471,16 @@ def _operator_section(state, alpha):
     The seed x^alpha / alpha! is exact, carried at ``EXACT_ORDER``, and
     d^b of it is x^(alpha - b) / (alpha - b)!, so its section is the sum
     of S_b x^(alpha - b) / (alpha - b)! over b <= alpha; S_alpha is what
-    is left of it when the lower S_b are taken away.
+    is left of it when the lower S_b are taken away.  The seed's section
+    comes from ``flat_section`` like any other, so it sits in the section
+    cache.
     """
     ops = state._operator_sections
     op = ops.get(alpha)
     if op is None:
         geom = state.geometry
         sums = defaultdict(JetSum)
-        section = _fill_section(_seed(geom.chart, alpha), state, state.n_hbar)
+        section = flat_section(_seed(geom.chart, alpha), state)
         for key, jet in section.terms.items():
             sums[key].add(jet)
         for b in _multi_indices(geom.dim, sum(alpha)):

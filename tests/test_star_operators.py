@@ -69,6 +69,14 @@ def _entries(st):
             for k, _ in row]
 
 
+def _seeds(st):
+    """The seeds x^alpha / alpha!, |alpha| <= N, whose sections the
+    operator sections are built from."""
+    chart = st.geometry.chart
+    return {fedosov._seed(chart, a)
+            for a in fedosov._multi_indices(chart.dim, st.n_hbar)}
+
+
 @pytest.mark.parametrize("case", N1_CASES, ids=_ids)
 def test_table_path_agrees_with_the_section_path(case):
     """Equal stores through the shared validity at every level, and the
@@ -116,13 +124,14 @@ def test_table_products_on_the_flat_chart_are_moyal():
         for n in range(4):
             got = star(f, g, st, n)
             assert got.agrees_with(moyal_reference(f, g, flat, n))
-    assert not st._section_cache
+    assert set(st._section_cache) <= _seeds(st)
 
 
 def test_table_starts_empty_and_stays_bounded():
     """``solve_r`` leaves the table empty; a stream of products at every
     level fills at most C(2n + N, N)^2 (N + 1) entries and C(2n + N, N)
-    operator sections, and never the section cache."""
+    operator sections, and the section cache holds only the sections of
+    the seeds they are built from."""
     st = _solve(*N1_CASES[1][:4])
     assert st._star_table == {} and st._operator_sections == {}
     dim, big_n = st.geometry.dim, st.n_hbar
@@ -135,11 +144,12 @@ def test_table_starts_empty_and_stays_bounded():
     count = comb(dim + big_n, big_n)
     assert 0 < len(_entries(st)) <= count ** 2 * (big_n + 1)
     assert len(st._operator_sections) <= count
-    assert not st._section_cache
+    assert set(st._section_cache) <= _seeds(st)
 
 
 def test_the_rule_picks_the_path():
-    """n = 1 through N = 3, or any chart at N <= 1: C(2n + N, N) <= 10."""
+    """C(2n + N, N) <= 10: n = 1 through N = 3, n <= 4 at N = 1 and
+    every chart at N = 0."""
     for kind, n, order, n_hbar, _ in CASES:
         st = _state(kind, n, order, n_hbar)
         expected = comb(2 * n + n_hbar, n_hbar) <= 10
@@ -148,6 +158,9 @@ def test_the_rule_picks_the_path():
     assert fedosov._reads_table(solve_r(flat, 1))
     assert not fedosov._reads_table(solve_r(flat, 2))
     assert not fedosov._reads_table(solve_r(build_flat(1, 11), 4))
+    assert fedosov._reads_table(solve_r(build_flat(4, 5), 1))
+    assert not fedosov._reads_table(solve_r(build_flat(5, 5), 1))
+    assert fedosov._reads_table(solve_r(build_flat(5, 3), 0))
 
 
 @pytest.mark.parametrize("case", [N1_CASES[0], CASES[4]], ids=_ids)
