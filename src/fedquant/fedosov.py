@@ -21,7 +21,7 @@ from math import comb, factorial, prod
 from .jets import EXACT_ORDER, ChartMismatch, Jet, JetError, JetSum
 from .rational import HALF_I, ONE
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
-                   op_delta_inv_sums, symbol_mul, weyl_mul)
+                   op_delta_inv_sums, sub_degrees, symbol_mul, weyl_mul)
 from .geometry import build_rhat, nabla
 
 
@@ -78,12 +78,10 @@ class FedosovState:
         # ``quantization._rho_monomial``
         self._rho_table = {}
         # the bidifferential operators of ``star`` on a state under
-        # ``STAR_TABLE_MAX_INDICES``: the operator sections S_alpha by
-        # alpha, and the (hbar power, c^k_(alpha beta)) pairs by
-        # (alpha, beta), filled by ``_operator_section`` and
-        # ``_star_entries``
-        self._operator_sections = {}
-        self._star_table = {}
+        # ``STAR_TABLE_MAX_INDICES``: None until its first table star, then
+        # every nonzero (k, alpha, beta, c^k_(alpha beta)) through N, built
+        # by ``_operator_table``
+        self._star_table = None
 
     def add_commutator(self, w, part, acc, max_level):
         """Accumulate (i/hbar)[r_w, part] into ``acc``, a
@@ -309,20 +307,20 @@ def _restrict_level(form, lim):
 # ``star`` reads the operator table on a state with at most this many
 # multi-indices |alpha| <= N over its 2n phase variables, C(2n + N, N):
 # n = 1 through N = 3, n <= 4 at N = 1, and every chart at N = 0.  The
-# table pays only over repeated stars on one state: a first star through
-# hbar^N fills C(2n + N, N) seed sections, the operator sections and their
-# pairs, and each later one sums the table.  Above the rule that first fill costs
-# more than a stream of queries wins back.  Measured on Python 3.11, 2
-# shared cores: the n = 1, N = 3 Kaehler associativity triples of the
-# benchmark make 97 stars on one state in their fixed prefix, and the
-# table halved the time per triple (about 20 -> 10 ms); a one-shot
-# ``fedquant star`` on an n = 1, N = 3 Kaehler chart, which pays the
-# fill whole, took about 25 ms more (0.15 -> 0.18 s, interpreter start
-# included).  With the table on every chart, a first star on the seeded
-# cotangent n = 2, N = 3 chart went 0.20 -> 1.1 s (a second one
-# 0.11 -> 0.013 s), and the fixed query prefixes of the cotangent n = 2
-# quantization and n = 2 solve benchmarks went 0.11 -> 0.26 s and
-# 0.010 -> 0.19 s.
+# table pays only over repeated stars on one state: a first star builds
+# it whole, from C(2n + N, N) seed sections, the operator sections and
+# their pairs through hbar^N, and each later one sums the table.  Above
+# the rule that first fill costs more than a stream of queries wins back.
+# Measured on Python 3.11, 2 shared cores: the n = 1, N = 3 Kaehler
+# associativity triples of the benchmark make 97 stars on one state in
+# their fixed prefix, and the table halved the time per triple (about
+# 20 -> 10 ms); a one-shot ``fedquant star`` on an n = 1, N = 3 Kaehler
+# chart, which pays the fill whole, took about 25 ms more (0.15 -> 0.18
+# s, interpreter start included).  With the table on every chart, a first
+# star on the seeded cotangent n = 2, N = 3 chart went 0.20 -> 1.1 s (a
+# second one 0.11 -> 0.013 s), and the fixed query prefixes of the
+# cotangent n = 2 quantization and n = 2 solve benchmarks went
+# 0.11 -> 0.26 s and 0.010 -> 0.19 s.
 STAR_TABLE_MAX_INDICES = 10
 
 
@@ -349,14 +347,14 @@ def star(f, g, state, n_hbar=None):
 
     c^k_(alpha beta) = ``symbol_mul(S_alpha, S_beta)[k]``, summed as
     sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g).  The S_alpha
-    come from the flat sections of the seeds x^alpha / alpha!
-    (``_operator_section``), so the first star on a state fills those
-    sections and every later one reads only the table.  A term of
-    S_alpha has level k + |y-degree| >= |alpha|, so c^k_(alpha beta) is
-    absent for |alpha| > k or |beta| > k, and only the multi-indices with
-    |alpha| <= n are read.  Every product counts: a zero d^alpha f or
-    d^beta g still caps the validity of each hbar^k it enters, as a
-    zero product that convolves nothing.
+    come from the flat sections of the seeds x^alpha / alpha!, so the
+    first star on a state builds the whole table through N from those
+    sections (``_operator_table``) and every later one reads only the
+    table.  A term of S_alpha has level k + |y-degree| >= |alpha|, so
+    c^k_(alpha beta) is absent for |alpha| > k or |beta| > k, and only
+    the multi-indices with |alpha| <= n are read.  Every product counts:
+    a zero d^alpha f or d^beta g still caps the validity of each hbar^k
+    it enters, as a zero product that convolves nothing.
 
     On both paths a coefficient that sums to zero gets the lowest
     validity of f, g and the nonzero coefficients.
@@ -406,10 +404,11 @@ def _star_operators(f, g, state, n):
     one per (k, outer multi-index), not one per table entry.
     """
     chart = state.geometry.chart
+    if state._star_table is None:
+        state._star_table = _operator_table(state)
     alphas = _multi_indices(chart.dim, n)
     df, dg = _partials(f, alphas), _partials(g, alphas)
-    entries = [(k, a, b, c) for a in alphas for b in alphas
-               for k, c in _star_entries(state, a, b) if k <= n]
+    entries = [entry for entry in state._star_table if entry[0] <= n]
     floor = {}
     for k, a, b, c in entries:
         v = min(c.valid_order, df[a].valid_order, dg[b].valid_order)
@@ -454,43 +453,36 @@ def _partials(f, alphas):
     return out
 
 
-def _star_entries(state, a, b):
-    """The nonzero (k, c^k_(a b)) through the state's N, kept on the
-    state."""
-    entries = state._star_table.get((a, b))
-    if entries is None:
-        entries = state._star_table[a, b] = tuple(sorted(symbol_mul(
-            _operator_section(state, a), _operator_section(state, b),
-            state.n_hbar).items()))
-    return entries
-
-
-def _operator_section(state, alpha):
-    """S_alpha through the state's N, kept on the state.
+def _operator_table(state):
+    """The nonzero (k, alpha, beta, c^k_(alpha beta)) through the state's
+    N, by alpha, beta and k.
 
     The seed x^alpha / alpha! is exact, carried at ``EXACT_ORDER``, and
-    d^b of it is x^(alpha - b) / (alpha - b)!, so its section is the sum
-    of S_b x^(alpha - b) / (alpha - b)! over b <= alpha; S_alpha is what
-    is left of it when the lower S_b are taken away.  The seed's section
+    d^gamma of it is x^(alpha - gamma) / (alpha - gamma)!, so its section
+    is the sum of S_(alpha - gamma) x^gamma / gamma! over gamma <= alpha;
+    S_alpha is what is left of it when the terms gamma != 0 are taken
+    away, their S formed before it in degree order.  The seed's section
     comes from ``flat_section`` like any other, so it sits in the section
-    cache.
+    cache; the S_alpha are dropped once they are paired.
     """
-    ops = state._operator_sections
-    op = ops.get(alpha)
-    if op is None:
-        geom = state.geometry
+    geom = state.geometry
+    alphas = _multi_indices(geom.dim, state.n_hbar)
+    ops = {}
+    for alpha in alphas:
         sums = defaultdict(JetSum)
         section = flat_section(_seed(geom.chart, alpha), state)
         for key, jet in section.terms.items():
             sums[key].add(jet)
-        for b in _multi_indices(geom.dim, sum(alpha)):
-            gap = tuple(a - e for a, e in zip(alpha, b))
-            if any(gap) and min(gap) >= 0:
-                shift = _seed(geom.chart, gap)
-                for key, jet in _operator_section(state, b).terms.items():
+        for level in sub_degrees(alpha)[1:]:
+            for gamma, _ in level:
+                shift = _seed(geom.chart, gamma)
+                low = tuple(a - e for a, e in zip(alpha, gamma))
+                for key, jet in ops[low].terms.items():
                     sums[key].add(shift, jet, -1)
-        op = ops[alpha] = WeylForm.from_sums(geom, sums)
-    return op
+        ops[alpha] = WeylForm.from_sums(geom, sums)
+    return tuple((k, a, b, c) for a in alphas for b in alphas
+                 for k, c in sorted(symbol_mul(ops[a], ops[b],
+                                               state.n_hbar).items()))
 
 
 def _seed(chart, alpha):

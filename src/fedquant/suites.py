@@ -21,7 +21,7 @@ from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
 from .geometry import (CheckReport, build_darboux, build_flat, build_kaehler,
                        build_rhat, complex_chart, covariant_dv,
                        hamiltonian_vf, lift_cotangent, nabla, omega_pair,
-                       poisson, validate_connection)
+                       poisson)
 from .fedosov import flat_section, moyal_reference, solve_r, star
 from .quantization import (DiffOp, QuantizationError, _diffop_sum,
                            diffop_compose, kinetic_alpha, polarization,
@@ -590,8 +590,7 @@ def structural_suite(order=6, seed=0):
     ]
     for geom in geoms:
         kind = geom.kind + f" n={geom.n}"
-        rep.add(f"{kind} connection validation",
-                validate_connection(geom).passed)
+        rep.add(f"{kind} connection validation", geom.validation().passed)
         rhat = build_rhat(geom)
         for t in range(4):
             a = _random_form(rng, geom, order)

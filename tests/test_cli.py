@@ -434,7 +434,9 @@ def test_failing_entry_prints_fail_and_exits_1(capsys):
     assert "FAIL cross-check  sample 0" in capsys.readouterr().out
 
 
-def test_validate_runs_validation_once(flat_file, monkeypatch):
+@pytest.fixture
+def validation_calls(monkeypatch):
+    """The geometries ``validate_connection`` runs on, in call order."""
     calls = []
     original = fedquant.geometry.validate_connection
 
@@ -447,8 +449,19 @@ def test_validate_runs_validation_once(flat_file, monkeypatch):
         if getattr(mod, "__name__", "").startswith("fedquant") \
                 and getattr(mod, "validate_connection", None) is original:
             monkeypatch.setattr(mod, "validate_connection", counting)
+    return calls
+
+
+def test_validate_runs_validation_once(flat_file, validation_calls):
     assert main(["validate", flat_file, "--quiet"]) == 0
-    assert len(calls) == 1
+    assert len(validation_calls) == 1
+
+
+def test_structural_check_validates_each_geometry_once(validation_calls):
+    """The builders validate the four charts; the suite reads their
+    reports."""
+    assert main(["check", "structural", "--quiet"]) == 0
+    assert len(validation_calls) == len(set(map(id, validation_calls))) == 4
 
 
 @pytest.mark.parametrize("suite", ["second-order", "structural"])
@@ -486,10 +499,29 @@ KAEHLER_CURVED = ('{"kind": "kaehler", "n": 1, "order": 12,'
                   ' "base_point": ["1/3"], "potential":'
                   ' "z1*zb1 + 1/3*z1^2*zb1^2 - 1/5*z1^3*zb1^3"}')
 
+KAEHLER_PLAIN = ('{"kind": "kaehler", "n": 1, "order": 8, "potential":'
+                 ' "z1*zb1 + (z1*zb1)^2/3"}')
+ELEMENTARY = ('{"kind": "cotangent", "n": 1, "order": 10, "metric":'
+              ' [["exp(q1^2/4) + sin(q1)^2 + sqrt(1 + q1^2/3) - 1'
+              ' + log(1 + q1^2) + cos(q1) - 1"]]}')
+CUBIC = ('{"kind": "cotangent", "n": 1, "order": 11,'
+         ' "metric": [["1 + q1^2/3"]]}')
+COTANGENT_N3 = (
+    '{"kind": "cotangent", "n": 3, "order": 9, "metric":'
+    ' [["1 + q1^2/3 + q2*q3/5", "q1*q2/4", "q3^2/6"],'
+    ' ["q1*q2/4", "1 + q2^2/2 - q1*q3/7", "q1/3 + q2*q3/8"],'
+    ' ["q3^2/6", "q1/3 + q2*q3/8", "1 + q3^2 + q1^3/9"]]}')
+TORIC = ('{"kind": "kaehler", "n": 2, "order": 12,'
+         ' "potential": "z1*zb1 + z2*zb2 + z1*zb1*z2*zb2/2"}')
+KAEHLER_N1 = ('{"kind": "kaehler", "n": 1, "order": 12, "potential":'
+              ' "z1*zb1 + (z1*zb1)^2/3 + z1^2*zb1/5 + z1*zb1^2/5"}')
+
 # sha256 of json.dumps(doc["coefficients"], sort_keys=True); only the
-# coefficients are hashed, because the command line names the file's path
+# coefficients are hashed, because the command line names the file's path.
+# A geometry is the sphere file or a JSON text written to a file; the last
+# eight cases are the pins of the CI entry-point step, same inputs
 GOLDEN_COEFFICIENTS = [
-    ("kaehler", ["star", "--f", "z1^2*zb1", "--g", "zb1 + z1*zb1^2",
+    (KAEHLER_CURVED, ["star", "--f", "z1^2*zb1", "--g", "zb1 + z1*zb1^2",
                  "--order", "3"],
      "22398994cc91aa1ce9691d78bc1de270d86b6861205796d141adea8eef843fb6"),
     (SPHERE, ["star", "--f", "p1*q2 + q1^2", "--g", "p2^2 + p1*q1",
@@ -498,24 +530,47 @@ GOLDEN_COEFFICIENTS = [
     (SPHERE, ["quantize", "--f", "kinetic", "--order", "2"],
      "d90b3df1499ebb6a0d0241b86ebebaaf5ff3512cd2b71c599f33722a42a051d7"),
     # u = z1, v = z1^2: the first-order rule on the holomorphic side
-    ("kaehler", ["quantize", "--f",
+    (KAEHLER_CURVED, ["quantize", "--f",
                  "z1*(zb1 + 2/3*z1*zb1^2 - 3/5*z1^2*zb1^3) + z1^2"],
      "188a8685b068951cd1d0377c4448042055e1d2b85f3f8b1902cdd584b2f9c2d7"),
     # affine in p: the first-order rule with the metric volume, through rho
     (SPHERE, ["quantize", "--f", "q1*p2 + p1 + q2^2", "--order", "2"],
      "5d7ed849ced8d6783072e873867bc03927dcbef94aa2115c3bbc27edd46e708d"),
+    (SPHERE, ["quantize", "--f", "q1*p2 + p1", "--order", "1"],
+     "a936a90d211fac18d8870b600eddd7270a45fda7fddfb1875566dcca74db20a7"),
+    (CUBIC, ["quantize", "--f", "q1*p1^3 + 2/3*p1^3 + q1^2*p1^2 - p1",
+             "--order", "3"],
+     "2fc3e502e2da661a5848b7d03591909815b939c7e400482d91def204b53248a1"),
+    (KAEHLER_PLAIN, ["quantize", "--f", "z1*(zb1 + 2/3*z1*zb1^2) + z1^2"],
+     "325bed05964f5e6216bf483aaa69f37d16eee894c2b6f155fb1ead0d00dcffe5"),
+    (ELEMENTARY, ["star", "--f", "q1*p1", "--g", "p1^2", "--order", "2"],
+     "e37670181b4aec1a19e62c812ab57bf034f99e73005bcc04a1fa0320355595b5"),
+    (SPHERE, ["star", "--f", "q1*p1", "--g", "p2^2", "--order", "2"],
+     "90c2d977ae19ca3b84e6470b3dedb43f1501f146ad4ce673401db5c471a6607c"),
+    (COTANGENT_N3, ["star", "--f", "q1*p2 + q3*p1^2", "--g", "p3*q2 + p1",
+                    "--order", "1"],
+     "af12b8c9228e029f6c618cf01a8bc3541cb9efb55680ad0385923a20ce097eda"),
+    (TORIC, ["star", "--f", "z1*zb2 + zb1^2*z2", "--g", "z2*zb2^2 + zb1",
+             "--order", "3"],
+     "7c944f95c7864cd3c225ad29882ffcd68591e8012601851f89b0ba20db529628"),
+    (KAEHLER_N1, ["star", "--f", "z1*zb1^2 + zb1", "--g", "z1^2*zb1 + z1",
+                  "--order", "3"],
+     "c7f0b7d9ed1a6c1694ebbaaf7cd506442e6896ab8dd09c287aae4ec9b9d632ef"),
 ]
 
 
 @pytest.mark.parametrize("geometry,argv,digest", GOLDEN_COEFFICIENTS,
                          ids=["kaehler-star", "sphere-star",
                               "sphere-quantize-kinetic", "kaehler-quantize",
-                              "sphere-quantize-affine"])
+                              "sphere-quantize-affine", "rho-sphere-affine",
+                              "rho-cubic", "rho-kaehler", "star-elementary",
+                              "star-sphere", "star-cotangent-n3",
+                              "star-toric", "star-kaehler-n1"])
 def test_curved_chart_coefficients_are_pinned(tmp_path, geometry, argv,
                                               digest):
-    if geometry == "kaehler":
-        geometry = tmp_path / "k.json"
-        geometry.write_text(KAEHLER_CURVED)
+    if geometry.startswith("{"):
+        text, geometry = geometry, tmp_path / "geometry.json"
+        geometry.write_text(text)
     out = tmp_path / "out.json"
     assert main([argv[0], str(geometry), *argv[1:], "--quiet",
                  "--json", str(out)]) == 0
