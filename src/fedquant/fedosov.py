@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .jets import EXACT_ORDER, ChartMismatch, Jet, JetError, JetSum
 from .rational import HALF_I, ONE
@@ -56,9 +56,12 @@ class StarSeries:
         return f"StarSeries(through hbar^{self.valid_hbar_order})"
 
 
-# sections kept per state, oldest dropped first: a section is reused within
-# one associativity triple or one quantized operator, a few calls apart,
-# while a stream of unrelated observables would grow the cache without end
+# sections kept per state, oldest dropped first.  On a state that reads the
+# flat sections a section is reused within one associativity triple or one
+# quantized operator, a few calls apart, while a stream of unrelated
+# observables would grow the cache without end.  On a state that reads the
+# operator table (``star``) the cache holds only the seeds' sections the
+# table was built from, C(2n + N, N) <= STAR_TABLE_MAX_INDICES of them
 SECTION_CACHE_SIZE = 32
 
 
@@ -80,8 +83,13 @@ class FedosovState:
         # the bidifferential operators of ``star`` on a state under
         # ``STAR_TABLE_MAX_INDICES``: None until its first table star, then
         # every nonzero (k, alpha, beta, c^k_(alpha beta)) through N, built
-        # by ``_operator_table``
+        # by ``_operator_table``; the groups body of ``_star_operators``
+        # sums them
         self._star_table = None
+        # the pair body's C_k(x^alpha, x^beta) through N, as (k, jet)
+        # pairs by (alpha, beta), built from the table on first use by
+        # ``_monomial_product``
+        self._monomial_products = {}
 
     def add_commutator(self, w, part, acc, max_level):
         """Accumulate (i/hbar)[r_w, part] into ``acc``, a
@@ -309,12 +317,15 @@ def _restrict_level(form, lim):
 # n = 1 through N = 3, n <= 4 at N = 1, and every chart at N = 0.  The
 # table pays only over repeated stars on one state: a first star builds
 # it whole, from C(2n + N, N) seed sections, the operator sections and
-# their pairs through hbar^N, and each later one sums the table.  Above
-# the rule that first fill costs more than a stream of queries wins back.
+# their pairs through hbar^N, and each later one sums the table, by its
+# (k, multi-index) groups or, for short operands, by pairs of terms
+# (``_star_operators``).  Above the rule that first fill costs more than a
+# stream of queries wins back.
 # Measured on Python 3.11, 2 shared cores: the n = 1, N = 3 Kaehler
 # associativity triples of the benchmark make 97 stars on one state in
 # their fixed prefix, and the table halved the time per triple (about
-# 20 -> 10 ms); a one-shot ``fedquant star`` on an n = 1, N = 3 Kaehler
+# 20 -> 10 ms; summing short operands by pairs of terms then took it to
+# 7.6 ms); a one-shot ``fedquant star`` on an n = 1, N = 3 Kaehler
 # chart, which pays the fill whole, took about 25 ms more (0.15 -> 0.18
 # s, interpreter start included).  With the table on every chart, a first
 # star on the seeded cotangent n = 2, N = 3 chart went 0.20 -> 1.1 s (a
@@ -331,7 +342,10 @@ def star(f, g, state, n_hbar=None):
     Two paths give it, chosen by one rule: a state with at most
     ``STAR_TABLE_MAX_INDICES`` multi-indices |alpha| <= N over its 2n
     phase variables reads the operator table (``_star_operators``), and
-    every other state the flat sections (``_star_sections``).
+    every other state the flat sections (``_star_sections``).  The table
+    is summed by one of two bodies, again by one rule: operands of
+    |f| |g| terms, no more than the table's (k, multi-index) groups
+    through hbar^n, by pairs of terms, and all others by the groups.
 
     The sections.  The symbol pairs hbar^ka y^alpha only with
     hbar^kb y^alpha and lands at hbar^(ka + kb + |alpha|), so each section
@@ -345,8 +359,12 @@ def star(f, g, state, n_hbar=None):
 
         C_k(f, g) = sum_(alpha, beta) c^k_(alpha beta) d^alpha f d^beta g,
 
-    c^k_(alpha beta) = ``symbol_mul(S_alpha, S_beta)[k]``, summed as
-    sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g).  The S_alpha
+    c^k_(alpha beta) = ``symbol_mul(S_alpha, S_beta)[k]``, summed either
+    as sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g), one inner
+    sum per (k, alpha) group (``_star_bidifferential``), or, by
+    bilinearity, as sum f_alpha g_beta C_k(x^alpha, x^beta) over pairs of
+    terms, each C_k(x^alpha, x^beta) shifted and scaled from the table
+    once per state (``_star_pairs``).  The S_alpha
     come from the flat sections of the seeds x^alpha / alpha!, so the
     first star on a state builds the whole table through N from those
     sections (``_operator_table``) and every later one reads only the
@@ -354,7 +372,8 @@ def star(f, g, state, n_hbar=None):
     c^k_(alpha beta) is absent for |alpha| > k or |beta| > k, and only
     the multi-indices with |alpha| <= n are read.  Every product counts:
     a zero d^alpha f or d^beta g still caps the validity of each hbar^k
-    it enters, as a zero product that convolves nothing.
+    it enters, as a zero product that convolves nothing.  Both bodies end
+    each hbar^k at that floor and give equal stores.
 
     On both paths a coefficient that sums to zero gets the lowest
     validity of f, g and the nonzero coefficients.
@@ -397,22 +416,55 @@ def _star_operators(f, g, state, n):
     """``star``'s coefficients through hbar^n from the operator table, as
     a map hbar power -> jet.
 
-    Each hbar^k ends at the lowest validity of its products, so every sum
-    of that power starts at it and convolves nothing above it.  The outer
-    factor of sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g) is
-    the operand with more terms, so that the products of two long jets are
-    one per (k, outer multi-index), not one per table entry.
+    Two bodies sum the same bilinear form, chosen by one rule: a product
+    of |f| |g| terms no more than the (k, outer multi-index) groups of the
+    bidifferential body is summed by pairs of terms (``_star_pairs``), any
+    other by the groups (``_star_bidifferential``).  A group costs an
+    inner sum, a finished jet and a product; a pair costs one scaled copy
+    of a stored jet per hbar power.
     """
-    chart = state.geometry.chart
+    swap = f.term_count() < g.term_count()
+    groups = len({(k, b if swap else a)
+                  for k, a, b, _ in _table_entries(state, n)})
+    body = _star_pairs if f.term_count() * g.term_count() <= groups \
+        else _star_bidifferential
+    return body(f, g, state, n)
+
+
+def _table_entries(state, n):
+    """The table's entries (k, alpha, beta, c^k_(alpha beta)) with
+    k <= n; the first call on a state builds the table."""
     if state._star_table is None:
         state._star_table = _operator_table(state)
-    alphas = _multi_indices(chart.dim, n)
+    return [entry for entry in state._star_table if entry[0] <= n]
+
+
+def _floors(f, g, entries, n):
+    """The partials d^alpha f and d^alpha g for |alpha| <= n, and the
+    validity each hbar^k ends at: the lowest of its entries'
+    c^k_(alpha beta), d^alpha f and d^beta g.  A partial of a nonzero
+    jet at validity 0 raises ``OrderExhausted`` here, for both bodies."""
+    alphas = _multi_indices(f.chart.dim, n)
     df, dg = _partials(f, alphas), _partials(g, alphas)
-    entries = [entry for entry in state._star_table if entry[0] <= n]
     floor = {}
     for k, a, b, c in entries:
         v = min(c.valid_order, df[a].valid_order, dg[b].valid_order)
         floor[k] = min(floor.get(k, v), v)
+    return df, dg, floor
+
+
+def _star_bidifferential(f, g, state, n):
+    """``_star_operators``'s sum over the table's groups: each hbar^k is
+    sum_alpha d^alpha f (sum_beta c^k_(alpha beta) d^beta g).
+
+    Each hbar^k ends at the lowest validity of its products, so every sum
+    of that power starts at it and convolves nothing above it.  The outer
+    factor is the operand with more terms, so that the products of two
+    long jets are one per (k, outer multi-index), not one per table entry.
+    """
+    chart = state.geometry.chart
+    entries = _table_entries(state, n)
+    df, dg, floor = _floors(f, g, entries, n)
     swap = f.term_count() < g.term_count()
     outer, short = (dg, df) if swap else (df, dg)
     sums = {}
@@ -427,6 +479,68 @@ def _star_operators(f, g, state, n):
     for (k, o), acc in sums.items():
         out[k].add(outer[o], acc.jet())
     return {k: acc.jet() for k, acc in out.items()}
+
+
+def _star_pairs(f, g, state, n):
+    """``_star_operators``'s sum over pairs of terms: each hbar^k is
+    sum_(alpha in f, beta in g) f_alpha g_beta C_k(x^alpha, x^beta).
+
+    The sum is bilinear, so this is the bidifferential sum term by term,
+    and it ends at the same validity: each hbar^k starts at the floor of
+    ``_floors``, and every stored C_k(x^alpha, x^beta) is exact through
+    at least it (``_monomial_product``).  So both bodies give equal
+    stores.  The products of unit monomials are kept on the state, built
+    on first use: at most one entry per pair of unit monomials of degree
+    within the chart's order (within the operands' validity, for jets
+    carried past it), a bound fixed by the chart, as the rho table's is,
+    and not by the length of the query stream.
+    """
+    chart = state.geometry.chart
+    entries = _table_entries(state, n)
+    floor = _floors(f, g, entries, n)[2]
+    out = {}
+    for k, v in floor.items():
+        out[k] = acc = JetSum()
+        acc.add(Jet.zero(chart, v))
+    products = state._monomial_products
+    gs = g.coeffs.items()
+    for alpha, fa in f.coeffs.items():
+        for beta, gb in gs:
+            pair = products.get((alpha, beta))
+            if pair is None:
+                pair = products[alpha, beta] = _monomial_product(
+                    state, alpha, beta)
+            s = fa * gb
+            for k, jet in pair:
+                if k <= n:
+                    out[k].add(jet, s=s)
+    return {k: acc.jet() for k, acc in out.items()}
+
+
+def _monomial_product(state, alpha, beta):
+    """C_k(x^alpha, x^beta) through the state's N, as (k, jet) pairs.
+
+    d^a x^alpha = alpha!/(alpha - a)! x^(alpha - a), so
+
+        C_k(x^alpha, x^beta) = sum_(a <= alpha, b <= beta) c^k_(a b)
+            alpha!/(alpha - a)! beta!/(beta - b)! x^(alpha - a + beta - b),
+
+    each term a table entry shifted and scaled, exact through its
+    validity plus the shift's degree.  A term is cut at ``EXACT_ORDER``,
+    the highest validity a jet carries, and one shifted past it is left
+    out: no floor reaches above it.
+    """
+    sums = defaultdict(JetSum)
+    for k, a, b, c in state._star_table:
+        if all(e <= m for e, m in zip(a + b, alpha + beta)):
+            shift = tuple(m - e + p - q
+                          for m, e, p, q in zip(alpha, a, beta, b))
+            d = sum(shift)
+            if d <= EXACT_ORDER:
+                scale = prod(map(perm, alpha + beta, a + b))
+                sums[k].add(c.truncate(EXACT_ORDER - d).mul_monomial(shift),
+                            s=scale)
+    return tuple((k, acc.jet()) for k, acc in sorted(sums.items()))
 
 
 def _multi_indices(dim, n):

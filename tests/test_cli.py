@@ -519,8 +519,9 @@ KAEHLER_N1 = ('{"kind": "kaehler", "n": 1, "order": 12, "potential":'
 # sha256 of json.dumps(doc["coefficients"], sort_keys=True); only the
 # coefficients are hashed, because the command line names the file's path.
 # A geometry is the sphere file or a JSON text written to a file; the last
-# eight cases are the pins of the CI entry-point step, same inputs
+# nine cases are the pins of the CI entry-point step, same inputs
 GOLDEN_COEFFICIENTS = [
+    # an n = 1, N = 3 state: the operator table, 1 x 2 terms summed by pairs
     (KAEHLER_CURVED, ["star", "--f", "z1^2*zb1", "--g", "zb1 + z1*zb1^2",
                  "--order", "3"],
      "22398994cc91aa1ce9691d78bc1de270d86b6861205796d141adea8eef843fb6"),
@@ -553,9 +554,16 @@ GOLDEN_COEFFICIENTS = [
     (TORIC, ["star", "--f", "z1*zb2 + zb1^2*z2", "--g", "z2*zb2^2 + zb1",
              "--order", "3"],
      "7c944f95c7864cd3c225ad29882ffcd68591e8012601851f89b0ba20db529628"),
+    # the operator table of an n = 1, N = 3 state, 17 (k, multi-index)
+    # groups through hbar^3: 2 x 2 terms are summed by pairs of terms,
+    # 5 x 5 by the bidifferential groups
     (KAEHLER_N1, ["star", "--f", "z1*zb1^2 + zb1", "--g", "z1^2*zb1 + z1",
                   "--order", "3"],
      "c7f0b7d9ed1a6c1694ebbaaf7cd506442e6896ab8dd09c287aae4ec9b9d632ef"),
+    (KAEHLER_N1, ["star", "--f", "z1*zb1^2 + zb1 + z1^2 + 2*z1*zb1 - zb1^3",
+                  "--g", "z1^2*zb1 + z1 + zb1^2/3 + z1^3*zb1 - 1/2*z1*zb1",
+                  "--order", "3"],
+     "660f80f44a9a9dee82af230774b3a119d5e3e864f25e94a0ec3216763ff5ed8a"),
 ]
 
 
@@ -565,7 +573,8 @@ GOLDEN_COEFFICIENTS = [
                               "sphere-quantize-affine", "rho-sphere-affine",
                               "rho-cubic", "rho-kaehler", "star-elementary",
                               "star-sphere", "star-cotangent-n3",
-                              "star-toric", "star-kaehler-n1"])
+                              "star-toric", "star-kaehler-n1",
+                              "star-kaehler-n1-groups"])
 def test_curved_chart_coefficients_are_pinned(tmp_path, geometry, argv,
                                               digest):
     if geometry.startswith("{"):

@@ -2,11 +2,14 @@
 
 On a state with at most ``fedosov.STAR_TABLE_MAX_INDICES`` multi-indices
 |alpha| <= N, ``star`` sums C_k(f, g) = sum c^k_(alpha beta) d^alpha f
-d^beta g over the table instead of filling two flat sections.  These tests
-hold the table path against the section path, against the flat Moyal
-product and against the structure of the operators (C_k(1, g) =
-C_k(f, 1) = 0 for k >= 1, order <= k in each argument), and check that
-the validity ``star`` claims survives changes above what it was given.
+d^beta g over the table instead of filling two flat sections, by the
+table's (k, multi-index) groups or, for short operands, by pairs of terms
+from the stored C_k(x^alpha, x^beta).  These tests hold the table path
+against the section path, the two table bodies against each other, the
+table against the flat Moyal product and against the structure of the
+operators (C_k(1, g) = C_k(f, 1) = 0 for k >= 1, order <= k in each
+argument, hbar-parity), and check that the validity ``star`` claims
+survives changes above what it was given.
 """
 
 from fractions import Fraction
@@ -17,14 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from fedquant import fedosov, sampling
-from fedquant.fedosov import (FedosovError, _series, _star_operators,
-                              _star_sections, moyal_reference, solve_r, star)
+from fedquant.cli import load_geometry
+from fedquant.fedosov import (FedosovError, _series, _star_bidifferential,
+                              _star_operators, _star_pairs, _star_sections,
+                              moyal_reference, solve_r, star)
 from fedquant.geometry import build_flat
 from fedquant.jets import (EXACT_ORDER, ChartMismatch, Jet, JetError,
                            jet_maps_agree)
 from fedquant.rational import CRat
 from fedquant.suites import _CHARTS
 from fedquant.weyl import WeylForm
+from test_cli import KAEHLER_N1
 from test_digest import PINNED
 from test_fedosov import fresh_copy
 
@@ -152,9 +158,10 @@ def test_table_starts_empty_and_stays_bounded():
 @pytest.mark.parametrize("case", N1_CASES, ids=_ids)
 def test_first_star_builds_the_whole_table(case, monkeypatch):
     """A star at hbar^1 on a fresh state leaves the table through N: a
-    star through N after it forms no section and no symbol, the state
-    keeps no operator section, and the section cache holds the sections
-    of all the seeds."""
+    star through N after it, one that builds new products of unit
+    monomials and one summed by the bidifferential groups, forms no
+    section and no symbol, the state keeps no operator section, and the
+    section cache holds the sections of all the seeds."""
     st = _fresh(case)
     f, g = _pairs(case, count=0)[0]
     star(f, g, st, 1)
@@ -166,7 +173,12 @@ def test_first_star_builds_the_whole_table(case, monkeypatch):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(fedosov, name, counting)
+    built = len(st._monomial_products)
     star(g, f, st)
+    assert len(st._monomial_products) > built
+    long = _first_monomials(st.geometry.chart, _groups(st, st.n_hbar) + 1,
+                            st.geometry.order)
+    star(long, g, st)
     assert calls == [] and st._star_table is table
     held = [value for name, value in vars(st).items()
             if name not in ("r_parts", "residual", "_section_cache")]
@@ -225,6 +237,108 @@ def test_table_and_section_bodies_agree_on_any_draw(case, data):
         t, s = table[k], sections[k]
         if not (t.is_zero() or s.is_zero()):
             assert t.valid_order <= s.valid_order, (k, t, s)
+
+
+# -- the two table bodies -------------------------------------------------
+
+def _groups(st, n):
+    """The (k, alpha) groups of the table through hbar^n."""
+    return len({(k, a) for k, a, _, _ in st._star_table if k <= n})
+
+
+def _first_monomials(chart, terms, order):
+    """A jet at validity ``order`` of the first ``terms`` monomials in
+    degree order, with coefficients 1, 2, ..."""
+    monomials = fedosov._multi_indices(chart.dim, 8)
+    return Jet(chart, order, order, {alpha: i + 1 for i, alpha
+                                     in enumerate(monomials[:terms])})
+
+
+@pytest.mark.parametrize("case", N1_CASES, ids=_ids)
+@settings(max_examples=25)
+@given(data=hs.data())
+def test_pair_and_bidifferential_bodies_agree_on_any_draw(case, data):
+    """Both table bodies raise the same error, or give equal stores,
+    validity included, at every hbar^k."""
+    st = _state(*case[:4])
+    chart, order = st.geometry.chart, st.geometry.order
+    f, g = (data.draw(_operand(chart, order)) for _ in range(2))
+    n = data.draw(hs.integers(0, st.n_hbar))
+    assert _body(_star_pairs, f, g, st, n) == \
+        _body(_star_bidifferential, f, g, st, n)
+
+
+@pytest.mark.parametrize("case", N1_CASES, ids=_ids)
+def test_the_rule_picks_each_body(case, monkeypatch):
+    """|f| |g| no more than the table's (k, multi-index) groups through
+    hbar^n is summed by pairs of terms, one term more by the groups."""
+    st = _fresh(case)
+    chart = st.geometry.chart
+    star(*_pairs(case, count=0)[0], st)
+    taken = []
+    for name in ("_star_pairs", "_star_bidifferential"):
+        def recording(*args, _original=getattr(fedosov, name), _name=name):
+            taken.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(fedosov, name, recording)
+    order = st.geometry.order
+    one = _first_monomials(chart, 1, order)
+    for n in range(st.n_hbar + 1):
+        groups = _groups(st, n)
+        for terms, body in ((1, "_star_pairs"), (groups, "_star_pairs"),
+                            (groups + 1, "_star_bidifferential")):
+            long = _first_monomials(chart, terms, order)
+            for f, g in ((one, long), (long, one)):
+                taken.clear()
+                star(f, g, st, n)
+                assert taken == [body], (n, terms)
+
+
+def test_monomial_products_grow_by_pair():
+    """The store of C_k(x^alpha, x^beta) starts empty and gains one entry
+    per new pair of unit monomials of the operands, through N, and none
+    from a repeated pair or from a star summed by the groups."""
+    st = _fresh(N1_CASES[3])
+    chart, big_n = st.geometry.chart, st.n_hbar
+    assert st._monomial_products == {}
+    f = Jet(chart, 12, 12, {(2, 0): 1, (0, 1): 2})
+    g = Jet(chart, 12, 12, {(1, 1): 1, (0, 3): 1})
+    star(f, g, st, 2)
+    pairs = {(a, b) for a in f.coeffs for b in g.coeffs}
+    assert len(pairs) == 4
+    assert set(st._monomial_products) == pairs
+    for pair in st._monomial_products.values():
+        assert [k for k, _ in pair] == sorted({k for k, _ in pair})
+    assert max(k for pair in st._monomial_products.values()
+               for k, _ in pair) == big_n
+    star(f, g, st)
+    star(f, g + Jet(chart, 12, 12, {(1, 0): 3}), st)
+    pairs |= {(a, (1, 0)) for a in f.coeffs}
+    assert set(st._monomial_products) == pairs
+    long = _first_monomials(chart, _groups(st, big_n) + 1, 12)
+    star(long, g, st)
+    star(g, long, st)
+    assert set(st._monomial_products) == pairs
+
+
+@pytest.mark.parametrize("case", N1_CASES + ["ci-kaehler-n1"],
+                         ids=lambda case: case if isinstance(case, str)
+                         else _ids(case))
+def test_table_is_hbar_parity_symmetric(case, tmp_path):
+    """c^k_(beta alpha) == (-1)^k c^k_(alpha beta), stores and validity
+    included: swapping the operands of a star product conjugates hbar to
+    -hbar."""
+    if isinstance(case, str):
+        path = tmp_path / "geometry.json"
+        path.write_text(KAEHLER_N1)
+        st = solve_r(load_geometry(path), 3)
+    else:
+        st = _fresh(case)
+    fedosov._table_entries(st, st.n_hbar)
+    table = {(k, a, b): c for k, a, b, c in st._star_table}
+    assert table
+    for (k, a, b), c in table.items():
+        assert table.get((k, b, a)) == (-c if k % 2 else c), (k, a, b)
 
 
 def test_the_rule_picks_the_path():
