@@ -311,16 +311,14 @@ class Jet:
             return CRat.from_ints(terms[0][2], terms[0][3], self.den)
         return ZERO
 
-    def as_monomial(self):
-        """``(c, unit)`` for a jet of one stored term c x^alpha, where
-        ``unit`` is x^alpha with this jet's validity; None for any other
-        jet, the zero jet included."""
-        if len(self.terms) != 1:
-            return None
-        d, key, re, im = self.terms[0]
-        return (CRat.from_ints(re, im, self.den),
-                Jet._make(self.chart, self.valid_order, 1,
-                          ((d, key, 1, 0),)))
+    def monomials(self):
+        """``[(c, unit)]``, one pair for each stored term c x^alpha in
+        store order, where ``unit`` is x^alpha with this jet's validity;
+        the sum of c * unit is the jet, and a zero jet gives ``[]``."""
+        chart, v, den = self.chart, self.valid_order, self.den
+        return [(CRat.from_ints(re, im, den),
+                 Jet._make(chart, v, 1, ((d, key, 1, 0),)))
+                for d, key, re, im in self.terms]
 
     def leading(self):
         """``(alpha, CRat)`` of the first stored term, the lowest in

@@ -392,12 +392,13 @@ def rho_extend(f, state, split="first"):
     and lifted cotangent connections.  The state keeps each monomial
     operator it builds (``_rho_monomial``).
 
-    Each piece enters the one operator sum as an operator and a scale: a
-    table entry T of lambda q^gamma p^beta is summed as T's jets times
-    lambda.  That is store-identical to summing the jets of lambda T: the
-    exact values are the same, each jet keeps T's validity, and
-    lambda != 0 leaves no jet zero that was not, so no scaled copy of an
-    entry is built.
+    Each piece enters the one operator sum as parts (operator, scale): a
+    table entry T of q^gamma p^beta is summed as T's jets times the
+    coefficient lambda of q^gamma.  For one term that is store-identical
+    to summing the jets of lambda T: the exact values are the same, each
+    jet keeps T's validity, and lambda != 0 leaves no jet zero that was
+    not, so no scaled copy of an entry is built.  For several terms it is
+    the termwise sum ``_rho_monomial`` argues for.
     """
     geom = state.geometry
     pol = polarization(geom)
@@ -414,48 +415,57 @@ def rho_extend(f, state, split="first"):
             f"momentum degree {deg} needs a state certified through "
             f"hbar^{deg}")
     return _diffop_sum(pol.chart,
-                      ((*_rho_monomial(c, fib, state, geom, split), 0)
-                       for fib, c in pieces.items()))
+                      ((op, scale, 0) for fib, c in pieces.items()
+                       for op, scale in _rho_monomial(c, fib, state, geom,
+                                                      split)))
 
 
 def _rho_monomial(c, fib, state, geom, split):
-    """rho(c p^fib) as (operator, scale), whose product it is; the
-    operator is read from the state's table when c is one term.
+    """rho(c p^fib) as a list of parts (operator, scale), whose sum it
+    is; the operators are read from the state's table when they can be.
 
-    Every step of ``_rho_build`` is linear in c, and a term is skipped
-    only where a jet is zero, which scaling c by lambda != 0 keeps.
-    Hence rho(lambda c p^beta) and lambda rho(c p^beta) have equal stores.
+    Write c = sum lambda_gamma q^gamma, each unit monomial q^gamma a jet
+    key that carries c's validity (``Jet.monomials``).  A one-term c reads
+    the entry of its unit, building it with ``_rho_build`` on a miss, and
+    comes back as one part with scale lambda.  A c of several terms comes
+    back as the parts (T_gamma, lambda_gamma) when every unit's entry is
+    already in the table, and otherwise as its direct build with scale 1,
+    which adds no entry: tabling the units of a dense g^{ab} would
+    multiply the entries and the build time.  A zero c is built directly
+    too.  The table holds at most one entry per q^gamma of degree within
+    the chart's order, validity, fiber multidegree of degree 1 ... N and
+    split, a bound set by the chart and not by the length of the query
+    stream.  Degree 0 is the multiplication operator and is not tabled.
 
-    So a coefficient lambda q^gamma is looked up as its unit monomial
-    q^gamma, a jet key that carries c's validity, and the entry comes
-    back with scale lambda, for the caller's sum to apply; a miss builds
-    the entry with ``_rho_build``.  Any other operator has scale 1.  The
-    table holds at most one entry per q^gamma of degree within the chart's
-    order, validity, fiber multidegree of degree 1 ... N and split, a
-    bound set by the chart and not by the length of the query stream.
-    A coefficient of several terms, such as a dense g^{ab}, is built
-    afresh: tabling its monomials would multiply the entries, and a sum
-    whose terms cancel can carry a lower validity than its parts.
-    Degree 0 is the multiplication operator and is not tabled.
+    Why the parts give c's own store: every step of ``_rho_build`` is
+    linear in c, and each intermediate jet's validity follows from c's
+    validity and the operations alone, not from its values.  So each jet
+    of the parts' sum has the exact value of the direct build's and the
+    validity of the jets summed into it.  The two can part only where a
+    zero jet is skipped or dropped.  Scaling by lambda != 0 zeroes no jet,
+    so lambda times the entry of q^gamma has the store of
+    rho(lambda q^gamma p^beta).  A sum, though, can cancel exactly in
+    some intermediate jet, which the direct build then skips with its
+    validity cap while the parts still carry it.  The tests hold the
+    parts to the direct build store for store, on drawn coefficients and
+    on the kinetic g^{ab}.
     """
     if not any(fib):
-        return DiffOp.mult(c), 1
-    mono = c.as_monomial()
-    if mono is None:
-        return _rho_build(c, fib, state, geom, split), 1
-    scale, unit = mono
+        return [(DiffOp.mult(c), 1)]
+    terms = c.monomials()
     table = state._rho_table
-    key = (unit, fib, split)
-    op = table.get(key)
-    if op is None:
-        op = table[key] = _rho_build(unit, fib, state, geom, split)
-    return op, scale
+    keys = [(unit, fib, split) for _, unit in terms]
+    if len(keys) == 1 and keys[0] not in table:
+        table[keys[0]] = _rho_build(terms[0][1], fib, state, geom, split)
+    if keys and all(key in table for key in keys):
+        return [(table[key], lam) for key, (lam, _) in zip(keys, terms)]
+    return [(_rho_build(c, fib, state, geom, split), 1)]
 
 
 def _rho_build(c, fib, state, geom, split):
     """rho(c p^fib) for |fib| >= 1 by star factorization
-    (``rho_extend``); each lower operator enters the sum with its scale,
-    negated at hbar^j for the corrections."""
+    (``rho_extend``); each lower operator's parts enter the sum with
+    their scales, negated at hbar^j for the corrections."""
     pol = polarization(geom)
     d = sum(fib)
     nz = [a for a, e in enumerate(fib) if e]
@@ -469,9 +479,10 @@ def _rho_build(c, fib, state, geom, split):
     order = geom.order
     w = Jet.constant(geom.chart, 1, order).mul_monomial((0,) * geom.n + rest)
     s = star(u, w, state, n_hbar=d)
-    # rho(u) rho(w) minus the quantized hbar^j corrections
-    op, scale = _rho_monomial(Jet.constant(pol.chart, 1, order), rest,
-                              state, geom, split)
+    # rho(u) rho(w) minus the quantized hbar^j corrections; w's
+    # coefficient is one term, so it comes back as one part
+    [(op, scale)] = _rho_monomial(Jet.constant(pol.chart, 1, order), rest,
+                                  state, geom, split)
     parts = [(diffop_compose(first, op), scale, 0)]
     for j in range(1, d + 1):
         sj = s.coefficient(j)
@@ -483,8 +494,8 @@ def _rho_build(c, fib, state, geom, split):
                 "star correction does not lower the momentum degree; the "
                 "connection is not homogeneous")
         for fb, cc in sub_pieces.items():
-            op, scale = _rho_monomial(cc, fb, state, geom, split)
-            parts.append((op, -scale, j))
+            parts.extend((op, -scale, j) for op, scale in
+                         _rho_monomial(cc, fb, state, geom, split))
     return _diffop_sum(pol.chart, parts)
 
 

@@ -1,19 +1,22 @@
 """The per-state table of monomial operators behind ``rho_extend``.
 
-Each operator rho(q^gamma p^beta) is built once per state and split, and a
-one-term coefficient lambda q^gamma reads it with scale lambda.  The
-operators must be store-identical (``==`` on every coefficient jet,
-validity included) to those of the recursion with no table,
-``reference.rho_extend``, and the table must stay within the monomials
-the chart's order allows.
+Each operator rho(q^gamma p^beta) is built once per state and split.  A
+one-term coefficient lambda q^gamma reads it with scale lambda, and a
+coefficient of several terms sums the entries of its units when all of
+them are tabled, and is built directly otherwise.  The operators must be
+store-identical (``==`` on every coefficient jet, validity included) to
+those of the recursion with no table, ``reference.rho_extend``, whatever
+the table held before the call, and the table must stay within the
+monomials the chart's order allows.
 """
 
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as hst
 
 import reference
-from fedquant import sampling
+from fedquant import quantization, sampling
 from fedquant.fedosov import solve_r
 from fedquant.geometry import build_flat, lift_cotangent
 from fedquant.jets import Jet
@@ -129,11 +132,32 @@ def test_scaled_monomial_reads_the_unit_entry():
     assert stores(op) == stores(reference.rho_extend(f, st))
 
 
-def test_table_is_bounded_by_the_chart():
+def recorded_builds(monkeypatch):
+    """Patch ``_rho_build`` to record the (c, fib, split) of every call,
+    nested ones included, and return the record."""
+    builds = []
+    build = quantization._rho_build
+
+    def recording(c, fib, state, geom, split):
+        builds.append((c, fib, split))
+        return build(c, fib, state, geom, split)
+
+    monkeypatch.setattr(quantization, "_rho_build", recording)
+    return builds
+
+
+def tabled(st, c, fib, split):
+    """Whether every unit of c has an entry for (fib, split)."""
+    return all((unit, fib, split) in st._rho_table
+               for _, unit in c.monomials())
+
+
+def test_table_is_bounded_by_the_chart(monkeypatch):
     """After a seeded stream of observables with several-term
     coefficients, every key is a unit monomial, the table holds at most
     (q-monomials up to the order) x (fiber monomials of degree 1 ... N)
-    x 2 entries, and replaying the stream adds none."""
+    x 2 entries, and replaying the stream adds none and builds only the
+    coefficients that have a unit missing from the table."""
     st = make_state("cotangent", 2, 2)
     geom = st.geometry
     n, order, top = geom.n, geom.order, st.n_hbar
@@ -142,22 +166,110 @@ def test_table_is_bounded_by_the_chart():
                                            p_degree=top, q_degree=2,
                                            terms=3)
               for _ in range(200)]
-    assert any(c.as_monomial() is None for f in stream
-               for c in f.split(n).values())
+    several = [(c, fib) for f in stream for fib, c in f.split(n).items()
+               if any(fib) and c.term_count() > 1]
+    assert several
     for f in stream:
         for split in SPLITS:
             rho_extend(f, st, split)
     table = st._rho_table
     for unit, beta, split in table:
-        scale, same = unit.as_monomial()
+        [(scale, same)] = unit.monomials()
         assert scale == 1 and same == unit
         assert 1 <= sum(beta) <= top and split in SPLITS
     q_monomials = comb(order + n, n)
     fiber_monomials = comb(top + n, n) - 1
     assert len(table) <= q_monomials * fiber_monomials * 2
     size = len(table)
+    builds = recorded_builds(monkeypatch)
     for f in stream:
         for split in SPLITS:
             rho_extend(f, st, split)
     assert len(table) == size
+    assert builds
+    assert not any(tabled(st, c, fib, split) for c, fib, split in builds)
+    assert len(builds) < 2 * len(several)
     assert fresh_copy(st)._rho_table == {}
+
+
+def test_several_terms_with_a_unit_missing_build_directly(monkeypatch):
+    """q p^2 + 2 q^2 p^2 with only q p^2 tabled is built from the whole
+    coefficient, adds no entry and equals the recursion without a table."""
+    st = make_state("cotangent", 1, 2)
+    geom = st.geometry
+    order = geom.order
+    rho_extend(Jet(geom.chart, order, order, {(1, 2): 1}), st)
+    size = len(st._rho_table)
+    f = Jet(geom.chart, order, order, {(1, 2): 1, (2, 2): 2})
+    c = f.split(1)[(2,)]
+    assert [tabled(st, unit, (2,), "first")
+            for _, unit in c.monomials()] == [True, False]
+    builds = recorded_builds(monkeypatch)
+    op = rho_extend(f, st)
+    assert builds[0] == (c, (2,), "first")
+    assert len(st._rho_table) == size
+    assert stores(op) == stores(reference.rho_extend(f, st))
+
+
+STATES = (("flat", 1), ("cotangent", 1), ("cotangent", 2))
+
+
+@pytest.fixture(scope="module")
+def shared_states():
+    """One N = 2 state per chart for the termwise checks, shared by their
+    examples so that each reads a table the earlier ones filled."""
+    return {(kind, n): make_state(kind, n, 2) for kind, n in STATES}
+
+
+def several_terms(kind, n):
+    """(kind, n, split, beta, {gamma: lambda}): a fiber monomial p^beta of
+    degree 1 or 2 and a coefficient of 2-4 terms lambda q^gamma,
+    gamma_i <= 2, with rational or complex lambda."""
+    q_index = hst.tuples(*[hst.integers(0, 2)] * n)
+    beta = hst.tuples(*[hst.integers(0, 2)] * n).filter(
+        lambda b: 1 <= sum(b) <= 2)
+    scalar = hst.builds(
+        CRat, hst.fractions(-4, 4, max_denominator=6).filter(bool),
+        hst.sampled_from((0, 0, 1, -2)))
+    return hst.tuples(hst.just(kind), hst.just(n),
+                      hst.sampled_from(SPLITS), beta,
+                      hst.dictionaries(q_index, scalar, min_size=2,
+                                       max_size=4))
+
+
+def check_termwise(st, f, split):
+    """Table each unit of f's pieces by quantizing its term lambda q^gamma
+    p^beta alone, then check that rho(f) builds nothing and equals the
+    recursion without a table, store for store."""
+    v = f.valid_order
+    for alpha, lam in f.coeffs.items():
+        rho_extend(Jet(f.chart, v, v, {alpha: lam}), st, split)
+    assert all(tabled(st, c, fib, split)
+               for fib, c in f.split(st.geometry.n).items() if any(fib))
+    with pytest.MonkeyPatch.context() as mp:
+        builds = recorded_builds(mp)
+        op = rho_extend(f, st, split)
+    assert builds == []
+    assert stores(op) == stores(reference.rho_extend(f, st, split))
+
+
+@given(hst.sampled_from(STATES).flatmap(lambda s: several_terms(*s)))
+def test_several_terms_sum_their_unit_entries(shared_states, draw):
+    """A coefficient of several terms whose units are all tabled is the
+    sum of their entries, with the store of the direct build."""
+    kind, n, split, beta, coeffs = draw
+    st = shared_states[kind, n]
+    geom = st.geometry
+    f = Jet(geom.chart, geom.order, geom.order,
+            {gamma + beta: lam for gamma, lam in coeffs.items()})
+    check_termwise(st, f, split)
+
+
+@pytest.mark.parametrize("kind, n", [s for s in STATES
+                                     if s[0] == "cotangent"])
+def test_kinetic_energy_sums_its_unit_entries(shared_states, kind, n):
+    """The dense g^{ab} of the kinetic energy, read termwise on a fresh
+    table of its units, has the store of the direct build."""
+    st = fresh_copy(shared_states[kind, n])
+    f = kinetic_energy_observable(st.geometry)
+    check_termwise(st, f, "first")

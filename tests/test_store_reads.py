@@ -1,5 +1,5 @@
 """The reads of a jet's packed store that other modules make through the
-jet layer (``Jet.split``, ``Jet.leading``, ``Jet.as_monomial``, the
+jet layer (``Jet.split``, ``Jet.leading``, ``Jet.monomials``, the
 interning sign of curvature entries, ``Jet.agrees_with``) and the one
 power-series composition, against the older inline forms kept in
 ``tests/reference.py`` or the ``coeffs`` view.  Results are compared with
@@ -138,18 +138,21 @@ def test_leading_is_the_lowest_term_in_degree_then_index_order():
 
 
 @given(phase_jets)
-def test_as_monomial_is_the_one_stored_term(f):
-    """A one-term jet is its coefficient times a unit monomial of the same
-    validity; any other jet, zero included, is no monomial."""
-    mono = f.as_monomial()
-    if len(f.coeffs) != 1:
-        assert mono is None
-        return
-    c, unit = mono
-    ((alpha, value),) = f.coeffs.items()
-    assert c == value
-    assert unit == Jet(f.chart, f.valid_order, f.valid_order, {alpha: 1})
-    assert unit * c == f
+def test_monomials_are_the_stored_terms(f):
+    """Each stored term is its coefficient times a unit monomial of the
+    jet's validity, the scaled units sum to the jet store for store, and a
+    zero jet has no term."""
+    parts = f.monomials()
+    assert len(parts) == len(f.coeffs)
+    acc = Jet.zero(f.chart, f.valid_order)
+    for c, unit in parts:
+        ((alpha, one),) = unit.coeffs.items()
+        assert one == 1 and c == f.coefficient(alpha)
+        assert unit.valid_order == f.valid_order
+        acc = acc + unit * c
+    assert acc == f
+    if f.is_zero():
+        assert parts == []
 
 
 @given(phase_jets)
