@@ -21,7 +21,7 @@ from math import comb, factorial, perm, prod
 from .jets import EXACT_ORDER, ChartMismatch, Jet, JetError, JetSum
 from .rational import HALF_I, ONE
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
-                   op_delta_inv_sums, sub_degrees, symbol_mul, weyl_mul)
+                   sub_degrees, symbol_mul, weyl_mul)
 from .geometry import build_rhat, nabla
 
 
@@ -165,10 +165,10 @@ def solve_r(geom, n_hbar):
     The flatness certificate comes from the same sums.  Each weight keeps
     the finished jets of its nabla map and of its product map apart, zero
     jets included, so a cancelling term still lowers the validity of the
-    X_w they add up to; X_w itself is read by delta^-1 alone, so its sums
-    go to it unfinished (``op_delta_inv_sums``).  Keys of different
-    weights never meet, so the unions of the nabla maps and of the
-    product maps are nabla r and (i/hbar) r o r through weight 2N.  With Rhat taken as X_2, the residual
+    X_w they add up to, and X_w goes to delta^-1 as a form.  Keys of
+    different weights never meet, so the unions of the nabla maps and of
+    the product maps are nabla r and (i/hbar) r o r through weight 2N.
+    With Rhat taken as X_2, the residual
 
         delta r - Rhat - nabla r - (i/hbar) r o r
 
@@ -208,7 +208,7 @@ def solve_r(geom, n_hbar):
                 done[key] = jet = acc.jet()
                 xsums[key].add(jet)
         # every term has weight w, so delta^{-1} gives weight w + 1 only
-        parts[w + 1] = op_delta_inv_sums(geom, xsums)
+        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, xsums))
     r = WeylForm(geom, {key: jet for part in parts.values()
                         for key, jet in part.terms.items()})
     nr, quad = WeylForm(geom, nr), WeylForm(geom, quad)
@@ -283,8 +283,8 @@ def flat_section(f, state, n_hbar=None):
 
 def _fill_section(f, state, n):
     """The section of ``flat_section`` through hbar^n, built from
-    scratch.  Each weight's sums are read by delta^-1 alone, so they go
-    to it unfinished (``op_delta_inv_sums``)."""
+    scratch: each weight's sums become a form, and delta^-1 of that form
+    is the next weight."""
     geom = state.geometry
     parts = {0: WeylForm.from_jet(geom, f)}
     for s in range(2 * n - 1):
@@ -298,7 +298,7 @@ def _fill_section(f, state, n):
             # the weight-0 part is a plain scalar and commutes with r
             if s2 and s2 in parts:
                 state.add_commutator(w, parts[s2], sums, n - 1)
-        nxt = op_delta_inv_sums(geom, sums)
+        nxt = op_delta_inv(WeylForm.from_sums(geom, sums))
         if not nxt.is_zero():
             parts[s + 1] = nxt
     return WeylForm(geom, {key: jet for part in parts.values()
@@ -319,19 +319,8 @@ def _restrict_level(form, lim):
 # it whole, from C(2n + N, N) seed sections, the operator sections and
 # their pairs through hbar^N, and each later one sums the table, by its
 # (k, multi-index) groups or, for short operands, by pairs of terms
-# (``_star_operators``).  Above the rule that first fill costs more than a
-# stream of queries wins back.
-# Measured on Python 3.11, 2 shared cores: the n = 1, N = 3 Kaehler
-# associativity triples of the benchmark make 97 stars on one state in
-# their fixed prefix, and the table halved the time per triple (about
-# 20 -> 10 ms; summing short operands by pairs of terms then took it to
-# 7.6 ms); a one-shot ``fedquant star`` on an n = 1, N = 3 Kaehler
-# chart, which pays the fill whole, took about 25 ms more (0.15 -> 0.18
-# s, interpreter start included).  With the table on every chart, a first
-# star on the seeded cotangent n = 2, N = 3 chart went 0.20 -> 1.1 s (a
-# second one 0.11 -> 0.013 s), and the fixed query prefixes of the
-# cotangent n = 2 quantization and n = 2 solve benchmarks went
-# 0.11 -> 0.26 s and 0.010 -> 0.19 s.
+# (``_star_operators``).  A one-shot star pays that first fill whole, and
+# above the rule it costs more than a stream of queries wins back.
 STAR_TABLE_MAX_INDICES = 10
 
 

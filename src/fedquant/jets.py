@@ -578,11 +578,9 @@ class JetSum:
     factors' keys, so each coefficient pair costs one int addition (no
     field carries: degrees stay within validity, below 2**6 = 64).  The
     denominator is raised to an lcm only when a term's own does not
-    divide it.  ``jet()`` sorts and reduces the map once, and ``merge``
-    adds another sum's map as it stands, for a sum whose only reader is
-    this one.  ``valid_order`` is the minimum over all terms, exactly as
-    a left fold of ``*`` and ``+`` gives it, and a term is convolved only
-    up to the running minimum.
+    divide it.  ``jet()`` sorts and reduces the map once.  ``valid_order``
+    is the minimum over all terms, exactly as a left fold of ``*`` and
+    ``+`` gives it, and a term is convolved only up to the running minimum.
     """
 
     __slots__ = ("chart", "valid_order", "den", "acc")
@@ -597,20 +595,50 @@ class JetSum:
         """Add s*a*b, or s*a when ``b`` is None; s is an int or anything
         ``CRat()`` takes."""
         v = a.valid_order
-        if b is None:
-            tden = a.den
-        else:
+        if b is not None:
             if a.chart is not b.chart and a.chart != b.chart:
                 raise ChartMismatch("jets live on different charts")
             if b.valid_order < v:
                 v = b.valid_order
-            tden = a.den * b.den
-        admitted = self._admit(a.chart, v, tden, s)
-        if admitted is None:
+        acc = self.acc
+        if self.chart is None:
+            self.chart, self.valid_order = a.chart, v
+        else:
+            if a.chart is not self.chart and a.chart != self.chart:
+                raise ChartMismatch("jets live on different charts")
+            if v < self.valid_order:
+                self.valid_order = v
+                # the keys of degree above v are those from this one up
+                limit = (v + 1) << _KEY_BITS * self.chart.dim
+                for key in [k for k in acc if k >= limit]:
+                    del acc[key]
+            else:
+                v = self.valid_order
+        if type(s) is int:
+            sr, si, sd = s, 0, 1
+        else:
+            s = CRat(s)
+            sr, si, sd = s.re_num, s.im_num, s.den
+        if not (sr or si):
             return
-        v, sr, si = admitted
-        acc, left = self.acc, a.terms
-        right = None if b is None else b.terms
+        left = a.terms
+        if b is None:
+            right, tden = None, a.den * sd
+        else:
+            right, tden = b.terms, a.den * b.den * sd
+        # bring the term and the sum to one denominator, folding the
+        # rescaling into the scalar so each pair costs integer products only
+        den = self.den
+        if den % tden:
+            new = lcm(den, tden)
+            up = new // den
+            for num in acc.values():
+                num[0] *= up
+                num[1] *= up
+            self.den = den = new
+        f = den // tden
+        sr *= f
+        si *= f
         if right is None:
             for da, ka, ar, ai in left:
                 if da > v:
@@ -653,80 +681,6 @@ class JetSum:
                         acc[key] = [ar * br, 0]
                     else:
                         prev[0] += ar * br
-
-    def merge(self, other, s=1):
-        """Add s times the sum ``other``, which holds at least one term,
-        without finishing it: the stores come out as those of
-        ``add(other.jet(), s=s)``.  The running validity drops to other's
-        and only other's keys within it are added; a cancelled entry adds
-        zero, and ``jet()`` drops it."""
-        v = other.valid_order
-        admitted = self._admit(other.chart, v, other.den, s)
-        if admitted is None:
-            return
-        v, sr, si = admitted
-        items = other.acc.items()
-        if v < other.valid_order:
-            limit = (v + 1) << _KEY_BITS * self.chart.dim
-            items = [(key, num) for key, num in items if key < limit]
-        acc = self.acc
-        for key, (ar, ai) in items:
-            re, im = ar * sr - ai * si, ar * si + ai * sr
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = [re, im]
-            else:
-                prev[0] += re
-                prev[1] += im
-
-    def _admit(self, chart, v, tden, s):
-        """Admit s times a term on ``chart`` of validity ``v`` whose
-        numerators are over ``tden``.
-
-        The running validity drops to v, and the keys above it go; the
-        sum's denominator is raised until s's times tden divides it.
-        Returns the running validity and s's numerators with that
-        rescaling folded in, so that each coefficient pair costs integer
-        products only; None when s is zero, after the validity has
-        dropped as for any other term.
-        """
-        acc = self.acc
-        if self.chart is None:
-            self.chart, self.valid_order = chart, v
-        else:
-            if chart is not self.chart and chart != self.chart:
-                raise ChartMismatch("jets live on different charts")
-            if v < self.valid_order:
-                self.valid_order = v
-                # the keys of degree above v are those from this one up
-                limit = (v + 1) << _KEY_BITS * self.chart.dim
-                for key in [k for k in acc if k >= limit]:
-                    del acc[key]
-            else:
-                v = self.valid_order
-        if type(s) is int:
-            sr, si, sd = s, 0, 1
-        else:
-            s = CRat(s)
-            sr, si, sd = s.re_num, s.im_num, s.den
-        if not (sr or si):
-            return None
-        tden *= sd
-        den = self.den
-        if den % tden:
-            new = lcm(den, tden)
-            up = new // den
-            for num in acc.values():
-                num[0] *= up
-                num[1] *= up
-            self.den = den = new
-        f = den // tden
-        return v, sr * f, si * f
-
-    def is_zero(self):
-        """Whether every coefficient added so far cancelled, or none was
-        added: ``jet()`` would have no term."""
-        return not any(re or im for re, im in self.acc.values())
 
     def jet(self, empty=None):
         """The normalized sum; ``empty`` when no term was added."""

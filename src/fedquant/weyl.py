@@ -92,11 +92,6 @@ def _wedge(beta1, beta2):
     return sign, tuple(merged)
 
 
-# what (i/hbar) leaves of an hbar^0 layer that should have cancelled
-_NEGATIVE_HBAR = ("nonzero hbar^0 layer under (i/hbar), a graded identity "
-                  "was violated upstream")
-
-
 class WeylForm:
     """An element of the fiber-polynomial form algebra.
 
@@ -119,7 +114,9 @@ class WeylForm:
             if jet.is_zero():
                 continue
             if k < 0:
-                raise GradingError(_NEGATIVE_HBAR)
+                raise GradingError(
+                    "nonzero hbar^0 layer under (i/hbar), a graded identity "
+                    "was violated upstream")
             clean[(k, alpha, beta)] = jet
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "terms", clean)
@@ -225,8 +222,7 @@ def _mul_contract(a, b, parity, into=None):
     Given ``into``, a ``{key: JetSum}`` map, the terms of (i/hbar) times
     the product are added to it and the map is returned; the hbar^0
     layer, whose ordered pairs cancel only in the finished sums, is
-    checked when the map becomes a form (``WeylForm.from_sums``) or goes
-    to ``op_delta_inv_sums``, which applies the same rule.
+    checked when the map becomes a form (``WeylForm.from_sums``).
     """
     a._check(b)
     geom = a.geometry
@@ -431,44 +427,23 @@ def op_delta(a):
 
 def op_delta_star(a):
     """Replace one form generator by the matching fiber generator."""
-    return _delta_star(a.geometry, a.terms, False)
+    return _delta_star(a, False)
 
 
 def op_delta_inv(a):
     """Normalized homotopy: delta*/(l+p) per bidegree, zero on the scalars."""
-    return _delta_star(a.geometry, a.terms, True)
+    return _delta_star(a, True)
 
 
-def op_delta_inv_sums(geometry, sums):
-    """``op_delta_inv(WeylForm.from_sums(geometry, sums))``, store for
-    store, with the ``{key: JetSum}`` sums left unfinished.
-
-    Each sum goes into the output sums as it stands (``JetSum.merge``)
-    under the rules the form applies to its terms: a sum that cancelled to
-    zero is skipped, so its validity does not reach the output, and a
-    nonzero one at a negative hbar power raises ``GradingError``.
-    """
-    live = {}
-    for key, acc in sums.items():
-        if not acc.is_zero():
-            if key[0] < 0:
-                raise GradingError(_NEGATIVE_HBAR)
-            live[key] = acc
-    return _delta_star(geometry, live, True, JetSum.merge)
-
-
-def _delta_star(geometry, terms, normalized, put=JetSum.add):
-    """delta* of the ``{key: coefficient}`` map ``terms`` in one pass;
-    divided by l + p per term when ``normalized``.  ``put(acc, c, s=...)``
-    adds a coefficient times a scalar into an output sum: ``JetSum.add``
-    for jets, ``JetSum.merge`` for unfinished sums.
+def _delta_star(a, normalized):
+    """delta* in one pass; divided by l + p per term when ``normalized``.
 
     delta* keeps l + p (the fiber degree plus the form degree), so every
     output key collects terms of a single l + p.
     """
     out = defaultdict(JetSum)
     signs = (1, -1)
-    for (k, alpha, beta), c in terms.items():
+    for (k, alpha, beta), jet in a.terms.items():
         if not beta:
             continue
         if normalized:
@@ -477,9 +452,9 @@ def _delta_star(geometry, terms, normalized, put=JetSum.add):
         for pos, i in enumerate(beta):
             alpha2 = list(alpha)
             alpha2[i] += 1
-            put(out[k, tuple(alpha2), beta[:pos] + beta[pos + 1:]], c,
-                s=signs[pos % 2])
-    return WeylForm.from_sums(geometry, out)
+            out[k, tuple(alpha2), beta[:pos] + beta[pos + 1:]].add(
+                jet, s=signs[pos % 2])
+    return WeylForm.from_sums(a.geometry, out)
 
 
 def scalar_part(a):

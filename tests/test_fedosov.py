@@ -205,21 +205,21 @@ def test_changed_r_coefficient_shows_in_the_residual(monkeypatch, kind, w):
     """Add 1 to a coefficient of r_w whose term delta does not kill.  The
     residual at weight w - 1 becomes delta of the change, which the
     certificate sees though it reuses the recursion's sums."""
-    real = fedosov.op_delta_inv_sums
+    real = fedosov.op_delta_inv
     calls = []
 
-    def bumped(geometry, sums):
-        out = real(geometry, sums)
+    def bumped(form):
+        out = real(form)
         calls.append(out)
-        # the calls give r_4, r_5, ... in turn (r_3 is delta^-1 Rhat)
-        if len(calls) != w - 3:
+        # the calls give r_3 = delta^-1 Rhat, r_4, r_5, ... in turn
+        if len(calls) != w - 2:
             return out
         for key, jet in out.terms.items():
             if not op_delta(WeylForm(out.geometry, {key: jet})).is_zero():
                 return WeylForm(out.geometry, {**out.terms, key: jet + 1})
         pytest.fail(f"r_{w} has no term with nonzero delta")
 
-    monkeypatch.setattr(fedosov, "op_delta_inv_sums", bumped)
+    monkeypatch.setattr(fedosov, "op_delta_inv", bumped)
     counts = check_flatness(solve_r(MUTATED[kind](), 3))
     assert counts.get(w - 1)
 

@@ -100,40 +100,6 @@ def test_single_term_product_matches_direct_convolution(pair, s):
     assert same(scaled, Jet(a.chart, a.valid_order, a.valid_order, want))
 
 
-def summed(terms):
-    acc = JetSum()
-    for a, b, s in terms:
-        acc.add(a, b, s)
-    return acc
-
-
-@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
-    st.just([]) | sums(d), sums(d))), scalars)
-def test_merge_equals_adding_the_finished_sum(pair, s):
-    """Store for store, into an empty sum or not, with the other sum's
-    validity above or below the receiver's and sums that cancelled."""
-    mine, theirs = pair
-    other = summed(theirs)
-    merged, added = summed(mine), summed(mine)
-    merged.merge(other, s)
-    added.add(other.jet(), s=s)
-    assert merged.jet() == added.jet()
-    assert other.is_zero() == other.jet().is_zero()
-    # the merged sum is left as it was
-    assert other.jet() == summed(theirs).jet()
-
-
-def test_merge_of_a_cancelled_sum_still_lowers_the_validity():
-    x = Jet.variable(CHARTS[2], 0, 5)
-    y = Jet.variable(CHARTS[2], 1, 2)
-    other = summed([(y, None, Fraction(2, 7)), (y, None, Fraction(-2, 7))])
-    acc = summed([(x, x, CRat(1, 3))])
-    acc.merge(other, CRat(0, 5))
-    out = acc.jet()
-    assert other.is_zero() and out.valid_order == 2
-    assert out == (x * x * CRat(1, 3)).truncate(2)
-
-
 def test_empty_sum_returns_the_given_default():
     zero = Jet.zero(CHARTS[1], 3)
     assert JetSum().jet() is None

@@ -8,10 +8,15 @@ from the stored C_k(x^alpha, x^beta).  These tests hold the table path
 against the section path, the two table bodies against each other, the
 table against the flat Moyal product and against the structure of the
 operators (C_k(1, g) = C_k(f, 1) = 0 for k >= 1, order <= k in each
-argument, hbar-parity), and check that the validity ``star`` claims
-survives changes above what it was given.
+argument, hbar-parity, the first-order operators (i/2) omega^ab), and
+check that the validity ``star`` claims survives changes above what it
+was given.  The hbar^2 coefficient of either path is also held against a
+closed form in omega^-1 and the Christoffel symbols alone.
 """
 
+import copy
+import os
+import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -27,24 +32,39 @@ from fedquant.fedosov import (FedosovError, _series, _star_bidifferential,
 from fedquant.geometry import build_flat
 from fedquant.jets import (EXACT_ORDER, ChartMismatch, Jet, JetError,
                            jet_maps_agree)
-from fedquant.rational import CRat
+from fedquant.rational import CRat, HALF_I
 from fedquant.suites import _CHARTS
 from fedquant.weyl import WeylForm
-from test_cli import KAEHLER_N1
+from test_cli import CUBIC, KAEHLER_N1
 from test_digest import PINNED
 from test_fedosov import fresh_copy
 
 # the eight seeded charts of test_digest, one per kind and n
 CASES = [case for case in PINNED if case[4] == case[:2] + (0,)]
 N1_CASES = [case for case in CASES if case[1] == 1]
+# the n = 1 lift of the CI metric 1 + q1^2/3 (``test_cli.CUBIC``): the
+# seeded cotangent n = 1 chart has g = 1, so its connection is zero
+CUBIC_CASE = ("cubic", 1, 11, 3, None)
 
 
 def _ids(case):
     return "-".join(map(str, case[:4]))
 
 
+def _loaded(text):
+    """The geometry of a geometry file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "geometry.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return load_geometry(path)
+
+
 def _solve(kind, n, order, n_hbar):
-    """The solved seeded chart of ``test_digest``, tag (kind, n, 0)."""
+    """The solved seeded chart of ``test_digest``, tag (kind, n, 0), or
+    for kind "cubic" the lift of ``CUBIC``."""
+    if kind == "cubic":
+        return solve_r(_loaded(CUBIC), n_hbar)
     return solve_r(_CHARTS[kind](sampling.make_rng((kind, n, 0)), n, order),
                    n_hbar)
 
@@ -87,7 +107,7 @@ def _seeds(st):
             for a in fedosov._multi_indices(chart.dim, st.n_hbar)}
 
 
-@pytest.mark.parametrize("case", N1_CASES, ids=_ids)
+@pytest.mark.parametrize("case", N1_CASES + [CUBIC_CASE], ids=_ids)
 def test_table_path_agrees_with_the_section_path(case):
     """Equal stores through the shared validity at every level, and the
     table never claims more than the sections."""
@@ -103,7 +123,7 @@ def test_table_path_agrees_with_the_section_path(case):
                 assert c.valid_order <= s.valid_order, (n, k, c, s)
 
 
-@pytest.mark.parametrize("case", N1_CASES, ids=_ids)
+@pytest.mark.parametrize("case", N1_CASES + [CUBIC_CASE], ids=_ids)
 def test_table_entries_are_bidifferential_operators_of_order_k(case):
     """No entry has alpha = 0 or beta = 0 at k >= 1, since
     C_k(1, g) = C_k(f, 1) = 0, nor |alpha| > k or |beta| > k; at k = 0
@@ -321,17 +341,15 @@ def test_monomial_products_grow_by_pair():
     assert set(st._monomial_products) == pairs
 
 
-@pytest.mark.parametrize("case", N1_CASES + ["ci-kaehler-n1"],
+@pytest.mark.parametrize("case", N1_CASES + [CUBIC_CASE, "ci-kaehler-n1"],
                          ids=lambda case: case if isinstance(case, str)
                          else _ids(case))
-def test_table_is_hbar_parity_symmetric(case, tmp_path):
+def test_table_is_hbar_parity_symmetric(case):
     """c^k_(beta alpha) == (-1)^k c^k_(alpha beta), stores and validity
     included: swapping the operands of a star product conjugates hbar to
     -hbar."""
     if isinstance(case, str):
-        path = tmp_path / "geometry.json"
-        path.write_text(KAEHLER_N1)
-        st = solve_r(load_geometry(path), 3)
+        st = solve_r(_loaded(KAEHLER_N1), 3)
     else:
         st = _fresh(case)
     fedosov._table_entries(st, st.n_hbar)
@@ -339,6 +357,30 @@ def test_table_is_hbar_parity_symmetric(case, tmp_path):
     assert table
     for (k, a, b), c in table.items():
         assert table.get((k, b, a)) == (-c if k % 2 else c), (k, a, b)
+
+
+# the digest's n = 2 cotangent and Kaehler charts at N = 1, which read the
+# table too
+N2_TABLE_CASES = [case[:3] + (1,) + case[4:] for case in CASES
+                  if case[1] == 2 and case[0] in ("cotangent", "kaehler")]
+
+
+@pytest.mark.parametrize("case", N1_CASES + N2_TABLE_CASES, ids=_ids)
+def test_first_order_entries_are_the_poisson_tensor(case):
+    """c^1_(e_a e_b) agrees with (i/2) omega^ab for every nonzero
+    omega^ab, and the table has no other hbar^1 entry."""
+    st = _fresh(case)
+    dim = st.geometry.dim
+    omega_inv = st.geometry.omega_inv
+    unit = [tuple(int(i == a) for i in range(dim)) for a in range(dim)]
+    first = {(a, b): c for k, a, b, c in fedosov._table_entries(st, 1)
+             if k == 1}
+    want = {(unit[a], unit[b]): omega_inv[a][b] * HALF_I
+            for a in range(dim) for b in range(dim)
+            if not omega_inv[a][b].is_zero()}
+    assert set(first) == set(want)
+    for key, c in first.items():
+        assert c.agrees_with(want[key]), key
 
 
 def test_the_rule_picks_the_path():
@@ -462,3 +504,58 @@ def test_zero_coefficients_where_the_bodies_meet():
                      for k, (c, h) in enumerate(zip(claims, truth))
                      if h.truncate(c.valid_order) != c]
     assert failures == []
+
+
+# -- hbar^2 against a closed form on curved charts -------------------------
+
+def _hessian(f, geom):
+    """(nabla^2 f)_ij = d_i d_j f - Gamma^k_ij d_k f, from ``geom.gamma``."""
+    dim = geom.dim
+    df = [f.partial(i) for i in range(dim)]
+    h = [[df[i].partial(j) for j in range(dim)] for i in range(dim)]
+    for (k, i, j), gamma in geom.gamma.items():
+        h[i][j] = h[i][j] - gamma * df[k]
+    return h
+
+
+def _second_order(f, g, geom):
+    """C_2(f, g) = (1/2)(i/2)^2 omega^(a1 b1) omega^(a2 b2)
+    (nabla^2 f)_(a1 a2) (nabla^2 g)_(b1 b2), from ``geom.omega_inv`` and
+    ``geom.gamma`` alone."""
+    hf, hg = _hessian(f, geom), _hessian(g, geom)
+    pairs = [(a, b, w) for a, row in enumerate(geom.omega_inv)
+             for b, w in enumerate(row) if not w.is_zero()]
+    acc = geom.zero_jet()
+    for a1, b1, w1 in pairs:
+        for a2, b2, w2 in pairs:
+            acc = acc + w1 * w2 * hf[a1][a2] * hg[b1][b2]
+    return acc * (HALF_I * HALF_I * Fraction(1, 2))
+
+
+# the digest's charts but the seeded cotangent n = 1 (g = 1, so flat) and
+# flat n = 2, and the lift of CUBIC; the n = 1 states read the table, the
+# n = 2 ones the sections
+CLOSED_FORM_CASES = [case for case in CASES if case[:2] not in (
+    ("cotangent", 1), ("flat", 2))] + [CUBIC_CASE]
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES, ids=_ids)
+def test_second_order_coefficient_is_the_closed_form(case):
+    st = _state(*case[:4])
+    for f, g in _pairs(case):
+        assert star(f, g, st).coefficient(2).agrees_with(
+            _second_order(f, g, st.geometry)), (f, g)
+
+
+@pytest.mark.parametrize("case", [
+    case for case in CLOSED_FORM_CASES if case[:2] in (
+        ("darboux", 1), ("kaehler", 1), ("cotangent", 2))], ids=_ids)
+def test_closed_form_sees_a_doubled_connection_in_nabla(case):
+    """Every Gamma of ``geom.gamma_up``, the table ``nabla`` reads, doubled
+    while the closed form keeps ``geom.gamma``."""
+    geom = copy.copy(_state(*case[:4]).geometry)
+    geom.gamma_up = {u: tuple((x, b, gamma * 2) for x, b, gamma in row)
+                     for u, row in geom.gamma_up.items()}
+    st = solve_r(geom, case[3])
+    assert not all(star(f, g, st).coefficient(2).agrees_with(
+        _second_order(f, g, geom)) for f, g in _pairs(case))

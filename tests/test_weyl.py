@@ -15,8 +15,8 @@ from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
 from fedquant.weyl import (GradingError, WeylForm, _expansion, _pairing,
                            _wedge, graded_commutator, op_delta, op_delta_inv,
-                           op_delta_inv_sums, op_delta_star, pi_weight,
-                           scalar_part, symbol_mul, weyl_mul)
+                           op_delta_star, pi_weight, scalar_part, symbol_mul,
+                           weyl_mul)
 from fedquant import sampling
 from fedquant.fedosov import flat_section, solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
@@ -173,57 +173,6 @@ def sum_of(terms):
     return acc
 
 
-@st.composite
-def unfinished_sums(draw):
-    """``{key: JetSum}`` maps on the flat n = 1 chart: keys at hbar^-1 ...
-    hbar^1 of form degree 0 ... 2, mostly 1-forms at hbar^0, each 1-form
-    with the 1-forms that delta^-1 sends to the same output key, and sums
-    of small jets of validity 0 ... 4, about half of which cancel to
-    zero."""
-    dim = FLAT.dim
-    alphas = [e for e in product(range(3), repeat=dim) if sum(e) <= 2]
-    betas = [(i,) for i in range(dim)] * 2 + [(), tuple(range(dim))]
-    keys = draw(st.lists(st.tuples(st.sampled_from([0, 0, 0, 1, -1]),
-                                   st.sampled_from(alphas),
-                                   st.sampled_from(betas)),
-                         unique=True, max_size=4))
-    for k, alpha, beta in list(keys):
-        # y^alpha dx^i and y^(alpha - e_j + e_i) dx^j both go to
-        # y^(alpha + e_i)
-        if len(beta) == 1:
-            i = beta[0]
-            keys += [(k, tuple(e - (m == j) + (m == i)
-                               for m, e in enumerate(alpha)), (j,))
-                     for j in range(dim) if j != i and alpha[j]]
-    nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1),
-                        st.sampled_from([1, 2, 3, 5, 7]))
-    scalars = st.builds(CRat, nonzero, st.sampled_from([0, Fraction(1, 3)]))
-    out = {}
-    for key in keys:
-        v = draw(st.integers(0, 4))
-        monomials = [e for e in product(range(v + 1), repeat=dim)
-                     if sum(e) <= v]
-        terms = draw(st.lists(st.tuples(st.dictionaries(
-            st.sampled_from(monomials), scalars, min_size=1,
-            max_size=3).map(lambda c: Jet(FLAT.chart, v, v, c)), scalars),
-            min_size=1, max_size=3))
-        if draw(st.booleans()):
-            terms += [(jet, -scale) for jet, scale in terms]
-        out[key] = sum_of(terms)
-    return out
-
-
-@given(unfinished_sums())
-def test_delta_inv_of_sums_equals_that_of_the_finished_form(sums):
-    try:
-        want = op_delta_inv(WeylForm.from_sums(FLAT, sums))
-    except GradingError:
-        with pytest.raises(GradingError):
-            op_delta_inv_sums(FLAT, sums)
-        return
-    assert op_delta_inv_sums(FLAT, sums) == want
-
-
 def test_delta_inv_of_sums_skips_a_cancelled_sum():
     """Two 1-forms meet at one output key; the one that cancelled has the
     lower validity and must not lower the output's."""
@@ -232,8 +181,7 @@ def test_delta_inv_of_sums_skips_a_cancelled_sum():
     sums = {(0, (0, 1), (0,)): sum_of([(q, 3)]),
             (0, (1, 0), (1,)): sum_of([(low, 1), (low, -1)]),
             (0, (0, 0), ()): sum_of([(q, 1)])}
-    got = op_delta_inv_sums(FLAT, sums)
-    assert got == op_delta_inv(WeylForm.from_sums(FLAT, sums))
+    got = op_delta_inv(WeylForm.from_sums(FLAT, sums))
     assert got.terms[0, (1, 1), ()].valid_order == ORDER
 
 
@@ -241,9 +189,10 @@ def test_delta_inv_of_sums_skips_a_cancelled_sum():
 def test_delta_inv_of_sums_refuses_a_negative_hbar_power(beta):
     q = Jet.variable(FLAT.chart, 0, ORDER)
     cancelled = {(-1, (1, 0), beta): sum_of([(q, 1), (q, -1)])}
-    assert op_delta_inv_sums(FLAT, cancelled).is_zero()
+    assert op_delta_inv(WeylForm.from_sums(FLAT, cancelled)).is_zero()
     with pytest.raises(GradingError):
-        op_delta_inv_sums(FLAT, {(-1, (1, 0), beta): sum_of([(q, 1)])})
+        op_delta_inv(WeylForm.from_sums(
+            FLAT, {(-1, (1, 0), beta): sum_of([(q, 1)])}))
 
 
 def test_symbol_strips_fiber():
