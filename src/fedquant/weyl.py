@@ -24,12 +24,11 @@ truncation.  On monomials the product has the closed form
 where C(alpha, gamma) = prod_i binom(alpha_i, gamma_i) and P(gamma, delta)
 is the sum over complete pairings of the m generators in gamma with those
 in delta of the product of omega^{ij}.  One table, ``_pairing``, holds
-every P, split as a content scalar times a primitive jet (P divided by its
-first stored coefficient; None where P is constant).  Its three readers
-take the split as it is: ``_expansion`` folds the content into each
-entry's scale for ``weyl_mul`` and ``graded_commutator`` (odd m,
-doubled), and ``symbol_mul`` (gamma = alpha, delta = beta) groups its term
-pairs by primitive.
+every P, as a constant (value, None) or a jet (1, P).  Its readers take
+it as it is: ``_expansion`` folds the constant into each entry's scale
+for ``weyl_mul`` and ``graded_commutator`` (odd m, doubled), and
+``symbol_mul`` (gamma = alpha, delta = beta) adds each term pair's jet
+product against it.
 
 ``weyl_mul(a, a)``, the same form given twice, with every term of odd form
 degree is the square: each term squares to zero under the wedge, and each
@@ -37,11 +36,6 @@ unordered pair of terms gives a_s o a_t + a_t o a_s = [a_s, a_t], so the
 square is the odd part of the pairs s < t, doubled.  The expansions are
 cached per contraction parity, so neither a commutator nor a square builds
 an even order, and a term pair with no odd contraction forms no product.
-
-Primitives are interned per geometry, and on n = 1 charts every nonzero
-pairing at level l is a multiple of (omega^{12})^l, so the symbol pairs of
-one hbar power share a few primitives: their scaled jet products are
-summed first and each group sum is convolved with its primitive once.
 
 Only exact zeros are left out: a term pair whose form indices collide,
 whose expansion is empty or, in the symbol, whose pairing is zero.  Every
@@ -203,7 +197,7 @@ def _mul_contract(a, b, parity, into=None):
 
     Each pair of terms adds the cached closed-form expansion of its fiber
     monomials (``_expansion``, built for the parity alone) times the
-    product of its jets: one add of scale * jets * primitive per entry, or
+    product of its jets: one add of scale * jets * pairing per entry, or
     of scale * jets where the pairing is constant.  A pair whose expansion
     is empty, or whose form indices collide, forms no product; every other
     product is added, one that truncates to zero included, so that it
@@ -253,9 +247,9 @@ def _mul_contract(a, b, parity, into=None):
             # one add per contraction term, so that a term cancelling
             # another, or truncating to zero, still lowers the key's
             # validity as its own
-            for m, alpha, primitive, scale in expansion:
+            for m, alpha, pairing, scale in expansion:
                 out[ka + kb + m - lower, alpha, beta].add(
-                    base, primitive, scale * s)
+                    base, pairing, scale * s)
     if into is not None:
         return out
     return WeylForm.from_sums(geom, out)
@@ -264,11 +258,11 @@ def _mul_contract(a, b, parity, into=None):
 def _expansion(geom, alpha_a, alpha_b, parity=None):
     """The terms of y^alpha_a o y^alpha_b, cached per geometry and parity.
 
-    Entries are (m, alpha, primitive, scale) for each pair gamma <= alpha_a,
+    Entries are (m, alpha, pairing, scale) for each pair gamma <= alpha_a,
     delta <= alpha_b with |gamma| = |delta| = m and P(gamma, delta) != 0:
-    the term  scale * primitive * hbar^m * y^alpha, with the pairing's
-    content folded into the CRat ``scale`` and the primitive None where the
-    pairing is constant (``_pairing``).  With ``parity`` 0 or 1 only the
+    the term  scale * pairing * hbar^m * y^alpha, with a constant P folded
+    into the CRat ``scale`` and the pairing None (``_pairing``), and a
+    jet P kept as the pairing.  With ``parity`` 0 or 1 only the
     orders m of that parity are built, in the order the full list has
     them; a commutator or a square asks for the odd ones and never builds
     an even entry.
@@ -286,14 +280,14 @@ def _expansion(geom, alpha_a, alpha_b, parity=None):
         power = HALF_I ** m
         for gamma, binom_a in subs_a[m]:
             for delta, binom_b in subs_b[m]:
-                content, primitive = _pairing(geom, gamma, delta)
-                if not content:
+                scalar, pairing = _pairing(geom, gamma, delta)
+                if not scalar:
                     continue
-                scale = power * (binom_a * binom_b) * content
+                scale = power * (binom_a * binom_b) * scalar
                 scale = scales.setdefault(scale, scale)
                 alpha = tuple(a - g + b - d for a, g, b, d
                               in zip(alpha_a, gamma, alpha_b, delta))
-                out.append((m, alpha, primitive, scale))
+                out.append((m, alpha, pairing, scale))
     geom._cache[key] = out
     return out
 
@@ -308,16 +302,14 @@ def sub_degrees(alpha):
 
 def _pairing(geom, alpha_a, alpha_b):
     """P(alpha_a, alpha_b), the complete pairings through omega, as
-    (content, primitive), cached per geometry.
+    (scalar, jet), cached per geometry.
 
     P is the sum over bijections pi of prod omega^{i, pi(i)}, built by the
     recursion P(alpha_a, alpha_b) = sum_j (alpha_b)_j omega^{ij}
     P(alpha_a - e_i, alpha_b - e_j), with i the first generator of alpha_a.
-    A constant P, zero included, is (its value, None).  Any other P is
-    content * primitive: the content is the coefficient of its first
-    stored term and the primitive is P divided by it, interned per
-    geometry, so proportional pairings share one jet object.  Every
-    contraction coefficient of the fiberwise product comes from here.
+    A constant P, zero included, is (its value, None); any other P is
+    (1, P).  Every contraction coefficient of the fiberwise product comes
+    from here.
     """
     key = ("pairing", alpha_a, alpha_b)
     cached = geom._cache.get(key)
@@ -340,17 +332,11 @@ def _pairing(geom, alpha_a, alpha_b):
                 continue
             rb = list(alpha_b)
             rb[j] -= 1
-            content, primitive = _pairing(geom, ra, tuple(rb))
-            if content:
-                acc.add(om, primitive, content * e)
-        pairing = acc.jet()
-        if pairing.is_constant():
-            out = pairing.constant_term, None
-        else:
-            content = pairing.leading()[1]
-            primitive = pairing * (1 / content)
-            primitives = geom._cache.setdefault("primitives", {})
-            out = content, primitives.setdefault(primitive, primitive)
+            scalar, jet = _pairing(geom, ra, tuple(rb))
+            if scalar:
+                acc.add(om, jet, scalar * e)
+        jet = acc.jet()
+        out = (jet.constant_term, None) if jet.is_constant() else (ONE, jet)
     geom._cache[key] = out
     return out
 
@@ -362,18 +348,16 @@ def symbol_mul(a, b, max_hbar):
     Only complete contractions (gamma = alpha_a, delta = alpha_b, where
     both binomial factors are 1) survive in the symbol, so this skips
     every other term of the full product.  Each pairing is read from
-    ``_pairing`` as content * primitive.  A term pair with a constant
-    pairing adds its jets' product directly; the pairs of one hbar power and
-    one primitive are summed as scale * content * jet_a * jet_b first, and
-    each finished group is convolved with its primitive once.  Only a
-    pair with a zero pairing is left out; every formed product caps its
-    sum's validity, one that truncates to zero and a group that cancels
+    ``_pairing``.  A term pair with a constant pairing adds its jets'
+    product times that constant; one with a jet pairing adds its jets'
+    product against the pairing, the three-factor add of
+    ``_mul_contract``.  Only a pair with a zero pairing is left out; every
+    formed product caps its sum's validity, one that truncates to zero
     included.
     """
     a._check(b)
     geom = a.geometry
     out = defaultdict(JetSum)
-    groups = defaultdict(JetSum)
     for (ka, alpha_a, beta_a), jet_a in a.terms.items():
         if beta_a:
             continue
@@ -385,13 +369,13 @@ def symbol_mul(a, b, max_hbar):
             k = ka + kb + la
             if k > max_hbar:
                 continue
-            content, primitive = _pairing(geom, alpha_a, alpha_b)
-            if not content:
+            scalar, pairing = _pairing(geom, alpha_a, alpha_b)
+            if not scalar:
                 continue
-            (out[k] if primitive is None else groups[k, primitive]).add(
-                jet_a, jet_b, scale * content)
-    for (k, primitive), acc in groups.items():
-        out[k].add(acc.jet(), primitive)
+            if pairing is None:
+                out[k].add(jet_a, jet_b, scale * scalar)
+            else:
+                out[k].add(jet_a * jet_b, pairing, scale)
     sym = {k: acc.jet() for k, acc in out.items()}
     return {k: jet for k, jet in sym.items() if not jet.is_zero()}
 

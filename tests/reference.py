@@ -1,15 +1,14 @@
 """Test-side references for the fiber pairing and the flat connection,
 built straight from the equations.
 
-The engine builds each pairing of omega^{-1} by a cached recursion, split
-as content times an interned primitive; it fills flat sections only
-through a level bound, from cached commutator rows, and certifies r from
-the recursion's own sums.  The functions here take none of those
-shortcuts: ``pairing`` sums the products over every bijection,
-``symbol_mul_by_pairs`` folds the symbol of a product one term pair at a
-time, ``full_section`` fills a section through doubled weight 2N with
-``graded_commutator`` applied directly, ``section_defect`` applies the
-whole flat connection to a section, ``full_pass`` recomputes the
+The engine builds each pairing of omega^{-1} by a cached recursion; it
+fills flat sections only through a level bound, from cached commutator
+rows, and certifies r from the recursion's own sums.  The functions here
+take none of those shortcuts: ``pairing`` sums the products over every
+bijection, ``symbol_mul_by_pairs`` folds the symbol of a product one term
+pair at a time, ``full_section`` fills a section through doubled weight
+2N with ``graded_commutator`` applied directly, ``section_defect`` applies
+the whole flat connection to a section, ``full_pass`` recomputes the
 flatness recursion on the whole of r, and ``rho_extend`` builds every
 monomial operator by star factorization with no per-state table.
 

@@ -11,7 +11,9 @@ operators (C_k(1, g) = C_k(f, 1) = 0 for k >= 1, order <= k in each
 argument, hbar-parity, the first-order operators (i/2) omega^ab), and
 check that the validity ``star`` claims survives changes above what it
 was given.  The hbar^2 coefficient of either path is also held against a
-closed form in omega^-1 and the Christoffel symbols alone.
+closed form in omega^-1 and the Christoffel symbols alone, and the hbar^3
+coefficient against one that adds the curvature, which sees r_5 on a
+surface, where the flatness certificate cannot.
 """
 
 import copy
@@ -19,6 +21,7 @@ import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -26,10 +29,11 @@ from hypothesis import given, settings, strategies as hs
 
 from fedquant import fedosov, sampling
 from fedquant.cli import load_geometry
-from fedquant.fedosov import (FedosovError, _series, _star_bidifferential,
-                              _star_operators, _star_pairs, _star_sections,
-                              moyal_reference, solve_r, star)
-from fedquant.geometry import build_flat
+from fedquant.fedosov import (FedosovError, FedosovState, _series,
+                              _star_bidifferential, _star_operators,
+                              _star_pairs, _star_sections, moyal_reference,
+                              solve_r, star)
+from fedquant.geometry import build_flat, hamiltonian_vf
 from fedquant.jets import (EXACT_ORDER, ChartMismatch, Jet, JetError,
                            jet_maps_agree)
 from fedquant.rational import CRat, HALF_I
@@ -559,3 +563,124 @@ def test_closed_form_sees_a_doubled_connection_in_nabla(case):
     st = solve_r(geom, case[3])
     assert not all(star(f, g, st).coefficient(2).agrees_with(
         _second_order(f, g, geom)) for f, g in _pairs(case))
+
+
+# -- hbar^3 against a closed form on curved charts -------------------------
+
+def _third_derivative(f, geom):
+    """(nabla^3 f)_ijk = d_i (nabla^2 f)_jk - Gamma^l_ij (nabla^2 f)_lk
+    - Gamma^l_ik (nabla^2 f)_jl, from ``geom.gamma``."""
+    dim = geom.dim
+    h = _hessian(f, geom)
+    t = [[[h[j][k].partial(i) for k in range(dim)] for j in range(dim)]
+         for i in range(dim)]
+    for (l, i, j), gamma in geom.gamma.items():
+        for k in range(dim):
+            t[i][j][k] = t[i][j][k] - gamma * h[l][k]
+            t[i][k][j] = t[i][k][j] - gamma * h[k][l]
+    return t
+
+
+def _symmetric_third(f, geom):
+    """S_f + Q_f: nabla^3 f averaged over the six orderings of its
+    indices, plus sum_k R_ijkl X_f^k averaged over those of (i, j, l),
+    from ``geom.curvature().r_low`` and ``hamiltonian_vf``."""
+    dim = geom.dim
+    t = _third_derivative(f, geom)
+    x = hamiltonian_vf(f, geom)
+    for (i, j, k, l), r in geom.curvature().r_low.items():
+        t[i][j][l] = t[i][j][l] + r * x[k]
+    return {idx: sum((t[a][b][c] for a, b, c in permutations(idx)),
+                     geom.zero_jet()) * Fraction(1, 6)
+            for idx in product(range(dim), repeat=3)}
+
+
+def _third_order(f, g, geom):
+    """C_3(f, g) = (1/6)(i/2)^3 omega^(a1 b1) omega^(a2 b2) omega^(a3 b3)
+    (S_f + Q_f)_(a1 a2 a3) (S_g + Q_g)_(b1 b2 b3) (``_symmetric_third``),
+    from ``geom.omega_inv``, ``geom.gamma``, ``geom.curvature().r_low``
+    and ``hamiltonian_vf`` alone.  The omegas raise the indices of S_f + Q_f
+    one slot at a time."""
+    raised = _symmetric_third(f, geom)
+    for slot in range(3):
+        lowered, raised = raised, {}
+        for idx, jet in lowered.items():
+            for b, w in enumerate(geom.omega_inv[idx[slot]]):
+                if not w.is_zero():
+                    up = idx[:slot] + (b,) + idx[slot + 1:]
+                    raised[up] = raised.get(up, geom.zero_jet()) + w * jet
+    sg = _symmetric_third(g, geom)
+    acc = sum((jet * sg[idx] for idx, jet in raised.items()),
+              geom.zero_jet())
+    return acc * (HALF_I ** 3 * Fraction(1, 6))
+
+
+# the digest's n = 1 curved charts, the lift of CUBIC and the seeded n = 2
+# charts, each at N = 3; the n = 1 states read the table, the n = 2 ones
+# the sections
+THIRD_ORDER_CASES = [("darboux", 1, 9, 3), ("kaehler", 1, 12, 3),
+                     CUBIC_CASE[:4], ("cotangent", 2, 11, 3),
+                     ("kaehler", 2, 12, 3), ("darboux", 2, 11, 3),
+                     ("flat", 2, 9, 3)]
+
+
+def _third_order_pairs(case, count=3):
+    """The cubes of two linear forms, whose hbar^3 coefficient is nonzero
+    on every chart, ``count`` pairs of degree-3, 3-term draws and, on an
+    n = 1 chart, a pair of five distinct monomials of degree up to 3,
+    which the table's groups body sums."""
+    kind, n, order, _ = case
+    chart = _state(*case).geometry.chart
+    xs = [Jet.variable(chart, i, order) for i in range(chart.dim)]
+    pairs = [(sum(x * (i + 1) for i, x in enumerate(xs)) ** 3,
+              sum(xs) ** 3)]
+    rng = sampling.make_rng(("third order", kind, n))
+    pairs += [tuple(sampling.random_polynomial(rng, chart, order, degree=3,
+                                               terms=3) for _ in range(2))
+              for _ in range(count)]
+    if n == 1:
+        monomials = fedosov._multi_indices(chart.dim, 3)
+        pairs.append(tuple(
+            Jet(chart, order, order, {alpha: sampling.random_rational(rng)
+                                      for alpha in rng.sample(monomials, 5)})
+            for _ in range(2)))
+    return pairs
+
+
+def _third_order_agrees(st, pairs):
+    """Whether star's hbar^3 coefficient is the closed form on each pair."""
+    return [star(f, g, st).coefficient(3).agrees_with(
+        _third_order(f, g, st.geometry)) for f, g in pairs]
+
+
+@pytest.mark.parametrize("case", THIRD_ORDER_CASES, ids=_ids)
+def test_third_order_coefficient_is_the_closed_form(case):
+    st = _state(*case)
+    pairs = _third_order_pairs(case)
+    f, g = pairs[0]
+    # on n = 1 this first star also fills the table ``_groups`` reads
+    assert not star(f, g, st).coefficient(3).is_zero()
+    if case[1] == 1:
+        f, g = pairs[-1]
+        assert f.term_count() * g.term_count() > _groups(st, st.n_hbar)
+    assert all(_third_order_agrees(st, pairs))
+
+
+@pytest.mark.parametrize("case", THIRD_ORDER_CASES[:2], ids=_ids)
+def test_third_order_closed_form_sees_a_dropped_r5(case):
+    """r_5 left out of the state: a surface's flatness certificate is zero
+    whatever r holds, and r_5 reaches hbar^3."""
+    st = _state(*case)
+    parts = {w: part for w, part in st.r_parts.items() if w != 5}
+    mutant = FedosovState(st.geometry, st.n_hbar, parts, st.residual)
+    assert not all(_third_order_agrees(mutant, _third_order_pairs(case)))
+
+
+@pytest.mark.parametrize("case", THIRD_ORDER_CASES[:2], ids=_ids)
+def test_third_order_closed_form_sees_a_doubled_rhat(case, monkeypatch):
+    """r solved from 2 Rhat while the closed form keeps R."""
+    geom = _state(*case).geometry
+    rhat = fedosov.build_rhat
+    monkeypatch.setattr(fedosov, "build_rhat", lambda g: rhat(g) + rhat(g))
+    mutant = solve_r(geom, case[3])
+    assert not all(_third_order_agrees(mutant, _third_order_pairs(case)))

@@ -453,15 +453,14 @@ def test_forms_copy_and_pickle():
         assert weyl_mul(back, back) == weyl_mul(a, a)
 
 
-# -- the pairing table, and the symbol grouped by primitive ----------------
+# -- the pairing table, and the symbol read from it -----------------------
 
 @pytest.mark.parametrize("where", sorted(CURVED),
                          ids=lambda w: f"{w[0]}-{w[1]}")
 def test_pairing_table_is_the_sum_over_bijections(where):
     """Every pairing with |alpha| = |beta| <= 3 against the reference sum:
-    the content is zero exactly where the sum is, content * primitive is
-    the sum store for store, and a pairing with no primitive is the sum's
-    constant."""
+    a constant sum, zero included, is (its value, None), and any other is
+    (1, the sum), store for store."""
     geom = CURVED[where]
     alphas = [e for e in product(range(4), repeat=geom.dim) if sum(e) <= 3]
     for alpha_a, alpha_b in product(alphas, repeat=2):
@@ -471,12 +470,11 @@ def test_pairing_table_is_the_sum_over_bijections(where):
 
 def _assert_pairing_is_the_sum(geom, alpha_a, alpha_b):
     want = pairing(geom, alpha_a, alpha_b)
-    content, primitive = _pairing(geom, alpha_a, alpha_b)
-    assert (not content) == want.is_zero()
-    if primitive is None:
-        assert want.is_constant() and content == want.constant_term
+    scalar, jet = _pairing(geom, alpha_a, alpha_b)
+    if want.is_constant():
+        assert jet is None and scalar == want.constant_term
     else:
-        assert primitive * content == want
+        assert scalar == 1 and jet == want
 
 
 def _observables(geom, tag):
@@ -508,10 +506,11 @@ def test_symbol_mul_matches_the_per_pair_fold(case):
 def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
     """On the Kaehler n = 1 chart every level-1 pairing is a multiple of
     omega^{12}, a nonconstant jet.  A pair whose jet product is nonzero
-    but vanishes once multiplied by it, and a group that cancels to zero,
-    are both still added: either way the hbar^1 coefficient, whose y-free
-    pair is valid beyond the pairing, is certified through the pairing's
-    validity alone, as in the per-pair fold."""
+    but vanishes once multiplied by it, and two pairs whose products
+    against it cancel, are all still added: either way the hbar^1
+    coefficient, whose y-free pair is valid beyond the pairing, is
+    certified through the pairing's validity alone, as in the per-pair
+    fold."""
     geom = CURVED["kaehler", 1]
     vp = pairing(geom, (1, 0), (0, 1)).valid_order
     v = vp + 3
@@ -522,7 +521,7 @@ def test_symbol_mul_skips_and_keeps_what_the_per_pair_fold_does():
     vanishing = (WeylForm(geom, {**free, (0, (1, 0), ()): q ** 2}),
                  WeylForm(geom, {(0, (0, 0), ()): one,
                                  (0, (0, 1), ()): q ** (vp - 1)}))
-    # y1 y2 pairs to -omega^{12} + omega^{12}: the group sum cancels
+    # y1 y2 pairs to -omega^{12} + omega^{12}: the two products cancel
     cancelling = (WeylForm(geom, {**free, (0, (1, 0), ()): q,
                                   (0, (0, 1), ()): q}),
                   WeylForm(geom, {(0, (0, 0), ()): one,
@@ -584,59 +583,14 @@ def test_a_truncated_factor_is_certified_only_as_far_as_it_holds(draw):
 
 
 @pytest.mark.parametrize("where", [("kaehler", 1), ("darboux", 1)])
-def test_pairings_of_one_level_share_one_primitive(where):
-    """Levels 0 to 4: every pairing is the reference sum, and the nonzero
-    pairings of one level share one primitive."""
+def test_pairings_of_levels_zero_to_four_are_the_reference_sum(where):
+    """Levels 0 to 4 on the n = 1 charts, deeper than the |alpha| <= 3
+    sweep: every pairing is the reference sum."""
     geom = CURVED[where]
     for level in range(5):
         alphas = [(j, level - j) for j in range(level + 1)]
-        primitives = set()
         for alpha_a, alpha_b in product(alphas, repeat=2):
             _assert_pairing_is_the_sum(geom, alpha_a, alpha_b)
-            content, primitive = _pairing(geom, alpha_a, alpha_b)
-            if content:
-                primitives.add(id(primitive))
-        assert len(primitives) == 1
-        # level 0 pairs nothing, and Darboux charts have a constant omega
-        assert (primitives == {id(None)}) \
-            == (level == 0 or where[0] == "darboux")
-
-
-def test_each_group_convolves_its_primitive_once(monkeypatch):
-    """One add per (hbar power, primitive) on the Kaehler n = 1 chart of an
-    associativity check, where the per-pair fold adds one per term pair."""
-    case = ("kaehler", 1, 12, 3, ("kaehler", 1, 0))
-    state = digest_state(case)
-    geom = state.geometry
-    rng = sampling.make_rng(("assoc-groups", 0))
-    f, g = (sampling.random_polynomial(rng, geom.chart, 12, degree=2,
-                                       terms=3) for _ in range(2))
-    a, b = full_section(f, state), full_section(g, state)
-    n = state.n_hbar
-    want = symbol_mul(a, b, n)
-    groups, pairs = set(), 0
-    for (ka, alpha_a, beta_a), jet_a in a.terms.items():
-        for (kb, alpha_b, beta_b), jet_b in b.terms.items():
-            k = ka + kb + sum(alpha_a)
-            if (beta_a or beta_b or sum(alpha_b) != sum(alpha_a)
-                    or k > n):
-                continue
-            _, primitive = _pairing(geom, alpha_a, alpha_b)
-            if primitive is not None:
-                groups.add((k, primitive))
-                pairs += 1
-    interned = {id(p) for p in geom._cache["primitives"].values()}
-    adds = []
-    real = JetSum.add
-
-    def counted(self, x, y=None, s=1):
-        if id(y) in interned:
-            adds.append(y)
-        return real(self, x, y, s)
-
-    monkeypatch.setattr(JetSum, "add", counted)
-    assert symbol_mul(a, b, n) == want
-    assert len(adds) == len(groups) < pairs
 
 
 @given(st.one_of([forms(geom) for _, geom in sorted(CURVED.items())]))
