@@ -528,21 +528,6 @@ def hamiltonian_vf(f, geom):
     return tuple(out)
 
 
-def omega_pair(x_vec, y_vec, geom):
-    """omega(X, Y) for component tuples of jets."""
-    acc = JetSum()
-    dim = geom.dim
-    for a in range(dim):
-        if x_vec[a].is_zero():
-            continue
-        for b in range(dim):
-            om = geom.omega[a][b]
-            if om.is_zero() or y_vec[b].is_zero():
-                continue
-            acc.add(om * x_vec[a], y_vec[b])
-    return acc.jet(geom.zero_jet())
-
-
 def poisson(f, g, geom):
     """omega^{ab} d_a f d_b g."""
     if f.chart != geom.chart or g.chart != geom.chart:
@@ -559,24 +544,6 @@ def poisson(f, g, geom):
                 acc.add(om * fa, g.partial(b))
     v = min(f.valid_order, g.valid_order) - 1
     return acc.jet(Jet.zero(geom.chart, max(v, 0)))
-
-
-def covariant_dv(vec, geom):
-    """(nabla_b X)^a for a component tuple of jets; returns dict (a,b)->Jet."""
-    dim = geom.dim
-    out = {}
-    for a in range(dim):
-        for b in range(dim):
-            acc = JetSum()
-            acc.add(vec[a].partial(b))
-            for m in range(dim):
-                g = geom.gamma.get((a, b, m))
-                if g is not None and not vec[m].is_zero():
-                    acc.add(g, vec[m])
-            acc = acc.jet()
-            if not acc.is_zero():
-                out[(a, b)] = acc
-    return out
 
 
 # -- the connection on fiber-polynomial forms ------------------------------

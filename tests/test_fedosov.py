@@ -12,8 +12,7 @@ from fedquant.rational import CRat, HALF_I, I
 from fedquant.weyl import (WeylForm, graded_commutator, op_delta, pi_weight,
                           symbol_mul)
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
-                               build_rhat, hamiltonian_vf, lift_cotangent,
-                               omega_pair, poisson)
+                               build_rhat, lift_cotangent, poisson)
 from fedquant import fedosov
 from fedquant.fedosov import (SECTION_CACHE_SIZE, FedosovError, FedosovState,
                               check_flatness, flat_section, moyal_reference,
@@ -469,9 +468,7 @@ def test_low_order_star_coefficients():
     g = q * p * p + q * 3
     ss = star(f, g, st)
     assert ss.coefficient(0).agrees_with(f * g)
-    xf = hamiltonian_vf(f, geom)
-    xg = hamiltonian_vf(g, geom)
-    assert ss.coefficient(1).agrees_with(omega_pair(xf, xg, geom) * (-HALF_I))
+    assert ss.coefficient(1).agrees_with(poisson(f, g, geom) * HALF_I)
 
 
 def test_correspondence_principle():
