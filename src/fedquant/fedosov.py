@@ -364,8 +364,11 @@ def star(f, g, state, n_hbar=None):
     it enters, as a zero product that convolves nothing.  Both bodies end
     each hbar^k at that floor and give equal stores.
 
-    On both paths a coefficient that sums to zero gets the lowest
-    validity of f, g and the nonzero coefficients.
+    On both paths a nonzero coefficient keeps the validity its body gave
+    it.  A coefficient that sums to zero, or that no product reached,
+    claims only its floor: at hbar^k, the lower of its own validity and
+    min(v_f, v_g) - k, since C_k takes up to k derivatives of each
+    operand (``_series``).
     """
     geom = state.geometry
     if f.chart != geom.chart or g.chart != geom.chart:
@@ -378,14 +381,20 @@ def star(f, g, state, n_hbar=None):
 
 
 def _series(coefficients, f, g, n):
-    """The ``StarSeries`` through hbar^n of a map hbar power -> jet, a
-    missing or zero coefficient given the lowest validity of f, g and the
-    nonzero coefficients."""
-    sym = {k: jet for k, jet in coefficients.items() if not jet.is_zero()}
-    v = min(j.valid_order
-            for j in list(sym.values()) + [f, g])
-    zero = Jet.zero(f.chart, v)
-    return StarSeries([sym.get(k, zero) for k in range(n + 1)])
+    """The ``StarSeries`` through hbar^n of a map hbar power -> jet.  A
+    nonzero coefficient is kept as it is; a zero or missing one at hbar^k
+    claims at most min(v_f, v_g) - k (and at least 0), since C_k costs k
+    derivatives of each operand."""
+    top = min(f.valid_order, g.valid_order)
+    out = []
+    for k in range(n + 1):
+        jet = coefficients.get(k)
+        if jet is None or jet.is_zero():
+            v = max(top - k, 0)
+            jet = Jet.zero(f.chart, v if jet is None
+                           else min(jet.valid_order, v))
+        out.append(jet)
+    return StarSeries(out)
 
 
 def _reads_table(state):
@@ -585,7 +594,8 @@ def _operator_table(state):
         ops[alpha] = WeylForm.from_sums(geom, sums)
     return tuple((k, a, b, c) for a in alphas for b in alphas
                  for k, c in sorted(symbol_mul(ops[a], ops[b],
-                                               state.n_hbar).items()))
+                                               state.n_hbar).items())
+                 if not c.is_zero())
 
 
 def _seed(chart, alpha):

@@ -353,7 +353,8 @@ def symbol_mul(a, b, max_hbar):
     product against the pairing, the three-factor add of
     ``_mul_contract``.  Only a pair with a zero pairing is left out; every
     formed product caps its sum's validity, one that truncates to zero
-    included.
+    included.  Every hbar power a pair reached is returned, a sum that
+    cancelled or truncated to zero as a zero jet at its own validity.
     """
     a._check(b)
     geom = a.geometry
@@ -376,8 +377,7 @@ def symbol_mul(a, b, max_hbar):
                 out[k].add(jet_a, jet_b, scale * scalar)
             else:
                 out[k].add(jet_a * jet_b, pairing, scale)
-    sym = {k: acc.jet() for k, acc in out.items()}
-    return {k: jet for k, jet in sym.items() if not jet.is_zero()}
+    return {k: acc.jet() for k, acc in out.items()}
 
 
 def graded_commutator(a, b, into=None):

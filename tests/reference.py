@@ -67,7 +67,8 @@ def symbol_mul_by_pairs(a, b, max_hbar):
     """The symbol of a o b as one fold per term pair: each nonconstant
     pairing, from ``pairing``, is convolved with the pair's own jet
     product.  Only a zero pairing leaves its pair out; a product that
-    truncates to zero is still added, and caps its sum's validity.  The
+    truncates to zero is still added, and caps its sum's validity, and a
+    sum that comes to zero is kept as a zero jet at that validity.  The
     pairings are kept for the length of one call."""
     geom = a.geometry
     pairings = {}
@@ -93,8 +94,7 @@ def symbol_mul_by_pairs(a, b, max_hbar):
                 out[k].add(jet_a, jet_b, scale * p.constant_term)
             else:
                 out[k].add(jet_a * jet_b, p, scale)
-    sym = {k: acc.jet() for k, acc in out.items()}
-    return {k: jet for k, jet in sym.items() if not jet.is_zero()}
+    return {k: acc.jet() for k, acc in out.items()}
 
 
 def r_union(state):

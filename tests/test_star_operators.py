@@ -472,28 +472,25 @@ def test_claims_survive_changes_above_the_inputs(case):
     assert _survivors(case, zero=False) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a coefficient that sums to zero takes the lowest validity of f, g "
-    "and the nonzero coefficients, which over-claims it: flat n = 1 at "
-    "hbar^2, Kaehler n = 1 (constant f, claimed 12) at hbar^2 and "
-    "hbar^3, flat n = 2 and cotangent n = 2 at hbar^2"))
 def test_zero_coefficient_claims_survive_changes_above_the_inputs():
+    """Every zero coefficient is unchanged through its claim.  Under the
+    lowest validity of f, g and the nonzero coefficients, zeros had
+    over-claimed on flat n = 1 at hbar^2, Kaehler n = 1 (constant f,
+    claimed 12) at hbar^2 and hbar^3, flat n = 2 and cotangent n = 2 at
+    hbar^2; each now claims at most min(v_f, v_g) - k."""
     failures = {_ids(case): _survivors(case, zero=True) for case in CASES}
     assert {key: got for key, got in failures.items() if got} == {}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "where the two bodies meet, a zero coefficient over-claims: on the "
-    "Darboux n = 1 digest chart star claims hbar^1-hbar^3 zero through "
-    "degree 3 and the section body's series hbar^3 through degree 2"))
 def test_zero_coefficients_where_the_bodies_meet():
     """f = 1/2 + q1^3 p1 at validity 6 and g = (2/3) q1 at validity 3 on
     the Darboux n = 1 digest chart (order 9, N = 3), against the same draw
     solved at order 15 with f and g exact, which has -(i/3) q1^3 at
     hbar^1, -(1/3) q1^2 + (2/9) q1^2 p1 at hbar^2 and
     -(8i/3) q1 p1 + (16i/3) q1 p1^2 at hbar^3.  The table body gives the
-    three zero coefficients validity 2, 1 and 0, and ``_series`` gives
-    each the 3 of g."""
+    three zero coefficients validity 2, 1 and 0, and ``_series`` keeps
+    them, where it had given each the 3 of g; the section body's series
+    had claimed its hbar^3 zero through the 2 of its hbar^2."""
     low = _state("darboux", 1, 9, 3)
     high = _state("darboux", 1, 15, 3)
     chart = low.geometry.chart
