@@ -35,7 +35,7 @@ from fedquant.fedosov import (FedosovError, FedosovState, _series,
                               solve_r, star)
 from fedquant.geometry import build_flat, hamiltonian_vf
 from fedquant.jets import (EXACT_ORDER, ChartMismatch, Jet, JetError,
-                           jet_maps_agree)
+                           OrderExhausted, jet_maps_agree)
 from fedquant.rational import CRat, HALF_I
 from fedquant.suites import _CHARTS
 from fedquant.weyl import WeylForm
@@ -504,6 +504,59 @@ def test_zero_coefficients_where_the_bodies_meet():
         failures += [(body.__name__, k, c.valid_order)
                      for k, (c, h) in enumerate(zip(claims, truth))
                      if h.truncate(c.valid_order) != c]
+    assert failures == []
+
+
+def _drawn_pairs(case, count=4):
+    """``count`` operand pairs of degree 0-3 with 1-5 terms, both operands
+    of a pair carried at one validity v, 1 <= v <= the chart's order."""
+    kind, n, order, _, _ = case
+    chart = _state(*case[:4]).geometry.chart
+    rng = sampling.make_rng(("zero draws", kind, n))
+    pairs = []
+    for _ in range(count):
+        f, g = (sampling.random_polynomial(
+            rng, chart, order, degree=rng.randint(0, 3),
+            terms=rng.randint(1, 5)) for _ in range(2))
+        v = rng.randint(1, order)
+        pairs.append((f.truncate(v), g.truncate(v)))
+    return pairs
+
+
+def _bodies(st):
+    """Each way to the star series on ``st``: ``star``, the section
+    body's series and, on a table state, each table body's series."""
+    n = st.n_hbar
+    bodies = [_star_sections] + (
+        [_star_pairs, _star_bidifferential] if fedosov._reads_table(st)
+        else [])
+    return [("star", lambda f, g: star(f, g, st))] + [
+        (body.__name__, lambda f, g, body=body: _series(
+            body(f, g, st, n), f, g, n)) for body in bodies]
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_claims_on_drawn_operands_survive_changes_above_them(case):
+    """Every claimed coefficient, zero or nonzero, of every body is
+    unchanged through its claim when a monomial of degree v + 1 is added
+    to either operand and the same draw is solved RAISE orders higher.  A
+    body that raises ``OrderExhausted`` on a low v claims nothing."""
+    kind, n, order, n_hbar, _ = case
+    low = _state(kind, n, order, n_hbar)
+    high = _state(kind, n, order + RAISE, n_hbar)
+    failures = []
+    for f, g in _drawn_pairs(case):
+        truths = [star(fp, gp, high).coefficients for fp, gp in
+                  [(fp, _raised(g)) for fp in _perturbations(f)]
+                  + [(_raised(f), gp) for gp in _perturbations(g)]]
+        for name, body in _bodies(low):
+            try:
+                claims = body(f, g).coefficients
+            except OrderExhausted:
+                continue  # too few derivatives for hbar^N: no claim
+            for k, c in enumerate(claims):
+                if any(h[k].truncate(c.valid_order) != c for h in truths):
+                    failures.append((name, k, c.is_zero(), c.valid_order))
     assert failures == []
 
 
