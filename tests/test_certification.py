@@ -9,9 +9,9 @@ coefficient computed at the high order must agree with it through that
 validity, and must itself claim at least as much, so the claim is checked
 against a run that knows more of the geometry.
 
-The cases are the nine charts and one more: the seeded n = 1 cotangent
-chart of ``test_digest`` has the flat metric g = 1 (its three
-perturbation draws cancel), so an n = 1 lift with Gamma != 0 is added, the
+The cases are the ten charts of ``PINNED``.  The seeded n = 1 cotangent
+chart has the flat metric g = 1 (its three perturbation draws cancel), so
+``PINNED`` also holds ``CURVED_N1``, an n = 1 lift with Gamma != 0, the
 metric g = 1 + 3q + q^3 of the draw ``("cotangent", 1, 1)``.  No n = 1
 lift has curvature, since its base is a curve, so that case tests Gamma
 only.
@@ -28,14 +28,11 @@ import pytest
 from fedquant import sampling
 from fedquant.fedosov import solve_r, star
 from fedquant.suites import _CHARTS
-from test_digest import PINNED
+from test_digest import CURVED_N1, PINNED
 
 # the order raise per chart dimension n; n = 2 solves grow fastest
 RAISE = {1: 4, 2: 3}
 PAIRS = 3
-# an n = 1 lift whose Christoffel symbols do not vanish
-CURVED_N1 = ("cotangent", 1, 11, 3, ("cotangent", 1, 1))
-CASES = list(PINNED) + [CURVED_N1]
 
 
 def _solve(kind, n, order, n_hbar, tag):
@@ -49,7 +46,7 @@ def _pairs(chart, order, kind, n):
                   for _ in range(2)) for _ in range(PAIRS)]
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(
+@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
     map(str, c[:4] + c[4])))
 def test_star_validity_survives_an_order_raise(case):
     kind, n, order, n_hbar, tag = case

@@ -23,6 +23,11 @@ from fedquant.rational import CRat
 from fedquant.suites import _CHARTS
 from reference import full_section, r_union
 
+# an n = 1 lift whose Christoffel symbols do not vanish: the seeded
+# cotangent n = 1 draw ("cotangent", 1, 0) is the flat metric g = 1, since
+# its three perturbation draws cancel; this one is g = 1 + 3q + q^3
+CURVED_N1 = ("cotangent", 1, 11, 3, ("cotangent", 1, 1))
+
 # (kind, n, jet order, N, chart rng tag) -> sha256 of the canonical dump;
 # the last chart is the Darboux n = 2 one whose residual does not vanish
 PINNED = {
@@ -41,6 +46,8 @@ PINNED = {
     # hbar^3 9 -> 8
     ("cotangent", 1, 11, 3, ("cotangent", 1, 0)):
         "bf734b09c8db5e2f6aa195b898a7698435e83c30679d759c7bec4a445d2c3fd3",
+    CURVED_N1:
+        "6a1f57396d0270eb2d2a246d0dd95865089813127c897866da36799cdf678440",
     # only zero star coefficients' validity moved under the same rule:
     # hbar^1 12 -> 10, hbar^2 12 -> 9 and hbar^3 12 -> 8
     ("kaehler", 1, 12, 3, ("kaehler", 1, 0)):
@@ -97,6 +104,8 @@ def test_outputs_match_pinned_digest(case):
 RHO_PINNED = {
     ("cotangent", 1, 11, 3, ("cotangent", 1, 0)):
         "edfaabd9e1dc796e288b8dbd1585ed5087be564059e6edc1e187203ff92a732c",
+    CURVED_N1:
+        "2c4e07b81213db7ddc31db05a4656ace85ac588317a69c06c97adaf93fd1ae46",
     ("cotangent", 2, 9, 2, ("cotangent", 2, 0)):
         "5dfe114772cc731b9da3d277499fdfddd49b5165a70d0a24913f8f7bc54e5481",
     ("flat", 1, 9, 3, ("flat", 1, 0)):
@@ -152,7 +161,7 @@ def rho_dump(kind, n, order, n_hbar, tag):
 
 
 @pytest.mark.parametrize("case", list(RHO_PINNED), ids=lambda c: "-".join(
-    map(str, c[:4])))
+    map(str, c[:4] + (() if c[4] == c[:2] + (0,) else c[4]))))
 def test_rho_operators_match_pinned_digest(case):
     dump = rho_dump(*case)
     assert hashlib.sha256(dump.encode()).hexdigest() == RHO_PINNED[case]
