@@ -367,8 +367,8 @@ def star(f, g, state, n_hbar=None):
     On both paths a nonzero coefficient keeps the validity its body gave
     it.  A coefficient that sums to zero, or that no product reached,
     claims only its floor: at hbar^k, the lower of its own validity and
-    min(v_f, v_g) - k, since C_k takes up to k derivatives of each
-    operand (``_series``).
+    min(v_f, v_g) - k (never below 0), since C_k takes up to k
+    derivatives of each operand (``_series``).
     """
     geom = state.geometry
     if f.chart != geom.chart or g.chart != geom.chart:

@@ -124,8 +124,9 @@ def second_order_suite(order=9, seed=0):
         ss = star(f, g, state)
         rep.add("hbar^0 = fg", ss.coefficient(0).agrees_with(f * g),
                 f"sample {t}")
-        rep.add("hbar^1 = -(i/2) omega(Xf, Xg)", ss.coefficient(1).agrees_with(
-            poisson(f, g, geom) * HALF_I), f"sample {t}")
+        rep.add("hbar^1 = -(i/2) omega(Xf, Xg)",
+                ss.coefficient(1).agrees_with(poisson(f, g, geom) * HALF_I),
+                f"sample {t}")
         rep.add("hbar^2 = (1/8)(nabla Xf)(nabla Xg)",
                 ss.coefficient(2).agrees_with(_second_order(f, g, geom)),
                 f"sample {t}")
