@@ -440,6 +440,13 @@ def _perturbations(f):
             for m in monomials]
 
 
+def _perturbed_inputs(f, g):
+    """(side, f', g'): each perturbation of f against g raised, then each
+    of g against f raised."""
+    return [("f", fp, _raised(g)) for fp in _perturbations(f)] + \
+        [("g", _raised(f), gp) for gp in _perturbations(g)]
+
+
 def _survivors(case, zero):
     """The (k, side, claimed validity) points where a coefficient of the
     digest pair, nonzero or zero as asked, changes through its claim when
@@ -452,10 +459,8 @@ def _survivors(case, zero):
     assert high.geometry.chart == chart
     f, g = _digest_pair(kind, n, chart, order)
     claims = star(f, g, low).coefficients
-    inputs = [("f", fp, _raised(g)) for fp in _perturbations(f)] + \
-        [("g", _raised(f), gp) for gp in _perturbations(g)]
     failures = set()
-    for side, fp, gp in inputs:
+    for side, fp, gp in _perturbed_inputs(f, g):
         for k, (c, h) in enumerate(zip(claims,
                                        star(fp, gp, high).coefficients)):
             if c.is_zero() == zero and h.truncate(c.valid_order) != c:
@@ -573,9 +578,8 @@ def test_claims_on_drawn_operands_survive_changes_above_them(case):
     high = _state(kind, n, order + RAISE, n_hbar)
     failures = []
     for f, g in _drawn_pairs(case):
-        truths = [star(fp, gp, high).coefficients for fp, gp in
-                  [(fp, _raised(g)) for fp in _perturbations(f)]
-                  + [(_raised(f), gp) for gp in _perturbations(g)]]
+        truths = [star(fp, gp, high).coefficients
+                  for _, fp, gp in _perturbed_inputs(f, g)]
         for name, body in _bodies(low):
             try:
                 claims = body(f, g).coefficients
