@@ -182,9 +182,10 @@ def solve_r(geom, n_hbar):
     form degree and is closed, so there the residual vanishes whatever
     the recursion summed.  The residual is kept on the state for
     ``check_flatness``, and a nonzero one is returned, not raised, until
-    zero terms keep their validity.  The last chart of
-    ``tests/test_digest.py`` (n = 2 Darboux, seed 0, N = 2, also the
-    ``solve-n2`` benchmark's) has ``{4: 209}``.  At N = 0 no r_w is
+    zero terms keep their validity.  At N = 2 the last chart of
+    ``tests/test_digest.py`` (n = 2 Darboux, rng tag ``("darb", 0)``) has
+    ``{4: 209}``, and the seed-0 Darboux chart of the ``solve-n2``
+    benchmark, a different draw, has ``{4: 23}``.  At N = 0 no r_w is
     solved and the residual is -Rhat, at weight 2.
     """
     _check_order(n_hbar)

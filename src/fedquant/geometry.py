@@ -546,6 +546,37 @@ def poisson(f, g, geom):
     return acc.jet(Jet.zero(geom.chart, max(v, 0)))
 
 
+# -- the connection on tensors ---------------------------------------------
+
+def covariant_entry(tensor, gamma, m, idx, zero, upper=0):
+    """(nabla_m T)_idx of a tensor stored as ``{index tuple: jet}``.
+
+    The first ``upper`` slots of ``idx`` are raised, the rest lowered.
+    With T_(s:u) the entry at ``idx`` with u in slot s, the sum is
+
+        d_m T_idx + sum over raised s of Gamma^(idx_s)_(m u) T_(s:u)
+                  - sum over lowered s of Gamma^u_(m idx_s) T_(s:u),
+
+    over the stored entries of ``gamma``, which maps (u, x, b) to
+    Gamma^u_(x b).  An absent tensor entry reads as ``zero``, whose
+    validity caps the sum.  All terms go into one ``JetSum``.
+    """
+    def at(s, u):
+        return tensor.get(idx[:s] + (u,) + idx[s + 1:], zero)
+
+    acc = JetSum()
+    acc.add(tensor.get(idx, zero).partial(m))
+    row = [(u, b, g) for (u, x, b), g in gamma.items() if x == m]
+    for s, a in enumerate(idx):
+        for u, b, g in row:
+            if s < upper:
+                if u == a:
+                    acc.add(g, at(s, b))
+            elif b == a:
+                acc.add(g, at(s, u), -1)
+    return acc.jet()
+
+
 # -- the connection on fiber-polynomial forms ------------------------------
 
 def nabla(a, geom, into=None):
@@ -623,22 +654,11 @@ def validate_connection(geom):
         (f"Gamma^{u}_({a},{b})", g.agrees_with(gamma.get((u, b, a), zero)))
         for (u, a, b), g in gamma.items()))
 
-    # the stored Gamma^d_(c,a) grouped by lower pair: (c, a) -> [(d, jet)]
-    by_lower = defaultdict(list)
-    for (d, c, a), g in gamma.items():
-        by_lower[c, a].append((d, g))
-
-    def symplectic():
-        for c, a in pairs:
-            for b in range(a + 1, dim):
-                acc = JetSum()
-                acc.add(omega[a][b].partial(c))
-                for d, g in by_lower.get((c, a), ()):
-                    acc.add(g, omega[d][b], -1)
-                for d, g in by_lower.get((c, b), ()):
-                    acc.add(omega[a][d], g, -1)
-                yield f"(c,a,b)=({c},{a},{b})", acc.jet().is_zero()
-    rep.expect("connection symplectic (nabla omega = 0)", symplectic())
+    form = {(a, b): omega[a][b] for a, b in pairs}
+    rep.expect("connection symplectic (nabla omega = 0)", (
+        (f"(c,a,b)=({c},{a},{b})",
+         covariant_entry(form, gamma, c, (a, b), zero).is_zero())
+        for c, a in pairs for b in range(a + 1, dim)))
 
     if all(omega[a][b].is_constant() for a, b in pairs):
         low = _contract_first(omega, gamma)
@@ -723,27 +743,15 @@ def _cotangent_checks(geom, curv, rep):
         for l, k, i, j in quads))
 
     # the p-linear curvature block of the published display
-    def cov_rt(acc, i, a, j, l, k):
-        """Add the covariant derivative nabla_i R^a_{jlk} into ``acc``."""
-        acc.add(rt.get((a, j, l, k), zero).partial(i))
-        g = gt
-        for m in range(n):
-            if (a, i, m) in g:
-                acc.add(g[(a, i, m)], rt.get((m, j, l, k), zero))
-            if (m, i, j) in g:
-                acc.add(g[(m, i, j)], rt.get((a, m, l, k), zero), -1)
-            if (m, i, l) in g:
-                acc.add(g[(m, i, l)], rt.get((a, j, m, k), zero), -1)
-            if (m, i, k) in g:
-                acc.add(g[(m, i, k)], rt.get((a, j, l, m), zero), -1)
-
     def display(ii, j, k, l):
         acc = JetSum()
         for a in range(n):
             pa = Jet.variable(geom.chart, n + a, geom.order)
             inner = JetSum()
             for (x, y) in ((ii, j), (j, ii)):
-                cov_rt(inner, x, a, y, l, k)
+                # nabla_x R^a_(y l k)
+                inner.add(covariant_entry(rt, gt, x, (a, y, l, k), zero,
+                                          upper=1))
                 for m in range(n):
                     if (a, x, m) in gt:
                         inner.add(gt[(a, x, m)],

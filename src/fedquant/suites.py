@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .jets import Jet, JetSum
@@ -19,8 +20,8 @@ from .rational import CRat, I, HALF_I
 from .weyl import (WeylForm, graded_commutator, op_delta, op_delta_inv,
                    op_delta_star, pi_weight, scalar_part, symbol_mul)
 from .geometry import (CheckReport, build_darboux, build_flat, build_kaehler,
-                       build_rhat, complex_chart, lift_cotangent, nabla,
-                       poisson)
+                       build_rhat, complex_chart, covariant_entry,
+                       lift_cotangent, nabla, poisson)
 from .fedosov import flat_section, moyal_reference, solve_r, star
 from .quantization import (DiffOp, QuantizationError, _diffop_sum,
                            diffop_compose, kinetic_alpha, polarization,
@@ -79,14 +80,10 @@ def moyal_flat_suite(order=11, seed=0):
 def _hessian(f, geom):
     """(nabla^2 f)_ij = d_i d_j f - Gamma^k_ij d_k f, from ``geom.gamma``."""
     dim = geom.dim
-    df = [f.partial(i) for i in range(dim)]
-    h = [[JetSum() for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            h[i][j].add(df[i].partial(j))
-    for (k, i, j), gamma in geom.gamma.items():
-        h[i][j].add(gamma, df[k], -1)
-    return [[acc.jet() for acc in row] for row in h]
+    df = {(k,): f.partial(k) for k in range(dim)}
+    zero = geom.zero_jet()
+    return [[covariant_entry(df, geom.gamma, i, (j,), zero)
+             for j in range(dim)] for i in range(dim)]
 
 
 def _second_order(f, g, geom):
@@ -135,59 +132,32 @@ def second_order_suite(order=9, seed=0):
 
 # -- r-series closed forms -------------------------------------------------
 
-def _r3_oracle(geom):
-    curv = geom.curvature()
-    dim = 2 * geom.n
+def _r_oracle(geom, scale, entries):
+    """The form sum of scale * T y^(i1) ... y^(is) dx^l over the
+    ``((i1, ..., is, l), T)`` of ``entries``, zero terms skipped."""
     terms = {}
-    for (i, j, k, l), jet in list(curv.r_low.items()):
-        jet = jet * Fraction(-1, 8)
-        if jet.is_zero():
-            continue
-        alpha = [0] * dim
-        alpha[i] += 1
-        alpha[j] += 1
-        alpha[k] += 1
-        key = (0, tuple(alpha), (l,))
-        terms[key] = terms[key] + jet if key in terms else jet
+    for idx, jet in entries:
+        jet = jet * scale
+        if not jet.is_zero():
+            alpha = tuple(idx[:-1].count(a) for a in range(geom.dim))
+            key = (0, alpha, idx[-1:])
+            terms[key] = terms[key] + jet if key in terms else jet
     return WeylForm(geom, terms)
 
 
-def _cov_rlow(geom, m, i, j, k, l):
-    curv = geom.curvature()
-    zero = geom.zero_jet()
-
-    def rlow(*idx):
-        return curv.r_low.get(tuple(idx), zero)
-
-    acc = rlow(i, j, k, l).partial(m)
-    for a in range(2 * geom.n):
-        for pos, idx in enumerate((i, j, k, l)):
-            g = geom.gamma.get((a, m, idx))
-            if g is None:
-                continue
-            slots = [i, j, k, l]
-            slots[pos] = a
-            acc = acc - g * rlow(*slots)
-    return acc
+def _r3_oracle(geom):
+    """-(1/8) R_(ijkl) y^i y^j y^k dx^l."""
+    return _r_oracle(geom, Fraction(-1, 8), geom.curvature().r_low.items())
 
 
 def _r4_oracle(geom):
-    dim = 2 * geom.n
-    terms = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for l in range(dim):
-                    for m in range(dim):
-                        jet = _cov_rlow(geom, m, i, j, k, l) * Fraction(-1, 40)
-                        if jet.is_zero():
-                            continue
-                        alpha = [0] * dim
-                        for idx in (i, j, k, m):
-                            alpha[idx] += 1
-                        key = (0, tuple(alpha), (l,))
-                        terms[key] = terms[key] + jet if key in terms else jet
-    return WeylForm(geom, terms)
+    """-(1/40) (nabla_m R)_(ijkl) y^i y^j y^k y^m dx^l."""
+    r_low, zero = geom.curvature().r_low, geom.zero_jet()
+    return _r_oracle(geom, Fraction(-1, 40), (
+        ((i, j, k, m, l),
+         covariant_entry(r_low, geom.gamma, m, (i, j, k, l), zero))
+        for i, j, k, l in product(range(geom.dim), repeat=4)
+        for m in range(geom.dim)))
 
 
 def r_terms_suite(order=9, seed=0):

@@ -13,13 +13,14 @@ from fedquant.exprparse import jet_of
 from fedquant.geometry import (ChartGeometry, CheckReport, GeometryError,
                                ValidationFailure, _curvature_of,
                                build_darboux, build_flat, build_kaehler,
-                               build_rhat, complex_chart,
-                               hamiltonian_vf, invert_jet_matrix,
+                               build_rhat, christoffels, complex_chart,
+                               covariant_entry, hamiltonian_vf,
+                               invert_jet_matrix,
                                lift_cotangent, nabla, phase_chart,
                                poisson, validate_connection)
 from fedquant import sampling
 from fedquant.suites import _CHARTS
-from test_digest import PINNED
+from test_digest import CURVED_N1, PINNED
 
 
 ORDER = 6
@@ -146,7 +147,6 @@ def test_cotangent_lift_base_block():
     geom = lift_cotangent(metric, ORDER)
     n = 2
     sub = tuple(range(n))
-    from fedquant.geometry import christoffels
     ginv = invert_jet_matrix(metric)
     base_gamma = christoffels(metric, ginv)
     for (k, i, j), jet in base_gamma.items():
@@ -289,6 +289,55 @@ ORDER_TWO_LIFT = pytest.mark.xfail(strict=True, raises=ValidationFailure,
                                    3])
 def test_low_order_lifts_of_a_curved_metric_build(order):
     lift_cotangent([[jet_of("1+q1^2", Chart(("q1",), (0,)), order)]], order)
+
+
+# -- covariant_entry: parallel tensors ------------------------------------
+
+# the eight seeded charts of test_digest, one per kind and n
+SEEDED = [case for case in PINNED if case[4] == case[:2] + (0,)]
+
+
+def _digest_geometry(case):
+    kind, n, order, _, tag = case
+    return _CHARTS[kind](sampling.make_rng(tag), n, order)
+
+
+def _case_id(case):
+    return "-".join(map(str, case[:4] + case[4]))
+
+
+@pytest.mark.parametrize("case", SEEDED, ids=_case_id)
+def test_covariant_entry_of_omega_and_of_the_identity_vanishes(case):
+    """nabla omega = 0 at every (c, a, b), b <= a included, where
+    validation reads only b > a; and nabla delta = 0 for the identity
+    tensor delta^a_b with its first slot raised, which holds only when the
+    raised and lowered slots take Gamma with opposite signs."""
+    geom = _digest_geometry(case)
+    dim, gamma, zero = geom.dim, geom.gamma, geom.zero_jet()
+    one = Jet.constant(geom.chart, 1, geom.order)
+    omega = {(a, b): geom.omega[a][b]
+             for a, b in product(range(dim), repeat=2)}
+    delta = {(a, a): one for a in range(dim)}
+    for c, a, b in product(range(dim), repeat=3):
+        assert covariant_entry(omega, gamma, c, (a, b), zero).is_zero()
+        assert covariant_entry(delta, gamma, c, (a, b), zero,
+                               upper=1).is_zero()
+
+
+@pytest.mark.parametrize("case", [
+    CURVED_N1, ("cotangent", 2, 9, 2, ("cotangent", 2, 0))], ids=_case_id)
+def test_covariant_entry_of_the_base_metric_vanishes(case):
+    """nabla g = 0 for a lift's base metric with its Levi-Civita symbols,
+    on the configuration chart; the seeded n = 1 lift is flat, so the
+    curved one stands in for it."""
+    geom = _digest_geometry(case)
+    n, metric = geom.n, geom.source["metric"]
+    gamma = christoffels(metric, geom.source["metric_inv"])
+    assert gamma
+    tensor = {(i, j): metric[i][j] for i, j in product(range(n), repeat=2)}
+    zero = Jet.zero(metric[0][0].chart, geom.order)
+    for m, i, j in product(range(n), repeat=3):
+        assert covariant_entry(tensor, gamma, m, (i, j), zero).is_zero()
 
 
 # -- curvature: the shared-product sum against the per-pair fold ----------

@@ -33,7 +33,7 @@ from fedquant.fedosov import (FedosovError, FedosovState, _series,
                               _star_bidifferential, _star_operators,
                               _star_pairs, _star_sections, moyal_reference,
                               solve_r, star)
-from fedquant.geometry import build_flat, hamiltonian_vf
+from fedquant.geometry import build_flat, covariant_entry, hamiltonian_vf
 from fedquant.jets import (EXACT_ORDER, ChartMismatch, Jet, JetError,
                            OrderExhausted, jet_maps_agree)
 from fedquant.rational import CRat, HALF_I
@@ -660,6 +660,25 @@ def _third_derivative(f, geom):
             t[i][j][k] = t[i][j][k] - gamma * h[l][k]
             t[i][k][j] = t[i][k][j] - gamma * h[k][l]
     return t
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_covariant_entry_twice_is_the_third_derivative(case):
+    """``covariant_entry`` applied to its own Hessian map,
+    (nabla^2 f)_jk = (nabla_j df)_k, gives (nabla^3 f)_ijk =
+    (nabla_i nabla^2 f)_jk, entry by entry the ``_third_derivative`` of
+    a degree-4 draw through their shared validity."""
+    geom = _state(*case[:4]).geometry
+    dim, gamma, zero = geom.dim, geom.gamma, geom.zero_jet()
+    rng = sampling.make_rng(("third derivative",) + case[:2])
+    f = sampling.random_polynomial(rng, geom.chart, geom.order, degree=4)
+    df = {(k,): f.partial(k) for k in range(dim)}
+    hessian = {(j, k): covariant_entry(df, gamma, j, (k,), zero)
+               for j, k in product(range(dim), repeat=2)}
+    want = _third_derivative(f, geom)
+    for i, j, k in product(range(dim), repeat=3):
+        assert covariant_entry(hessian, gamma, i, (j, k), zero).agrees_with(
+            want[i][j][k]), (i, j, k)
 
 
 def _symmetric_third(f, geom):

@@ -1,5 +1,5 @@
-"""Check suites keep no solved state between calls, and take no size
-options."""
+"""Check suites keep no solved state between calls, take no size
+options, and their closed forms see a wrong covariant derivative."""
 
 import inspect
 from fractions import Fraction
@@ -55,3 +55,27 @@ def test_a_rejected_kinetic_residual_fails_the_suite(monkeypatch, capsys):
     assert main(["check", "kinetic-alpha"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "kinetic residual contains" in out
+
+
+@pytest.mark.parametrize("connection", [
+    lambda gamma: {},
+    lambda gamma: {key: g * 2 for key, g in gamma.items()}],
+    ids=["no-Gamma", "doubled-Gamma"])
+def test_the_closed_forms_see_a_wrong_covariant_derivative(connection,
+                                                           monkeypatch):
+    """With ``covariant_entry`` reading no Gamma, or 2 Gamma, the r_4
+    oracle of ``r-terms`` and the hbar^2 closed form of ``second-order``
+    fail on every sample, and no other check does."""
+    original = suites.covariant_entry
+
+    def mutant(tensor, gamma, *args, **kwargs):
+        return original(tensor, connection(gamma), *args, **kwargs)
+
+    monkeypatch.setattr(suites, "covariant_entry", mutant)
+    for suite, name, samples in (
+            (suites.r_terms_suite, "r_(4) = -(1/40) nabla R y^4 dx", 3),
+            (suites.second_order_suite, "hbar^2 = (1/8)(nabla Xf)(nabla Xg)",
+             10)):
+        assert [(c["name"], c["location"]) for c in suite().checks
+                if not c["passed"]] \
+            == [(name, f"sample {t}") for t in range(samples)]
