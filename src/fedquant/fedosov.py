@@ -165,13 +165,19 @@ def solve_r(geom, n_hbar):
     The flatness certificate comes from the same sums.  Each weight keeps
     the finished jets of its nabla map and of its product map apart, zero
     jets included, so a cancelling term still lowers the validity of the
-    X_w they add up to, and X_w goes to delta^-1 as a form.  Keys of
-    different weights never meet, so the unions of the nabla maps and of
-    the product maps are nabla r and (i/hbar) r o r through weight 2N.
-    With Rhat taken as X_2, the residual
+    X_w they add up to, and X_w goes to delta^-1 as a form.  With Rhat
+    taken as X_2, the residual
 
         delta r - Rhat - nabla r - (i/hbar) r o r
 
+    is taken one weight at a time, as soon as r_(w+1) is solved: at weight
+    w it is the left fold ((delta r_(w+1) - Rhat) - nabla r_w) -
+    (i/hbar) (r o r)_w of forms, Rhat at w = 2 alone, each map's zero
+    jets dropped.  delta, nabla and the product keep the weight of a key,
+    so keys of different weights never meet, and each key's fold reads the
+    same operands in the same order as the fold of the whole forms, a
+    difference that cancels exactly dropping the key at the same step.
+    So the residual is that of the whole forms, store for store.  It
     holds for N >= 1 exactly the weights w <= 2N, and at weight w it is
     delta r_(w+1) - X_w = -delta^-1 delta X_w, because delta delta^-1 +
     delta^-1 delta is the identity on 2-forms.  So it is nonzero exactly
@@ -195,27 +201,29 @@ def solve_r(geom, n_hbar):
             f"for a star product through hbar^{n_hbar}")
     rhat = build_rhat(geom)
     parts = {3: op_delta_inv(rhat)} if n_hbar else {}
-    # the finished jets of nabla r and of (i/hbar) r o r, zero ones kept
-    nr, quad = {}, {}
+    # the certificate, weight by weight: delta r_3 - Rhat at weight 2
+    residual = dict((op_delta(parts[3]) - rhat if n_hbar else -rhat).terms)
     for w in range(3, 2 * n_hbar + 1):
         nsums = nabla(parts[w], geom, defaultdict(JetSum))
         qsums = defaultdict(JetSum)
         for w1 in range(3, w // 2 + 2):
             (graded_commutator if 2 * w1 < w + 2 else weyl_mul)(
                 parts[w1], parts[w + 2 - w1], qsums)
-        xsums = defaultdict(JetSum)
-        for sums, done in ((nsums, nr), (qsums, quad)):
-            for key, acc in sums.items():
-                done[key] = jet = acc.jet()
-                xsums[key].add(jet)
+        # the finished jets of nabla r_w and of (i/hbar) (r o r)_w, zero
+        # ones kept, each sum dropped once it is finished
+        nr = {key: nsums.pop(key).jet() for key in list(nsums)}
+        quad = {key: qsums.pop(key).jet() for key in list(qsums)}
+        x = dict(nr)
+        for key, jet in quad.items():
+            prev = x.get(key)
+            x[key] = jet if prev is None else prev + jet
         # every term has weight w, so delta^{-1} gives weight w + 1 only
-        parts[w + 1] = op_delta_inv(WeylForm.from_sums(geom, xsums))
-    r = WeylForm(geom, {key: jet for part in parts.values()
-                        for key, jet in part.terms.items()})
-    nr, quad = WeylForm(geom, nr), WeylForm(geom, quad)
+        parts[w + 1] = op_delta_inv(WeylForm(geom, x))
+        residual.update((op_delta(parts[w + 1]) - WeylForm(geom, nr)
+                         - WeylForm(geom, quad)).terms)
     return FedosovState(geom, n_hbar,
                         {w: p for w, p in parts.items() if not p.is_zero()},
-                        op_delta(r) - rhat - nr - quad)
+                        WeylForm(geom, residual))
 
 
 def check_flatness(state):

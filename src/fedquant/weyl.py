@@ -163,20 +163,30 @@ class WeylForm:
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
+        return self._fold(other, 1)
+
+    def __neg__(self):
+        return self.map_jets(lambda j: -j)
+
+    def __sub__(self, other):
+        return self._fold(other, -1)
+
+    def _fold(self, other, s):
+        """self + s * other, s = 1 or -1, one ``JetSum`` per shared key."""
         if not isinstance(other, WeylForm):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for key, jet in other.terms.items():
             prev = out.get(key)
-            out[key] = jet if prev is None else prev + jet
+            if prev is None:
+                out[key] = jet if s == 1 else -jet
+            else:
+                acc = JetSum()
+                acc.add(prev)
+                acc.add(jet, s=s)
+                out[key] = acc.jet()
         return WeylForm(self.geometry, out)
-
-    def __neg__(self):
-        return self.map_jets(lambda j: -j)
-
-    def __sub__(self, other):
-        return self + (-other)
 
 
 # -- the fiberwise product -------------------------------------------------
@@ -197,8 +207,11 @@ def _mul_contract(a, b, parity, into=None):
 
     Each pair of terms adds the cached closed-form expansion of its fiber
     monomials (``_expansion``, built for the parity alone) times the
-    product of its jets: one add of scale * jets * pairing per entry, or
-    of scale * jets where the pairing is constant.  A pair whose expansion
+    product of its jets.  A pair whose expansion is one entry with a
+    constant pairing adds scale * jet_a * jet_b straight into that entry's
+    sum; any other finishes jet_a * jet_b once and adds it per entry,
+    against the pairing or times the scale alone.  Both give the sums a
+    product finished first gives, store for store.  A pair whose expansion
     is empty, or whose form indices collide, forms no product; every other
     product is added, one that truncates to zero included, so that it
     caps its key's validity.
@@ -242,8 +255,13 @@ def _mul_contract(a, b, parity, into=None):
             if not expansion:
                 continue
             sign, beta = w
-            base = jet_a * jet_b
             s = emit if sign == 1 else -emit
+            if len(expansion) == 1 and expansion[0][2] is None:
+                m, alpha, _, scale = expansion[0]
+                out[ka + kb + m - lower, alpha, beta].add(
+                    jet_a, jet_b, scale * s)
+                continue
+            base = jet_a * jet_b
             # one add per contraction term, so that a term cancelling
             # another, or truncating to zero, still lowers the key's
             # validity as its own

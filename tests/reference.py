@@ -6,11 +6,13 @@ fills flat sections only through a level bound, from cached commutator
 rows, and certifies r from the recursion's own sums.  The functions here
 take none of those shortcuts: ``pairing`` sums the products over every
 bijection, ``symbol_mul_by_pairs`` folds the symbol of a product one term
-pair at a time, ``full_section`` fills a section through doubled weight
-2N with ``graded_commutator`` applied directly, ``section_defect`` applies
-the whole flat connection to a section, ``full_pass`` recomputes the
-flatness recursion on the whole of r, and ``rho_extend`` builds every
-monomial operator by star factorization with no per-state table.
+pair at a time, ``contract_by_products`` finishes every term pair's jet
+product before it adds the pair's expansion entries, ``full_section``
+fills a section through doubled weight 2N with ``graded_commutator``
+applied directly, ``section_defect`` applies the whole flat connection to
+a section, ``full_pass`` recomputes the flatness recursion on the whole of
+r, and ``rho_extend`` builds every monomial operator by star
+factorization with no per-state table.
 
 A Weyl form keeps every term of a product, so the connection and the full
 pass form only the products of weight at most 2N + 2.  Lowered by
@@ -38,8 +40,8 @@ from fedquant.quantization import (DiffOp, _diffop_sum, _embed_config,
                                    config_chart, diffop_compose,
                                    fiber_decompose, gq_cotangent)
 from fedquant.rational import CRat, HALF_I, ONE, rational_sqrt
-from fedquant.weyl import (WeylForm, graded_commutator, op_delta,
-                           op_delta_inv, weyl_mul)
+from fedquant.weyl import (WeylForm, _expansion, _wedge, graded_commutator,
+                           op_delta, op_delta_inv, weyl_mul)
 
 
 def pairing(geom, alpha_a, alpha_b):
@@ -95,6 +97,40 @@ def symbol_mul_by_pairs(a, b, max_hbar):
             else:
                 out[k].add(jet_a * jet_b, p, scale)
     return {k: acc.jet() for k, acc in out.items()}
+
+
+def contract_by_products(a, b, parity=None, into=None):
+    """``weyl._mul_contract`` with every term pair's jet product finished
+    first: each pair forms ``jet_a * jet_b`` once, and every entry of its
+    expansion adds that product, against the pairing or scaled by it.
+    The pairs, parities, signs, (i/hbar) lowering and square are the
+    engine's; only the order of the two multiplications differs."""
+    geom = a.geometry
+    square = (parity is None and a is b
+              and all(len(beta) % 2 for _, _, beta in a.terms))
+    if square:
+        parity = 1
+    emit = 1 if parity is None else 2
+    if into is None:
+        out, lower, emit = defaultdict(JetSum), 0, CRat(emit)
+    else:
+        out, lower, emit = into, 1, CRat(0, emit)
+    b_terms = list(b.terms.items())
+    for i, ((ka, alpha_a, beta_a), jet_a) in enumerate(a.terms.items()):
+        for (kb, alpha_b, beta_b), jet_b in (b_terms[i + 1:] if square
+                                             else b_terms):
+            w = _wedge(beta_a, beta_b)
+            if w is None:
+                continue
+            expansion = _expansion(geom, alpha_a, alpha_b, parity)
+            if not expansion:
+                continue
+            base = jet_a * jet_b
+            s = emit if w[0] == 1 else -emit
+            for m, alpha, pairing, scale in expansion:
+                out[ka + kb + m - lower, alpha, w[1]].add(
+                    base, pairing, scale * s)
+    return out if into is not None else WeylForm.from_sums(geom, out)
 
 
 def r_union(state):

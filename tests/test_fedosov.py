@@ -112,13 +112,20 @@ def test_r_series_leading_terms():
     assert pi_weight(r, 4).agrees_with(_r4_oracle(geom))
 
 
-@pytest.mark.parametrize("case", list(PINNED), ids=lambda c: "-".join(
-    map(str, c[:4] + c[4])))
+# two digest charts solved at N = 1, where r is r_3 alone and the
+# residual holds weight 2 only: delta r_3 - Rhat
+FULL_PASS_N1 = [("darboux", 2, 9, 1, ("darb", 0)),
+                ("kaehler", 1, 12, 1, ("kaehler", 1, 0))]
+
+
+@pytest.mark.parametrize("case", list(PINNED) + FULL_PASS_N1,
+                         ids=lambda c: "-".join(map(str, c[:4] + c[4])))
 def test_full_pass_reproduces_r_and_the_residual(case):
     """The full iteration gives r back on every weight r holds, 3 ... 2N+1,
     and the residual from its sums is ``solve_r``'s, store for store, on
     the weights w <= 2N that ``solve_r``'s residual holds, although
-    ``solve_r`` builds both from the recursion's own sums."""
+    ``solve_r`` builds both from the recursion's own sums, one weight at a
+    time."""
     kind, n, order, n_hbar, tag = case
     st = solve_r(_CHARTS[kind](sampling.make_rng(tag), n, order), n_hbar)
     again, residual = full_pass(st)

@@ -22,7 +22,8 @@ from fedquant.fedosov import flat_section, solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
 from fedquant.suites import _CHARTS
-from reference import full_section, pairing, symbol_mul_by_pairs
+from reference import (contract_by_products, full_section, pairing,
+                       symbol_mul_by_pairs)
 from test_digest import PINNED
 
 
@@ -341,6 +342,50 @@ def test_weyl_mul_is_associative(abc):
     a, b, c = abc
     assert weyl_mul(weyl_mul(a, b), c).agrees_with(
         weyl_mul(a, weyl_mul(b, c)))
+
+
+def truncating_forms(geom, odd=False):
+    """Forms of one to three terms with |alpha| <= 3 and complex jets valid
+    through 1 ... ORDER, so that some term products truncate to zero; with
+    ``odd`` every term is a 1-form."""
+    dim = geom.dim
+    alphas = [e for e in product(range(4), repeat=dim) if sum(e) <= 3]
+    coeffs = st.builds(CRat, st.builds(Fraction, st.integers(-5, 5),
+                                       st.integers(1, 4)),
+                       st.integers(-1, 1))
+    jets = st.builds(lambda v, c: Jet(geom.chart, ORDER, v, c),
+                     st.integers(1, ORDER),
+                     st.dictionaries(st.sampled_from(alphas), coeffs,
+                                     min_size=1, max_size=3))
+    betas = [(i,) for i in range(dim)] + ([] if odd else [(), (0, 1)])
+    keys = st.tuples(st.integers(0, 1), st.sampled_from(alphas),
+                     st.sampled_from(betas))
+    return st.dictionaries(keys, jets, min_size=1, max_size=3).map(
+        lambda terms: WeylForm(geom, terms))
+
+
+def all_finished(sums):
+    """Every finished jet of a ``{key: JetSum}`` map, zero ones kept."""
+    return {key: acc.jet() for key, acc in sums.items()}
+
+
+@given(st.sampled_from(sorted(CURVED)).flatmap(
+    lambda where: st.tuples(truncating_forms(CURVED[where]),
+                            truncating_forms(CURVED[where]),
+                            truncating_forms(CURVED[where], odd=True))))
+def test_products_match_the_per_pair_product_fold(abp):
+    """The product, the commutator and the square of an odd form equal,
+    store for store and validity included, the fold that finishes each
+    term pair's jet product before adding its expansion entries; so do the
+    (i/hbar) maps ``into`` fills, zero jets included."""
+    a, b, p = abp
+    for x, y, ours, parity in ((a, b, weyl_mul, None),
+                               (a, b, graded_commutator, 1),
+                               (p, p, weyl_mul, None)):
+        assert ours(x, y) == contract_by_products(x, y, parity)
+        assert all_finished(ours(x, y, defaultdict(JetSum))) \
+            == all_finished(contract_by_products(x, y, parity,
+                                                 defaultdict(JetSum)))
 
 
 # -- the square of an odd form, and parity-split expansions ----------------
