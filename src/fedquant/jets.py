@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .rational import CRat, ONE, ZERO, rational_sqrt
 
@@ -188,11 +189,11 @@ class Jet:
         if valid_order >= 1 << _KEY_BITS:
             raise JetError(f"valid_order {valid_order} is not below "
                            f"2**{_KEY_BITS}, the packed key bound")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "valid_order", valid_order)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_imag", None)
+        _set_chart(self, chart)
+        _set_valid_order(self, valid_order)
+        _set_den(self, den)
+        _set_terms(self, terms)
+        _set_imag(self, None)
 
     @classmethod
     def _make(cls, chart, valid_order, den, terms):
@@ -207,7 +208,11 @@ class Jet:
         """The jet of sorted, nonzero ``(degree, key, re, im)`` terms of
         degree <= valid_order over ``den``; a factor common to den and all
         numerators is divided out."""
-        g = gcd(den, *[t[2] for t in terms], *[t[3] for t in terms])
+        g = den
+        for _, _, re, im in terms:
+            if g == 1:
+                break
+            g = gcd(g, re, im)
         if g != 1:
             den //= g
             terms = [(d, a, re // g, im // g) for d, a, re, im in terms]
@@ -282,8 +287,8 @@ class Jet:
         is scanned on the first call only."""
         imag = self._imag
         if imag is None:
-            imag = any(t[3] for t in self.terms)
-            object.__setattr__(self, "_imag", imag)
+            imag = any(map(itemgetter(3), self.terms))
+            _set_imag(self, imag)
         return imag
 
     def is_constant(self):
@@ -567,6 +572,11 @@ class Jet:
         return self._rekeyed(chart, sources)
 
 
+# the slots are written through their member descriptors, past the guard
+_set_chart, _set_valid_order, _set_den, _set_terms, _set_imag = (
+    Jet.__dict__[name].__set__ for name in Jet.__slots__)
+
+
 # -- exact accumulation ----------------------------------------------------
 
 class JetSum:
@@ -616,6 +626,8 @@ class JetSum:
                 v = self.valid_order
         if type(s) is int:
             sr, si, sd = s, 0, 1
+        elif type(s) is CRat:
+            sr, si, sd = s.re_num, s.im_num, s.den
         else:
             s = CRat(s)
             sr, si, sd = s.re_num, s.im_num, s.den

@@ -171,10 +171,15 @@ class CRat:
 def _make(re, im, den):
     """The CRat of ints already in lowest terms with den > 0."""
     self = object.__new__(CRat)
-    object.__setattr__(self, "re_num", re)
-    object.__setattr__(self, "im_num", im)
-    object.__setattr__(self, "den", den)
+    _set_re(self, re)
+    _set_im(self, im)
+    _set_den(self, den)
     return self
+
+
+# the slots are written through their member descriptors, past the guard
+_set_re, _set_im, _set_den = (CRat.__dict__[name].__set__
+                              for name in CRat.__slots__)
 
 
 def _ints(x):

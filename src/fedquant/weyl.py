@@ -280,7 +280,10 @@ def _expansion(geom, alpha_a, alpha_b, parity=None):
     delta <= alpha_b with |gamma| = |delta| = m and P(gamma, delta) != 0:
     the term  scale * pairing * hbar^m * y^alpha, with a constant P folded
     into the CRat ``scale`` and the pairing None (``_pairing``), and a
-    jet P kept as the pairing.  With ``parity`` 0 or 1 only the
+    jet P kept as the pairing.  Each gamma is paired only with the delta
+    its ``_partners`` reach, in their sorted order; every other delta has
+    P = 0.  Both tables, ``sub_degrees(alpha_a)`` and the partners, are
+    cached per geometry.  With ``parity`` 0 or 1 only the
     orders m of that parity are built, in the order the full list has
     them; a commutator or a square asks for the odd ones and never builds
     an even entry.
@@ -289,15 +292,21 @@ def _expansion(geom, alpha_a, alpha_b, parity=None):
     cached = geom._cache.get(key)
     if cached is not None:
         return cached
-    subs_a, subs_b = sub_degrees(alpha_a), sub_degrees(alpha_b)
+    subs_a = geom._cache.get(("sub_degrees", alpha_a))
+    if subs_a is None:
+        subs_a = geom._cache["sub_degrees", alpha_a] = sub_degrees(alpha_a)
     # few distinct scalars recur across entries: keep one object per value
     scales = geom._cache.setdefault("scales", {})
     out = []
-    for m in range(parity or 0, min(len(subs_a), len(subs_b)),
+    for m in range(parity or 0, min(len(subs_a), sum(alpha_b) + 1),
                    1 if parity is None else 2):
         power = HALF_I ** m
         for gamma, binom_a in subs_a[m]:
-            for delta, binom_b in subs_b[m]:
+            for delta in _partners(geom, gamma):
+                # C(alpha_b, delta) is 0 unless delta <= alpha_b
+                binom_b = prod(map(comb, alpha_b, delta))
+                if not binom_b:
+                    continue
                 scalar, pairing = _pairing(geom, gamma, delta)
                 if not scalar:
                     continue
@@ -315,6 +324,34 @@ def sub_degrees(alpha):
     out = [[] for _ in range(sum(alpha) + 1)]
     for gamma in product(*(range(e + 1) for e in alpha)):
         out[sum(gamma)].append((gamma, prod(map(comb, alpha, gamma))))
+    return out
+
+
+def _partners(geom, gamma):
+    """The sorted delta that a complete pairing through the nonzero
+    entries of omega^{-1} can reach from gamma, cached per geometry.
+
+    Built by ``_pairing``'s recursion: the partners of gamma are those of
+    gamma - e_i, with i its first generator, each raised at every j with
+    omega^{ij} nonzero.  P(gamma, delta) = 0 for every other delta.
+    """
+    key = ("partners", gamma)
+    cached = geom._cache.get(key)
+    if cached is not None:
+        return cached
+    if not any(gamma):
+        out = [gamma]
+    else:
+        i = next(k for k, e in enumerate(gamma) if e)
+        rest = list(gamma)
+        rest[i] -= 1
+        reach = set()
+        for delta in _partners(geom, tuple(rest)):
+            for j, om in enumerate(geom.omega_inv[i]):
+                if not om.is_zero():
+                    reach.add(delta[:j] + (delta[j] + 1,) + delta[j + 1:])
+        out = sorted(reach)
+    geom._cache[key] = out
     return out
 
 

@@ -5,7 +5,9 @@ The engine builds each pairing of omega^{-1} by a cached recursion; it
 fills flat sections only through a level bound, from cached commutator
 rows, and certifies r from the recursion's own sums.  The functions here
 take none of those shortcuts: ``pairing`` sums the products over every
-bijection, ``symbol_mul_by_pairs`` folds the symbol of a product one term
+bijection, ``expansion`` pairs each gamma with every delta of the same
+degree (the engine reaches only the delta its ``_partners`` table lists),
+``symbol_mul_by_pairs`` folds the symbol of a product one term
 pair at a time, ``contract_by_products`` finishes every term pair's jet
 product before it adds the pair's expansion entries, ``full_section``
 fills a section through doubled weight 2N with ``graded_commutator``
@@ -40,8 +42,9 @@ from fedquant.quantization import (DiffOp, _diffop_sum, _embed_config,
                                    config_chart, diffop_compose,
                                    fiber_decompose, gq_cotangent)
 from fedquant.rational import CRat, HALF_I, ONE, rational_sqrt
-from fedquant.weyl import (WeylForm, _expansion, _wedge, graded_commutator,
-                           op_delta, op_delta_inv, weyl_mul)
+from fedquant.weyl import (WeylForm, _expansion, _pairing, _wedge,
+                           graded_commutator, op_delta, op_delta_inv,
+                           sub_degrees, weyl_mul)
 
 
 def pairing(geom, alpha_a, alpha_b):
@@ -62,6 +65,26 @@ def pairing(geom, alpha_a, alpha_b):
         for om in factors:
             term = term * om
         out = out + term
+    return out
+
+
+def expansion(geom, alpha_a, alpha_b, parity=None):
+    """``weyl._expansion`` over every (gamma, delta) of one degree m: each
+    gamma <= alpha_a meets each delta <= alpha_b with |delta| = m, and a
+    zero pairing is dropped after it is read.  Uncached; the pairings are
+    the engine's table."""
+    subs_a, subs_b = sub_degrees(alpha_a), sub_degrees(alpha_b)
+    out = []
+    for m in range(parity or 0, min(len(subs_a), len(subs_b)),
+                   1 if parity is None else 2):
+        for gamma, binom_a in subs_a[m]:
+            for delta, binom_b in subs_b[m]:
+                scalar, pairing = _pairing(geom, gamma, delta)
+                if scalar:
+                    alpha = tuple(a - g + b - d for a, g, b, d
+                                  in zip(alpha_a, gamma, alpha_b, delta))
+                    out.append((m, alpha, pairing,
+                                HALF_I ** m * (binom_a * binom_b) * scalar))
     return out
 
 

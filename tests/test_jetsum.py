@@ -116,6 +116,8 @@ def test_cancelling_sum_keeps_the_smallest_validity():
     acc.add(y, s=Fraction(-2, 7))
     out = acc.jet()
     assert out.is_zero() and out.valid_order == 2 and out.max_order == 2
+    # the common denominator of the cancelled terms reduces to 1
+    assert out.den == 1 and out.terms == ()
 
 
 # -- one order per jet --------------------------------------------------------
@@ -229,6 +231,50 @@ def test_unary_operations_match_pairwise_fractions(j, data):
     for got, want in cases:
         assert_canonical(got)
         assert same(got, want) and got == want and got.den == want.den
+
+
+@given(sums(), st.data())
+def test_finished_sums_and_their_pieces_are_canonical(terms, data):
+    acc = JetSum()
+    for a, b, s in terms:
+        acc.add(a, b, s)
+    j = acc.jet()
+    dim = j.chart.dim
+    outs = [j, j.truncate(data.draw(st.integers(0, j.valid_order)))]
+    if j.valid_order:
+        outs.append(j.partial(data.draw(st.integers(0, dim - 1))))
+    outs += j.split(data.draw(st.integers(0, dim))).values()
+    for out in outs:
+        assert_canonical(out)
+
+
+@pytest.mark.parametrize("den, nums, reduced", [
+    # a factor of 3 common to all but the last numerator
+    (6, [(6, 0), (12, 0), (3, 0)], (2, [(2, 0), (4, 0), (1, 0)])),
+    # broken only by the last imaginary part
+    (12, [(12, 0), (0, 24), (6, 4)], (6, [(6, 0), (0, 12), (3, 2)])),
+    # the gcd is 1 after the first term: nothing is divided out
+    (4, [(3, 0), (8, 4)], (4, [(3, 0), (8, 4)])),
+    (5, [(10, 15), (0, 5)], (1, [(2, 3), (0, 1)])),
+])
+def test_the_store_gcd_reads_every_term_it_needs(den, nums, reduced):
+    """``from_terms`` stops its gcd at 1 only: a factor common to den and
+    every numerator but the last is kept apart from the full one."""
+    terms = [(d, pack_key((d,)), re, im) for d, (re, im) in enumerate(nums)]
+    j = Jet.from_terms(CHARTS[1], 3, den, terms)
+    assert_canonical(j)
+    assert (j.den, [t[2:] for t in j.terms]) == reduced
+    assert j.coeffs == {(d,): CRat.from_ints(re, im, den)
+                        for d, (re, im) in enumerate(nums)}
+
+
+def test_jets_stay_immutable():
+    j = Jet.variable(CHARTS[2], 0, 3) * CRat(1, 2)
+    assert j.has_imag()
+    for name in (*Jet.__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(j, name, None)
+    assert j == Jet.variable(CHARTS[2], 0, 3) * CRat(1, 2)
 
 
 @given(st.integers(1, 3).flatmap(jets), st.data())

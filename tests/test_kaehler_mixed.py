@@ -18,6 +18,7 @@ from fedquant.rational import I
 from fedquant.suites import (_kaehler_third_order_jet, _star_closes,
                              _third_order, associativity_suite,
                              correspondence_suite)
+from test_weyl import assert_expansions_are_the_full_enumeration
 
 TORIC = "z1*zb1 + z2*zb2 + z1*zb1*z2*zb2/2"
 GENERIC = (TORIC + " + (z1^2*zb1 + z1*zb1^2)/3 - (z1*z2*zb1 + z1*zb1*zb2)/4"
@@ -42,6 +43,13 @@ def test_the_mixed_curvature_is_nonzero(toric, generic):
     for geom in (toric, generic):
         # R_{1 1bar 2 2bar}, indices (z1, zb1, z2, zb2) = (0, 2, 1, 3)
         assert not geom.curvature().r_low[0, 2, 1, 3].is_zero()
+
+
+def test_expansions_pair_only_reachable_partners(generic):
+    """This chart's rows of omega^{-1} have several nonzero entries, so a
+    gamma reaches several partners, unlike on the seeded product charts."""
+    assert sum(not om.is_zero() for om in generic.omega_inv[0]) > 1
+    assert_expansions_are_the_full_enumeration(generic)
 
 
 def test_toric_associativity(toric):

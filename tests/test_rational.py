@@ -125,6 +125,14 @@ def test_copies_and_pickles_keep_value_and_hash(p):
         assert back == c and hash(back) == hash(c)
 
 
+def test_crats_stay_immutable():
+    c = CRat(Fraction(1, 2), 3)
+    for name in (*CRat.__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 0)
+    assert (c.re_num, c.im_num, c.den) == (1, 6, 2)
+
+
 def test_inputs_are_exact():
     assert CRat("1/3") == Fraction(1, 3)
     assert CRat("-2", "3/4") == CRat(-2, Fraction(3, 4))

@@ -14,7 +14,7 @@ from hypothesis import assume, given, strategies as st
 from fedquant.jets import Jet, JetSum
 from fedquant.rational import CRat, HALF_I, I
 from fedquant.weyl import (GradingError, WeylForm, _expansion, _pairing,
-                           _wedge, graded_commutator, op_delta, op_delta_inv,
+                           _partners, _wedge, graded_commutator, op_delta, op_delta_inv,
                            op_delta_star, pi_weight, scalar_part, symbol_mul,
                            weyl_mul)
 from fedquant import sampling
@@ -22,8 +22,8 @@ from fedquant.fedosov import flat_section, solve_r
 from fedquant.geometry import (build_darboux, build_flat, build_kaehler,
                                lift_cotangent)
 from fedquant.suites import _CHARTS
-from reference import (contract_by_products, full_section, pairing,
-                       symbol_mul_by_pairs)
+from reference import (contract_by_products, expansion, full_section,
+                       pairing, symbol_mul_by_pairs)
 from test_digest import PINNED
 
 
@@ -454,6 +454,34 @@ def test_parity_expansion_filters_the_full_one(where, parity):
         full = _expansion(geom, alpha_a, alpha_b)
         assert _expansion(geom, alpha_a, alpha_b, parity) \
             == [entry for entry in full if entry[0] % 2 == parity]
+
+
+def assert_expansions_are_the_full_enumeration(geom):
+    """Every expansion with |alpha_a|, |alpha_b| <= 3, under each parity,
+    is the reference enumeration over all (gamma, delta) of one degree:
+    the same entries in the same order, each holding the table's own
+    pairing object.  ``_partners(geom, gamma)`` is sorted, of degree
+    |gamma|, and holds every delta with a nonzero pairing."""
+    alphas = [e for e in product(range(4), repeat=geom.dim) if sum(e) <= 3]
+    for alpha_a, alpha_b in product(alphas, repeat=2):
+        for parity in (None, 0, 1):
+            got = _expansion(geom, alpha_a, alpha_b, parity)
+            want = expansion(geom, alpha_a, alpha_b, parity)
+            assert got == want
+            assert all(g[2] is w[2] for g, w in zip(got, want))
+    for gamma in alphas:
+        partners = _partners(geom, gamma)
+        assert partners == sorted(set(partners))
+        assert all(sum(delta) == sum(gamma) for delta in partners)
+        assert set(partners) >= {
+            delta for delta in alphas if sum(delta) == sum(gamma)
+            and _pairing(geom, gamma, delta)[0]}
+
+
+@pytest.mark.parametrize("where", sorted(CURVED),
+                         ids=lambda w: f"{w[0]}-{w[1]}")
+def test_expansions_pair_only_reachable_partners(where):
+    assert_expansions_are_the_full_enumeration(CURVED[where])
 
 
 def test_q_only_commutator_forms_no_product(monkeypatch):
